@@ -32,10 +32,17 @@ module Srt : sig
 
   val size : t -> int
 
-  (** Matching operations performed so far (metrics). Only entries
-      actually scanned are charged, so the root-element index makes this
-      grow sub-linearly in the table size for rooted subscriptions. *)
+  (** Candidate entries charged by the cost model so far: every entry a
+      {!hops_for_sub} lookup walks (its root bucket plus the catch-all,
+      or the whole table), whether or not its overlap test runs. The
+      root-element index makes this grow sub-linearly in the table size
+      for rooted subscriptions; a memo hit charges the scan it replaces. *)
   val match_ops : t -> int
+
+  (** Overlap tests actually run so far: at most {!match_ops}, and
+      usually far fewer, since {!hops_for_sub} skips client hops and hops
+      it has already answered. *)
+  val overlap_tests : t -> int
 
   val indexed : t -> bool
 
@@ -62,10 +69,12 @@ module Srt : sig
   (** Remove by id, returning the stored hop. *)
   val remove : t -> Message.sub_id -> endpoint option
 
-  (** Last hops of the advertisements overlapping a subscription —
-      where the subscription must be forwarded. Deduplicated preserving
-      first occurrence in scan (newest-first) order. *)
-  val hops_for_sub : t -> Xpe.t -> endpoint list
+  (** Neighbor last hops of the advertisements overlapping a
+      subscription — where the subscription must be forwarded. Client
+      hops are left out; each hop appears once, in the order its newest
+      overlapping advertisement comes in the newest-first scan. [key] is
+      the subscription's [Xpe.to_string], when the caller has it. *)
+  val hops_for_sub : ?key:string -> t -> Xpe.t -> endpoint list
 
   (** Advertisement ids stored from a given hop. *)
   val ids_from : t -> endpoint -> Message.sub_id list
@@ -125,14 +134,14 @@ module Prt : sig
       payloads. *)
   val covered_maximal : t -> Xpe.t -> (payload Sub_tree.node * payload) list
 
-  val insert : t -> Message.sub_id -> Xpe.t -> endpoint -> payload Sub_tree.node * payload
+  (** [key] is the XPE's [Xpe.to_string], when the caller has it. *)
+  val insert :
+    ?key:string -> t -> Message.sub_id -> Xpe.t -> endpoint -> payload Sub_tree.node * payload
 
-  (** Remove by id; returns [(payload, node, node_removed_from_maximal,
-      promoted_children)]. *)
-  val remove :
-    t ->
-    Message.sub_id ->
-    (payload * payload Sub_tree.node * bool * payload Sub_tree.node list) option
+  (** Remove by id; returns the payload and the node that held it (gone
+      from the tree when this was its last payload, its children then
+      promoted to its parent). *)
+  val remove : t -> Message.sub_id -> (payload * payload Sub_tree.node) option
 
   (** Payloads of subscriptions matching a publication. *)
   val match_pub : t -> Xroute_xml.Xml_paths.publication -> payload list

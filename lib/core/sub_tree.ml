@@ -28,6 +28,7 @@ module Symbol = Xroute_support.Symbol
 type 'a node = {
   id : int;
   xpe : Xpe.t;
+  key : string; (* [Xpe.to_string xpe]: the node's [by_key] entry *)
   mutable payloads : 'a list;
   mutable parent : 'a node option; (* None for the virtual root *)
   mutable children : 'a node list;
@@ -80,7 +81,8 @@ let create ?(flat = false) ?(covers = fun s1 s2 -> Cover.covers s1 s2) () =
     {
       id = 0;
       xpe = Xpe.absolute_of_names [ "*" ];
-      (* placeholder; never consulted *)
+      (* placeholders; never consulted *)
+      key = "";
       payloads = [];
       parent = None;
       children = [];
@@ -110,6 +112,7 @@ let cover_checks t = t.cover_checks
 let match_checks t = t.match_checks
 
 let node_xpe n = n.xpe
+let node_key n = n.key
 let node_payloads n = n.payloads
 let node_children n = n.children
 let node_supers n = n.supers
@@ -177,6 +180,10 @@ let depth t =
 (* Queries                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The canonical form [by_key] and the covering memos are keyed by;
+   callers that already printed it pass it as [key]. *)
+let key_of ?key xpe = match key with Some k -> k | None -> Xpe.to_string xpe
+
 (* Find the stored node whose XPE equals [xpe] (hash lookup on the
    canonical form; equal XPEs always share one node). *)
 let find_equal t xpe = Hashtbl.find_opt t.by_key (Xpe.to_string xpe)
@@ -196,11 +203,11 @@ let cache_refresh t =
   end
 
 (* Depth-1 nodes covered by [xpe]. *)
-let covered_roots t xpe =
+let covered_roots ?key t xpe =
   if t.flat then []
   else begin
     cache_refresh t;
-    let key = Xpe.to_string xpe in
+    let key = key_of ?key xpe in
     match Hashtbl.find_opt t.covered_roots_cache key with
     | Some (nodes, checks) ->
       t.cover_checks <- t.cover_checks + checks;
@@ -257,8 +264,9 @@ let detach_from t parent n =
       parent that the new node covers are re-parented under it (case 2 of
       the paper, generalized to several nodes);
    3. a child covers the new subscription: descend into it. *)
-let insert t xpe payload =
-  match find_equal t xpe with
+let insert ?key t xpe payload =
+  let key = key_of ?key xpe in
+  match Hashtbl.find_opt t.by_key key with
   | Some node ->
     (* equal XPEs share a node; payloads accumulate *)
     node.payloads <- payload :: node.payloads;
@@ -266,11 +274,19 @@ let insert t xpe payload =
   | None ->
     let fresh () =
       let n =
-        { id = t.next_id; xpe; payloads = [ payload ]; parent = None; children = []; supers = [] }
+        {
+          id = t.next_id;
+          xpe;
+          key;
+          payloads = [ payload ];
+          parent = None;
+          children = [];
+          supers = [];
+        }
       in
       t.next_id <- t.next_id + 1;
       t.count <- t.count + 1;
-      Hashtbl.replace t.by_key (Xpe.to_string xpe) n;
+      Hashtbl.replace t.by_key key n;
       n
     in
     if t.flat then begin
@@ -332,7 +348,7 @@ let remove_node t n =
   match n.parent with
   | None -> invalid_arg "Sub_tree.remove_node: virtual root"
   | Some p ->
-    Hashtbl.remove t.by_key (Xpe.to_string n.xpe);
+    Hashtbl.remove t.by_key n.key;
     detach_from t p n;
     List.iter (fun c -> attach t p c) n.children;
     n.children <- [];
@@ -422,11 +438,11 @@ let check_invariants t =
    by descending into every covering child: any coverer's ancestors also
    cover, so the covering-descent frontier reaches them all. The root
    fringe is pre-filtered through the first-step index. *)
-let coverers t xpe =
+let coverers ?key t xpe =
   if t.flat then []
   else begin
     cache_refresh t;
-    let key = Xpe.to_string xpe in
+    let key = key_of ?key xpe in
     match Hashtbl.find_opt t.coverers_cache key with
     | Some (nodes, checks) ->
       t.cover_checks <- t.cover_checks + checks;

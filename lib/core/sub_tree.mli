@@ -28,6 +28,12 @@ val cover_checks : 'a t -> int
 val match_checks : 'a t -> int
 
 val node_xpe : 'a node -> Xpe.t
+
+(** The node's XPE printed by [Xpe.to_string]: the key equal XPEs share
+    the node under. Every [?key] argument below takes this form of its
+    XPE, so a caller that already printed it does not print it again. *)
+val node_key : 'a node -> string
+
 val node_payloads : 'a node -> 'a list
 val node_children : 'a node -> 'a node list
 val node_supers : 'a node -> 'a node list
@@ -56,7 +62,7 @@ val is_covered : 'a t -> Xpe.t -> bool
 
 (** Depth-1 nodes covered by the XPE — the previously forwarded
     subscriptions to unsubscribe when this one takes over. *)
-val covered_roots : 'a t -> Xpe.t -> 'a node list
+val covered_roots : ?key:string -> 'a t -> Xpe.t -> 'a node list
 
 (** All stored nodes covered by the XPE (subtrees plus super-pointer
     targets). *)
@@ -64,7 +70,7 @@ val covered_nodes : 'a t -> Xpe.t -> 'a node list
 
 (** Insert a subscription; returns its node (an existing one when an
     equal XPE is already stored — the payload is appended). *)
-val insert : 'a t -> Xpe.t -> 'a -> 'a node
+val insert : ?key:string -> 'a t -> Xpe.t -> 'a -> 'a node
 
 (** Record an extra covering relation as a super pointer. *)
 val add_super : 'a node -> 'a node -> unit
@@ -98,7 +104,7 @@ val match_path_linear : 'a t -> string array -> (string * string) list array -> 
 val check_invariants : 'a t -> string list
 
 (** All stored nodes whose XPE covers the argument (equality included). *)
-val coverers : 'a t -> Xpe.t -> 'a node list
+val coverers : ?key:string -> 'a t -> Xpe.t -> 'a node list
 
 (** Total payloads stored ({!size} counts distinct XPEs; equal XPEs share
     one node). *)

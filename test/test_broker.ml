@@ -96,9 +96,12 @@ let test_prt_remove_reports_promotions () =
   ignore (Rtable.Prt.insert prt (sid 2 1) (xp "/a") (neighbor 1));
   ignore (Rtable.Prt.insert prt (sid 2 2) (xp "/a/b") (neighbor 2));
   match Rtable.Prt.remove prt (sid 2 1) with
-  | Some (_, _, was_sole_maximal, children) ->
-    check cb "was maximal" true was_sole_maximal;
-    check ci "one child promoted" 1 (List.length children)
+  | Some (_, node) -> (
+    check cb "node left the maximal set" false
+      (List.memq node (Sub_tree.maximal (Rtable.Prt.tree prt)));
+    match Sub_tree.maximal (Rtable.Prt.tree prt) with
+    | [ child ] -> check cb "child promoted" true (Xpe.equal (Sub_tree.node_xpe child) (xp "/a/b"))
+    | roots -> Alcotest.failf "expected one promoted child, got %d roots" (List.length roots))
   | None -> Alcotest.fail "expected removal"
 
 let test_prt_match_from_trail () =

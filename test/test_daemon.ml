@@ -501,6 +501,17 @@ let test_stats_over_wire () =
     [ "xroute_srt_"; "xroute_prt_"; "xroute_broker_deliveries"; "xroute_broker_msgs_in" ];
   check cb "match work was recorded" true
     (metric_value sub_side "xroute_prt_match_checks_total" > 0.0);
+  (* One subscription, one advertisement: each broker charges its one
+     SRT candidate, but only the subscriber's broker runs the overlap
+     test — at the publisher's broker the advertisement's hop is a local
+     client, where subscriptions are never forwarded. *)
+  List.iter
+    (fun (side, metrics, tests) ->
+      check (Alcotest.float 0.0) (side ^ ": SRT candidates charged") 1.0
+        (metric_value metrics "xroute_srt_match_ops_total");
+      check (Alcotest.float 0.0) (side ^ ": SRT overlap tests run") tests
+        (metric_value metrics "xroute_srt_overlap_tests_total"))
+    [ ("publisher broker", pub_side, 0.0); ("subscriber broker", sub_side, 1.0) ];
   (* the JSON exposition answers too *)
   (match Client.stats ~format:`Json publisher with
   | Some body ->

@@ -184,6 +184,92 @@ let test_srt_indexed_vs_list_differential () =
   check ci "sizes agree after removal" (Rtable.Srt.size flat) (Rtable.Srt.size idx);
   compare_all "after removals"
 
+(* The full-scan oracle for [hops_for_sub]: the overlap test over every
+   stored entry, neighbor hops only, deduplicated by first occurrence in
+   the newest-first order of [entries]. *)
+let oracle_hops srt xpe =
+  List.fold_left
+    (fun acc (e : Rtable.Srt.entry) ->
+      match e.hop with
+      | Rtable.Neighbor _ when Adv_match.overlaps xpe e.adv ->
+        if List.exists (Rtable.endpoint_equal e.hop) acc then acc else e.hop :: acc
+      | Rtable.Neighbor _ | Rtable.Client _ -> acc)
+    [] (Rtable.Srt.entries srt)
+  |> List.rev
+
+(* The entries a lookup is charged for: the whole table when flat or
+   for an unanchored subscription, otherwise the entries rooted at the
+   subscription's root element plus the star- and group-rooted ones. *)
+let oracle_candidates ~indexed srt xpe =
+  let rooted_at n (e : Rtable.Srt.entry) =
+    match Adv.parts e.adv with
+    | Adv.Lit steps :: _ -> (
+      match steps.(0) with Xpe.Name m -> Xroute_support.Symbol.equal m n | Xpe.Star -> true)
+    | _ -> true
+  in
+  let all = Rtable.Srt.entries srt in
+  match (indexed, Rtable.Srt.sub_root xpe) with
+  | true, Some n -> List.length (List.filter (rooted_at n) all)
+  | _ -> List.length all
+
+(* Seeded differential against the full-scan oracle, on tables mixing
+   client and neighbor hops with many entries per hop (so the per-hop
+   early exit skips most overlap tests): identical hop lists, indexed
+   and flat, before and after removals, on fresh lookups and memo hits,
+   with every candidate entry charged to [match_ops] either way. *)
+let test_srt_full_scan_oracle_differential () =
+  let prng = Xroute_support.Prng.create 4242 in
+  let pick a = Xroute_support.Prng.choose prng a in
+  let names = [| "a"; "b"; "c"; "d" |] in
+  let hops = [| n 1; n 2; n 3; c 7; c 8 |] in
+  let random_adv i =
+    let step () = "/" ^ pick names in
+    let body = String.concat "" (List.init (1 + Xroute_support.Prng.int prng 3) (fun _ -> step ())) in
+    let s =
+      match Xroute_support.Prng.int prng 5 with
+      | 0 -> "/*" ^ body
+      | 1 -> "(" ^ step () ^ ")+" ^ body
+      | 2 -> step () ^ "(" ^ step () ^ ")+" ^ body
+      | _ -> step () ^ body
+    in
+    (sid 1 i, ad s, pick hops)
+  in
+  let advs = List.init 150 random_adv in
+  let subs =
+    List.init 60 (fun _ ->
+        match Xroute_support.Prng.int prng 4 with
+        | 0 -> xp ("//" ^ pick names)
+        | 1 -> xp ("/*/" ^ pick names)
+        | 2 -> xp (pick names ^ "/" ^ pick names)
+        | _ -> xp ("/" ^ pick names ^ "/" ^ pick names ^ "//" ^ pick names))
+  in
+  List.iter
+    (fun indexed ->
+      let srt = Rtable.Srt.create ~indexed () in
+      List.iter (fun (id, a, hop) -> ignore (Rtable.Srt.add srt id a hop)) advs;
+      let compare_all label =
+        List.iteri
+          (fun i x ->
+            let label = Printf.sprintf "%s, indexed=%b, sub %d" label indexed i in
+            let expected = oracle_hops srt x in
+            let candidates = oracle_candidates ~indexed srt x in
+            for _ = 1 to 2 do
+              let ops0 = Rtable.Srt.match_ops srt in
+              check (Alcotest.list ep) (label ^ ": hops") expected (Rtable.Srt.hops_for_sub srt x);
+              check ci (label ^ ": candidates charged") candidates
+                (Rtable.Srt.match_ops srt - ops0)
+            done)
+          subs
+      in
+      compare_all "full table";
+      check cb "early exit skipped overlap tests" true
+        (Rtable.Srt.overlap_tests srt < Rtable.Srt.match_ops srt);
+      List.iteri
+        (fun i (id, _, _) -> if i mod 3 = 0 then ignore (Rtable.Srt.remove srt id))
+        advs;
+      compare_all "after removals")
+    [ true; false ]
+
 (* ---------------- PRT ---------------- *)
 
 let test_prt_ids_and_find () =
@@ -212,7 +298,8 @@ let test_prt_remove_keeps_sharing () =
   ignore (Rtable.Prt.insert prt (sid 2 1) (xp "/a") (n 1));
   ignore (Rtable.Prt.insert prt (sid 3 1) (xp "/a") (n 2));
   (match Rtable.Prt.remove prt (sid 2 1) with
-  | Some (_, _, was_sole, _) -> check cb "not sole payload" false was_sole
+  | Some (_, node) ->
+    check ci "other payload stays on the node" 1 (List.length (Sub_tree.node_payloads node))
   | None -> Alcotest.fail "remove failed");
   check ci "node still present" 1 (Rtable.Prt.size prt);
   check ci "still matches" 1 (List.length (Rtable.Prt.match_pub prt (pub "/a/b")))
@@ -268,6 +355,8 @@ let () =
             test_srt_index_skips_foreign_buckets;
           Alcotest.test_case "indexed vs list differential" `Quick
             test_srt_indexed_vs_list_differential;
+          Alcotest.test_case "full-scan oracle differential" `Quick
+            test_srt_full_scan_oracle_differential;
         ] );
       ( "prt",
         [

@@ -178,6 +178,77 @@ let test_seed_sensitivity () =
   let b = Scenario.run { spec with Scenario.seed = spec.Scenario.seed + 1 } in
   check cb "different seeds -> different ledgers" false (Scenario.equal_ledgers a b)
 
+(* ---------------- golden pins ---------------- *)
+
+(* Ledger digest, event count, final virtual clock and decision digest
+   of one small churn and one small flash spec: a change to a routing
+   decision, or to the cost charged on the publication path ([Net] bills
+   [Broker.work] as processing delay), moves at least one of them. *)
+let test_golden_pins () =
+  List.iter
+    (fun (kind, digest, events, clock, decisions) ->
+      let o = Scenario.run (small kind) in
+      let name = Scenario.kind_to_string kind in
+      check Alcotest.int64 (name ^ ": ledger digest") digest o.Scenario.ledger_digest;
+      check ci (name ^ ": events") events o.Scenario.events;
+      check (Alcotest.float 0.0) (name ^ ": virtual clock (ms)") clock o.Scenario.virtual_ms;
+      check Alcotest.int64 (name ^ ": decision digest") decisions o.Scenario.decision_digest)
+    [
+      (Scenario.Churn, 8836183778627961852L, 3926, 0x1.4e16047c3f1fep+8, -2866539599765154282L);
+      ( Scenario.Flash_crowd,
+        3250672882199289422L,
+        3119,
+        0x1.9b6d674651d4ep+6,
+        7176059533919803043L );
+    ]
+
+(* The scenarios above publish long after their subscriptions settle,
+   so the subscription-side cost barely reaches their clocks. This net
+   pins it directly: every broker's [Broker.stage_ops] summed over a
+   seeded NITF run — two publishers (one advertising a third of the
+   DTD), twelve subscribers spread over a seven-broker tree, 400 Set-A
+   subscriptions, five documents, then a third of the subscriptions
+   withdrawn. *)
+let test_golden_work_totals () =
+  let open Xroute_overlay in
+  let dtd = Lazy.force Xroute_dtd.Dtd_samples.nitf in
+  let net =
+    Net.create ~config:{ Net.default_config with Net.seed = 5 } (Topology.binary_tree ~levels:3)
+  in
+  let pub = Net.add_client net ~broker:0 in
+  let pub2 = Net.add_client net ~broker:5 in
+  let advs = Xroute_dtd.Dtd_paths.advertisements (Xroute_dtd.Dtd_graph.build dtd) in
+  ignore (Net.advertise_dtd net pub advs);
+  ignore (Net.advertise_dtd net pub2 (List.filteri (fun i _ -> i mod 3 = 0) advs));
+  Net.run net;
+  let xpes = Workload.xpes ~params:(Workload.set_a_params dtd) ~count:400 ~seed:9 () in
+  let clients = Array.init 12 (fun i -> Net.add_client net ~broker:(i mod 7)) in
+  let ids =
+    List.mapi (fun i x -> (clients.(i mod 12), Net.subscribe net clients.(i mod 12) x)) xpes
+  in
+  Net.run net;
+  List.iteri
+    (fun i d -> ignore (Net.publish_doc net pub ~doc_id:i d))
+    (Workload.documents ~dtd ~count:5 ~seed:3 ());
+  Net.run net;
+  List.iteri (fun i (c, id) -> if i mod 3 = 0 then Net.unsubscribe net c id) ids;
+  Net.run net;
+  let srt, prt_match, prt_cover =
+    Array.fold_left
+      (fun (s, m, c) b ->
+        let s', m', c' = Xroute_core.Broker.stage_ops b in
+        (s + s', m + m', c + c'))
+      (0, 0, 0) (Net.brokers net)
+  in
+  check ci "SRT candidates charged" 1554774 srt;
+  check ci "PRT match checks" 32015 prt_match;
+  check ci "PRT cover checks" 351473 prt_cover;
+  check ci "Broker.work" 1938262
+    (Array.fold_left (fun acc b -> acc + Xroute_core.Broker.work b) 0 (Net.brokers net));
+  check (Alcotest.float 0.0) "virtual clock (ms)" 0x1.c0a03e92d447fp+2 (Sim.now (Net.sim net));
+  check ci "deliveries" 29 (Net.total_deliveries net);
+  check ci "messages" 11283 (Net.total_traffic net)
+
 (* ---------------- heap vs list differential ---------------- *)
 
 let test_queue_differential () =
@@ -234,6 +305,8 @@ let () =
           Alcotest.test_case "same seed identical" `Quick test_same_seed_identical;
           Alcotest.test_case "zipf pool determinism" `Quick test_zipf_pool_determinism;
           Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
+          Alcotest.test_case "golden pins" `Quick test_golden_pins;
+          Alcotest.test_case "golden work totals" `Quick test_golden_work_totals;
         ] );
       ( "differential",
         [
