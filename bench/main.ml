@@ -35,7 +35,6 @@ module Report = struct
   let records6 : (string * (string * value) list) list ref = ref []
   let records7 : (string * (string * value) list) list ref = ref []
   let records8 : (string * (string * value) list) list ref = ref []
-  let records9 : (string * (string * value) list) list ref = ref []
   let records10 : (string * (string * value) list) list ref = ref []
 
   (* Append fields to the experiment's record (merging by name; a
@@ -54,7 +53,6 @@ module Report = struct
   let record6 name fields = record_in records6 name fields
   let record7 name fields = record_in records7 name fields
   let record8 name fields = record_in records8 name fields
-  let record9 name fields = record_in records9 name fields
   let record10 name fields = record_in records10 name fields
 
   let render_value = function
@@ -89,10 +87,6 @@ module Report = struct
       write_sink ~schema:"xroute-bench/8"
         (Option.value ~default:"BENCH_8.json" (Sys.getenv_opt "XROUTE_BENCH_JSON8"))
         !records8;
-    if !records9 <> [] then
-      write_sink ~schema:"xroute-bench/9"
-        (Option.value ~default:"BENCH_9.json" (Sys.getenv_opt "XROUTE_BENCH_JSON9"))
-        !records9;
     if !records10 <> [] then
       write_sink ~schema:"xroute-bench/10"
         (Option.value ~default:"BENCH_10.json" (Sys.getenv_opt "XROUTE_BENCH_JSON10"))
@@ -380,28 +374,24 @@ let daemon_throughput () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Saturation: pipelined multi-root burst against the sharded daemon   *)
+(* Saturation: pipelined multi-root burst against the daemon          *)
 (* ------------------------------------------------------------------ *)
 
-(* The headline daemon experiment for the sharded engine: a 2-broker
-   line saturated by four pipelined publishers (one advertisement root
-   each, publications pre-framed and written in ~56 KB chunks so the
-   event loop sees deep batches, not one line per syscall). The
-   subscriber side holds a mixed selection — one shallow anchored XPE,
-   one deep anchored XPE, one unanchored ("//...", replicated to every
-   shard) — and one root is deliberately unsubscribed so selectivity is
-   real. Run once at --domains 1 and once at --domains N; the delivered
-   doc-id sets must be identical, and the sharded run's throughput is
-   compared against the BENCH_2 seed baseline. *)
+(* The saturation burst: a 2-broker line saturated by four pipelined
+   publishers (one advertisement root each, publications pre-framed and
+   written in ~56 KB chunks so the event loop sees deep batches, not one
+   line per syscall). The subscriber side holds a mixed selection — one
+   shallow anchored XPE, one deep anchored XPE, one unanchored
+   ("//...") — and one root is deliberately unsubscribed so selectivity
+   is real; every expected doc id must arrive. *)
 
-let saturation_run ?(telemetry = true) ~domains ~docs_per_root () =
+let saturation_run ?(telemetry = true) ~docs_per_root () =
   let open Xroute_daemon in
   let d0 =
-    Daemon.create ~domains ~telemetry ~id:0 ~port:0
-      ~neighbors:[ (1, ("127.0.0.1", 0)) ] ()
+    Daemon.create ~telemetry ~id:0 ~port:0 ~neighbors:[ (1, ("127.0.0.1", 0)) ] ()
   in
   let d1 =
-    Daemon.create ~domains ~telemetry ~id:1 ~port:0
+    Daemon.create ~telemetry ~id:1 ~port:0
       ~neighbors:[ (0, ("127.0.0.1", Daemon.port d0)) ] ()
   in
   let threads =
@@ -458,7 +448,7 @@ let saturation_run ?(telemetry = true) ~domains ~docs_per_root () =
   let published = roots * docs_per_root in
   let t0 = Unix.gettimeofday () in
   (* round-robin one chunk per publisher so the roots interleave on the
-     wire and every shard stays busy *)
+     wire *)
   let remaining = ref true in
   while !remaining do
     remaining := false;
@@ -502,152 +492,30 @@ let saturation_run ?(telemetry = true) ~domains ~docs_per_root () =
 
 let saturation () =
   section
-    "Saturation - pipelined 4-root burst, sequential vs sharded daemon\n\
+    "Saturation - pipelined 4-root burst through the daemon\n\
      (pre-framed publications written in 56KB chunks through a 2-broker\n\
-     line; --domains 1 and --domains 4 must deliver identical doc-id\n\
-     sets; sharded throughput is gated against the BENCH_2 baseline)";
-  (* BENCH_2.json daemon-throughput msgs_per_sec (the seed's one-line-\
-     per-write, 4KB-read event loop). *)
-  let baseline = 1194.73 in
-  let docs_per_root = scaled 5000 in
-  let run domains =
-    let published, delivered, expected, wall, per_sec, p50, p99 =
-      saturation_run ~domains ~docs_per_root ()
-    in
-    Printf.printf
-      "domains %d: %d published, %d/%d delivered in %.2f s  (%.0f msgs/s, hop p50 %.2f ms, p99 %.2f ms)\n%!"
-      domains published (List.length delivered) (List.length expected) wall per_sec p50 p99;
-    if delivered <> expected then begin
-      Printf.printf "ERROR: saturation burst at %d domains lost or misrouted publications\n"
-        domains;
-      exit 1
-    end;
-    Report.record7
-      (Printf.sprintf "saturation-domains-%d" domains)
-      [
-        ("domains", Report.I domains);
-        ("roots", Report.I 4);
-        ("published", Report.I published);
-        ("delivered", Report.I (List.length delivered));
-        ("burst_wall_ms", Report.F (wall *. 1000.0));
-        ("msgs_per_sec", Report.F per_sec);
-        ("p50_hop_ms", Report.F p50);
-        ("p99_hop_ms", Report.F p99);
-      ];
-    (delivered, per_sec)
-  in
-  let delivered_seq, _ = run 1 in
-  let delivered_sharded, per_sec_sharded = run 4 in
-  let diffs =
-    if delivered_seq = delivered_sharded then 0
-    else begin
-      (* symmetric difference of the two delivered-id sets *)
-      let seen l =
-        let h = Hashtbl.create 1024 in
-        List.iter (fun i -> Hashtbl.replace h i ()) l;
-        h
-      in
-      let in_seq = seen delivered_seq and in_sharded = seen delivered_sharded in
-      List.length (List.filter (fun i -> not (Hashtbl.mem in_sharded i)) delivered_seq)
-      + List.length (List.filter (fun i -> not (Hashtbl.mem in_seq i)) delivered_sharded)
-    end
-  in
-  Printf.printf "decision diffs (domains 1 vs 4): %d;  speedup vs BENCH_2 baseline: %.1fx\n%!"
-    diffs (per_sec_sharded /. baseline);
-  Report.record7 "saturation-domains-4"
-    [
-      ("decision_diffs", Report.F (float_of_int diffs));
-      ("decisions_identical", Report.B (diffs = 0));
-      ("baseline_msgs_per_sec", Report.F baseline);
-      ("speedup_vs_baseline", Report.F (per_sec_sharded /. baseline));
-    ];
-  if diffs <> 0 then begin
-    Printf.printf "ERROR: sharded daemon diverged from the sequential daemon\n";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Concurrency audit sweep + tsync production overhead (BENCH_9)       *)
-(* ------------------------------------------------------------------ *)
-
-(* Two halves of the PR-9 claim. (a) The schedule explorer actually
-   sweeps: the full conc-audit exploration is timed and its per-scenario
-   schedule counts recorded (>= 1000 distinct schedules total, zero
-   races, zero divergences on trunk). (b) The instrumentation is free in
-   production: with no runtime installed every Tsync op is one ref read
-   and a branch over the raw atomic, so re-running the BENCH_7 sharded
-   saturation burst on the tsync'd pool must land within noise of the
-   committed BENCH_7 number. *)
-let conc_bench () =
-  section
-    "Concurrency audit - schedule exploration sweep + tsync overhead\n\
-     (the --conc-audit sweep timed and sized; then the BENCH_7 sharded\n\
-     saturation burst re-run over the instrumented-but-uninstalled pool,\n\
-     gated against the committed BENCH_7 throughput)";
-  let results, audit_wall = time_it (fun () -> Xroute_check.Conc.explore_scenarios ()) in
-  let total = ref 0 and steps = ref 0 and races = ref 0 and fails = ref 0 in
-  List.iter
-    (fun (name, (e : Xroute_support.Tsync.Sched.exploration)) ->
-      total := !total + e.distinct;
-      steps := !steps + e.total_steps;
-      races := !races + List.length e.race_witnesses;
-      fails := !fails + List.length e.failure_witnesses;
-      Printf.printf "%-18s %6d schedules  %8d steps  %d races  %d divergences\n%!" name
-        e.distinct e.total_steps
-        (List.length e.race_witnesses)
-        (List.length e.failure_witnesses);
-      Report.record9
-        ("conc-" ^ name)
-        [
-          ("schedules", Report.I e.distinct);
-          ("steps", Report.I e.total_steps);
-          ("races", Report.I (List.length e.race_witnesses));
-          ("divergences", Report.I (List.length e.failure_witnesses));
-        ])
-    results;
-  Printf.printf "total: %d schedules, %d steps in %.1f ms\n%!" !total !steps
-    (audit_wall *. 1000.0);
-  Report.record9 "conc-audit"
-    [
-      ("scenarios", Report.I (List.length results));
-      ("schedules_explored", Report.I !total);
-      ("total_steps", Report.I !steps);
-      ("races_found", Report.I !races);
-      ("divergences_found", Report.I !fails);
-      ("audit_wall_ms", Report.F (audit_wall *. 1000.0));
-    ];
-  if !races > 0 || !fails > 0 then begin
-    Printf.printf "ERROR: conc audit found races/divergences on trunk\n";
-    exit 1
-  end;
-  (* BENCH_7.json saturation-domains-4 msgs_per_sec: the same burst on
-     the pre-tsync pool. *)
-  let bench7_msgs_per_sec = 13908.8 in
+     line; every expected doc id must arrive)";
   let docs_per_root = scaled 5000 in
   let published, delivered, expected, wall, per_sec, p50, p99 =
-    saturation_run ~domains:4 ~docs_per_root ()
+    saturation_run ~docs_per_root ()
   in
   Printf.printf
-    "tsync'd pool, domains 4: %d published, %d/%d delivered in %.2f s  (%.0f msgs/s,\n\
-     hop p50 %.2f ms, p99 %.2f ms;  BENCH_7 committed %.0f msgs/s -> ratio %.2f)\n%!"
-    published (List.length delivered) (List.length expected) wall per_sec p50 p99
-    bench7_msgs_per_sec
-    (per_sec /. bench7_msgs_per_sec);
+    "%d published, %d/%d delivered in %.2f s  (%.0f msgs/s, hop p50 %.2f ms, p99 %.2f ms)\n%!"
+    published (List.length delivered) (List.length expected) wall per_sec p50 p99;
   if delivered <> expected then begin
-    Printf.printf "ERROR: tsync overhead burst lost or misrouted publications\n";
+    Printf.printf "ERROR: saturation burst lost or misrouted publications\n";
     exit 1
   end;
-  Report.record9 "tsync-overhead"
+  Report.record7 "saturation-domains-1"
     [
-      ("domains", Report.I 4);
+      ("domains", Report.I 1);
+      ("roots", Report.I 4);
       ("published", Report.I published);
       ("delivered", Report.I (List.length delivered));
       ("burst_wall_ms", Report.F (wall *. 1000.0));
       ("msgs_per_sec", Report.F per_sec);
       ("p50_hop_ms", Report.F p50);
       ("p99_hop_ms", Report.F p99);
-      ("bench7_msgs_per_sec", Report.F bench7_msgs_per_sec);
-      ("ratio_vs_bench7", Report.F (per_sec /. bench7_msgs_per_sec));
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -784,7 +652,7 @@ let obs_telemetry () =
   let best telemetry =
     let one () =
       let published, delivered, expected, _, per_sec, _, _ =
-        saturation_run ~telemetry ~domains:4 ~docs_per_root ()
+        saturation_run ~telemetry ~docs_per_root ()
       in
       if delivered <> expected then begin
         Printf.printf "ERROR: telemetry overhead burst lost or misrouted publications\n";
@@ -799,15 +667,16 @@ let obs_telemetry () =
   let published, per_sec_on = best true in
   let _, per_sec_off = best false in
   let ratio = per_sec_off /. per_sec_on in
-  let bench7_msgs_per_sec = 13908.8 in
+  (* BENCH_7.json saturation-domains-1 msgs_per_sec: the same burst. *)
+  let bench7_msgs_per_sec = 27424.8 in
   Printf.printf
-    "\ntelemetry overhead (BENCH_7 burst, domains 4, best of 2):\n\
+    "\ntelemetry overhead (BENCH_7 burst, best of 2):\n\
     \  on  %8.0f msgs/s\n\
     \  off %8.0f msgs/s   ratio off/on %.3f  (gate <= 1.1)\n%!"
     per_sec_on per_sec_off ratio;
   Report.record10 "telemetry-overhead"
     [
-      ("domains", Report.I 4);
+      ("domains", Report.I 1);
       ("published", Report.I published);
       ("msgs_per_sec_on", Report.F per_sec_on);
       ("msgs_per_sec_off", Report.F per_sec_off);
@@ -1991,78 +1860,6 @@ let smoke () =
     Printf.printf "smoke FAILED: PRT NFA invariants violated:\n";
     List.iter (fun m -> Printf.printf "  %s\n" m) problems;
     exit 1);
-  (* Shard gate: the domain pool's merged decisions must be
-     byte-identical to the sequential NFA PRT on the same mixed
-     anchored/unanchored subscription set. Reuses the NFA gate's 1500
-     XPEs and 12-document corpus; publications are emitted through the
-     seq-keyed reorder buffer in submission order, so the i-th emitted
-     decision compares against the i-th sequential one. *)
-  let module Pool = Xroute_daemon.Shard_pool in
-  let pool = Pool.create ~domains:3 () in
-  List.iteri
-    (fun i x ->
-      let id : Message.sub_id = { origin = 2; seq = i } in
-      let seq = Pool.next_seq pool in
-      Pool.subscribe pool ~stamp:seq id x (Rtable.Client 0);
-      Pool.push_control pool ~seq (fun () -> ()))
-    prt_xpes;
-  let render (payloads : Rtable.Prt.payload list) =
-    List.map (fun (p : Rtable.Prt.payload) -> p.Rtable.Prt.id) payloads
-    |> List.sort_uniq compare
-    |> List.map (fun (id : Message.sub_id) -> Printf.sprintf "%d.%d" id.origin id.seq)
-    |> String.concat ";"
-  in
-  let pool_got = ref [] in
-  let drain_pool () =
-    Pool.drain pool ~publish:(fun ~seq:_ ~from:_ ~batch_t:_ outcome ->
-        match outcome with
-        | Pool.Routed { payloads; _ } -> pool_got := render payloads :: !pool_got
-        | Pool.Undecodable _ -> pool_got := "<undecodable>" :: !pool_got)
-  in
-  let submitted =
-    List.filter
-      (fun pub ->
-        let payload = Codec.encode (Message.Publish { pub; trail = []; ctx = None }) in
-        match Pool.publish_root payload with
-        | None -> false
-        | Some root ->
-          let seq = Pool.next_seq pool in
-          while
-            not (Pool.submit_publish pool ~seq ~from:(Rtable.Client 9) ~batch_t:0.0 ~payload ~root)
-          do
-            drain_pool ();
-            Unix.sleepf 0.0002
-          done;
-          true)
-      corpus
-  in
-  let shard_deadline = Unix.gettimeofday () +. 20.0 in
-  while Pool.in_flight pool > 0 && Unix.gettimeofday () < shard_deadline do
-    drain_pool ();
-    if Pool.in_flight pool > 0 then Unix.sleepf 0.0002
-  done;
-  let stuck = Pool.in_flight pool in
-  Pool.stop pool;
-  if stuck > 0 then begin
-    Printf.printf "smoke FAILED: shard pool left %d publications in flight\n" stuck;
-    exit 1
-  end;
-  let sequential = List.map (prt_decision prt_nfa) submitted in
-  let pooled = List.rev !pool_got in
-  if List.length pooled <> List.length sequential then begin
-    Printf.printf "smoke FAILED: shard pool emitted %d decisions for %d publications\n"
-      (List.length pooled) (List.length sequential);
-    exit 1
-  end;
-  let shard_diffs =
-    List.fold_left2 (fun n a b -> if String.equal a b then n else n + 1) 0 sequential pooled
-  in
-  Printf.printf "smoke: shard pool vs sequential PRT on %d publications: %d decision diffs\n"
-    (List.length submitted) shard_diffs;
-  if shard_diffs <> 0 then begin
-    Printf.printf "smoke FAILED: shard pool diverged from the sequential PRT\n";
-    exit 1
-  end;
   (* Fault gate: crash the relay broker of a line, publish into the
      outage (must be destroyed and accounted), restart it, and require
      the routing state to recover so the next publication is delivered
@@ -2202,7 +1999,6 @@ let experiments =
     ("srt-index", srt_index_bench);
     ("daemon-throughput", daemon_throughput);
     ("saturation", saturation);
-    ("conc", conc_bench);
     ("obs-telemetry", obs_telemetry);
     ("fault-recovery", fault_recovery);
     ("ablation-exact-cover", ablation_exact_cover);

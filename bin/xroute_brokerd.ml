@@ -22,7 +22,7 @@ let parse_neighbor s =
 
 let neighbor_conv = Arg.conv (parse_neighbor, fun ppf (id, (h, p)) -> Format.fprintf ppf "%d:%s:%d" id h p)
 
-let run id port neighbors strategy_name no_srt_index match_engine_name flight_dir domains no_telemetry verbose =
+let run id port neighbors strategy_name no_srt_index match_engine_name flight_dir no_telemetry verbose =
   Fmt_tty.setup_std_outputs ();
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level (Some (if verbose then Logs.Debug else Logs.Info));
@@ -41,17 +41,11 @@ let run id port neighbors strategy_name no_srt_index match_engine_name flight_di
       exit 1
   in
   let daemon =
-    match
-      Xroute_daemon.Daemon.create ~strategy ?flight_dir ~domains ~telemetry:(not no_telemetry)
-        ~id ~port ~neighbors ()
-    with
-    | d -> d
-    | exception Invalid_argument msg ->
-      prerr_endline ("xroute_brokerd: " ^ msg);
-      exit 1
+    Xroute_daemon.Daemon.create ~strategy ?flight_dir ~telemetry:(not no_telemetry) ~id ~port
+      ~neighbors ()
   in
-  Printf.printf "broker %d listening on port %d (strategy %s, %d domain%s)\n%!" id
-    (Xroute_daemon.Daemon.port daemon) strategy_name domains (if domains = 1 then "" else "s");
+  Printf.printf "broker %d listening on port %d (strategy %s)\n%!" id
+    (Xroute_daemon.Daemon.port daemon) strategy_name;
   let stop _ = Xroute_daemon.Daemon.request_stop daemon in
   Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
   Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
@@ -86,12 +80,6 @@ let cmd =
            ~doc:"Enable the flight recorder: dump spans, metrics and rates to \
                  $(docv) when an AUDIT reports an error-severity finding.")
   in
-  let domains_arg =
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N"
-           ~doc:"Shard publication matching across $(docv) worker domains (default 1 = \
-                 sequential). Routing decisions and emitted bytes are identical to the \
-                 sequential engine; requires the nfa match engine and no trail routing.")
-  in
   let no_telemetry_arg =
     Arg.(value & flag & info [ "no-telemetry" ]
            ~doc:"Disable the per-link health summary (the FEDSTATS data source): skips \
@@ -103,6 +91,6 @@ let cmd =
   Cmd.v
     (Cmd.info "xroute_brokerd" ~version:"1.0.0" ~doc:"Content-based XML router daemon")
     Term.(const run $ id_arg $ port_arg $ neighbors_arg $ strategy_arg $ no_srt_index_arg
-          $ match_engine_arg $ flight_dir_arg $ domains_arg $ no_telemetry_arg $ verbose_arg)
+          $ match_engine_arg $ flight_dir_arg $ no_telemetry_arg $ verbose_arg)
 
 let () = exit (Cmd.eval cmd)

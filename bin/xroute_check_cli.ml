@@ -11,16 +11,13 @@
    - audit     : routing-state invariants over converged simulated
                  churn networks — or over a live daemon with --connect.
 
-   Four harness-integrity families ride along (also in the default
-   set): --shard-audit checks the daemon's domain-pool PRT partition,
-   --scenario-audit checks the scale harness itself — heap-vs-list
-   queue differential, run-to-run determinism, liveness smells —
-   --conc-audit replays the pool's lock-free core (SPSC rings, reorder
-   buffer, counters) under a schedule-exploring cooperative scheduler
-   with a vector-clock race detector, and --obs-audit checks the
-   telemetry itself: sketch quantile accuracy against exact order
-   statistics, counter monotonicity across snapshots, span/metric
-   cross-consistency, and FEDSTATS federation laws.
+   Two harness-integrity families ride along (also in the default
+   set): --scenario-audit checks the scale harness itself — heap-vs-list
+   queue differential, run-to-run determinism, liveness smells — and
+   --obs-audit checks the telemetry itself: sketch quantile accuracy
+   against exact order statistics, counter monotonicity across
+   snapshots, span/metric cross-consistency, and FEDSTATS federation
+   laws.
 
    Exit codes are uniform across every family and both output modes:
    0 when the run produced no Error-severity finding (warnings and
@@ -163,89 +160,6 @@ let audit_report dtd ~strategies ~seeds ~ops =
       ];
   }
 
-(* ---------------- shard-integrity audit ---------------- *)
-
-(* Drive an in-process domain pool (Xroute_daemon.Shard_pool) through
-   seeded subscribe/unsubscribe/publish churn — the same glue the
-   daemon's pool mode uses — then audit the partition at quiescence:
-   anchored entries on their owner shard alone, unanchored entries
-   replicated everywhere, no orphans, unique stamps, counters summing.
-   --inject-shard-skew silently breaks shard 0 first; the audit must
-   then report errors (the @lint mutation check). *)
-let shard_audit_report ~domains ~seed ~ops ~inject =
-  let module Pool = Xroute_daemon.Shard_pool in
-  let module Message = Xroute_core.Message in
-  let module Codec = Xroute_core.Codec in
-  let xp = Xroute_xpath.Xpe_parser.parse in
-  let broker = Broker.create ~id:0 ~neighbors:[ 1 ] () in
-  let pool = Pool.create ~domains () in
-  let drain () = Pool.drain pool ~publish:(fun ~seq:_ ~from:_ ~batch_t:_ _ -> ()) in
-  let prng = Prng.create ((seed * 6271) + 3) in
-  let sub_patterns =
-    [ "/a/b"; "/a"; "/b"; "/c/d"; "/d/e"; "//b"; "//d"; "/*/c" ]
-  in
-  let docs =
-    List.map Xroute_xml.Xml_parser.parse
-      [ "<a><b/></a>"; "<b><c/></b>"; "<c><d/></c>"; "<d><e/></d>" ]
-  in
-  let from = Xroute_core.Rtable.Client 100 in
-  let live = ref [] in
-  let next_sub = ref 0 in
-  let next_doc = ref 0 in
-  for _ = 1 to ops do
-    match Prng.int prng 5 with
-    | 0 | 1 ->
-      incr next_sub;
-      let id = { Message.origin = 200; seq = !next_sub } in
-      let xpe = xp (List.nth sub_patterns (Prng.int prng (List.length sub_patterns))) in
-      let seq = Pool.next_seq pool in
-      let before = Broker.prt_mem broker id in
-      ignore (Broker.handle broker ~from (Message.Subscribe { id; xpe }));
-      if (not before) && Broker.prt_mem broker id then begin
-        Pool.subscribe pool ~stamp:seq id xpe from;
-        live := id :: !live
-      end;
-      Pool.push_control pool ~seq (fun () -> ())
-    | 2 when !live <> [] ->
-      let id = List.nth !live (Prng.int prng (List.length !live)) in
-      live := List.filter (fun i -> Message.compare_sub_id i id <> 0) !live;
-      let seq = Pool.next_seq pool in
-      ignore (Broker.handle broker ~from (Message.Unsubscribe { id }));
-      if not (Broker.prt_mem broker id) then Pool.unsubscribe pool id;
-      Pool.push_control pool ~seq (fun () -> ())
-    | _ ->
-      incr next_doc;
-      List.iter
-        (fun pub ->
-          let payload = Codec.encode (Message.Publish { pub; trail = []; ctx = None }) in
-          match Pool.publish_root payload with
-          | None -> ()
-          | Some root ->
-            let seq = Pool.next_seq pool in
-            while not (Pool.submit_publish pool ~seq ~from ~batch_t:0.0 ~payload ~root) do
-              drain ();
-              Unix.sleepf 0.0002
-            done)
-        (Xroute_xml.Xml_paths.decompose ~doc_id:!next_doc
-           (List.nth docs (Prng.int prng (List.length docs))))
-  done;
-  let deadline = Unix.gettimeofday () +. 20.0 in
-  while Pool.in_flight pool > 0 && Unix.gettimeofday () < deadline do
-    drain ();
-    Unix.sleepf 0.0002
-  done;
-  drain ();
-  Pool.quiesce pool;
-  if inject then Pool.corrupt_for_test pool;
-  let subs =
-    List.map
-      (fun (id, xpe, _) -> (id, xpe))
-      (Broker.audit_view broker).Broker.av_subs
-  in
-  let report = Check.audit_shards_report (Pool.view pool ~subs) in
-  Pool.stop pool;
-  report
-
 (* ---------------- scenario-integrity audit ---------------- *)
 
 (* Sweep every scenario kind at smoke scale: heap-vs-list differential,
@@ -275,23 +189,6 @@ let scenario_audit_report ~clients ~seed ~inject =
       Scenario.all_kinds
   in
   Check.audit_scenario_report ~inject specs
-
-(* ---------------- concurrency audit ---------------- *)
-
-(* Replay the shard pool's enqueue/match/drain core (the production
-   Spsc + Reorder + Tsync code) under the schedule explorer. On
-   failure, print each witness schedule prominently even in --quiet
-   runs: the trace is what reproduces the bug. *)
-let conc_audit_report ~depth ~random ~seed ~inject ~quiet =
-  let depth = if depth <= 0 then None else Some depth in
-  let report = Xroute_check.Conc.audit ?depth ~random ~seed ~inject () in
-  if quiet && Finding.has_errors report then
-    List.iter
-      (fun (f : Finding.t) ->
-        if f.severity = Finding.Error then
-          Printf.eprintf "xroute_check: %s: %s\n  %s\n" f.code f.subject f.witness)
-      report.Finding.findings;
-  report
 
 (* ---------------- observability audit ---------------- *)
 
@@ -355,18 +252,15 @@ let parse_seeds s =
     or_die (Error ("bad --seeds list " ^ s))
   else seeds
 
-let run dtd_spec workload soundness audit shard_audit scenario_audit conc_audit obs_audit
-    self_audit seeds_str pairs count clients strategy_name ops domains scenario_clients
-    conc_depth conc_random inject_unsound inject_shard_skew inject_scenario_skew
-    inject_conc_race inject_obs_drift witness_incomplete json_path connect metrics quiet
-    verbose =
+let run dtd_spec workload soundness audit scenario_audit obs_audit self_audit seeds_str pairs
+    count clients strategy_name ops scenario_clients inject_unsound inject_scenario_skew
+    inject_obs_drift witness_incomplete json_path connect metrics quiet verbose =
   setup_logs verbose;
   let dtd = or_die (load_dtd dtd_spec) in
   let seeds = parse_seeds seeds_str in
   let none_selected =
     not
-      (workload || soundness || audit || shard_audit || scenario_audit || conc_audit
-     || obs_audit || connect <> None)
+      (workload || soundness || audit || scenario_audit || obs_audit || connect <> None)
   in
   let all = self_audit || none_selected in
   let reports = ref [] in
@@ -378,18 +272,10 @@ let run dtd_spec workload soundness audit shard_audit scenario_audit conc_audit 
     in
     add (Soundness.run ~covers ~seeds ~pairs_per_seed:pairs ~witness_incomplete ())
   end;
-  if shard_audit || all then
-    List.iter
-      (fun seed -> add (shard_audit_report ~domains ~seed ~ops:(ops * 4) ~inject:inject_shard_skew))
-      seeds;
   if scenario_audit || all then
     add
       (scenario_audit_report ~clients:scenario_clients ~seed:(List.hd seeds)
          ~inject:inject_scenario_skew);
-  if conc_audit || all then
-    add
-      (conc_audit_report ~depth:conc_depth ~random:conc_random ~seed:(List.hd seeds)
-         ~inject:inject_conc_race ~quiet);
   if obs_audit || all then
     add (obs_audit_report ~seed:(List.hd seeds) ~inject:inject_obs_drift);
   (match connect with
@@ -438,14 +324,6 @@ let cmd =
   let audit_arg =
     Arg.(value & flag & info [ "audit" ] ~doc:"Run the routing-state audit family.")
   in
-  let shard_audit_arg =
-    Arg.(
-      value & flag
-      & info [ "shard-audit" ]
-          ~doc:
-            "Run the shard-integrity audit family: churn an in-process domain pool and \
-             check the PRT partition invariants at quiescence.")
-  in
   let scenario_audit_arg =
     Arg.(
       value & flag
@@ -454,16 +332,6 @@ let cmd =
             "Run the scenario-integrity audit family: sweep every scenario kind at \
              smoke scale and check the heap-vs-list differential, run-to-run \
              determinism, and liveness smells.")
-  in
-  let conc_audit_arg =
-    Arg.(
-      value & flag
-      & info [ "conc-audit" ]
-          ~doc:
-            "Run the concurrency audit family: replay the shard pool's lock-free core \
-             (SPSC rings, reorder buffer, counters) under bounded-exhaustive plus \
-             seeded-random schedules with a vector-clock race detector, checking every \
-             schedule's decisions against the sequential engine.")
   in
   let obs_audit_arg =
     Arg.(
@@ -515,39 +383,11 @@ let cmd =
       value & opt int 30
       & info [ "ops" ] ~docv:"N" ~doc:"Audit: churn operations per simulated network.")
   in
-  let domains_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "domains" ] ~docv:"N" ~doc:"Shard audit: worker domains in the churned pool.")
-  in
   let scenario_clients_arg =
     Arg.(
       value & opt int 600
       & info [ "scenario-clients" ] ~docv:"N"
           ~doc:"Scenario audit: virtual clients per audited scenario.")
-  in
-  let conc_depth_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "conc-depth" ] ~docv:"N"
-          ~doc:
-            "Conc audit: override the bounded-exhaustive DFS depth for every scenario \
-             (0 = per-scenario defaults).")
-  in
-  let conc_random_arg =
-    Arg.(
-      value & opt int 250
-      & info [ "conc-random" ] ~docv:"N"
-          ~doc:"Conc audit: seeded random schedules per scenario beyond the DFS sweep.")
-  in
-  let inject_conc_race_arg =
-    Arg.(
-      value & flag
-      & info [ "inject-conc-race" ]
-          ~doc:
-            "Mutation check: plant an unsynchronized plain counter between a worker and \
-             the drain thread in the pool models; the run must report a data race with a \
-             witness schedule and exit 1.")
   in
   let inject_obs_drift_arg =
     Arg.(
@@ -564,14 +404,6 @@ let cmd =
           ~doc:
             "Mutation check: replay the list-queue leg of the scenario differential \
              one seed off; the run must report errors and exit 1.")
-  in
-  let inject_shard_skew_arg =
-    Arg.(
-      value & flag
-      & info [ "inject-shard-skew" ]
-          ~doc:
-            "Mutation check: silently corrupt one shard's partition before the shard \
-             audit; the run must report errors and exit 1.")
   in
   let inject_arg =
     Arg.(
@@ -614,12 +446,10 @@ let cmd =
   Cmd.v
     (Cmd.info "xroute_check" ~version:"%%VERSION%%" ~doc)
     Term.(
-      const run $ dtd_arg $ workload_arg $ soundness_arg $ audit_arg $ shard_audit_arg
-      $ scenario_audit_arg $ conc_audit_arg $ obs_audit_arg $ self_audit_arg $ seeds_arg
-      $ pairs_arg $ count_arg $ clients_arg $ strategy_arg $ ops_arg $ domains_arg
-      $ scenario_clients_arg $ conc_depth_arg $ conc_random_arg $ inject_arg
-      $ inject_shard_skew_arg $ inject_scenario_skew_arg $ inject_conc_race_arg
-      $ inject_obs_drift_arg $ witness_incomplete_arg $ json_arg $ connect_arg
-      $ metrics_arg $ quiet_arg $ verbose_arg)
+      const run $ dtd_arg $ workload_arg $ soundness_arg $ audit_arg $ scenario_audit_arg
+      $ obs_audit_arg $ self_audit_arg $ seeds_arg $ pairs_arg $ count_arg $ clients_arg
+      $ strategy_arg $ ops_arg $ scenario_clients_arg $ inject_arg $ inject_scenario_skew_arg
+      $ inject_obs_drift_arg $ witness_incomplete_arg $ json_arg $ connect_arg $ metrics_arg
+      $ quiet_arg $ verbose_arg)
 
 let () = exit (Cmd.eval cmd)

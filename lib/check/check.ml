@@ -297,96 +297,6 @@ let audit_net_report net =
     findings
 
 (* ------------------------------------------------------------------ *)
-(* Shard-integrity audit (domain pool)                                 *)
-(* ------------------------------------------------------------------ *)
-
-type shard_view = {
-  shv_domains : int;
-  shv_entries : (int * (Message.sub_id * int) list) list;
-  shv_subs : (Message.sub_id * int option) list;
-  shv_shard_pubs : (int * int) list;
-  shv_pool_pubs : int;
-}
-
-(* The shard partition is load-bearing for correctness, not just for
-   throughput: a subscription missing from its owner shard silently
-   loses every publication rooted at that element, so every violation
-   here is an error-severity finding. The checks mirror the partition
-   contract: an anchored subscription lives on exactly its owner shard,
-   an unanchored one is replicated to every shard, no shard holds an
-   entry the authoritative PRT does not, stamps are unique per shard
-   (they order the merge), and the per-shard publication counters must
-   sum to the pool's global gauge. *)
-let audit_shards v =
-  let findings = ref [] in
-  let report code subject witness =
-    findings :=
-      Finding.make ~severity:Finding.Error ~family:"shard" ~code ~subject ~witness
-      :: !findings
-  in
-  let shards_holding id =
-    List.filter_map
-      (fun (shard, entries) ->
-        if List.exists (fun (i, _) -> sub_id_eq i id) entries then Some shard else None)
-      v.shv_entries
-  in
-  List.iter
-    (fun (id, owner) ->
-      let holders = shards_holding id in
-      match owner with
-      | Some shard ->
-        if holders <> [ shard ] then
-          report "shard-ownership"
-            (Printf.sprintf "subscription %s" (pp_id id))
-            (Printf.sprintf "anchored entry must live on shard %d alone, found on [%s]"
-               shard
-               (String.concat "; " (List.map string_of_int holders)))
-      | None ->
-        if List.length holders <> v.shv_domains then
-          report "shard-replication"
-            (Printf.sprintf "subscription %s" (pp_id id))
-            (Printf.sprintf
-               "unanchored entry must be replicated to all %d shards, found on [%s]"
-               v.shv_domains
-               (String.concat "; " (List.map string_of_int holders))))
-    v.shv_subs;
-  List.iter
-    (fun (shard, entries) ->
-      let seen = Hashtbl.create 16 in
-      List.iter
-        (fun (id, stamp) ->
-          if not (List.exists (fun (i, _) -> sub_id_eq i id) v.shv_subs) then
-            report "shard-orphan"
-              (Printf.sprintf "shard %d" shard)
-              (Printf.sprintf "holds subscription %s absent from the PRT" (pp_id id));
-          match Hashtbl.find_opt seen stamp with
-          | Some other ->
-            report "shard-stamp"
-              (Printf.sprintf "shard %d" shard)
-              (Printf.sprintf "entries %s and %s share stamp %d" (pp_id other) (pp_id id)
-                 stamp)
-          | None -> Hashtbl.add seen stamp id)
-        entries)
-    v.shv_entries;
-  let pub_sum = List.fold_left (fun acc (_, n) -> acc + n) 0 v.shv_shard_pubs in
-  if pub_sum <> v.shv_pool_pubs then
-    report "shard-counter-drift" "pool publication gauge"
-      (Printf.sprintf "per-shard matched-publication counters sum to %d, pool routed %d"
-         pub_sum v.shv_pool_pubs);
-  List.rev !findings
-
-let audit_shards_report v =
-  let findings = audit_shards v in
-  Finding.report
-    ~stats:
-      [
-        ("shards_audited", float_of_int v.shv_domains);
-        ("sharded_subscriptions", float_of_int (List.length v.shv_subs));
-        ("shard_violations", float_of_int (List.length findings));
-      ]
-    findings
-
-(* ------------------------------------------------------------------ *)
 (* Scenario-integrity audit                                            *)
 (* ------------------------------------------------------------------ *)
 

@@ -47,38 +47,6 @@ val audit_net : Xroute_overlay.Net.t -> Finding.t list
 (** {!audit_net} packaged as a report with audit statistics. *)
 val audit_net_report : Xroute_overlay.Net.t -> Finding.report
 
-(** {2 Shard-integrity audit}
-
-    The domain pool partitions the PRT by advertisement-root symbol:
-    an anchored subscription (absolute [/name] first step) lives on
-    exactly the shard owning its root, an unanchored one is replicated
-    to every shard. A violated partition silently loses publications —
-    the pool matches each publication on one shard only — so every
-    finding in this family is error-severity. *)
-
-(** Plain-data snapshot of the pool, taken at quiescence (see
-    [Xroute_daemon.Shard_pool.view]). *)
-type shard_view = {
-  shv_domains : int;  (** worker-domain count *)
-  shv_entries : (int * (Message.sub_id * int) list) list;
-      (** per shard: the (subscription id, arrival stamp) pairs stored *)
-  shv_subs : (Message.sub_id * int option) list;
-      (** authoritative PRT subscriptions; [Some shard] = anchored,
-          owned by that shard, [None] = replicated to all *)
-  shv_shard_pubs : (int * int) list;
-      (** per shard: publications matched there *)
-  shv_pool_pubs : int;  (** publications routed through the pool *)
-}
-
-(** Partition-integrity findings: anchored entries on exactly their
-    owner shard, unanchored entries on all shards, no orphan shard
-    entries, unique stamps per shard, per-shard publication counters
-    summing to the pool gauge. Empty when healthy. *)
-val audit_shards : shard_view -> Finding.t list
-
-(** {!audit_shards} packaged as a report with shard statistics. *)
-val audit_shards_report : shard_view -> Finding.report
-
 (** {2 Scenario-integrity audit}
 
     The scale harness itself is audited: the simulator's heap and list

@@ -11,8 +11,8 @@ type severity = Error | Warning | Info
 type t = {
   severity : severity;
   family : string;
-      (** ["workload"] | ["soundness"] | ["routing"] | ["shard"] |
-          ["scenario"] | ["conc"] | ["obs"] *)
+      (** ["workload"] | ["soundness"] | ["routing"] | ["scenario"] |
+          ["obs"] *)
   code : string;  (** stable machine-readable finding kind *)
   subject : string;  (** what the finding is about *)
   witness : string;  (** the evidence: the offending pair / entry *)

@@ -552,15 +552,19 @@ let handle_unsubscribe t ~from id =
 (* Publications                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The routing tail of publication handling, shared between the
-   sequential path (payloads from the authoritative PRT, above) and the
-   domain pool (payloads matched on a worker shard): group matched
-   subscription ids by next hop (for trails), account drops and
-   deliveries, and emit one Publish per hop. The trace context [ctx] is
-   copied verbatim onto every output: the broker decides routing, the
-   transport decides spans (and rewrites [parent_span] to the hop span
-   it opens before forwarding). *)
-let route_payloads t ~from pub ctx payloads =
+(* Match a publication against the PRT, group the matched subscription
+   ids by next hop (for trails), account drops and deliveries, and emit
+   one Publish per hop. The trace context [ctx] is copied verbatim onto
+   every output: the broker decides routing, the transport decides spans
+   (and rewrites [parent_span] to the hop span it opens before
+   forwarding). *)
+let handle_publish t ~from pub trail ctx =
+  t.counters.pubs_in <- t.counters.pubs_in + 1;
+  M.incr t.meters.m_pubs_in;
+  let payloads =
+    if t.strategy.trail_routing && trail <> [] then Rtable.Prt.match_pub_from t.prt trail pub
+    else Rtable.Prt.match_pub t.prt pub
+  in
   let by_hop : (Rtable.endpoint * Message.sub_id list ref) list ref = ref [] in
   (* Hop lookup by hashing, not an assoc scan: at an edge broker every
      local subscriber is a distinct hop, so the scan was quadratic in
@@ -592,31 +596,6 @@ let route_payloads t ~from pub ctx payloads =
       let trail = if t.strategy.trail_routing && is_neighbor_ep ep then !ids else [] in
       (ep, Message.Publish { pub; trail; ctx }))
     !by_hop
-
-let handle_publish t ~from pub trail ctx =
-  t.counters.pubs_in <- t.counters.pubs_in + 1;
-  M.incr t.meters.m_pubs_in;
-  let payloads =
-    if t.strategy.trail_routing && trail <> [] then Rtable.Prt.match_pub_from t.prt trail pub
-    else Rtable.Prt.match_pub t.prt pub
-  in
-  route_payloads t ~from pub ctx payloads
-
-(* Pool entry point: the publication was decoded and matched on a
-   worker shard; finish it on the main domain exactly as [handle] on a
-   Publish would — message/publication accounting, the match-ops
-   histogram observation (with the shard's examined-entry count), then
-   the shared routing tail. Counters and metrics stay main-domain-only. *)
-let route_publication t ~from ~pub ~ctx ~payloads ~match_ops =
-  t.counters.msgs_in <- t.counters.msgs_in + 1;
-  M.incr t.meters.m_msgs_in;
-  t.counters.pubs_in <- t.counters.pubs_in + 1;
-  M.incr t.meters.m_pubs_in;
-  M.observe t.meters.m_pub_match_ops (float_of_int match_ops);
-  Log.debug (fun m ->
-      m "broker %d <- %a: publish %d.%d (pooled)" t.id Rtable.pp_endpoint from
-        pub.Xroute_xml.Xml_paths.doc_id pub.Xroute_xml.Xml_paths.path_id);
-  route_payloads t ~from pub ctx payloads
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
@@ -738,7 +717,6 @@ let prt_fold t f =
   List.rev !acc
 
 let prt_ids t = prt_fold t (fun p -> Some p.id)
-let prt_mem t id = Rtable.Prt.mem t.prt id
 
 let prt_ids_from t ep =
   prt_fold t (fun p -> if Rtable.endpoint_equal p.hop ep then Some p.id else None)

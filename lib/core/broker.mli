@@ -83,23 +83,6 @@ val stage_ops : t -> int * int * int
     to send. *)
 val handle : t -> from:Rtable.endpoint -> Message.t -> (Rtable.endpoint * Message.t) list
 
-(** Finish a publication that was decoded and matched off the main
-    domain (the daemon's shard pool): performs exactly the accounting
-    and hop-grouping [handle] does for a [Publish] — message and
-    publication counters, the match-ops histogram fed with the shard's
-    examined-entry count [match_ops], delivery/drop accounting — and
-    returns the messages to send. The [payloads] must come from a
-    stamp-ordered shard match so the output order is byte-identical to
-    the sequential engine's. *)
-val route_publication :
-  t ->
-  from:Rtable.endpoint ->
-  pub:Xroute_xml.Xml_paths.publication ->
-  ctx:Message.trace_ctx option ->
-  payloads:Rtable.Prt.payload list ->
-  match_ops:int ->
-  (Rtable.endpoint * Message.t) list
-
 (** Periodic merging pass (Sec. 4.3): replaces forwarded subscriptions
     by mergers within the strategy's degree bound; originals stay in the
     PRT so false positives never reach clients. Returns the subscription
@@ -159,11 +142,6 @@ val srt_ids_from : t -> Rtable.endpoint -> Message.sub_id list
 
 (** Subscription ids stored in the PRT / from the given hop. *)
 val prt_ids : t -> Message.sub_id list
-
-(** Is the subscription currently stored in the PRT? O(log n); the
-    daemon's shard pool diffs this across [handle] calls to mirror
-    actual PRT insertions/removals onto the worker shards. *)
-val prt_mem : t -> Message.sub_id -> bool
 
 val prt_ids_from : t -> Rtable.endpoint -> Message.sub_id list
 

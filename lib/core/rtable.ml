@@ -467,86 +467,4 @@ module Prt = struct
   (* Test hook: corrupt the automaton with a state eager pruning could
      never leave behind — the audit's must-fail mutation. *)
   let plant_nfa_orphan t = Yfilter.plant_orphan t.nfa
-
-  (* ------------------------------------------------------------------ *)
-  (* Shard: a single-owner slice of the PRT for the domain pool          *)
-  (* ------------------------------------------------------------------ *)
-
-  (* One shard holds the subscriptions anchored at the advertisement
-     roots it owns, plus a replica of every unanchored subscription
-     (relative / leading-[//] / wildcard XPEs, which can match under any
-     root). Mutations and matching happen only on the owning worker
-     domain; entries carry an explicit [stamp] — the daemon's global
-     line sequence number — so per-shard match results sort into exactly
-     the order the full table's [nfa_seq] would give (both are monotone
-     over the same arrival order of inserted subscriptions), which is
-     what keeps pooled routing byte-identical to the sequential engine.
-     The observability counters are [Atomic.t] so the main domain can
-     export per-shard gauges without a data race. *)
-  module Shard = struct
-    type nonrec t = {
-      nfa : (int * payload) Yfilter.t;
-      by_id : (Message.sub_id, Xroute_xpath.Xpe.t) Hashtbl.t;
-      entries : int Atomic.t; (* stored subscriptions *)
-      pubs : int Atomic.t; (* publications matched on this shard *)
-      ops : int Atomic.t; (* cumulative automaton entries examined *)
-    }
-
-    let create () =
-      {
-        nfa = Yfilter.create ();
-        by_id = Hashtbl.create 64;
-        entries = Atomic.make 0;
-        pubs = Atomic.make 0;
-        ops = Atomic.make 0;
-      }
-
-    let size t = Atomic.get t.entries
-    let pubs_matched t = Atomic.get t.pubs
-    let match_ops t = Atomic.get t.ops
-
-    let insert t ~stamp id xpe hop =
-      if not (Hashtbl.mem t.by_id id) then begin
-        Yfilter.insert t.nfa xpe (stamp, { id; hop });
-        Hashtbl.replace t.by_id id xpe;
-        Atomic.incr t.entries
-      end
-
-    let remove t id =
-      match Hashtbl.find_opt t.by_id id with
-      | None -> ()
-      | Some xpe ->
-        Yfilter.remove t.nfa xpe (fun (_, p) -> Message.compare_sub_id p.id id = 0);
-        Hashtbl.remove t.by_id id;
-        Atomic.set t.entries (Atomic.get t.entries - 1)
-
-    (* Stamp-ordered matching — the shard-local mirror of the Nfa branch
-       of [match_pub]. Returns the examined-entry count alongside the
-       payloads so the pool can feed the match-ops histogram. *)
-    let match_pub t (pub : Xroute_xml.Xml_paths.publication) =
-      let before = Yfilter.match_ops t.nfa in
-      let payloads =
-        Yfilter.match_syms t.nfa pub.syms pub.attrs
-        |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-        |> List.map snd
-      in
-      let examined = Yfilter.match_ops t.nfa - before in
-      Atomic.incr t.pubs;
-      ignore (Atomic.fetch_and_add t.ops examined);
-      (payloads, examined)
-
-    (* (id, stamp) pairs stored here — the audit's raw material. Only
-       meaningful at quiescence (the owning worker must be idle). *)
-    let entries t =
-      List.map (fun (_, (stamp, p)) -> (p.id, stamp)) (Yfilter.to_list t.nfa)
-
-    (* Must-fail mutation hook: silently drop one entry from the
-       automaton while keeping the ledger, breaking shard integrity. *)
-    let corrupt_for_test t =
-      match Yfilter.to_list t.nfa with
-      | (xpe, (_, p)) :: _ ->
-        Yfilter.remove t.nfa xpe (fun (_, q) -> q == p);
-        Hashtbl.remove t.by_id p.id
-      | [] -> ()
-  end
 end

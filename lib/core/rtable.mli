@@ -82,9 +82,7 @@ module Srt : sig
   (** Root element a subscription's matches are anchored at ([/name]
       first step), or [None] when it can match under any root (relative,
       leading [//], leading wildcard). This is the discriminator behind
-      the bucket index — and the partition key of the domain-pool
-      shards: an anchored subscription lives only on the shard owning
-      its root, an unanchored one is replicated to every shard. *)
+      the bucket index. *)
   val sub_root : Xpe.t -> Xroute_support.Symbol.t option
 
   (** Structural invariant violations of the bucket index — partition /
@@ -164,42 +162,4 @@ module Prt : sig
   (** Test hook: corrupt the automaton with a dead state, which
       {!nfa_invariants} must report — the audit's must-fail mutation. *)
   val plant_nfa_orphan : t -> unit
-
-  (** A single-owner slice of the PRT for the domain pool: the
-      YFilter automaton restricted to the subscriptions anchored at the
-      advertisement roots the owning shard covers, plus replicas of
-      every unanchored subscription. All mutation and matching happens
-      on the owning worker domain; entries carry the daemon's global
-      arrival sequence as an explicit stamp so the merged results
-      reproduce the sequential engine's insertion order exactly. *)
-  module Shard : sig
-    type t
-
-    val create : unit -> t
-
-    (** Stored subscriptions / publications matched / automaton entries
-        examined — [Atomic]-backed so the main domain can export
-        per-shard gauges concurrently with matching. *)
-    val size : t -> int
-
-    val pubs_matched : t -> int
-    val match_ops : t -> int
-
-    (** [insert t ~stamp id xpe hop] — idempotent per id; [stamp] is the
-        global arrival sequence of the subscribing line. *)
-    val insert : t -> stamp:int -> Message.sub_id -> Xpe.t -> endpoint -> unit
-
-    val remove : t -> Message.sub_id -> unit
-
-    (** Matching payloads in ascending stamp order, plus the number of
-        automaton entries examined for this publication. *)
-    val match_pub : t -> Xroute_xml.Xml_paths.publication -> payload list * int
-
-    (** [(id, stamp)] pairs stored here; call only at quiescence. *)
-    val entries : t -> (Message.sub_id * int) list
-
-    (** Must-fail mutation hook: silently drop one automaton entry,
-        breaking the shard-integrity audit. *)
-    val corrupt_for_test : t -> unit
-  end
 end

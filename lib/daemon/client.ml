@@ -205,12 +205,12 @@ let recv ?(timeout = 1.0) t =
     match next_line t ~deadline with
     | None -> None
     | Some line -> (
-      match String.split_on_char '|' line with
-      | "M" :: _ -> (
-        match Codec.decode (String.sub line 2 (String.length line - 2)) with
+      match Framing.split line with
+      | Some ("M", payload) -> (
+        match Codec.decode payload with
         | Ok msg -> Some msg
         | Error _ -> go ())
-      | _ -> go () (* control line; skip *))
+      | Some _ | None -> go () (* control line; skip *))
   in
   go ()
 
@@ -225,13 +225,15 @@ let stats ?(timeout = 2.0) ?(format = `Prom) t =
     match next_line t ~deadline with
     | None -> None
     | Some line -> (
-      match String.split_on_char '|' line with
-      | "STATS" :: "END" :: _ -> Some (Buffer.contents buf)
-      | "S" :: _ ->
-        Buffer.add_string buf (Framing.unescape (String.sub line 2 (String.length line - 2)));
+      match Framing.split line with
+      | Some ("S", payload) ->
+        Buffer.add_string buf (Framing.unescape payload);
         Buffer.add_char buf '\n';
         go ()
-      | _ -> go () (* BEGIN frame or unrelated traffic *))
+      | Some _ | None -> (
+        match String.split_on_char '|' line with
+        | "STATS" :: "END" :: _ -> Some (Buffer.contents buf)
+        | _ -> go () (* BEGIN frame or unrelated traffic *)))
   in
   go ()
 
@@ -276,15 +278,16 @@ let trace ?(timeout = 2.0) t key =
     match next_line t ~deadline with
     | None -> None
     | Some line -> (
-      match String.split_on_char '|' line with
-      | "TRACE" :: "END" :: _ -> Some (List.rev !spans)
-      | "T" :: _ -> (
-        let payload = String.sub line 2 (String.length line - 2) in
+      match Framing.split line with
+      | Some ("T", payload) ->
         (match Xroute_obs.Span.of_wire_line payload with
         | Some sp -> spans := sp :: !spans
         | None -> ());
-        go ())
-      | _ -> go () (* BEGIN frame or unrelated traffic *))
+        go ()
+      | Some _ | None -> (
+        match String.split_on_char '|' line with
+        | "TRACE" :: "END" :: _ -> Some (List.rev !spans)
+        | _ -> go () (* BEGIN frame or unrelated traffic *)))
   in
   go ()
 
@@ -302,13 +305,15 @@ let fedstats ?(timeout = 5.0) ?(ttl = 8) t =
     match next_line t ~deadline with
     | None -> None
     | Some line -> (
-      match String.split_on_char '|' line with
-      | "FEDSTATS" :: "END" :: rid :: _ when String.equal rid reqid ->
-        Xroute_obs.Health.decode_view (List.rev !lines)
-      | "F" :: _ ->
-        lines := Framing.unescape (String.sub line 2 (String.length line - 2)) :: !lines;
+      match Framing.split line with
+      | Some ("F", payload) ->
+        lines := Framing.unescape payload :: !lines;
         go ()
-      | _ -> go () (* BEGIN frame or unrelated traffic *))
+      | Some _ | None -> (
+        match String.split_on_char '|' line with
+        | "FEDSTATS" :: "END" :: rid :: _ when String.equal rid reqid ->
+          Xroute_obs.Health.decode_view (List.rev !lines)
+        | _ -> go () (* BEGIN frame or unrelated traffic *)))
   in
   go ()
 

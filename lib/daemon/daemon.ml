@@ -70,9 +70,6 @@ type t = {
   timeseries : Timeseries.t; (* periodic registry snapshots *)
   snapshot_period : float; (* ms between snapshots *)
   recorder : Recorder.t option; (* flight recorder, when --flight-dir set *)
-  pool : Shard_pool.t option; (* domain pool, when --domains > 1 *)
-  shard_gauges : (Xroute_obs.Metrics.gauge * Xroute_obs.Metrics.gauge * Xroute_obs.Metrics.gauge) array;
-  pool_gauge : Xroute_obs.Metrics.gauge option; (* publications routed via the pool *)
   read_buf : Bytes.t; (* reusable socket read buffer *)
   resolved : (string, Unix.inet_addr) Hashtbl.t; (* DNS memo for dials *)
   health : Xroute_obs.Health.t; (* this broker's health summary *)
@@ -88,11 +85,6 @@ type t = {
 (* How long a federation pull waits for neighbor replies before
    answering with what it has (wall ms). *)
 let fed_timeout_ms = 1000.0
-
-(* Stop pulling new bytes off connections while this many publications
-   sit between submission and emission: the kernel socket buffers fill
-   and TCP pushes the pressure back to the senders. *)
-let read_watermark = 4096
 
 let broker t = t.broker
 let port t = t.port
@@ -153,19 +145,9 @@ let conn_for t ep =
 (* ---------------- creation ---------------- *)
 
 let create ?(strategy = Broker.default_strategy) ?(max_write_chunk = max_int)
-    ?(snapshot_period = 1000.0) ?flight_dir ?(domains = 1) ?(telemetry = true) ~id ~port
-    ~neighbors () =
+    ?(snapshot_period = 1000.0) ?flight_dir ?(telemetry = true) ~id ~port ~neighbors () =
   if max_write_chunk <= 0 then invalid_arg "Daemon.create: max_write_chunk <= 0";
   if snapshot_period <= 0.0 then invalid_arg "Daemon.create: snapshot_period <= 0";
-  if domains < 1 then invalid_arg "Daemon.create: domains < 1";
-  (* The pool's determinism argument needs stamp-ordered NFA matching:
-     the tree engine reports in covering-DFS order and trail routing
-     matches against a trail-dependent subset, so neither can be merged
-     byte-identically from per-shard results. *)
-  if domains > 1 && strategy.Broker.match_engine <> Rtable.Prt.Nfa then
-    invalid_arg "Daemon.create: --domains > 1 requires the nfa match engine";
-  if domains > 1 && strategy.Broker.trail_routing then
-    invalid_arg "Daemon.create: --domains > 1 is incompatible with trail routing";
   (* Writes to a peer that vanished must surface as EPIPE, not kill the
      process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
@@ -179,23 +161,6 @@ let create ?(strategy = Broker.default_strategy) ?(max_write_chunk = max_int)
   in
   let broker = Broker.create ~strategy ~id ~neighbors:(List.map fst neighbors) () in
   Log.info (fun m -> m "broker %d listening on port %d" id actual_port);
-  let pool = if domains > 1 then Some (Shard_pool.create ~domains ()) else None in
-  let module M = Xroute_obs.Metrics in
-  let reg = Broker.metrics broker in
-  let shard_gauges =
-    match pool with
-    | None -> [||]
-    | Some _ ->
-      Array.init domains (fun i ->
-          ( M.gauge reg ~help:"shard subscriptions" (Printf.sprintf "xroute_shard_%d_entries" i),
-            M.gauge reg ~help:"shard publications matched" (Printf.sprintf "xroute_shard_%d_pubs" i),
-            M.gauge reg ~help:"shard match operations" (Printf.sprintf "xroute_shard_%d_match_ops" i) ))
-  in
-  let pool_gauge =
-    Option.map
-      (fun _ -> M.gauge reg ~help:"publications routed via the domain pool" "xroute_pool_pubs_routed")
-      pool
-  in
   {
     broker;
     listen_fd;
@@ -209,9 +174,6 @@ let create ?(strategy = Broker.default_strategy) ?(max_write_chunk = max_int)
     timeseries = Timeseries.create (Broker.metrics broker);
     snapshot_period;
     recorder = Option.map (fun dir -> Recorder.create ~dir ()) flight_dir;
-    pool;
-    shard_gauges;
-    pool_gauge;
     read_buf = Bytes.create 65536;
     resolved = Hashtbl.create 4;
     health = Xroute_obs.Health.create id;
@@ -225,24 +187,7 @@ let create ?(strategy = Broker.default_strategy) ?(max_write_chunk = max_int)
   }
 
 let request_stop t = t.stop_requested <- true
-let pool t = t.pool
 let health t = t.health
-
-(* Per-shard observability counters, mirrored into the registry so
-   STATS| and the timeseries snapshots carry them. *)
-let refresh_pool_gauges t =
-  match t.pool with
-  | None -> ()
-  | Some pool ->
-    let module M = Xroute_obs.Metrics in
-    Array.iteri
-      (fun i (g_entries, g_pubs, g_ops) ->
-        let shard = Shard_pool.shard pool i in
-        M.set_int g_entries (Rtable.Prt.Shard.size shard);
-        M.set_int g_pubs (Rtable.Prt.Shard.pubs_matched shard);
-        M.set_int g_ops (Rtable.Prt.Shard.match_ops shard))
-      t.shard_gauges;
-    Option.iter (fun g -> M.set_int g (Shard_pool.pubs_routed pool)) t.pool_gauge
 
 (* ---------------- protocol ---------------- *)
 
@@ -273,7 +218,6 @@ let dispatch t outputs = List.iter (fun (ep, msg) -> send_message t ep msg) outp
    STATS|END. *)
 let send_stats t conn fmt =
   Broker.refresh_metrics t.broker;
-  refresh_pool_gauges t;
   let reg = Broker.metrics t.broker in
   let fmt_name, body =
     match fmt with
@@ -555,177 +499,21 @@ let handle_hello t conn line kind id =
   | "client", Some c -> identify t conn (Rtable.Client c)
   | _ -> Log.warn (fun m -> m "malformed HELLO %S" line)
 
-(* Finish one pool-matched publication on the main domain: the reorder
-   buffer already restored arrival order, so routing (counters, hop
-   grouping) and emission here are byte-identical to the sequential
-   path. Span stages reuse the worker-measured parse/match durations,
-   laid out backwards from drain time so the leaves still tile
-   [batch_t, t_ser] exactly (the queue leaf absorbs the pool's
-   in-flight wait, which is exactly what it measures). *)
-let handle_pool_publish t ~seq:_ ~from ~batch_t outcome =
-  match (outcome : Shard_pool.outcome) with
-  | Shard_pool.Undecodable e ->
-    Log.warn (fun m ->
-        m "undecodable message from %a: %a" Rtable.pp_endpoint from Codec.pp_error e)
-  | Shard_pool.Routed { pub; ctx; payloads; ops; parse_ms; match_ms } ->
-    let b = Broker.id t.broker in
-    let t0 = Mono.now t.clock in
-    let trace, parent, root =
-      match (ctx : Message.trace_ctx option) with
-      | Some c -> (c.trace, Some c.parent_span, None)
-      | None ->
-        let root =
-          match Span.root_for t.spans ~trace:pub.Xroute_xml.Xml_paths.doc_id with
-          | Some r -> r
-          | None ->
-            Span.start_span t.spans ~trace:pub.Xroute_xml.Xml_paths.doc_id ~name:"pub"
-              ~broker:(-1) ~at:batch_t ()
-        in
-        (pub.Xroute_xml.Xml_paths.doc_id, Some root.Span.id, Some root)
-    in
-    let hop = Span.start_span t.spans ?parent ~trace ~name:"hop" ~broker:b ~at:batch_t () in
-    let leaf name start stop ?meta () =
-      if stop -. start > 0.0 then
-        ignore (Span.record t.spans ~parent:hop.Span.id ?meta ~trace ~name ~broker:b ~start ~stop ())
-    in
-    let t_match_end = t0 in
-    let t_match_start = max batch_t (t_match_end -. match_ms) in
-    let t_parse_start = max batch_t (t_match_start -. parse_ms) in
-    leaf "queue" batch_t t_parse_start ();
-    leaf "parse" t_parse_start t_match_start ();
-    leaf "match" t_match_start t_match_end ~meta:[ ("prt_ops", string_of_int ops) ] ();
-    let outs = Broker.route_publication t.broker ~from ~pub ~ctx ~payloads ~match_ops:ops in
-    let ctx' = Some { Message.trace; parent_span = hop.Span.id } in
-    dispatch t
-      (List.map
-         (fun (ep, m) ->
-           match m with
-           | Message.Publish p -> (ep, Message.Publish { p with ctx = ctx' })
-           | m -> (ep, m))
-         outs);
-    let t_ser = Mono.now t.clock in
-    leaf "serialize" t_match_end t_ser ();
-    Span.finish hop ~at:t_ser;
-    Option.iter (fun r -> Span.extend r ~at:t_ser) root;
-    if t.telemetry then begin
-      let h = t.health in
-      Xroute_obs.Health.record_pub h;
-      Xroute_obs.Health.record_hop_latency h (t_ser -. batch_t);
-      List.iter
-        (fun (ep, _) ->
-          match ep with
-          | Rtable.Neighbor n -> Xroute_obs.Health.record_link_latency h ~peer:n (t_ser -. batch_t)
-          | Rtable.Client _ -> ())
-        outs
-    end
-
-let pool_drain t pool =
-  Shard_pool.drain pool ~publish:(fun ~seq ~from ~batch_t outcome ->
-      handle_pool_publish t ~seq ~from ~batch_t outcome)
-
-(* Pool-mode line handling. Every line gets a global arrival sequence
-   number; publications are classified by root (a raw-line field scan,
-   no decode) and shipped to their owner shard, everything else runs
-   its state transition NOW — arrival order is exactly the order the
-   sequential engine would process in — but parks its emission in the
-   reorder buffer, so the bytes leaving each connection are identical
-   to the sequential daemon's. HELLO stays immediate: it only sets
-   connection metadata and must attribute the very next line. *)
-let handle_line_pool t pool conn ~batch_t line =
-  match String.split_on_char '|' line with
-  | "HELLO" :: kind :: id :: _ -> handle_hello t conn line kind id
-  | "M" :: _ -> (
+let handle_line t conn ~batch_t line =
+  match Framing.split line with
+  | Some ("M", payload) -> (
     match conn.endpoint with
     | None -> Log.warn (fun m -> m "message before HELLO, ignoring")
     | Some from -> (
-      let payload = String.sub line 2 (String.length line - 2) in
-      match Shard_pool.publish_root payload with
-      | Some root ->
-        let seq = Shard_pool.next_seq pool in
-        (* Backpressure: a full ingress ring means the owner shard is
-           behind; drain finished work (freeing ring slots downstream)
-           and yield until the submit lands. *)
-        while not (Shard_pool.submit_publish pool ~seq ~from ~batch_t ~payload ~root) do
-          pool_drain t pool;
-          Unix.sleepf 0.0002
-        done
-      | None -> (
-        let seq = Shard_pool.next_seq pool in
-        match Codec.decode payload with
-        | Ok msg ->
-          (* Mirror actual PRT changes onto the shards before any later
-             publication is submitted: the ingress rings are FIFO, so a
-             publication at seq n sees exactly the subscriptions of
-             lines with seq < n — the sequential engine's view. *)
-          let interesting_id =
-            match msg with
-            | Message.Subscribe { id; _ } | Message.Unsubscribe { id } -> Some id
-            | Message.Advertise _ | Message.Unadvertise _ | Message.Publish _ -> None
-          in
-          let before =
-            match interesting_id with
-            | Some id -> Broker.prt_mem t.broker id
-            | None -> false
-          in
-          let outs = Broker.handle t.broker ~from msg in
-          (match (msg, interesting_id) with
-          | Message.Subscribe { id; xpe }, _ ->
-            if (not before) && Broker.prt_mem t.broker id then
-              Shard_pool.subscribe pool ~stamp:seq id xpe from
-          | Message.Unsubscribe { id }, _ ->
-            if before && not (Broker.prt_mem t.broker id) then Shard_pool.unsubscribe pool id
-          | (Message.Advertise _ | Message.Unadvertise _ | Message.Publish _), _ -> ());
-          Shard_pool.push_control pool ~seq (fun () -> dispatch t outs)
-        | Error e ->
-          Shard_pool.push_control pool ~seq (fun () ->
-              Log.warn (fun m ->
-                  m "undecodable message from %a: %a" Rtable.pp_endpoint from Codec.pp_error e)))))
-  | "PING" :: _ ->
-    let seq = Shard_pool.next_seq pool in
-    Shard_pool.push_control pool ~seq (fun () -> enqueue conn "PONG")
-  | "STATS" :: rest ->
-    let fmt = match rest with "json" :: _ -> `Json | _ -> `Prom in
-    let seq = Shard_pool.next_seq pool in
-    Shard_pool.push_control pool ~seq (fun () -> send_stats t conn fmt)
-  | "AUDIT" :: _ ->
-    let seq = Shard_pool.next_seq pool in
-    Shard_pool.push_control pool ~seq (fun () -> send_audit t conn)
-  | "TRACE" :: key :: _ ->
-    let seq = Shard_pool.next_seq pool in
-    Shard_pool.push_control pool ~seq (fun () -> send_trace t conn key)
-  | "FEDSTATS" :: "BEGIN" :: subid :: _ ->
-    let seq = Shard_pool.next_seq pool in
-    Shard_pool.push_control pool ~seq (fun () -> fed_frame_begin conn subid)
-  | "FEDSTATS" :: "END" :: subid :: _ ->
-    let seq = Shard_pool.next_seq pool in
-    Shard_pool.push_control pool ~seq (fun () -> fed_frame_end t conn subid)
-  | "FEDSTATS" :: reqid :: ttl :: rest ->
-    let ttl = Option.value (int_of_string_opt ttl) ~default:0 in
-    let seen = parse_seen rest in
-    let seq = Shard_pool.next_seq pool in
-    Shard_pool.push_control pool ~seq (fun () -> handle_fedstats t conn ~reqid ~ttl ~seen)
-  | "F" :: _ ->
-    let payload = String.sub line 2 (String.length line - 2) in
-    let seq = Shard_pool.next_seq pool in
-    Shard_pool.push_control pool ~seq (fun () -> fed_frame_line conn payload)
-  | _ -> Log.warn (fun m -> m "unknown line %S" line)
-
-let handle_line t conn ~batch_t line =
-  match t.pool with
-  | Some pool -> handle_line_pool t pool conn ~batch_t line
-  | None -> (
+      match Codec.decode payload with
+      | Ok (Message.Publish { pub; trail; ctx }) -> handle_publish t ~batch_t ~from pub trail ctx
+      | Ok msg -> dispatch t (Broker.handle t.broker ~from msg)
+      | Error e ->
+        Log.warn (fun m -> m "undecodable message from %a: %a" Rtable.pp_endpoint from Codec.pp_error e)))
+  | Some ("F", payload) -> fed_frame_line conn payload
+  | Some _ | None -> (
     match String.split_on_char '|' line with
     | "HELLO" :: kind :: id :: _ -> handle_hello t conn line kind id
-    | "M" :: _ -> (
-      match conn.endpoint with
-      | None -> Log.warn (fun m -> m "message before HELLO, ignoring")
-      | Some from -> (
-        let payload = String.sub line 2 (String.length line - 2) in
-        match Codec.decode payload with
-        | Ok (Message.Publish { pub; trail; ctx }) -> handle_publish t ~batch_t ~from pub trail ctx
-        | Ok msg -> dispatch t (Broker.handle t.broker ~from msg)
-        | Error e ->
-          Log.warn (fun m -> m "undecodable message from %a: %a" Rtable.pp_endpoint from Codec.pp_error e)))
     | "PING" :: _ -> enqueue conn "PONG"
     | "STATS" :: rest ->
       let fmt = match rest with "json" :: _ -> `Json | _ -> `Prom in
@@ -737,7 +525,6 @@ let handle_line t conn ~batch_t line =
     | "FEDSTATS" :: reqid :: ttl :: rest ->
       let ttl = Option.value (int_of_string_opt ttl) ~default:0 in
       handle_fedstats t conn ~reqid ~ttl ~seen:(parse_seen rest)
-    | "F" :: _ -> fed_frame_line conn (String.sub line 2 (String.length line - 2))
     | _ -> Log.warn (fun m -> m "unknown line %S" line))
 
 (* Extract complete lines from the connection buffer. [batch_t] is when
@@ -856,15 +643,12 @@ let maybe_snapshot t =
   if at -. t.last_snapshot >= t.snapshot_period then begin
     t.last_snapshot <- at;
     Broker.refresh_metrics t.broker;
-    refresh_pool_gauges t;
     Timeseries.snapshot t.timeseries ~at;
     if t.telemetry then begin
-      (* Health gauges sampled per snapshot: ingress queue depth (pool
-         in-flight) and egress backlog (bytes buffered across conns). *)
-      let depth =
-        match t.pool with Some pool -> Shard_pool.in_flight pool | None -> 0
-      in
-      Xroute_obs.Health.record_queue_depth t.health (float_of_int depth);
+      (* Health gauges sampled per snapshot: ingress queue depth (always
+         0 — every line is handled as it is read) and egress backlog
+         (bytes buffered across conns). *)
+      Xroute_obs.Health.record_queue_depth t.health 0.0;
       let backlog =
         List.fold_left
           (fun acc c ->
@@ -935,19 +719,8 @@ let step ?(timeout = 0.05) t =
   dial_missing t;
   maybe_snapshot t;
   fed_sweep t;
-  (* Ingress throttle: past the watermark, leave peer sockets out of the
-     read set and let TCP push the pressure back to the senders. *)
-  let can_read =
-    match t.pool with Some pool -> Shard_pool.in_flight pool < read_watermark | None -> true
-  in
   let readable =
-    let conn_fds =
-      if can_read then
-        List.filter_map (fun c -> if c.connecting then None else Some c.fd) t.conns
-      else []
-    in
-    let base = t.listen_fd :: conn_fds in
-    match t.pool with Some pool -> Shard_pool.wake_fd pool :: base | None -> base
+    t.listen_fd :: List.filter_map (fun c -> if c.connecting then None else Some c.fd) t.conns
   in
   let writable =
     List.filter_map
@@ -968,13 +741,6 @@ let step ?(timeout = 0.05) t =
         if (not conn.closed) && (not conn.connecting) && List.memq conn.fd rs then
           read_conn t conn)
       t.conns;
-    (* drain the pool: run control thunks and finish routed publications
-       in arrival order *)
-    (match t.pool with
-    | Some pool ->
-      if List.memq (Shard_pool.wake_fd pool) rs then Shard_pool.drain_wake pool;
-      pool_drain t pool
-    | None -> ());
     (* write *)
     List.iter
       (fun conn ->
@@ -988,20 +754,5 @@ let run ?(timeout = 0.05) t =
   while not t.stop_requested do
     step ~timeout t
   done;
-  (* Let in-flight publications finish routing (bounded) before the
-     connections are torn down, so a stop request does not silently
-     drop work already read off the sockets. *)
-  (match t.pool with
-  | None -> ()
-  | Some pool ->
-    let deadline = Unix.gettimeofday () +. 2.0 in
-    while Shard_pool.in_flight pool > 0 && Unix.gettimeofday () < deadline do
-      pool_drain t pool;
-      Unix.sleepf 0.0002
-    done;
-    pool_drain t pool;
-    (* flush what the drain enqueued *)
-    List.iter (fun c -> if (not c.closed) && pending_out c then flush_out t c) t.conns;
-    Shard_pool.stop pool);
   List.iter (fun c -> close_conn t c) t.conns;
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ())

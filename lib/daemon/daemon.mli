@@ -37,21 +37,14 @@ type t
     snapshots into the {!timeseries} ring. [flight_dir] enables the
     flight recorder: when an [AUDIT] reports an error-severity finding,
     the span ring, registry and latest rates are dumped there
-    ([Xroute_obs.Recorder]). [domains] (default 1) shards publication
-    matching across that many worker domains ({!Shard_pool}); routing
-    decisions and emitted bytes stay identical to [domains = 1].
-    [telemetry] (default true) maintains the {!health} summary; [false]
-    skips every health-recording call — the switch behind the
-    telemetry-overhead experiment (BENCH_10).
-    @raise Invalid_argument when [domains > 1] is combined with the tree
-    match engine or trail routing (their match orders cannot be merged
-    deterministically from per-shard results). *)
+    ([Xroute_obs.Recorder]). [telemetry] (default true) maintains the
+    {!health} summary; [false] skips every health-recording call — the
+    switch behind the telemetry-overhead experiment (BENCH_10). *)
 val create :
   ?strategy:Xroute_core.Broker.strategy ->
   ?max_write_chunk:int ->
   ?snapshot_period:float ->
   ?flight_dir:string ->
-  ?domains:int ->
   ?telemetry:bool ->
   id:int ->
   port:int ->
@@ -61,10 +54,6 @@ val create :
 
 (** The hosted broker (for inspection). *)
 val broker : t -> Xroute_core.Broker.t
-
-(** The domain pool, when [create] was given [domains > 1] (for
-    inspection: shard audits, quiescent state checks). *)
-val pool : t -> Shard_pool.t option
 
 (** This broker's live health summary ({!Xroute_obs.Health}): hop
     latency / queue depth / egress backlog sketches, pub and drop

@@ -38,6 +38,11 @@ let unescape s =
     go 0
   end
 
+let split line =
+  match String.index_opt line '|' with
+  | Some i -> Some (String.sub line 0 i, String.sub line (i + 1) (String.length line - i - 1))
+  | None -> None
+
 let send ~enqueue ~tag ?(begin_args = []) ?(end_args = []) ~line_tag lines =
   let with_args base = function [] -> base | args -> base ^ "|" ^ String.concat "|" args in
   enqueue (with_args (tag ^ "|BEGIN") begin_args);

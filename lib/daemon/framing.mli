@@ -22,6 +22,12 @@ val escape : string -> string
     verbatim. *)
 val unescape : string -> string
 
+(** [split line] cuts a [<tag>|<payload>] line at its first [|]:
+    [split "M|x|y" = Some ("M", "x|y")]. [None] when the line has no
+    [|] at all (a bare ["M"] or ["F"]), so a short line can never be
+    mistaken for a tagged one. *)
+val split : string -> (string * string) option
+
 (** [send ~enqueue ~tag ~line_tag lines] enqueues
     [TAG|BEGIN[|begin_args]], one [line_tag|line] per element, then
     [TAG|END[|end_args]]. Payload lines must already be line-safe

@@ -14,12 +14,11 @@
    therefore independent of when symbols were created (test_symbol.ml
    pins this).
 
-   Concurrency: the daemon handles each connection on its own thread —
-   and, since the sharded match pool, decodes publications on worker
-   domains — so interning and [name] lookups race across true parallel
-   domains, not just preemptible systhreads. Writes stay serialized by a
+   Concurrency: the table is global, and tests and benchmarks run
+   several daemons as systhreads of one process, so interning and
+   [name] lookups race across threads. Writes stay serialized by a
    mutex (OCaml 5 [Mutex] establishes happens-before across domains).
-   [name] stays lock-free, but lock-free across domains requires real
+   [name] stays lock-free, but lock-free reads require real
    publication: plain mutable-field reads may be arbitrarily stale under
    the OCaml 5 memory model, so [names] and [count] are [Atomic.t].
    [intern] fills the slot first and only then release-stores the array

@@ -371,13 +371,71 @@ let test_large_inbound_burst () =
   Daemon.request_stop d;
   Thread.join th
 
-(* ---------------- multi-domain daemon ---------------- *)
+(* ---------------- malformed lines ---------------- *)
 
-(* The same end-to-end script against a sequential daemon and a
-   4-domain daemon: deliveries must be identical, and the sharded
-   daemon must expose its per-shard gauges over STATS|. *)
-let run_script_against ~domains =
-  let d = Daemon.create ~domains ~id:0 ~port:0 ~neighbors:[] () in
+(* Read raw lines off [fd] until one equals [want] or [timeout] seconds
+   pass. *)
+let await_line fd ~timeout want =
+  let buf = Bytes.create 4096 in
+  let pending = Buffer.create 256 in
+  let deadline = Unix.gettimeofday () +. timeout in
+  let rec go () =
+    let remaining = deadline -. Unix.gettimeofday () in
+    if remaining <= 0.0 then false
+    else
+      match Unix.select [ fd ] [] [] remaining with
+      | [], _, _ -> false
+      | _ -> (
+        match Unix.read fd buf 0 (Bytes.length buf) with
+        | 0 -> false
+        | n ->
+          Buffer.add_subbytes pending buf 0 n;
+          let lines = String.split_on_char '\n' (Buffer.contents pending) in
+          List.mem want lines || go ())
+  in
+  go ()
+
+let raw_connect port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  fd
+
+let raw_send fd s = ignore (Unix.write_substring fd s 0 (String.length s))
+
+(* A tag with no payload — a bare [F] from an unidentified peer, a bare
+   [M] after HELLO — is logged and dropped; the daemon keeps serving
+   both the sender and everyone else. *)
+let test_bare_tag_lines () =
+  let d = Daemon.create ~id:0 ~port:0 ~neighbors:[] () in
+  let th = Thread.create (fun () -> Daemon.run ~timeout:0.01 d) () in
+  let port = Daemon.port d in
+  let stranger = raw_connect port in
+  raw_send stranger "F\n";
+  let peer = raw_connect port in
+  raw_send peer "HELLO|client|300\nM\nPING\n";
+  check cb "PONG after bare F and M" true (await_line peer ~timeout:2.0 "PONG");
+  let publisher = Client.connect ~client_id:100 ~host:"127.0.0.1" ~port in
+  let subscriber = Client.connect ~client_id:200 ~host:"127.0.0.1" ~port in
+  ignore (Client.advertise publisher (Xroute_xpath.Adv.parse "/a/b"));
+  ignore (Client.subscribe subscriber (xp "/a"));
+  Thread.delay 0.2;
+  ignore (Client.publish_doc publisher ~doc_id:1 (Xroute_xml.Xml_parser.parse "<a><b/></a>"));
+  check (Alcotest.list ci) "delivery still flows" [ 1 ]
+    (Client.drain_deliveries ~timeout:0.8 subscriber);
+  Unix.close stranger;
+  Unix.close peer;
+  Client.close publisher;
+  Client.close subscriber;
+  Daemon.request_stop d;
+  Thread.join th
+
+(* ---------------- scripted end to end ---------------- *)
+
+(* A fixed publish script against one daemon: each subscriber sees
+   exactly the documents it asked for, and STATS| carries no shard or
+   pool metric. *)
+let test_script_end_to_end () =
+  let d = Daemon.create ~id:0 ~port:0 ~neighbors:[] () in
   let th = Thread.create (fun () -> Daemon.run ~timeout:0.01 d) () in
   let port = Daemon.port d in
   let publisher = Client.connect ~client_id:100 ~host:"127.0.0.1" ~port in
@@ -395,45 +453,25 @@ let run_script_against ~domains =
     (fun (i, body) ->
       ignore (Client.publish_doc publisher ~doc_id:i (Xroute_xml.Xml_parser.parse body)))
     docs;
-  let got1 = Client.drain_deliveries ~timeout:1.0 s1 in
-  let got2 = Client.drain_deliveries ~timeout:1.0 s2 in
-  let stats = Client.stats ~format:`Prom s1 in
+  check (Alcotest.list ci) "s1 saw the /a docs" [ 1; 3 ]
+    (Client.drain_deliveries ~timeout:1.0 s1);
+  check (Alcotest.list ci) "s2 saw the //d doc" [ 2 ] (Client.drain_deliveries ~timeout:1.0 s2);
+  (match Client.stats ~format:`Prom s1 with
+  | None -> Alcotest.fail "no STATS reply"
+  | Some body ->
+    let has s =
+      let n = String.length body and m = String.length s in
+      let rec go i = i + m <= n && (String.sub body i m = s || go (i + 1)) in
+      go 0
+    in
+    check cb "broker counters exposed" true (has "xroute_broker_pubs_in_total");
+    check cb "no shard metric" false (has "xroute_shard_");
+    check cb "no pool metric" false (has "xroute_pool_"));
   Client.close publisher;
   Client.close s1;
   Client.close s2;
   Daemon.request_stop d;
-  Thread.join th;
-  (got1, got2, stats)
-
-let test_domains_end_to_end () =
-  let seq1, seq2, _ = run_script_against ~domains:1 in
-  let par1, par2, stats = run_script_against ~domains:4 in
-  check (Alcotest.list ci) "s1 deliveries identical across engines" seq1 par1;
-  check (Alcotest.list ci) "s2 deliveries identical across engines" seq2 par2;
-  check (Alcotest.list ci) "s1 saw the /a docs" [ 1; 3 ] par1;
-  check (Alcotest.list ci) "s2 saw the //d doc" [ 2 ] par2;
-  (match stats with
-  | None -> Alcotest.fail "no STATS reply from the sharded daemon"
-  | Some body ->
-    check cb "per-shard gauges exposed" true
-      (let has s =
-         let n = String.length body and m = String.length s in
-         let rec go i = i + m <= n && (String.sub body i m = s || go (i + 1)) in
-         go 0
-       in
-       has "xroute_shard_0_entries" && has "xroute_shard_3_entries"
-       && has "xroute_pool_pubs_routed"));
-  (* the pool rejects configurations it cannot merge deterministically *)
-  check cb "tree engine rejected" true
-    (match
-       Daemon.create
-         ~strategy:{ Xroute_core.Broker.default_strategy with match_engine = Xroute_core.Rtable.Prt.Tree }
-         ~domains:2 ~id:9 ~port:0 ~neighbors:[] ()
-     with
-    | exception Invalid_argument _ -> true
-    | d ->
-      Daemon.request_stop d;
-      false)
+  Thread.join th
 
 (* Parse a Prometheus text exposition into (base-metric-name, value)
    pairs; comment lines skipped, quantile labels stripped. *)
@@ -824,17 +862,15 @@ let () =
           Alcotest.test_case "duplicate HELLO evicts the stale conn" `Quick
             test_duplicate_hello_reconnect;
           Alcotest.test_case "1MB inbound burst" `Quick test_large_inbound_burst;
+          Alcotest.test_case "bare F and M lines dropped" `Quick test_bare_tag_lines;
         ] );
       ( "linebuf",
         [
           Alcotest.test_case "basics" `Quick test_linebuf_basics;
           Alcotest.test_case "1MB one byte at a time" `Quick test_linebuf_byte_at_a_time;
         ] );
-      ( "domains",
-        [
-          Alcotest.test_case "end to end, sharded vs sequential" `Quick
-            test_domains_end_to_end;
-        ] );
+      ( "script",
+        [ Alcotest.test_case "end to end, one daemon" `Quick test_script_end_to_end ] );
       ( "fedstats",
         [
           Alcotest.test_case "federated view over the wire, 3 brokers" `Quick

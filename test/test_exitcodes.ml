@@ -35,26 +35,12 @@ let test_clean_soundness () =
 let test_clean_audit () =
   check_both "audit" 0 "--audit --strategy with-Adv-with-Cov --seeds 1 --ops 8 --quiet"
 
-let test_clean_shard () =
-  check_both "shard-audit" 0 "--shard-audit --seeds 1 --ops 8 --domains 2 --quiet"
-
-let test_clean_conc () =
-  check_both "conc-audit" 0 "--conc-audit --conc-depth 3 --conc-random 5 --quiet"
-
 let test_clean_obs () = check_both "obs-audit" 0 "--obs-audit --quiet"
 
 (* Must-fail runs: every planted defect exits 1 in both modes. *)
 let test_inject_soundness () =
   check_both "soundness inject" 1
     "--soundness --inject-unsound-cover --seeds 1 --pairs 25 --quiet"
-
-let test_inject_shard () =
-  check_both "shard inject" 1
-    "--shard-audit --inject-shard-skew --seeds 1 --ops 8 --domains 2 --quiet"
-
-let test_inject_conc () =
-  check_both "conc inject" 1
-    "--conc-audit --inject-conc-race --conc-depth 3 --conc-random 5 --quiet"
 
 let test_inject_obs () =
   check_both "obs inject" 1 "--obs-audit --inject-obs-drift --quiet"
@@ -75,12 +61,8 @@ let () =
           Alcotest.test_case "workload clean = 0" `Quick test_clean_workload;
           Alcotest.test_case "soundness clean = 0" `Quick test_clean_soundness;
           Alcotest.test_case "audit clean = 0" `Quick test_clean_audit;
-          Alcotest.test_case "shard-audit clean = 0" `Quick test_clean_shard;
-          Alcotest.test_case "conc-audit clean = 0" `Quick test_clean_conc;
           Alcotest.test_case "obs-audit clean = 0" `Quick test_clean_obs;
           Alcotest.test_case "soundness inject = 1" `Quick test_inject_soundness;
-          Alcotest.test_case "shard inject = 1" `Quick test_inject_shard;
-          Alcotest.test_case "conc inject = 1" `Quick test_inject_conc;
           Alcotest.test_case "obs inject = 1" `Quick test_inject_obs;
           Alcotest.test_case "usage errors = 2" `Quick test_usage_errors;
         ] );

@@ -190,10 +190,10 @@ let test_bench6_match_scaling () =
           | Some v -> v >= 10.0
           | None -> false)))
 
-(* The BENCH_7 saturation pin: the sharded daemon's burst record must
-   show the 10x end-to-end throughput gain over the BENCH_2 seed
-   baseline at >= 4 domains, with zero decision diffs against the
-   sequential run and no publication loss on either side. *)
+(* The BENCH_7 saturation pin: the committed sequential burst record
+   must be complete and show no publication loss. The file also holds
+   the 4-domain run of the since-deleted domain pool; it stays as a
+   historical record and is not pinned. *)
 let test_bench7_saturation () =
   match List.assoc_opt "BENCH_7.json" (bench_files ()) with
   | None -> Alcotest.fail "BENCH_7.json not committed at the repo root"
@@ -218,45 +218,19 @@ let test_bench7_saturation () =
         | Some r -> r
         | None -> Alcotest.fail (name ^ " record missing")
       in
-      let seq = get "saturation-domains-1" in
-      let sharded = get "saturation-domains-4" in
+      let r = get "saturation-domains-1" in
+      let num field = Option.bind (Json.member field r) Json.to_num in
       List.iter
-        (fun (label, r) ->
-          let num field = Option.bind (Json.member field r) Json.to_num in
-          List.iter
-            (fun field ->
-              check cb (label ^ " has positive " ^ field) true
-                (match num field with Some v -> v > 0.0 | None -> false))
-            [ "domains"; "roots"; "published"; "delivered"; "burst_wall_ms";
-              "msgs_per_sec"; "p50_hop_ms"; "p99_hop_ms" ];
-          (* the subscriber holds 3 of the 4 roots: no loss means
-             delivered = 3/4 of published, on both runs *)
-          check cb (label ^ ": no publication loss") true
-            (match (num "published", num "delivered") with
-            | Some p, Some d -> d = p *. 0.75
-            | _ -> false))
-        [ ("saturation-domains-1", seq); ("saturation-domains-4", sharded) ];
-      let num field = Option.bind (Json.member field sharded) Json.to_num in
-      check cb "sharded run used >= 4 domains" true
-        (match num "domains" with Some v -> v >= 4.0 | None -> false);
-      check cb "zero decision diffs vs the sequential daemon" true
-        (num "decision_diffs" = Some 0.0);
-      check cb "decisions_identical" true
-        (Option.bind (Json.member "decisions_identical" sharded) (function
-           | Json.Bool b -> Some b
-           | _ -> None)
-        = Some true);
-      check cb "baseline is the BENCH_2 seed throughput" true
-        (num "baseline_msgs_per_sec" = Some 1194.73);
-      (* the acceptance gate: >= 10x the seed's burst throughput *)
-      check cb "sharded burst is >= 10x the BENCH_2 baseline" true
-        (match (num "msgs_per_sec", num "baseline_msgs_per_sec") with
-        | Some m, Some b -> m >= 10.0 *. b
-        | _ -> false);
-      check cb "speedup_vs_baseline is consistent" true
-        (match (num "speedup_vs_baseline", num "msgs_per_sec", num "baseline_msgs_per_sec")
-         with
-        | Some s, Some m, Some b -> Float.abs (s -. (m /. b)) < 0.01
+        (fun field ->
+          check cb ("has positive " ^ field) true
+            (match num field with Some v -> v > 0.0 | None -> false))
+        [ "domains"; "roots"; "published"; "delivered"; "burst_wall_ms"; "msgs_per_sec";
+          "p50_hop_ms"; "p99_hop_ms" ];
+      (* the subscriber holds 3 of the 4 roots: no loss means
+         delivered = 3/4 of published *)
+      check cb "no publication loss" true
+        (match (num "published", num "delivered") with
+        | Some p, Some d -> d = p *. 0.75
         | _ -> false))
 
 (* The BENCH_8 scenario-scale pin: the committed scale series must
@@ -340,78 +314,6 @@ let test_bench8_scenario_scale () =
              | Json.Bool b -> Some b
              | _ -> None)
           = Some true))
-
-(* The BENCH_9 concurrency pin: the committed conc-audit sweep must
-   cover >= 1000 distinct schedules across >= 3 scenarios with zero
-   races and zero divergences, and the tsync'd pool's re-run of the
-   BENCH_7 sharded burst must land within noise of the committed
-   BENCH_7 throughput (production instrumentation is free). *)
-let test_bench9_conc () =
-  match List.assoc_opt "BENCH_9.json" (bench_files ()) with
-  | None -> Alcotest.fail "BENCH_9.json not committed at the repo root"
-  | Some path -> (
-    match Json.parse (read_file path) with
-    | Error e -> Alcotest.fail ("BENCH_9.json: " ^ e)
-    | Ok j ->
-      check cs "schema" "xroute-bench/9"
-        (Option.value ~default:"<missing>"
-           (Option.bind (Json.member "schema" j) Json.to_str));
-      let experiments =
-        Option.value ~default:[]
-          (Option.bind (Json.member "experiments" j) Json.to_list)
-      in
-      let record name =
-        List.find_opt
-          (fun r -> Option.bind (Json.member "name" r) Json.to_str = Some name)
-          experiments
-      in
-      let get name =
-        match record name with
-        | Some r -> r
-        | None -> Alcotest.fail (name ^ " record missing")
-      in
-      let audit = get "conc-audit" in
-      let num r field = Option.bind (Json.member field r) Json.to_num in
-      check cb ">= 3 scenarios swept" true
-        (match num audit "scenarios" with Some v -> v >= 3.0 | None -> false);
-      (* the acceptance floor: >= 1000 distinct schedules *)
-      check cb ">= 1000 distinct schedules explored" true
-        (match num audit "schedules_explored" with Some v -> v >= 1000.0 | None -> false);
-      check cb "races_found = 0" true (num audit "races_found" = Some 0.0);
-      check cb "divergences_found = 0" true (num audit "divergences_found" = Some 0.0);
-      check cb "positive step count" true
-        (match num audit "total_steps" with Some v -> v > 0.0 | None -> false);
-      (* per-scenario records: clean and non-trivial *)
-      List.iter
-        (fun name ->
-          let r = get name in
-          check cb (name ^ ": schedules > 0") true
-            (match num r "schedules" with Some v -> v > 0.0 | None -> false);
-          check cb (name ^ ": clean") true
-            (num r "races" = Some 0.0 && num r "divergences" = Some 0.0))
-        [ "conc-spsc-ring-wrap"; "conc-pool-1worker"; "conc-pool-2worker" ];
-      let overhead = get "tsync-overhead" in
-      check cb "overhead run used >= 4 domains" true
-        (match num overhead "domains" with Some v -> v >= 4.0 | None -> false);
-      check cb "no publication loss" true
-        (match (num overhead "published", num overhead "delivered") with
-        | Some p, Some d -> d = p *. 0.75 (* 3 of 4 roots subscribed *)
-        | _ -> false);
-      check cb "compared against the committed BENCH_7 number" true
-        (num overhead "bench7_msgs_per_sec" = Some 13908.8);
-      (* within noise: generous both ways — machine variance between the
-         BENCH_7 and BENCH_9 recording runs dominates any shim cost *)
-      check cb "production tsync within noise of BENCH_7 (ratio in [0.7, 1.5])" true
-        (match num overhead "ratio_vs_bench7" with
-        | Some r -> r >= 0.7 && r <= 1.5
-        | None -> false);
-      check cb "ratio is consistent with the raw numbers" true
-        (match
-           (num overhead "ratio_vs_bench7", num overhead "msgs_per_sec",
-            num overhead "bench7_msgs_per_sec")
-         with
-        | Some r, Some m, Some b -> Float.abs (r -. (m /. b)) < 0.01
-        | _ -> false))
 
 (* The BENCH_10 telemetry pin: the committed sketch-error records must
    sit within the advertised relative-error bound on every distribution,
@@ -578,8 +480,6 @@ let () =
             test_bench7_saturation;
           Alcotest.test_case "BENCH_8 scenario scale" `Quick
             test_bench8_scenario_scale;
-          Alcotest.test_case "BENCH_9 concurrency audit" `Quick
-            test_bench9_conc;
           Alcotest.test_case "BENCH_10 telemetry federation" `Quick
             test_bench10_obs;
         ] );
