@@ -145,11 +145,12 @@ let tree_of_xpes ?covers xpes =
 (* A dissemination broker hosts the advertisement sets of every feed it
    serves; a subscription anchored at one feed's root element should not
    pay a match operation for every other feed's advertisements. The SRT
-   differential builds the same table twice — indexed and flat — loads
-   all four bundled feeds, pushes a subscription workload through
-   [hops_for_sub] on both, and checks both against a full-scan reference
-   (routing decisions byte-identical, every candidate entry charged)
-   while counting the scans the index avoided. *)
+   differential loads all four bundled feeds into the indexed table,
+   pushes a subscription workload through [hops_for_sub], and checks it
+   against the full-scan reference (routing decisions byte-identical,
+   every candidate entry charged). The reference itself is the flat
+   list scan: it pays one match operation per stored entry, which
+   measures the scans the index avoided. *)
 
 let all_feed_advs =
   lazy
@@ -163,8 +164,8 @@ let all_feed_advs =
 (* Every fifth advertisement comes from a local client (the publisher's
    own broker), the rest from four neighbors: many entries per hop, and
    client hops the lookup must leave out. *)
-let srt_fill ~indexed advs =
-  let srt = Rtable.Srt.create ~indexed () in
+let srt_fill advs =
+  let srt = Rtable.Srt.create () in
   List.iteri
     (fun i adv ->
       let hop = if i mod 5 = 4 then Rtable.Client (i mod 3) else Rtable.Neighbor (i mod 4) in
@@ -175,25 +176,25 @@ let srt_fill ~indexed advs =
 let decision_string hops =
   String.concat ";" (List.map (fun ep -> Format.asprintf "%a" Rtable.pp_endpoint ep) hops)
 
-(* The full-scan reference: the overlap test on every stored entry,
-   neighbor hops deduplicated by first occurrence in newest-first
-   order. *)
+(* The full-scan reference: every stored entry in newest-first order,
+   neighbor hops deduplicated by first occurrence. An entry whose hop
+   is already in the answer cannot change it, so its overlap test is
+   skipped. *)
 let srt_reference_hops entries xpe =
-  List.filter_map
-    (fun (e : Rtable.Srt.entry) -> if Adv_match.overlaps xpe e.adv then Some e.hop else None)
-    entries
-  |> List.fold_left
-       (fun acc hop ->
-         match hop with
-         | Rtable.Neighbor _ when not (List.exists (Rtable.endpoint_equal hop) acc) -> hop :: acc
-         | Rtable.Neighbor _ | Rtable.Client _ -> acc)
-       []
+  List.fold_left
+    (fun acc (e : Rtable.Srt.entry) ->
+      match e.hop with
+      | Rtable.Neighbor _
+        when (not (List.exists (Rtable.endpoint_equal e.hop) acc))
+             && Adv_match.overlaps_paper xpe e.adv ->
+        e.hop :: acc
+      | Rtable.Neighbor _ | Rtable.Client _ -> acc)
+    [] entries
   |> List.rev
 
-(* The entries the cost model charges a lookup: the whole table when
-   flat or for an unanchored subscription, else the entries rooted at
-   the subscription's root element plus the star- and group-rooted
-   ones. *)
+(* The entries the cost model charges a lookup: the whole table for an
+   unanchored subscription, else the entries rooted at the
+   subscription's root element plus the star- and group-rooted ones. *)
 let srt_reference_candidates srt xpe =
   let entries = Rtable.Srt.entries srt in
   let rooted_at n (e : Rtable.Srt.entry) =
@@ -204,18 +205,22 @@ let srt_reference_candidates srt xpe =
       | Xroute_xpath.Xpe.Star -> true)
     | _ -> true
   in
-  match (Rtable.Srt.indexed srt, Rtable.Srt.sub_root xpe) with
-  | true, Some n -> List.length (List.filter (rooted_at n) entries)
-  | _ -> List.length entries
+  match Rtable.Srt.sub_root xpe with
+  | Some n -> List.length (List.filter (rooted_at n) entries)
+  | None -> List.length entries
 
-(* Run [xpes] through both SRT modes; returns
-   (identical, ops_list, ops_indexed, wall_list_s, wall_indexed_s, indexed_srt).
-   [identical] holds when, for every XPE, both tables return the
-   full-scan reference's hops and charge its candidate count. *)
+(* Run [xpes] through the indexed SRT and the full-scan reference;
+   returns (identical, ops_list, ops_indexed, wall_list_s, wall_indexed_s,
+   indexed_srt), where the list side is the reference, charged one op
+   per stored entry. [identical] holds when, for every XPE, the table
+   returns the reference's hops and charges its candidate count. *)
 let srt_differential ~advs xpes =
-  let list_srt = srt_fill ~indexed:false advs in
-  let idx_srt = srt_fill ~indexed:true advs in
-  let run srt =
+  let srt = srt_fill advs in
+  let entries = Rtable.Srt.entries srt in
+  let list_decisions, t_list =
+    time_it (fun () -> List.map (fun x -> decision_string (srt_reference_hops entries x)) xpes)
+  in
+  let idx_decisions, t_idx =
     time_it (fun () ->
         List.map
           (fun x ->
@@ -224,23 +229,17 @@ let srt_differential ~advs xpes =
             (d, Rtable.Srt.match_ops srt - ops0))
           xpes)
   in
-  let list_decisions, t_list = run list_srt in
-  let idx_decisions, t_idx = run idx_srt in
-  let entries = Rtable.Srt.entries list_srt in
   let identical =
     List.for_all2
-      (fun x ((d_list, ops_list), (d_idx, ops_idx)) ->
-        let expected = decision_string (srt_reference_hops entries x) in
-        String.equal d_list expected
-        && String.equal d_idx expected
-        && ops_list = srt_reference_candidates list_srt x
-        && ops_idx = srt_reference_candidates idx_srt x)
+      (fun x (expected, (d_idx, ops_idx)) ->
+        String.equal d_idx expected && ops_idx = srt_reference_candidates srt x)
       xpes
       (List.combine list_decisions idx_decisions)
   in
-  (identical, Rtable.Srt.match_ops list_srt, Rtable.Srt.match_ops idx_srt, t_list, t_idx, idx_srt)
+  let ops_list = List.length entries * List.length xpes in
+  (identical, ops_list, Rtable.Srt.match_ops srt, t_list, t_idx, srt)
 
-let srt_index_bench () =
+let srt_bucket_bench () =
   section
     "SRT index - root-element buckets vs flat list scan\n\
      (Figure-6 workload: Set A at 10k XPEs, NITF; SRT holds the\n\
@@ -280,7 +279,7 @@ let srt_index_bench () =
       ("decisions_identical", Report.B identical);
     ];
   if not identical then begin
-    Printf.printf "ERROR: indexed or flat SRT diverged from the full-scan reference\n";
+    Printf.printf "ERROR: indexed SRT diverged from the full-scan reference\n";
     exit 1
   end;
   (* The same table seen from the small feed: PSD subscriptions skip the
@@ -314,7 +313,7 @@ let srt_index_bench () =
     ];
   if not identical_p then begin
     Printf.printf
-      "ERROR: indexed or flat SRT diverged from the full-scan reference (PSD workload)\n";
+      "ERROR: indexed SRT diverged from the full-scan reference (PSD workload)\n";
     exit 1
   end
 
@@ -927,13 +926,12 @@ let fig8 () =
     let xpes =
       Xroute_workload.Workload.xpes ~params ~count:total ~seed:21 ()
     in
-    let engine = Adv_match.Paper in
     (* without covering *)
     let (), t_nocov =
       time_it (fun () ->
           List.iter
             (fun xpe ->
-              List.iter (fun adv -> ignore (Adv_match.overlaps ~engine xpe adv)) advs)
+              List.iter (fun adv -> ignore (Adv_match.overlaps_paper xpe adv)) advs)
             xpes)
     in
     (* with covering *)
@@ -945,7 +943,7 @@ let fig8 () =
             (fun i xpe ->
               if Sub_tree.is_covered tree xpe then incr covered
               else
-                List.iter (fun adv -> ignore (Adv_match.overlaps ~engine xpe adv)) advs;
+                List.iter (fun adv -> ignore (Adv_match.overlaps_paper xpe adv)) advs;
               ignore (Sub_tree.insert tree xpe i))
             xpes)
     in
@@ -1364,7 +1362,7 @@ let ablation_exact_cover () =
       (t *. 1000.0)
   in
   run "paper rules" (fun a b -> Cover.covers a b);
-  run "exact" (fun a b -> Cover.covers ~engine:Cover.Exact a b)
+  run "exact" Cover.covers_exact
 
 let ablation_yfilter () =
   section
@@ -1483,7 +1481,7 @@ let micro_benchmarks () =
       Test.make ~name:"Cover.covers"
         (Staged.stage (fun () -> Cover.covers s1 s2));
       Test.make ~name:"Cover.covers-exact"
-        (Staged.stage (fun () -> Cover.covers ~engine:Cover.Exact s1 s2));
+        (Staged.stage (fun () -> Cover.covers_exact s1 s2));
       Test.make ~name:"SubTree.match(2k)"
         (Staged.stage (fun () -> Sub_tree.match_names tree path));
       Test.make ~name:"SubTree.is_covered(2k)"
@@ -1514,26 +1512,30 @@ let micro_benchmarks () =
 (* Match scaling - flat scan vs covering tree vs shared-prefix NFA     *)
 (* ------------------------------------------------------------------ *)
 
-(* The PR-6 tentpole measurement: per-publication match cost as the PRT
-   grows from 1k to 100k subscriptions, under the three engines the
-   differential harness gates — the flat list (no covering, tree
-   engine), the covering tree (pruned DFS), and the shared-prefix NFA.
-   Decisions must be byte-identical across all three at every size; the
-   NFA's per-publication cost must track its branching into the
-   publication, not the table size. Records go to BENCH_6.json. *)
+(* Per-publication match cost as the PRT grows from 1k to 100k
+   subscriptions: the PRT's shared-prefix NFA against two references
+   built from {!Sub_tree} — the flat list (no covering) and the covering
+   tree (pruned DFS, the paper's matcher). Decisions must be
+   byte-identical across all three at every size; the NFA's
+   per-publication cost must track its branching into the publication,
+   not the table size. Records go to BENCH_6.json. *)
 
-let prt_decision (prt : Rtable.Prt.t) (pub : Xroute_xml.Xml_paths.publication) =
-  Rtable.Prt.match_pub prt pub
-  |> List.map (fun (p : Rtable.Prt.payload) -> p.Rtable.Prt.id)
-  |> List.sort_uniq compare
+let ids_decision ids =
+  List.sort_uniq compare ids
   |> List.map (fun (id : Message.sub_id) -> Printf.sprintf "%d.%d" id.origin id.seq)
   |> String.concat ";"
+
+let prt_decision (prt : Rtable.Prt.t) (pub : Xroute_xml.Xml_paths.publication) =
+  ids_decision (List.map (fun (p : Rtable.Prt.payload) -> p.id) (Rtable.Prt.match_pub prt pub))
+
+let tree_decision (tree : Message.sub_id Sub_tree.t) (pub : Xroute_xml.Xml_paths.publication) =
+  ids_decision (Sub_tree.match_syms tree pub.syms pub.attrs)
 
 let match_scaling () =
   section
     "Match scaling - flat list vs covering tree vs shared-prefix NFA\n\
      (PRT publication matching as the table grows; Set A, NITF; the\n\
-     three engines of the differential harness must agree decision-for-\n\
+     PRT's NFA and both Sub_tree references must agree decision-for-\n\
      decision while the NFA's cost stays flat in the table size)";
   let sizes = List.sort_uniq compare [ scaled 1_000; scaled 10_000; scaled 100_000 ] in
   let requested = List.fold_left max 1 sizes in
@@ -1549,15 +1551,15 @@ let match_scaling () =
   let docs = Xroute_workload.Workload.documents ~dtd:nitf ~count:(scaled 10) ~seed:72 () in
   let pubs = Xroute_workload.Workload.publications_of_documents docs in
   let n_pubs = List.length pubs in
-  let flat = Rtable.Prt.create ~flat:true ~engine:Rtable.Prt.Tree () in
-  let tree = Rtable.Prt.create ~engine:Rtable.Prt.Tree () in
-  let nfa = Rtable.Prt.create ~engine:Rtable.Prt.Nfa () in
+  let flat = Sub_tree.create ~flat:true () in
+  let tree = Sub_tree.create () in
+  let nfa = Rtable.Prt.create () in
   let inserted = ref 0 in
   let fill upto =
     for i = !inserted to min upto avail - 1 do
       let id : Message.sub_id = { origin = 1; seq = i } in
-      ignore (Rtable.Prt.insert flat id xpes.(i) (Rtable.Client 0));
-      ignore (Rtable.Prt.insert tree id xpes.(i) (Rtable.Client 0));
+      ignore (Sub_tree.insert flat xpes.(i) id);
+      ignore (Sub_tree.insert tree xpes.(i) id);
       ignore (Rtable.Prt.insert nfa id xpes.(i) (Rtable.Client 0))
     done;
     inserted := min upto avail
@@ -1570,14 +1572,17 @@ let match_scaling () =
   List.iter
     (fun size ->
       fill size;
-      let run prt =
-        let before = Rtable.Prt.match_checks prt in
-        let decisions, wall = time_it (fun () -> List.map (prt_decision prt) pubs) in
-        (decisions, Rtable.Prt.match_checks prt - before, wall)
+      let run checks decide =
+        let before = checks () in
+        let decisions, wall = time_it (fun () -> List.map decide pubs) in
+        (decisions, checks () - before, wall)
       in
-      let d_flat, ops_flat, t_flat = run flat in
-      let d_tree, ops_tree, t_tree = run tree in
-      let d_nfa, ops_nfa, t_nfa = run nfa in
+      let run_tree t = run (fun () -> Sub_tree.match_checks t) (tree_decision t) in
+      let d_flat, ops_flat, t_flat = run_tree flat in
+      let d_tree, ops_tree, t_tree = run_tree tree in
+      let d_nfa, ops_nfa, t_nfa =
+        run (fun () -> Rtable.Prt.match_checks nfa) (prt_decision nfa)
+      in
       let diffs l = List.fold_left2 (fun n a b -> if String.equal a b then n else n + 1) 0 d_flat l in
       let decision_diffs = diffs d_tree + diffs d_nfa in
       let per ops = float_of_int ops /. float_of_int (max 1 n_pubs) in
@@ -1798,10 +1803,10 @@ let smoke () =
     print_string (Metrics.to_prometheus reg);
     exit 1
   end;
-  (* Indexed and flat SRT against the full-scan reference: identical
-     routing decisions and charged ops on a seeded multi-feed workload
-     with mixed client and neighbor hops, the index charging strictly
-     fewer. *)
+  (* Indexed SRT against the full-scan reference: identical routing
+     decisions and charged ops on a seeded multi-feed workload with
+     mixed client and neighbor hops, the index charging strictly fewer
+     than the full scan. *)
   let advs = Lazy.force all_feed_advs in
   let xpes =
     Xroute_workload.Workload.xpes ~params:(Xroute_workload.Workload.set_a_params nitf)
@@ -1811,27 +1816,27 @@ let smoke () =
   Printf.printf "smoke: SRT differential on %d XPEs x %d advs: list %d ops, indexed %d ops\n"
     (List.length xpes) (List.length advs) ops_list ops_idx;
   if not identical then begin
-    Printf.printf "smoke FAILED: indexed or flat SRT diverged from the full-scan reference\n";
+    Printf.printf "smoke FAILED: indexed SRT diverged from the full-scan reference\n";
     exit 1
   end;
   if ops_idx >= ops_list then begin
     Printf.printf "smoke FAILED: SRT index avoided no scans (%d >= %d)\n" ops_idx ops_list;
     exit 1
   end;
-  (* NFA vs flat PRT: identical routing decisions on the PSD multi-feed
-     corpus (PSD subscriptions; publications from the PSD feed plus a
-     foreign feed, so the automaton also sees roots it stores nothing
-     under). *)
+  (* PRT NFA vs the flat list: identical routing decisions on the PSD
+     multi-feed corpus (PSD subscriptions; publications from the PSD
+     feed plus a foreign feed, so the automaton also sees roots it
+     stores nothing under). *)
   let prt_xpes =
     Xroute_workload.Workload.xpes ~params:(Xroute_workload.Workload.set_a_params psd)
       ~count:1500 ~seed:13 ()
   in
-  let prt_flat = Rtable.Prt.create ~flat:true ~engine:Rtable.Prt.Tree () in
-  let prt_nfa = Rtable.Prt.create ~engine:Rtable.Prt.Nfa () in
+  let flat_list = Sub_tree.create ~flat:true () in
+  let prt_nfa = Rtable.Prt.create () in
   List.iteri
     (fun i x ->
       let id : Message.sub_id = { origin = 2; seq = i } in
-      ignore (Rtable.Prt.insert prt_flat id x (Rtable.Client 0));
+      ignore (Sub_tree.insert flat_list x id);
       ignore (Rtable.Prt.insert prt_nfa id x (Rtable.Client 0)))
     prt_xpes;
   let corpus =
@@ -1841,13 +1846,13 @@ let smoke () =
   in
   let nfa_diffs =
     List.filter
-      (fun pub -> not (String.equal (prt_decision prt_flat pub) (prt_decision prt_nfa pub)))
+      (fun pub -> not (String.equal (tree_decision flat_list pub) (prt_decision prt_nfa pub)))
       corpus
   in
-  Printf.printf "smoke: NFA vs flat PRT on %d XPEs x %d publications: %d decision diffs\n"
+  Printf.printf "smoke: PRT NFA vs flat list on %d XPEs x %d publications: %d decision diffs\n"
     (List.length prt_xpes) (List.length corpus) (List.length nfa_diffs);
   if nfa_diffs <> [] then begin
-    Printf.printf "smoke FAILED: NFA match engine diverged from the flat PRT\n";
+    Printf.printf "smoke FAILED: PRT NFA diverged from the flat list\n";
     List.iter
       (fun (pub : Xroute_xml.Xml_paths.publication) ->
         Printf.printf "  /%s\n" (String.concat "/" (Array.to_list pub.steps)))
@@ -1996,7 +2001,7 @@ let experiments =
     ("fig10", fig10);
     ("fig11", fig11);
     ("latency-breakdown", latency_breakdown);
-    ("srt-index", srt_index_bench);
+    ("srt-index", srt_bucket_bench);
     ("daemon-throughput", daemon_throughput);
     ("saturation", saturation);
     ("obs-telemetry", obs_telemetry);
@@ -2039,6 +2044,16 @@ let () =
     | name :: rest -> parse_args (name :: acc) rest
   in
   let names = parse_args [] (List.tl (Array.to_list Sys.argv)) in
+  (* Reject a typo (or --help) before anything runs: the BENCH_5 sink
+     below is written whatever ran, and an empty run would overwrite the
+     committed records. *)
+  (match List.filter (fun n -> not (List.mem_assoc n experiments)) names with
+  | [] -> ()
+  | unknown ->
+    Printf.eprintf "unknown experiment(s): %s\nvalid: --smoke, --seed N, --fault-plan SPEC, %s\n"
+      (String.concat ", " unknown)
+      (String.concat ", " (List.map fst experiments));
+    exit 2);
   let only = if names = [] then None else Some names in
   let want name = match only with None -> true | Some l -> List.mem name l in
   Printf.printf "xroute experiment harness (scale %.2f; set XROUTE_BENCH_SCALE to change)\n" scale;

@@ -155,7 +155,7 @@ let cover_cmd =
     match (Xroute_xpath.Xpe_parser.parse_opt s1, Xroute_xpath.Xpe_parser.parse_opt s2) with
     | Some x1, Some x2 ->
       Printf.printf "paper rules: %b\nexact:       %b\n" (Xroute_core.Cover.covers x1 x2)
-        (Xroute_core.Cover.covers ~engine:Xroute_core.Cover.Exact x1 x2)
+        (Xroute_core.Cover.covers_exact x1 x2)
     | _ ->
       prerr_endline "xroute: cannot parse the XPath expressions";
       exit 1

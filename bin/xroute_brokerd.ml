@@ -22,20 +22,13 @@ let parse_neighbor s =
 
 let neighbor_conv = Arg.conv (parse_neighbor, fun ppf (id, (h, p)) -> Format.fprintf ppf "%d:%s:%d" id h p)
 
-let run id port neighbors strategy_name no_srt_index match_engine_name flight_dir no_telemetry verbose =
+let run id port neighbors strategy_name flight_dir no_telemetry verbose =
   Fmt_tty.setup_std_outputs ();
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level (Some (if verbose then Logs.Debug else Logs.Info));
-  let match_engine =
-    match Xroute_core.Rtable.Prt.match_engine_of_string match_engine_name with
-    | Some e -> e
-    | None ->
-      prerr_endline ("xroute_brokerd: unknown match engine " ^ match_engine_name ^ " (want nfa or tree)");
-      exit 1
-  in
   let strategy =
     match Xroute_core.Broker.strategy_of_name strategy_name with
-    | Some s -> { s with Xroute_core.Broker.srt_index = not no_srt_index; match_engine }
+    | Some s -> s
     | None ->
       prerr_endline ("xroute_brokerd: unknown strategy " ^ strategy_name);
       exit 1
@@ -63,18 +56,6 @@ let cmd =
            ~doc:(Printf.sprintf "Routing strategy: %s."
                    (String.concat ", " Xroute_core.Broker.strategy_names)))
   in
-  let no_srt_index_arg =
-    Arg.(value & flag & info [ "no-srt-index" ]
-           ~doc:"Disable the SRT root-element index (flat list scan; same routing \
-                 decisions, more match operations — for benchmarking).")
-  in
-  let match_engine_arg =
-    Arg.(value & opt string "nfa" & info [ "match-engine" ] ~docv:"ENGINE"
-           ~doc:"PRT publication matcher: $(b,nfa) (shared-prefix automaton, the \
-                 default) or $(b,tree) (covering-tree scan). Identical routing \
-                 decisions either way — the opt-out exists for differential \
-                 testing and benchmarking.")
-  in
   let flight_dir_arg =
     Arg.(value & opt (some string) None & info [ "flight-dir" ] ~docv:"DIR"
            ~doc:"Enable the flight recorder: dump spans, metrics and rates to \
@@ -90,7 +71,7 @@ let cmd =
   let verbose_arg = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Debug logging.") in
   Cmd.v
     (Cmd.info "xroute_brokerd" ~version:"1.0.0" ~doc:"Content-based XML router daemon")
-    Term.(const run $ id_arg $ port_arg $ neighbors_arg $ strategy_arg $ no_srt_index_arg
-          $ match_engine_arg $ flight_dir_arg $ no_telemetry_arg $ verbose_arg)
+    Term.(const run $ id_arg $ port_arg $ neighbors_arg $ strategy_arg $ flight_dir_arg
+          $ no_telemetry_arg $ verbose_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -268,7 +268,7 @@ let run dtd_spec workload soundness audit scenario_audit obs_audit self_audit se
   if workload || all then add (workload_report dtd ~count ~clients ~seed:(List.hd seeds));
   if soundness || all then begin
     let covers =
-      if inject_unsound then Soundness.planted_unsound_covers else Xroute_core.Cover.covers_paper
+      if inject_unsound then Soundness.planted_unsound_covers else Xroute_core.Cover.covers
     in
     add (Soundness.run ~covers ~seeds ~pairs_per_seed:pairs ~witness_incomplete ())
   end;

@@ -4,7 +4,7 @@
    [overlap] (intersection non-emptiness) and [contains] (language
    inclusion) are the semantic ground truth against which the paper's
    matching and covering algorithms are property-tested; [contains] also
-   powers the optional exact covering engine ablated in the benchmarks.
+   powers exact covering ([Cover.covers_exact]), ablated in the benchmarks.
 
    Inclusion is decided by determinizing over the finite alphabet of
    names mentioned by either side plus one representative "fresh" letter

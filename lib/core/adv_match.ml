@@ -216,15 +216,10 @@ let expr_and_rec_adv (xpe : Xpe.t) (adv : Adv.t) =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The paper's engine. *)
+(* The paper's pipeline: the SRT's overlap test. *)
 let overlaps_paper (xpe : Xpe.t) (adv : Adv.t) =
   if Adv.is_recursive adv then expr_and_rec_adv xpe adv
   else Xpe.length xpe <= Adv.length adv && expr_and_adv xpe (Adv.to_symbols adv)
 
-(* The exact automata engine (DESIGN.md ablation). *)
+(* Exact automata overlap: the oracle of the tests and the CLI. *)
 let overlaps_exact (xpe : Xpe.t) (adv : Adv.t) = Xroute_automata.Lang.xpe_overlaps_adv xpe adv
-
-type engine = Paper | Exact
-
-let overlaps ?(engine = Paper) xpe adv =
-  match engine with Paper -> overlaps_paper xpe adv | Exact -> overlaps_exact xpe adv

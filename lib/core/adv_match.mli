@@ -29,13 +29,8 @@ val expr_and_adv : Xpe.t -> Adv.symbol array -> bool
     general form of the paper's recursive matching algorithms). *)
 val expr_and_rec_adv : Xpe.t -> Adv.t -> bool
 
-(** The paper's complete matching pipeline. *)
+(** The paper's complete matching pipeline: the SRT's overlap test. *)
 val overlaps_paper : Xpe.t -> Adv.t -> bool
 
-(** Exact automata-based overlap (ablation / oracle). *)
+(** Exact automata-based overlap (oracle). *)
 val overlaps_exact : Xpe.t -> Adv.t -> bool
-
-type engine = Paper | Exact
-
-(** [overlaps ?engine xpe adv] — defaults to the paper engine. *)
-val overlaps : ?engine:engine -> Xpe.t -> Adv.t -> bool

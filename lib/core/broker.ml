@@ -33,9 +33,6 @@ type strategy = {
   merging : merge_mode;
   adv_cover : bool;  (* advertisement covering in the SRT (extension) *)
   trail_routing : bool;  (* XTreeNet-style restricted re-matching *)
-  exact_engines : bool;  (* automata engines instead of the paper's *)
-  srt_index : bool;  (* root-element bucket index in the SRT *)
-  match_engine : Rtable.Prt.match_engine;  (* PRT publication matcher *)
 }
 
 let default_strategy =
@@ -45,9 +42,6 @@ let default_strategy =
     merging = No_merging;
     adv_cover = false;
     trail_routing = false;
-    exact_engines = false;
-    srt_index = true;
-    match_engine = Rtable.Prt.Nfa;
   }
 
 (* The six rows of Tables 2 and 3. *)
@@ -191,21 +185,16 @@ type t = {
 }
 
 let create ?(strategy = default_strategy) ~id ~neighbors () =
-  let covers =
-    if not strategy.use_cover then fun _ _ -> false
-    else if strategy.exact_engines then fun s1 s2 -> Cover.covers ~engine:Cover.Exact s1 s2
-    else fun s1 s2 -> Cover.covers s1 s2
-  in
+  let covers = if strategy.use_cover then Cover.covers else fun _ _ -> false in
   let flat = not strategy.use_cover in
-  let engine = if strategy.exact_engines then Adv_match.Exact else Adv_match.Paper in
   let metrics = M.create () in
   {
     id;
     strategy;
     covers;
     neighbors;
-    srt = Rtable.Srt.create ~use_cover:strategy.adv_cover ~engine ~indexed:strategy.srt_index ();
-    prt = Rtable.Prt.create ~flat ~covers ~engine:strategy.match_engine ();
+    srt = Rtable.Srt.create ~use_cover:strategy.adv_cover ();
+    prt = Rtable.Prt.create ~flat ~covers ();
     forwarded = Rtable.Prt.Id_map.empty;
     fwd_active = Hashtbl.create 64;
     mergers = [];
@@ -435,17 +424,14 @@ let handle_advertise t ~from id adv =
             if Rtable.endpoint_equal hop from then None
             else if List.exists (Rtable.endpoint_equal from) (forwarded_targets t sub_id) then
               None
-            else begin
-              let engine = if t.strategy.exact_engines then Adv_match.Exact else Adv_match.Paper in
-              if
-                Adv_match.overlaps ~engine xpe adv
-                && not (served_at t ~self_id:sub_id ~key xpe from)
-              then begin
-                ignore (record_forwarded t sub_id [ from ]);
-                Some (from, Message.Subscribe { id = sub_id; xpe })
-              end
-              else None
-            end)
+            else if
+              Adv_match.overlaps_paper xpe adv
+              && not (served_at t ~self_id:sub_id ~key xpe from)
+            then begin
+              ignore (record_forwarded t sub_id [ from ]);
+              Some (from, Message.Subscribe { id = sub_id; xpe })
+            end
+            else None)
           candidates
       end
     in
@@ -749,13 +735,12 @@ type audit_view = {
 }
 
 let audit_view t =
-  let engine = if t.strategy.exact_engines then Adv_match.Exact else Adv_match.Paper in
   let required_targets xpe =
     let raw =
       if t.strategy.use_adv then
         List.filter_map
           (fun (e : Rtable.Srt.entry) ->
-            if Adv_match.overlaps ~engine xpe e.adv then Some e.hop else None)
+            if Adv_match.overlaps_paper xpe e.adv then Some e.hop else None)
           (Rtable.Srt.entries t.srt)
       else neighbor_endpoints t
     in

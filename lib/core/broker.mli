@@ -12,13 +12,6 @@ type strategy = {
   merging : merge_mode;
   adv_cover : bool;  (** advertisement covering in the SRT (extension) *)
   trail_routing : bool;  (** XTreeNet-style restricted re-matching *)
-  exact_engines : bool;  (** automata engines instead of the paper's *)
-  srt_index : bool;
-      (** root-element bucket index in the SRT (identical decisions,
-          fewer match operations); off = flat list scan *)
-  match_engine : Rtable.Prt.match_engine;
-      (** PRT publication matcher: the shared-prefix NFA (default) or
-          the covering tree; identical decisions, gated differentially *)
 }
 
 (** Advertisements + covering, no merging. *)

@@ -177,8 +177,9 @@ let des_cov (s1 : Xpe.t) (s2 : Xpe.t) =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The paper's covering pipeline. *)
-let covers_paper (s1 : Xpe.t) (s2 : Xpe.t) =
+(* The paper's covering pipeline: the covering predicate of every
+   broker. *)
+let covers (s1 : Xpe.t) (s2 : Xpe.t) =
   if Xpe.equal s1 s2 then true
   else if Xpe.is_simple s1 && Xpe.is_simple s2 then begin
     if Xpe.is_relative s1 then rel_sim_cov s1 s2
@@ -187,25 +188,19 @@ let covers_paper (s1 : Xpe.t) (s2 : Xpe.t) =
   end
   else des_cov s1 s2
 
-(* Exact engine: automata containment at the name level, with predicate
-   handling layered on conservatively. Exact when neither side carries
-   predicates; when they do, the name-level containment is combined with
-   a positional predicate check only for same-shape XPEs, otherwise we
-   fall back to the paper rules. *)
+(* Exact covering, the oracle of the tests, the analyzer and the
+   merger check: automata containment at the name level. Exact when
+   [s1] carries no predicates; otherwise it falls back to the paper
+   rules. *)
 let covers_exact (s1 : Xpe.t) (s2 : Xpe.t) =
   if not (Xpe.has_predicates s1) then Xroute_automata.Lang.xpe_contains s1 s2
-  else covers_paper s1 s2
-
-type engine = Paper | Exact
-
-let covers ?(engine = Paper) s1 s2 =
-  match engine with Paper -> covers_paper s1 s2 | Exact -> covers_exact s1 s2
+  else covers s1 s2
 
 (* Covering between non-recursive advertisements reuses the subscription
    algorithm (Sec. 4.2 note): a non-recursive advertisement has the form
    of an absolute simple XPE, modulo full-length (not prefix) semantics,
    which makes equal length a requirement. Recursive advertisements use
-   the exact engine. *)
+   exact automata containment. *)
 let adv_covers (a1 : Adv.t) (a2 : Adv.t) =
   if Adv.is_recursive a1 || Adv.is_recursive a2 then Xroute_automata.Lang.adv_contains a1 a2
   else begin

@@ -1,7 +1,7 @@
 (** Covering detection between XPEs (Sec. 4.2): [covers s1 s2] soundly
     decides [P(s1) ⊇ P(s2)]. The paper's algorithms are deliberately
     incomplete in places (safe for routing: missed covering costs
-    compactness, never correctness); the [Exact] engine decides true
+    compactness, never correctness); {!covers_exact} decides true
     containment via the automata library. *)
 
 open Xroute_xpath
@@ -24,17 +24,13 @@ val rel_sim_cov : Xpe.t -> Xpe.t -> bool
     of [s1]'s segments with the wildcard-overhang special case. *)
 val des_cov : Xpe.t -> Xpe.t -> bool
 
-(** The paper's dispatching pipeline. *)
-val covers_paper : Xpe.t -> Xpe.t -> bool
+(** The paper's dispatching pipeline: the brokers' covering predicate. *)
+val covers : Xpe.t -> Xpe.t -> bool
 
-(** Automata-based containment (exact for predicate-free XPEs; falls
-    back to the paper rules otherwise). *)
+(** Automata-based containment (exact when [s1] is predicate-free;
+    falls back to {!covers} otherwise): the oracle of the tests, the
+    analyzer and the merger check. *)
 val covers_exact : Xpe.t -> Xpe.t -> bool
-
-type engine = Paper | Exact
-
-(** [covers ?engine s1 s2] — defaults to the paper engine. *)
-val covers : ?engine:engine -> Xpe.t -> Xpe.t -> bool
 
 (** Covering between advertisements: positional rules for non-recursive
     ones (same-length requirement — advertisements match full paths),

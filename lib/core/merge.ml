@@ -246,7 +246,7 @@ let candidates ?(enable_rule3 = true) xpes =
   Hashtbl.fold
     (fun _ (merged, set) acc ->
       let originals = Xpe_set.elements set in
-      if List.for_all (fun s -> Cover.covers ~engine:Cover.Exact merged s) originals then
+      if List.for_all (fun s -> Cover.covers_exact merged s) originals then
         (merged, originals) :: acc
       else acc)
     table []

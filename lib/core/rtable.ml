@@ -2,12 +2,15 @@
 
    The subscription routing table (SRT) stores <advertisement, last-hop>
    tuples: a subscription is forwarded to the last hops of the
-   advertisements it overlaps. The publication routing table (PRT)
-   stores <subscription, last-hop> tuples: a publication is forwarded to
-   the last hops of the subscriptions it matches. The PRT is a
-   {!Sub_tree}, so covering-based compaction and pruned matching come
-   from the data structure; disabling covering just plugs in a constant-
-   false covering predicate, degrading the tree to a flat list. *)
+   advertisements it overlaps, found through a root-element index. The
+   publication routing table (PRT) stores <subscription, last-hop>
+   tuples: a publication is forwarded to the last hops of the
+   subscriptions it matches, found by the shared-prefix NFA
+   ({!Yfilter}). The PRT also keeps a {!Sub_tree}, so covering-based
+   compaction comes from the data structure; disabling covering just
+   plugs in a constant-false covering predicate, degrading the tree to a
+   flat list. Each table has one lookup path; the reference matchers it
+   is checked against live in the tests and the bench. *)
 
 open Xroute_xpath
 module Symbol = Xroute_support.Symbol
@@ -36,10 +39,9 @@ module Srt = struct
      plus the ones whose root is a wildcard or a recursive group, which
      live in a catch-all bucket scanned on every lookup. Buckets keep
      entries newest-first; [seq] restores the global newest-first scan
-     order when a lookup spans several buckets, so the indexed table is
-     observationally identical to the flat list it replaces (the
-     [indexed = false] mode keeps the flat scan alive for differential
-     tests and benchmarks). *)
+     order when a lookup spans several buckets, so the table is
+     observationally identical to a flat newest-first list scan (the
+     full-scan oracle the tests and the bench compare it against). *)
   type t = {
     (* Keyed by the interned root element: bucket routing never hashes
        or compares a string. *)
@@ -48,9 +50,7 @@ module Srt = struct
     by_id : (Message.sub_id, entry) Hashtbl.t;
     mutable count : int;
     mutable next_seq : int;
-    indexed : bool;
     use_cover : bool; (* advertisement covering (extension) *)
-    engine : Adv_match.engine;
     (* The paper's linear-scan cost model: every candidate entry of a
        lookup is charged, whether or not its overlap test runs. [Net]
        bills [Broker.work] as virtual time, so this count must not
@@ -67,16 +67,14 @@ module Srt = struct
     hops_cache : (string, endpoint list * int) Hashtbl.t;
   }
 
-  let create ?(use_cover = false) ?(engine = Adv_match.Paper) ?(indexed = true) () =
+  let create ?(use_cover = false) () =
     {
       buckets = Hashtbl.create 64;
       catch_all = [];
       by_id = Hashtbl.create 64;
       count = 0;
       next_seq = 0;
-      indexed;
       use_cover;
-      engine;
       match_ops = 0;
       overlap_tests = 0;
       hops_cache = Hashtbl.create 64;
@@ -85,17 +83,14 @@ module Srt = struct
   let size t = t.count
   let match_ops t = t.match_ops
   let overlap_tests t = t.overlap_tests
-  let indexed t = t.indexed
 
   (* Root element of an advertisement, or [None] for the catch-all
      bucket (wildcard or recursive group at the root). *)
-  let bucket_key t adv =
-    if not t.indexed then None
-    else
-      match Adv.parts adv with
-      | Adv.Lit arr :: _ when Array.length arr > 0 -> (
-        match arr.(0) with Xpe.Name n -> Some n | Xpe.Star -> None)
-      | _ -> None
+  let bucket_key adv =
+    match Adv.parts adv with
+    | Adv.Lit arr :: _ when Array.length arr > 0 -> (
+      match arr.(0) with Xpe.Name n -> Some n | Xpe.Star -> None)
+    | _ -> None
 
   let bucket t n = Option.value ~default:[] (Hashtbl.find_opt t.buckets n)
 
@@ -106,7 +101,7 @@ module Srt = struct
     | x :: xs, y :: ys ->
       if x.seq > y.seq then x :: merge_desc xs b else y :: merge_desc a ys
 
-  (* Every entry, newest first — the flat list's scan order. *)
+  (* Every entry, newest first — the full scan's order. *)
   let all_entries t =
     if Hashtbl.length t.buckets = 0 then t.catch_all
     else
@@ -130,7 +125,7 @@ module Srt = struct
   let add t id adv hop =
     if mem t id then `Duplicate
     else begin
-      let key = bucket_key t adv in
+      let key = bucket_key adv in
       let coverer =
         if not t.use_cover then None
         else
@@ -164,7 +159,7 @@ module Srt = struct
       Hashtbl.remove t.by_id id;
       t.count <- t.count - 1;
       let drop es = List.filter (fun e -> e.seq <> entry.seq) es in
-      (match bucket_key t entry.adv with
+      (match bucket_key entry.adv with
       | Some n -> (
         match drop (bucket t n) with
         | [] -> Hashtbl.remove t.buckets n
@@ -184,11 +179,9 @@ module Srt = struct
   (* Entries a lookup walks, each charged to [match_ops] — which is how
      the bench shows the scans the index avoids. *)
   let scan_candidates t xpe =
-    if not t.indexed then t.catch_all
-    else
-      match sub_root xpe with
-      | Some n -> candidates_for_root t n
-      | None -> all_entries t
+    match sub_root xpe with
+    | Some n -> candidates_for_root t n
+    | None -> all_entries t
 
   (* Neighbor last hops of the advertisements overlapping the
      subscription, first occurrence in newest-first scan order. The
@@ -212,7 +205,7 @@ module Srt = struct
             | Neighbor _ when List.exists (endpoint_equal e.hop) acc -> acc
             | Neighbor _ ->
               t.overlap_tests <- t.overlap_tests + 1;
-              if Adv_match.overlaps ~engine:t.engine xpe e.adv then e.hop :: acc else acc)
+              if Adv_match.overlaps_paper xpe e.adv then e.hop :: acc else acc)
           [] candidates
         |> List.rev
       in
@@ -274,7 +267,7 @@ module Srt = struct
         check_order (Printf.sprintf "bucket %S" (Symbol.name name)) es;
         List.iter
           (fun e ->
-            match bucket_key t e.adv with
+            match bucket_key e.adv with
             | Some k when Symbol.equal k name -> ()
             | Some k ->
               add "SRT entry (%d,%d) filed under %S, belongs in %S" e.id.origin e.id.seq
@@ -287,14 +280,12 @@ module Srt = struct
     check_order "catch-all" t.catch_all;
     List.iter
       (fun e ->
-        match bucket_key t e.adv with
+        match bucket_key e.adv with
         | None -> ()
         | Some k ->
           add "SRT entry (%d,%d) in the catch-all, belongs in bucket %S" e.id.origin
             e.id.seq (Symbol.name k))
       t.catch_all;
-    if (not t.indexed) && Hashtbl.length t.buckets > 0 then
-      add "flat SRT has %d root-element buckets" (Hashtbl.length t.buckets);
     List.rev !problems
 end
 
@@ -305,15 +296,6 @@ end
 module Prt = struct
   type payload = { id : Message.sub_id; hop : endpoint }
 
-  type match_engine = Tree | Nfa
-
-  let match_engine_to_string = function Tree -> "tree" | Nfa -> "nfa"
-
-  let match_engine_of_string = function
-    | "tree" -> Some Tree
-    | "nfa" -> Some Nfa
-    | _ -> None
-
   module Id_map = Map.Make (struct
     type t = Message.sub_id
 
@@ -321,40 +303,35 @@ module Prt = struct
   end)
 
   type t = {
+    (* The covering tree: answers covering queries and trail matching. *)
     tree : payload Sub_tree.t;
-    (* The YFilter automaton over the same subscription set. Entries
-       carry an insertion sequence number so NFA match results can be
-       reported in a deterministic (insertion) order, independent of
-       hash-table iteration. Both structures hold the same physical
-       payload records, so removal can select by physical equality and
-       the audit can cross-check them. The automaton is maintained under
-       both engines: switching engines is O(1) and the integrity audit
-       always has both sides to compare. *)
+    (* The YFilter automaton over the same subscription set: it answers
+       publication matching, at a per-publication cost that grows with
+       its branching into the publication, not with the table size.
+       Entries carry an insertion sequence number so match results come
+       in a deterministic (insertion) order, independent of hash-table
+       iteration. Both structures hold the same physical payload
+       records, so removal can select by physical equality and the
+       audit can cross-check them. *)
     nfa : (int * payload) Yfilter.t;
     mutable nfa_seq : int;
-    engine : match_engine;
     mutable by_id : (payload Sub_tree.node * payload) Id_map.t;
+    (* Node tests run by trail matching ([match_pub_from]). *)
+    mutable trail_checks : int;
   }
 
-  (* The NFA is the primary engine: per-publication cost grows with the
-     automaton's branching into the publication, not with the table
-     size. [~engine:Tree] is the opt-out for differential testing,
-     exactly as [Srt.create ~indexed:false] opts out of the bucket
-     index. *)
-  let create ?flat ?covers ?(engine = Nfa) () =
+  let create ?flat ?covers () =
     {
       tree = Sub_tree.create ?flat ?covers ();
       nfa = Yfilter.create ();
       nfa_seq = 0;
-      engine;
       by_id = Id_map.empty;
+      trail_checks = 0;
     }
 
   let size t = Sub_tree.size t.tree
   let tree t = t.tree
-  let engine t = t.engine
   let nfa_states t = Yfilter.state_count t.nfa
-  let nfa_match_ops t = Yfilter.match_ops t.nfa
   let mem t id = Id_map.mem id t.by_id
   let find t id = Id_map.find_opt id t.by_id
 
@@ -389,27 +366,30 @@ module Prt = struct
       t.by_id <- Id_map.remove id t.by_id;
       Some (payload, node)
 
-  (* Publication matching: endpoints of matching subscriptions. Both
-     engines return the same payload set (gated by the differential
-     harness); the NFA reports in insertion order, the tree in covering
-     DFS order. *)
+  (* Publication matching: payloads of the matching subscriptions, in
+     insertion order. *)
   let match_pub t (pub : Xroute_xml.Xml_paths.publication) =
-    match t.engine with
-    | Tree -> Sub_tree.match_syms t.tree pub.syms pub.attrs
-    | Nfa ->
-      Yfilter.match_syms t.nfa pub.syms pub.attrs
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-      |> List.map snd
+    Yfilter.match_syms t.nfa pub.syms pub.attrs
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map snd
 
   (* Matching restricted to the subtrees of the given subscription ids
      (trail routing): sound because a publication failing a node cannot
-     match anything the node covers. *)
+     match anything the node covers. A trail may name a node and one of
+     its descendants; each node is tested, and its payloads reported,
+     once. Every test is charged to [match_checks]. *)
   let match_pub_from t ids (pub : Xroute_xml.Xml_paths.publication) =
     let acc = ref [] in
+    let visited = Hashtbl.create 16 in
     let rec go node =
-      if Xpe_eval.matches_syms (Sub_tree.node_xpe node) pub.syms pub.attrs then begin
-        acc := List.rev_append (Sub_tree.node_payloads node) !acc;
-        List.iter go (Sub_tree.node_children node)
+      let key = Sub_tree.node_key node in
+      if not (Hashtbl.mem visited key) then begin
+        Hashtbl.add visited key ();
+        t.trail_checks <- t.trail_checks + 1;
+        if Xpe_eval.matches_syms (Sub_tree.node_xpe node) pub.syms pub.attrs then begin
+          acc := List.rev_append (Sub_tree.node_payloads node) !acc;
+          List.iter go (Sub_tree.node_children node)
+        end
       end
     in
     List.iter
@@ -417,7 +397,7 @@ module Prt = struct
       ids;
     List.rev !acc
 
-  let match_checks t = Sub_tree.match_checks t.tree + Yfilter.match_ops t.nfa
+  let match_checks t = Yfilter.match_ops t.nfa + t.trail_checks
   let cover_checks t = Sub_tree.cover_checks t.tree
 
   (* Total stored payloads ([size] counts distinct XPEs). *)

@@ -1,7 +1,8 @@
 (** Routing tables of a content-based XML router (Sec. 2.1): the
-    subscription routing table (SRT) maps advertisements to last hops;
-    the publication routing table (PRT) maps subscriptions to last hops
-    and is backed by the covering {!Sub_tree}. *)
+    subscription routing table (SRT) maps advertisements to last hops,
+    looked up through a root-element index; the publication routing
+    table (PRT) maps subscriptions to last hops, matched by the
+    shared-prefix NFA and compacted by the covering {!Sub_tree}. *)
 
 open Xroute_xpath
 
@@ -21,14 +22,13 @@ module Srt : sig
 
   type t
 
-  (** [create ~use_cover ~engine ~indexed ()] — [use_cover] enables
-      advertisement covering (same-hop covered advertisements are
-      suppressed). [indexed] (default) buckets entries by the
-      advertisement's root element so a rooted subscription only scans
-      its own bucket plus the wildcard/recursive catch-all;
-      [~indexed:false] keeps the flat list scan, for differential tests
-      and benchmarks. Both modes produce identical routing decisions. *)
-  val create : ?use_cover:bool -> ?engine:Adv_match.engine -> ?indexed:bool -> unit -> t
+  (** [create ~use_cover ()] — [use_cover] enables advertisement
+      covering (same-hop covered advertisements are suppressed). Entries
+      are bucketed by the advertisement's root element, so a rooted
+      subscription only scans its own bucket plus the wildcard/recursive
+      catch-all; the routing decisions are those of a full newest-first
+      scan with {!Adv_match.overlaps_paper}. *)
+  val create : ?use_cover:bool -> unit -> t
 
   val size : t -> int
 
@@ -44,18 +44,15 @@ module Srt : sig
       it has already answered. *)
   val overlap_tests : t -> int
 
-  val indexed : t -> bool
-
-  (** All entries, newest first (the scan order of the flat mode). *)
+  (** All entries, newest first (the order of a full scan). *)
   val entries : t -> entry list
 
   val mem : t -> Message.sub_id -> bool
 
-  (** Number of non-empty root-element buckets (0 in flat mode). *)
+  (** Number of non-empty root-element buckets. *)
   val bucket_count : t -> int
 
-  (** Entries in the always-scanned wildcard/recursive catch-all bucket
-      (in flat mode: every entry). *)
+  (** Entries in the always-scanned wildcard/recursive catch-all bucket. *)
   val catch_all_size : t -> int
 
   (** Occupancy of the fullest root-element bucket. *)
@@ -94,34 +91,22 @@ end
 module Prt : sig
   type payload = { id : Message.sub_id; hop : endpoint }
 
-  (** Which structure answers {!match_pub}: the covering tree (pruned
-      DFS, the paper engine) or the shared-prefix NFA ({!Yfilter},
-      per-publication cost independent of table size). Both are
-      maintained at all times; decisions are gated to be identical. *)
-  type match_engine = Tree | Nfa
-
-  val match_engine_to_string : match_engine -> string
-  val match_engine_of_string : string -> match_engine option
-
   module Id_map : Map.S with type key = Message.sub_id
 
   type t
 
-  (** [engine] selects the matching structure; the NFA is the default
-      (primary) engine, [~engine:Tree] is the differential-testing
-      opt-out. *)
-  val create :
-    ?flat:bool -> ?covers:(Xpe.t -> Xpe.t -> bool) -> ?engine:match_engine -> unit -> t
+  (** [covers] is the covering predicate of the {!Sub_tree};
+      [~flat:true] stores no covering relations. *)
+  val create : ?flat:bool -> ?covers:(Xpe.t -> Xpe.t -> bool) -> unit -> t
 
   val size : t -> int
+
+  (** The covering tree over the stored subscriptions. *)
   val tree : t -> payload Sub_tree.t
-  val engine : t -> match_engine
 
   (** Live automaton states (walked, see {!Yfilter.state_count}). *)
   val nfa_states : t -> int
 
-  (** Cumulative automaton matching work (see {!Yfilter.match_ops}). *)
-  val nfa_match_ops : t -> int
   val mem : t -> Message.sub_id -> bool
   val find : t -> Message.sub_id -> (payload Sub_tree.node * payload) option
 
@@ -141,13 +126,18 @@ module Prt : sig
       promoted to its parent). *)
   val remove : t -> Message.sub_id -> (payload * payload Sub_tree.node) option
 
-  (** Payloads of subscriptions matching a publication. *)
+  (** Payloads of subscriptions matching a publication, in insertion
+      order: the NFA's answer. *)
   val match_pub : t -> Xroute_xml.Xml_paths.publication -> payload list
 
   (** Matching restricted to the subtrees of the given ids (trail
-      routing); sound by the covering-pruning argument. *)
+      routing); sound by the covering-pruning argument. Each tree node
+      is tested at most once per call, so a payload is reported once
+      even when the trail names a node and one of its descendants. *)
   val match_pub_from : t -> Message.sub_id list -> Xroute_xml.Xml_paths.publication -> payload list
 
+  (** Publication matching work so far: the NFA's {!Yfilter.match_ops}
+      plus one per node tested by {!match_pub_from}. *)
   val match_checks : t -> int
   val cover_checks : t -> int
 

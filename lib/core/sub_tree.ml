@@ -19,8 +19,9 @@
      match, so its subtree is skipped. This pruning is where
      covering-based routing gains its publication routing time.
 
-   The covering predicate is injected at creation, so the tree runs on
-   either the paper engine or the exact automata engine. *)
+   The covering predicate is injected at creation: brokers use the
+   paper's rules ({!Cover.covers}), the ablations and tests may plug in
+   exact containment. *)
 
 open Xroute_xpath
 module Symbol = Xroute_support.Symbol

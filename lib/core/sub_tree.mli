@@ -10,7 +10,7 @@ type 'a node
 type 'a t
 
 (** [create ~covers ()] builds an empty tree using the given covering
-    predicate (defaults to the paper engine {!Cover.covers}). With
+    predicate (defaults to the paper's rules, {!Cover.covers}). With
     [~flat:true] the tree degenerates to the no-covering baseline: O(1)
     insertion under the root, no covering relations reported. *)
 val create : ?flat:bool -> ?covers:(Xpe.t -> Xpe.t -> bool) -> unit -> 'a t

@@ -4,9 +4,9 @@
    with YFilter (Diao et al.), the classic NFA-based XML filter: all
    XPEs are compiled into one automaton sharing common prefixes, and a
    publication is matched by simulating the automaton once, regardless
-   of how many subscriptions are stored. Since PR 6 this is the primary
-   match engine behind [Rtable.Prt] (gated by the differential harness),
-   not just a baseline.
+   of how many subscriptions are stored. This is the publication matcher
+   of [Rtable.Prt] (gated by the differential harness against direct
+   evaluation and the covering tree), not just a baseline.
 
    Because publications here are root-to-leaf paths, the automaton is a
    trie of location steps: child-axis edges consume exactly the next

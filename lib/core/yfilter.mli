@@ -1,9 +1,9 @@
 (** YFilter-style shared-prefix NFA index over a subscription set: all
     XPEs compile into one automaton; a publication is matched by one
     simulation pass, independently of the number of stored
-    subscriptions. Promoted from comparison baseline to the primary
-    match engine behind [Rtable.Prt] (selectable; decisions are gated to
-    stay byte-identical to the flat list). Edges are hash lookups on
+    subscriptions. This is the publication matcher of [Rtable.Prt]; its
+    decisions are gated to stay byte-identical to the flat list and the
+    covering tree, the references of the tests and the bench. Edges are hash lookups on
     interned names, and removal prunes eagerly, so the automaton always
     has exactly the states a fresh build would allocate. *)
 

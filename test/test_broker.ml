@@ -253,6 +253,26 @@ let test_pub_trail_routing () =
   in
   check ci "delivered via trail" 1 (count_kind `Pub outs2)
 
+(* A trail naming a node and its descendant: the trailed matching is
+   charged to the broker's work, and each matched subscription goes on
+   the outgoing trail once. *)
+let test_pub_trail_overlap_charged_once () =
+  let strategy = { Broker.default_strategy with Broker.trail_routing = true } in
+  let b = make_broker ~strategy ~id:0 ~neighbors:[ 1; 2 ] () in
+  ignore (Broker.handle b ~from:(neighbor 2) (Message.Subscribe { id = sid 5 1; xpe = xp "/a" }));
+  ignore (Broker.handle b ~from:(neighbor 2) (Message.Subscribe { id = sid 5 2; xpe = xp "/a/b" }));
+  let w0 = Broker.work b in
+  let outs =
+    Broker.handle b ~from:(neighbor 1)
+      (Message.Publish { pub = pub "/a/b"; trail = [ sid 5 1; sid 5 2 ]; ctx = None })
+  in
+  check cb "trail matching charged" true (Broker.work b - w0 > 0);
+  match outs with
+  | [ (ep, Message.Publish { trail; _ }) ] ->
+    check cb "to neighbor 2" true (Rtable.endpoint_equal ep (neighbor 2));
+    check ci "one trail id per subscription" 2 (List.length trail)
+  | _ -> Alcotest.fail "expected one publish with trail"
+
 (* ---------------- Broker: merging ---------------- *)
 
 let test_merge_pass_emits () =
@@ -324,6 +344,8 @@ let () =
           Alcotest.test_case "not backwards" `Quick test_pub_not_backwards;
           Alcotest.test_case "dropped counted" `Quick test_pub_dropped_counted;
           Alcotest.test_case "trail routing" `Quick test_pub_trail_routing;
+          Alcotest.test_case "overlapping trail charged once" `Quick
+            test_pub_trail_overlap_charged_once;
         ] );
       ( "merging",
         [

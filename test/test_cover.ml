@@ -78,7 +78,7 @@ let test_predicate_covering () =
 (* ---------------- Exact engine ---------------- *)
 
 let test_exact_engine () =
-  let ce a b = Cover.covers ~engine:Cover.Exact (xp a) (xp b) in
+  let ce a b = Cover.covers_exact (xp a) (xp b) in
   (* Exact engine finds relations the paper rules miss. *)
   check cb "absolute star covers relative" true (ce "/*" "d/a");
   check cb "paper misses it" false (covers "/*" "d/a");
@@ -141,7 +141,7 @@ let test_exact_covering_complete_random () =
   let prng = Xroute_support.Prng.create 1833 in
   for _ = 1 to 1500 do
     let s1 = random_xpe prng and s2 = random_xpe prng in
-    let exact = Cover.covers ~engine:Cover.Exact s1 s2 in
+    let exact = Cover.covers_exact s1 s2 in
     let oracle = Xroute_automata.Lang.xpe_contains s1 s2 in
     if exact <> oracle then
       Alcotest.failf "exact engine differs from oracle: %s vs %s (%b/%b)" (Xpe.to_string s1)
@@ -154,9 +154,9 @@ let test_covering_transitive_random () =
   for _ = 1 to 2000 do
     let a = random_xpe prng and b = random_xpe prng and c = random_xpe prng in
     if
-      Cover.covers ~engine:Cover.Exact a b
-      && Cover.covers ~engine:Cover.Exact b c
-      && not (Cover.covers ~engine:Cover.Exact a c)
+      Cover.covers_exact a b
+      && Cover.covers_exact b c
+      && not (Cover.covers_exact a c)
     then
       Alcotest.failf "containment not transitive: %s %s %s" (Xpe.to_string a) (Xpe.to_string b)
         (Xpe.to_string c)
@@ -198,7 +198,7 @@ let test_paper_exact_disagreements () =
         (Xroute_automata.Lang.xpe_contains a b);
       check cb
         (Printf.sprintf "paper stays incomplete on %s vs %s" s1 s2)
-        false (Cover.covers_paper a b))
+        false (Cover.covers a b))
     disagreement_corpus
 
 let () =

@@ -1,9 +1,10 @@
-(* Differential testing of the three matching engines on seeded
-   workloads: the direct XPE evaluator (Xpe_eval), the covering-tree
-   publication routing table (Rtable.Prt / Sub_tree) and the YFilter
-   NFA index must agree on the matched subscription set for every
-   publication. Any disagreement is shrunk to a minimal (XPE, path)
-   pair and printed before failing. *)
+(* Differential testing of the matchers on seeded workloads: the
+   publication routing table (Rtable.Prt, whose answer is its YFilter
+   NFA), the raw YFilter index and the PRT's covering tree (Sub_tree,
+   the paper's matcher) must each agree with direct XPE evaluation
+   (Xpe_eval) on the matched subscription set for every publication.
+   Any disagreement is shrunk to a minimal (XPE, path) pair and printed
+   before failing. *)
 
 open Xroute_core
 open Xroute_xpath
@@ -21,8 +22,8 @@ let direct_matches xpes (pub : Xroute_xml.Xml_paths.publication) =
 let sort_uniq is = List.sort_uniq compare is
 
 (* Index a population: subscription [i] becomes id [{origin = 1; seq = i}]. *)
-let build_prt ?flat ?engine xpes =
-  let prt = Rtable.Prt.create ?flat ?engine () in
+let build_prt ?flat xpes =
+  let prt = Rtable.Prt.create ?flat () in
   List.iteri
     (fun i x -> ignore (Rtable.Prt.insert prt { Message.origin = 1; seq = i } x (Rtable.Client 0)))
     xpes;
@@ -33,10 +34,13 @@ let build_yfilter xpes =
   List.iteri (fun i x -> Yfilter.insert yf x i) xpes;
   yf
 
-let prt_matches prt (pub : Xroute_xml.Xml_paths.publication) =
-  Rtable.Prt.match_pub prt pub
-  |> List.map (fun (p : Rtable.Prt.payload) -> p.id.Message.seq)
-  |> sort_uniq
+let seqs payloads = List.map (fun (p : Rtable.Prt.payload) -> p.id.Message.seq) payloads |> sort_uniq
+
+let prt_matches prt (pub : Xroute_xml.Xml_paths.publication) = seqs (Rtable.Prt.match_pub prt pub)
+
+(* The PRT's covering tree, matched directly (pruned DFS). *)
+let tree_matches prt (pub : Xroute_xml.Xml_paths.publication) =
+  seqs (Sub_tree.match_syms (Rtable.Prt.tree prt) pub.syms pub.attrs)
 
 let yf_matches yf (pub : Xroute_xml.Xml_paths.publication) =
   Yfilter.match_path yf pub.steps pub.attrs |> sort_uniq
@@ -74,8 +78,8 @@ let prt_single xpe steps attrs =
   <> []
 
 let prt_tree_single xpe steps attrs =
-  let prt = build_prt ~engine:Rtable.Prt.Tree [ xpe ] in
-  Rtable.Prt.match_pub prt
+  let prt = build_prt [ xpe ] in
+  tree_matches prt
     (Xroute_xml.Xml_paths.make ~doc_id:0 ~path_id:0 ~steps ~attrs ~doc_size:0 ~path_count:1)
   <> []
 
@@ -103,17 +107,16 @@ let run_round ~name ~dtd ~params ~xpe_count ~xpe_seed ~doc_count ~doc_seed () =
   let xpes = Xroute_workload.Workload.xpes ~params ~count:xpe_count ~seed:xpe_seed () in
   let docs = Xroute_workload.Workload.documents ~dtd ~count:doc_count ~seed:doc_seed () in
   let pubs = Xroute_workload.Workload.publications_of_documents docs in
-  (* NFA engine (the default), the covering-tree opt-out, and the raw
-     automaton: each must agree with direct evaluation *)
+  (* the PRT, its covering tree and the raw automaton: each must agree
+     with direct evaluation *)
   let prt = build_prt xpes in
-  let prt_tree = build_prt ~engine:Rtable.Prt.Tree xpes in
   let yf = build_yfilter xpes in
   let mismatches = ref 0 in
   List.iter
     (fun pub ->
       let expect = sort_uniq (direct_matches xpes pub) in
       let from_prt = prt_matches prt pub in
-      let from_tree = prt_matches prt_tree pub in
+      let from_tree = tree_matches prt pub in
       let from_yf = yf_matches yf pub in
       if from_prt <> expect then
         mismatches :=
@@ -162,41 +165,34 @@ let test_flat_prt_agrees () =
   let xpes = Xroute_workload.Workload.xpes ~params ~count:40 ~seed:51 () in
   let docs = Xroute_workload.Workload.documents ~dtd:psd ~count:5 ~seed:52 () in
   let pubs = Xroute_workload.Workload.publications_of_documents docs in
-  let tree = build_prt ~engine:Rtable.Prt.Tree xpes in
-  let flat = build_prt ~flat:true ~engine:Rtable.Prt.Tree xpes in
-  let nfa = build_prt ~engine:Rtable.Prt.Nfa xpes in
-  let flat_nfa = build_prt ~flat:true ~engine:Rtable.Prt.Nfa xpes in
+  let prt = build_prt xpes in
+  let flat = build_prt ~flat:true xpes in
   List.iter
     (fun pub ->
-      let expect = prt_matches flat pub in
-      check Alcotest.(list int) "flat and covering PRT agree" expect (prt_matches tree pub);
-      check Alcotest.(list int) "NFA engine agrees" expect (prt_matches nfa pub);
-      check Alcotest.(list int) "flat NFA engine agrees" expect (prt_matches flat_nfa pub))
+      let expect = tree_matches flat pub in
+      check Alcotest.(list int) "flat and covering tree agree" expect (tree_matches prt pub);
+      check Alcotest.(list int) "NFA agrees" expect (prt_matches prt pub);
+      check Alcotest.(list int) "flat PRT's NFA agrees" expect (prt_matches flat pub))
     pubs
 
-(* Engine switching under churn: insert, remove a random half, insert
-   more — the NFA and tree engines must agree decision-for-decision,
+(* Churn: insert, then remove every other subscription — the NFA and
+   the covering tree of the same PRT must agree decision-for-decision,
    and the automaton must shrink back when subscriptions go. *)
 let test_nfa_engine_after_churn () =
   let params = Xroute_workload.Workload.set_a_params psd in
   let xpes = Xroute_workload.Workload.xpes ~params ~count:60 ~seed:61 () in
   let docs = Xroute_workload.Workload.documents ~dtd:psd ~count:5 ~seed:62 () in
   let pubs = Xroute_workload.Workload.publications_of_documents docs in
-  let nfa = Rtable.Prt.create ~engine:Rtable.Prt.Nfa () in
-  let tree = Rtable.Prt.create ~engine:Rtable.Prt.Tree () in
+  let nfa = Rtable.Prt.create () in
   let insert prt i x =
     ignore (Rtable.Prt.insert prt { Message.origin = 1; seq = i } x (Rtable.Client 0))
   in
   let survivors = List.filteri (fun i _ -> i mod 2 = 0) xpes in
-  let fresh = Rtable.Prt.create ~engine:Rtable.Prt.Nfa () in
+  let fresh = Rtable.Prt.create () in
   List.iteri (fun i x -> insert fresh (2 * i) x) survivors;
-  List.iteri (fun i x -> insert nfa i x; insert tree i x) xpes;
+  List.iteri (fun i x -> insert nfa i x) xpes;
   List.iteri
-    (fun i _ ->
-      if i mod 2 = 1 then begin
-        ignore (Rtable.Prt.remove nfa { Message.origin = 1; seq = i });
-        ignore (Rtable.Prt.remove tree { Message.origin = 1; seq = i })
-      end)
+    (fun i _ -> if i mod 2 = 1 then ignore (Rtable.Prt.remove nfa { Message.origin = 1; seq = i }))
     xpes;
   (* removal shrank the automaton to exactly the fresh-build size *)
   check Alcotest.int "automaton shrank to fresh-build size"
@@ -206,7 +202,7 @@ let test_nfa_engine_after_churn () =
     (fun pub ->
       check
         Alcotest.(list int)
-        "NFA and tree engines agree after churn" (prt_matches tree pub)
+        "NFA and covering tree agree after churn" (tree_matches nfa pub)
         (prt_matches nfa pub))
     pubs
 

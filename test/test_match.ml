@@ -170,10 +170,6 @@ let test_paper_engine_equals_oracle () =
         (Adv.to_string adv) paper exact
   done
 
-let test_overlaps_dispatcher () =
-  check cb "default engine" true (Adv_match.overlaps (xp "/a") (ad "/a/b"));
-  check cb "exact engine" true (Adv_match.overlaps ~engine:Adv_match.Exact (xp "/a") (ad "/a/b"))
-
 let test_length_precondition () =
   (* Publications have exactly the advertisement's length, so a longer
      XPE can never match (Sec. 3.2 observation). *)
@@ -211,7 +207,6 @@ let () =
       ( "engines",
         [
           Alcotest.test_case "paper = oracle (random)" `Slow test_paper_engine_equals_oracle;
-          Alcotest.test_case "dispatcher" `Quick test_overlaps_dispatcher;
           Alcotest.test_case "length precondition" `Quick test_length_precondition;
         ] );
     ]

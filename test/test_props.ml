@@ -124,7 +124,7 @@ let prop_cover_sound =
 (* Exact covering agrees with the oracle both ways. *)
 let prop_cover_exact_complete =
   QCheck.Test.make ~name:"exact covering = oracle" ~count:1000 arb_xpe_pair (fun (s1, s2) ->
-      Xroute_core.Cover.covers ~engine:Xroute_core.Cover.Exact s1 s2
+      Xroute_core.Cover.covers_exact s1 s2
       = Xroute_automata.Lang.xpe_contains s1 s2)
 
 (* Covering is semantically a containment: a covered XPE's matches are a

@@ -43,25 +43,17 @@ let test_srt_ids_from () =
 
 let test_srt_match_ops_counted () =
   (* match_ops charges one op per entry actually scanned: the root
-     index narrows a rooted subscription to its own bucket, while the
-     flat table pays for every entry. *)
+     index narrows a rooted subscription to its own bucket, while an
+     unanchored one pays for every entry. *)
   let srt = Rtable.Srt.create () in
   ignore (Rtable.Srt.add srt (sid 1 1) (ad "/a") (n 1));
   ignore (Rtable.Srt.add srt (sid 1 2) (ad "/b") (n 2));
   let before = Rtable.Srt.match_ops srt in
   ignore (Rtable.Srt.hops_for_sub srt (xp "/a"));
-  check ci "indexed: only the /a bucket scanned" 1 (Rtable.Srt.match_ops srt - before);
-  let flat = Rtable.Srt.create ~indexed:false () in
-  ignore (Rtable.Srt.add flat (sid 1 1) (ad "/a") (n 1));
-  ignore (Rtable.Srt.add flat (sid 1 2) (ad "/b") (n 2));
-  let before = Rtable.Srt.match_ops flat in
-  ignore (Rtable.Srt.hops_for_sub flat (xp "/a"));
-  check ci "flat: one op per entry" 2 (Rtable.Srt.match_ops flat - before)
-
-let test_srt_exact_engine () =
-  let srt = Rtable.Srt.create ~engine:Adv_match.Exact () in
-  ignore (Rtable.Srt.add srt (sid 1 1) (ad "/a/b") (n 1));
-  check ci "exact engine works" 1 (List.length (Rtable.Srt.hops_for_sub srt (xp "//b")))
+  check ci "rooted: only the /a bucket scanned" 1 (Rtable.Srt.match_ops srt - before);
+  let before = Rtable.Srt.match_ops srt in
+  ignore (Rtable.Srt.hops_for_sub srt (xp "//a"));
+  check ci "unanchored: one op per entry" 2 (Rtable.Srt.match_ops srt - before)
 
 let test_srt_remove_missing () =
   let srt = Rtable.Srt.create () in
@@ -80,23 +72,18 @@ let test_srt_hops_first_occurrence_order () =
   ignore (Rtable.Srt.add srt (sid 1 3) (ad "/a/d") (n 1));
   check (Alcotest.list ep) "newest-first, dedup keeps first" [ n 1; n 2 ]
     (Rtable.Srt.hops_for_sub srt (xp "/a"));
-  (* same table built without the index scans in the same order *)
-  let flat = Rtable.Srt.create ~indexed:false () in
-  ignore (Rtable.Srt.add flat (sid 1 1) (ad "/a/b") (n 1));
-  ignore (Rtable.Srt.add flat (sid 1 2) (ad "/a/c") (n 2));
-  ignore (Rtable.Srt.add flat (sid 1 3) (ad "/a/d") (n 1));
-  check (Alcotest.list ep) "flat mode identical" [ n 1; n 2 ]
-    (Rtable.Srt.hops_for_sub flat (xp "/a"))
+  (* an unanchored lookup spans every bucket in the same order *)
+  check (Alcotest.list ep) "unanchored lookup identical" [ n 1; n 2 ]
+    (Rtable.Srt.hops_for_sub srt (xp "//a"))
 
 (* The root-element index partitions advertisements by first symbol;
    a rooted subscription only pays for its own bucket plus the
    catch-all (star / recursive-rooted advertisements). *)
-let test_srt_index_skips_foreign_buckets () =
+let test_srt_skips_foreign_buckets () =
   let srt = Rtable.Srt.create () in
   ignore (Rtable.Srt.add srt (sid 1 1) (ad "/a/b") (n 1));
   ignore (Rtable.Srt.add srt (sid 1 2) (ad "/b/c") (n 2));
   ignore (Rtable.Srt.add srt (sid 1 3) (ad "/*/c") (n 3));
-  check cb "indexed" true (Rtable.Srt.indexed srt);
   check ci "buckets" 2 (Rtable.Srt.bucket_count srt);
   check ci "catch-all holds star root" 1 (Rtable.Srt.catch_all_size srt);
   check ci "max bucket" 1 (Rtable.Srt.max_bucket_size srt);
@@ -105,84 +92,7 @@ let test_srt_index_skips_foreign_buckets () =
   check ci "rooted sub skips /b bucket" 2 (Rtable.Srt.match_ops srt - before);
   let before = Rtable.Srt.match_ops srt in
   ignore (Rtable.Srt.hops_for_sub srt (xp "//c"));
-  check ci "desc-first sub scans everything" 3 (Rtable.Srt.match_ops srt - before);
-  (* flat mode charges every entry every time *)
-  let flat = Rtable.Srt.create ~indexed:false () in
-  ignore (Rtable.Srt.add flat (sid 1 1) (ad "/a/b") (n 1));
-  ignore (Rtable.Srt.add flat (sid 1 2) (ad "/b/c") (n 2));
-  ignore (Rtable.Srt.add flat (sid 1 3) (ad "/*/c") (n 3));
-  check ci "flat: no buckets" 0 (Rtable.Srt.bucket_count flat);
-  let before = Rtable.Srt.match_ops flat in
-  ignore (Rtable.Srt.hops_for_sub flat (xp "/a/b"));
-  check ci "flat scans all" 3 (Rtable.Srt.match_ops flat - before)
-
-(* Seeded differential: indexed and flat SRTs over the same random
-   advertisement mix (rooted, star-rooted, recursive) must return
-   identical hop lists for every subscription shape — including after
-   removals — while the indexed table performs strictly fewer match
-   operations. *)
-let test_srt_indexed_vs_list_differential () =
-  let prng = Xroute_support.Prng.create 77 in
-  let names = [| "a"; "b"; "c"; "d"; "e" |] in
-  let random_adv i =
-    let root =
-      if Xroute_support.Prng.bernoulli prng 0.15 then "*"
-      else Xroute_support.Prng.choose prng names
-    in
-    let depth = 1 + Xroute_support.Prng.int prng 3 in
-    let rest = List.init depth (fun _ -> "/" ^ Xroute_support.Prng.choose prng names) in
-    let s = "/" ^ root ^ String.concat "" rest in
-    let s =
-      if Xroute_support.Prng.bernoulli prng 0.2 then
-        s ^ "(/" ^ Xroute_support.Prng.choose prng names ^ ")+"
-      else s
-    in
-    (sid 1 i, ad s, n (Xroute_support.Prng.int prng 4))
-  in
-  let advs = List.init 120 random_adv in
-  let subs =
-    List.init 80 (fun _ ->
-        match Xroute_support.Prng.int prng 4 with
-        | 0 -> xp ("//" ^ Xroute_support.Prng.choose prng names)
-        | 1 -> xp ("/*/" ^ Xroute_support.Prng.choose prng names)
-        | 2 ->
-          xp
-            (Xroute_support.Prng.choose prng names
-            ^ "/" ^ Xroute_support.Prng.choose prng names)
-        | _ ->
-          xp
-            ("/" ^ Xroute_support.Prng.choose prng names
-            ^ "/" ^ Xroute_support.Prng.choose prng names))
-  in
-  let build indexed =
-    let srt = Rtable.Srt.create ~indexed () in
-    List.iter (fun (id, a, hop) -> ignore (Rtable.Srt.add srt id a hop)) advs;
-    srt
-  in
-  let idx = build true and flat = build false in
-  let compare_all label =
-    List.iteri
-      (fun i x ->
-        check (Alcotest.list ep)
-          (Printf.sprintf "%s: sub %d identical hops" label i)
-          (Rtable.Srt.hops_for_sub flat x)
-          (Rtable.Srt.hops_for_sub idx x))
-      subs
-  in
-  let ops0_idx = Rtable.Srt.match_ops idx and ops0_flat = Rtable.Srt.match_ops flat in
-  compare_all "full table";
-  check cb "indexed does fewer ops" true
-    (Rtable.Srt.match_ops idx - ops0_idx < Rtable.Srt.match_ops flat - ops0_flat);
-  (* remove a third of the entries from both and re-compare *)
-  List.iteri
-    (fun i (id, _, _) ->
-      if i mod 3 = 0 then begin
-        ignore (Rtable.Srt.remove idx id);
-        ignore (Rtable.Srt.remove flat id)
-      end)
-    advs;
-  check ci "sizes agree after removal" (Rtable.Srt.size flat) (Rtable.Srt.size idx);
-  compare_all "after removals"
+  check ci "desc-first sub scans everything" 3 (Rtable.Srt.match_ops srt - before)
 
 (* The full-scan oracle for [hops_for_sub]: the overlap test over every
    stored entry, neighbor hops only, deduplicated by first occurrence in
@@ -191,16 +101,16 @@ let oracle_hops srt xpe =
   List.fold_left
     (fun acc (e : Rtable.Srt.entry) ->
       match e.hop with
-      | Rtable.Neighbor _ when Adv_match.overlaps xpe e.adv ->
+      | Rtable.Neighbor _ when Adv_match.overlaps_paper xpe e.adv ->
         if List.exists (Rtable.endpoint_equal e.hop) acc then acc else e.hop :: acc
       | Rtable.Neighbor _ | Rtable.Client _ -> acc)
     [] (Rtable.Srt.entries srt)
   |> List.rev
 
-(* The entries a lookup is charged for: the whole table when flat or
-   for an unanchored subscription, otherwise the entries rooted at the
+(* The entries a lookup is charged for: the whole table for an
+   unanchored subscription, otherwise the entries rooted at the
    subscription's root element plus the star- and group-rooted ones. *)
-let oracle_candidates ~indexed srt xpe =
+let oracle_candidates srt xpe =
   let rooted_at n (e : Rtable.Srt.entry) =
     match Adv.parts e.adv with
     | Adv.Lit steps :: _ -> (
@@ -208,15 +118,15 @@ let oracle_candidates ~indexed srt xpe =
     | _ -> true
   in
   let all = Rtable.Srt.entries srt in
-  match (indexed, Rtable.Srt.sub_root xpe) with
-  | true, Some n -> List.length (List.filter (rooted_at n) all)
-  | _ -> List.length all
+  match Rtable.Srt.sub_root xpe with
+  | Some n -> List.length (List.filter (rooted_at n) all)
+  | None -> List.length all
 
 (* Seeded differential against the full-scan oracle, on tables mixing
    client and neighbor hops with many entries per hop (so the per-hop
-   early exit skips most overlap tests): identical hop lists, indexed
-   and flat, before and after removals, on fresh lookups and memo hits,
-   with every candidate entry charged to [match_ops] either way. *)
+   early exit skips most overlap tests): identical hop lists before and
+   after removals, on fresh lookups and memo hits, with every candidate
+   entry charged to [match_ops] either way. *)
 let test_srt_full_scan_oracle_differential () =
   let prng = Xroute_support.Prng.create 4242 in
   let pick a = Xroute_support.Prng.choose prng a in
@@ -243,32 +153,28 @@ let test_srt_full_scan_oracle_differential () =
         | 2 -> xp (pick names ^ "/" ^ pick names)
         | _ -> xp ("/" ^ pick names ^ "/" ^ pick names ^ "//" ^ pick names))
   in
-  List.iter
-    (fun indexed ->
-      let srt = Rtable.Srt.create ~indexed () in
-      List.iter (fun (id, a, hop) -> ignore (Rtable.Srt.add srt id a hop)) advs;
-      let compare_all label =
-        List.iteri
-          (fun i x ->
-            let label = Printf.sprintf "%s, indexed=%b, sub %d" label indexed i in
-            let expected = oracle_hops srt x in
-            let candidates = oracle_candidates ~indexed srt x in
-            for _ = 1 to 2 do
-              let ops0 = Rtable.Srt.match_ops srt in
-              check (Alcotest.list ep) (label ^ ": hops") expected (Rtable.Srt.hops_for_sub srt x);
-              check ci (label ^ ": candidates charged") candidates
-                (Rtable.Srt.match_ops srt - ops0)
-            done)
-          subs
-      in
-      compare_all "full table";
-      check cb "early exit skipped overlap tests" true
-        (Rtable.Srt.overlap_tests srt < Rtable.Srt.match_ops srt);
-      List.iteri
-        (fun i (id, _, _) -> if i mod 3 = 0 then ignore (Rtable.Srt.remove srt id))
-        advs;
-      compare_all "after removals")
-    [ true; false ]
+  let srt = Rtable.Srt.create () in
+  List.iter (fun (id, a, hop) -> ignore (Rtable.Srt.add srt id a hop)) advs;
+  let compare_all label =
+    List.iteri
+      (fun i x ->
+        let label = Printf.sprintf "%s, sub %d" label i in
+        let expected = oracle_hops srt x in
+        let candidates = oracle_candidates srt x in
+        for _ = 1 to 2 do
+          let ops0 = Rtable.Srt.match_ops srt in
+          check (Alcotest.list ep) (label ^ ": hops") expected (Rtable.Srt.hops_for_sub srt x);
+          check ci (label ^ ": candidates charged") candidates (Rtable.Srt.match_ops srt - ops0)
+        done)
+      subs
+  in
+  compare_all "full table";
+  check cb "early exit skipped overlap tests" true
+    (Rtable.Srt.overlap_tests srt < Rtable.Srt.match_ops srt);
+  check cb "index skipped candidates" true
+    (Rtable.Srt.match_ops srt < 2 * List.length subs * Rtable.Srt.size srt);
+  List.iteri (fun i (id, _, _) -> if i mod 3 = 0 then ignore (Rtable.Srt.remove srt id)) advs;
+  compare_all "after removals"
 
 (* ---------------- PRT ---------------- *)
 
@@ -347,14 +253,11 @@ let () =
           Alcotest.test_case "recursive advs" `Quick test_srt_recursive_advertisements;
           Alcotest.test_case "ids_from" `Quick test_srt_ids_from;
           Alcotest.test_case "match ops" `Quick test_srt_match_ops_counted;
-          Alcotest.test_case "exact engine" `Quick test_srt_exact_engine;
           Alcotest.test_case "remove missing" `Quick test_srt_remove_missing;
           Alcotest.test_case "hop first-occurrence order" `Quick
             test_srt_hops_first_occurrence_order;
           Alcotest.test_case "index skips foreign buckets" `Quick
-            test_srt_index_skips_foreign_buckets;
-          Alcotest.test_case "indexed vs list differential" `Quick
-            test_srt_indexed_vs_list_differential;
+            test_srt_skips_foreign_buckets;
           Alcotest.test_case "full-scan oracle differential" `Quick
             test_srt_full_scan_oracle_differential;
         ] );
