@@ -1732,6 +1732,11 @@ let scenario_scale () =
 (* Instrumentation smoke check (wired into dune runtest)               *)
 (* ------------------------------------------------------------------ *)
 
+(* [Rtable.Prt.match_checks] of the smoke gate's PRT corpus below: the
+   742 PSD Set-A XPEs of seed 13 against the 483 publications of 8 PSD
+   and 4 NITF documents (seeds 14, 15). *)
+let smoke_nfa_charge = 44490
+
 (* Drive a tiny workload through the simulator and fail if any
    registered hot-path metric stays at zero — the canary for silently
    dead instrumentation. *)
@@ -1849,8 +1854,19 @@ let smoke () =
       (fun pub -> not (String.equal (tree_decision flat_list pub) (prt_decision prt_nfa pub)))
       corpus
   in
-  Printf.printf "smoke: PRT NFA vs flat list on %d XPEs x %d publications: %d decision diffs\n"
-    (List.length prt_xpes) (List.length corpus) (List.length nfa_diffs);
+  (* The automaton's charge over the corpus is pinned: [match_checks]
+     counts each edge followed and each accepting entry scanned, and
+     Broker.work, the virtual clock and the bench's entries/pub all
+     build on it, so a matcher rewrite must leave it exactly as it is. *)
+  let nfa_charge = Rtable.Prt.match_checks prt_nfa in
+  Printf.printf
+    "smoke: PRT NFA vs flat list on %d XPEs x %d publications: %d decision diffs, %d match checks\n"
+    (List.length prt_xpes) (List.length corpus) (List.length nfa_diffs) nfa_charge;
+  if nfa_charge <> smoke_nfa_charge then begin
+    Printf.printf "smoke FAILED: PRT NFA charged %d match checks, pinned %d\n" nfa_charge
+      smoke_nfa_charge;
+    exit 1
+  end;
   if nfa_diffs <> [] then begin
     Printf.printf "smoke FAILED: PRT NFA diverged from the flat list\n";
     List.iter

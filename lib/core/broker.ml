@@ -236,7 +236,9 @@ let stage_ops t =
 
 (* Push the derived quantities — index sizes as gauges, the tables'
    cumulative match counters — into the registry. Call before export;
-   the event counters and histograms are maintained inline. *)
+   the event counters and histograms are maintained inline. The NFA
+   gauges read the automaton's counters instead of walking it (the
+   audit checks the counters against the walks). *)
 let refresh_metrics t =
   let m = t.meters in
   M.counter_set m.m_srt_match_ops (Rtable.Srt.match_ops t.srt);
@@ -248,8 +250,8 @@ let refresh_metrics t =
   M.set_int m.m_srt_bucket_max (Rtable.Srt.max_bucket_size t.srt);
   M.set_int m.m_srt_catch_all (Rtable.Srt.catch_all_size t.srt);
   M.set_int m.m_prt_size (Rtable.Prt.size t.prt);
-  M.set_int m.m_prt_payloads (Rtable.Prt.payload_count t.prt);
-  M.set_int m.m_nfa_states (Rtable.Prt.nfa_states t.prt);
+  M.set_int m.m_prt_payloads (Rtable.Prt.nfa_payloads t.prt);
+  M.set_int m.m_nfa_states (Rtable.Prt.nfa_allocated_states t.prt);
   M.set_int m.m_forwarded (Rtable.Prt.Id_map.cardinal t.forwarded);
   M.set_int m.m_mergers_active (List.length t.mergers);
   M.set_int m.m_suppressed (List.length t.suppressed)

@@ -332,6 +332,7 @@ module Prt = struct
   let size t = Sub_tree.size t.tree
   let tree t = t.tree
   let nfa_states t = Yfilter.state_count t.nfa
+  let nfa_allocated_states t = Yfilter.allocated_states t.nfa
   let mem t id = Id_map.mem id t.by_id
   let find t id = Id_map.find_opt id t.by_id
 
@@ -402,6 +403,7 @@ module Prt = struct
 
   (* Total stored payloads ([size] counts distinct XPEs). *)
   let payload_count t = Sub_tree.payload_count t.tree
+  let nfa_payloads t = Yfilter.size t.nfa
 
   (* ------------------------------------------------------------------ *)
   (* NFA integrity audit                                                 *)

@@ -107,6 +107,11 @@ module Prt : sig
   (** Live automaton states (walked, see {!Yfilter.state_count}). *)
   val nfa_states : t -> int
 
+  (** Automaton states per its allocation counter
+      ({!Yfilter.allocated_states}): O(1), equal to {!nfa_states} on a
+      healthy table. *)
+  val nfa_allocated_states : t -> int
+
   val mem : t -> Message.sub_id -> bool
   val find : t -> Message.sub_id -> (payload Sub_tree.node * payload) option
 
@@ -141,8 +146,13 @@ module Prt : sig
   val match_checks : t -> int
   val cover_checks : t -> int
 
-  (** Total stored payloads ({!size} counts distinct XPEs). *)
+  (** Total stored payloads ({!size} counts distinct XPEs), folded over
+      the covering tree. *)
   val payload_count : t -> int
+
+  (** Payloads stored in the automaton ({!Yfilter.size}): O(1), equal to
+      {!payload_count} on a healthy table ({!nfa_invariants} checks it). *)
+  val nfa_payloads : t -> int
 
   (** Violations of the automaton/ledger agreement (empty when healthy):
       structural NFA invariants, payload identity, XPE agreement, seq

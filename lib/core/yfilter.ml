@@ -16,15 +16,30 @@
    (Xpe.semantic_steps), so it shares the same machinery. An XPE accepts
    as soon as its last step is consumed (prefix semantics).
 
-   Edges are a per-node hash table keyed by (axis, node test); node
-   tests carry interned names, so following an edge is one O(1) lookup
-   and firing an element consults at most four keys (child/descendant ×
-   name/wildcard) — per-element work is bounded by the automaton's
-   branching into the publication, not by the table size.
+   Edges are keyed by one int: [code * 2 + axis bit], where the axis bit
+   is 0 for child and 1 for descendant, and the code is 0 for [*] and
+   [Symbol.id + 1] for a name. Each node keeps its keys in a sorted int
+   array beside the array of their targets, so following an edge is an
+   allocation-free binary search. Firing an element consults at most
+   four keys (child/descendant × name/wildcard), and fewer when the node
+   has no child edges or no descendant edges: per-element work is
+   bounded by the automaton's branching into the publication, not by
+   the table size.
 
-   Attribute predicates are verified lazily: accepting nodes store the
-   original XPE, and payloads whose XPE carries predicates are
-   re-checked with the exact evaluator.
+   Matching keeps no per-call tables. Two per-node generation stamps
+   replace them: [seen] (call stamp: accepting entries scanned, node
+   queued alive) and [fresh_at] (element stamp: in this element's fresh
+   frontier, so the alive pass skips it). The next frontier needs no
+   membership test: every node has exactly one in-edge and every node
+   fires at most once per element, so no node is reached twice on one
+   element. The frontiers are buffers owned by the automaton and reused
+   across calls. Matching therefore mutates the automaton: one
+   automaton must not be matched from two threads at once (each broker
+   owns its own).
+
+   Attribute predicates are verified lazily: accepting entries store the
+   original XPE with a precomputed has-predicates flag, and payloads
+   whose XPE carries predicates are re-checked with the exact evaluator.
 
    Removal prunes eagerly: when the last payload under a trail of
    states goes, the now-dead suffix of the trail is unlinked, so the
@@ -35,16 +50,21 @@
 open Xroute_xpath
 module Symbol = Xroute_support.Symbol
 
-type edge_key = Xpe.axis * Xpe.nodetest
+(* An accepting entry: one distinct XPE ending at the node. *)
+type 'a entry = { xpe : Xpe.t; has_preds : bool; mutable payloads : 'a list }
 
 type 'a node = {
   id : int;
-  edges : (edge_key, 'a node) Hashtbl.t;
-  mutable desc_edges : int; (* outgoing Desc-axis edges, for O(1) aliveness *)
-  (* accepting entries: the source XPE (for predicate re-checks) plus
-     its payloads *)
-  mutable accepts : (Xpe.t * 'a list ref) list;
+  mutable keys : int array; (* edge keys, strictly increasing *)
+  mutable kids : 'a node array; (* kids.(i) is the target of keys.(i) *)
+  mutable desc_edges : int; (* odd keys: outgoing Desc-axis edges *)
+  mutable accepts : 'a entry list;
+  mutable seen : int;
+  mutable fresh_at : int;
 }
+
+(* A reusable node buffer; [nodes] beyond [len] are stale. *)
+type 'a frontier = { mutable nodes : 'a node array; mutable len : int }
 
 type 'a t = {
   root : 'a node;
@@ -52,11 +72,23 @@ type 'a t = {
   mutable size : int; (* stored payloads *)
   mutable states : int;
   mutable match_ops : int; (* cumulative matching work, for the bench *)
+  mutable gen : int; (* last stamp handed out *)
+  mutable fresh : 'a frontier;
+  mutable next : 'a frontier;
+  alive : 'a frontier;
+  mutable found : 'a list; (* payloads accepted so far, newest first *)
 }
 
-let fresh_node id = { id; edges = Hashtbl.create 4; desc_edges = 0; accepts = [] }
+let fresh_node id =
+  { id; keys = [||]; kids = [||]; desc_edges = 0; accepts = []; seen = 0;
+    fresh_at = 0 }
 
-let create () = { root = fresh_node 0; next_id = 1; size = 0; states = 1; match_ops = 0 }
+let frontier root = { nodes = Array.make 16 root; len = 0 }
+
+let create () =
+  let root = fresh_node 0 in
+  { root; next_id = 1; size = 0; states = 1; match_ops = 0; gen = 0; fresh = frontier root;
+    next = frontier root; alive = frontier root; found = [] }
 
 let size t = t.size
 let allocated_states t = t.states
@@ -67,30 +99,63 @@ let match_ops t = t.match_ops
    than returning the counter) so tests and the invariant audit can
    catch a leak. *)
 let state_count t =
-  let rec walk node = Hashtbl.fold (fun _ child acc -> acc + walk child) node.edges 1 in
+  let rec walk node = Array.fold_left (fun acc child -> acc + walk child) 1 node.kids in
   walk t.root
 
-(* Steps of an XPE normalized for the index: predicates do not take part
-   in the automaton (they are re-checked at accept time). *)
+(* ---------------- edge keys ---------------- *)
+
+let edge_key (axis : Xpe.axis) (test : Xpe.nodetest) =
+  let code = match test with Xpe.Star -> 0 | Xpe.Name s -> Symbol.id s + 1 in
+  (code lsl 1) lor match axis with Xpe.Child -> 0 | Xpe.Desc -> 1
+
+let is_desc key = key land 1 = 1
+
+(* Steps of an XPE as edge keys: predicates do not take part in the
+   automaton (they are re-checked at accept time). *)
 let index_steps xpe =
-  List.map (fun (s : Xpe.step) -> (s.Xpe.axis, s.Xpe.test)) (Xpe.semantic_steps xpe)
+  List.map (fun (s : Xpe.step) -> edge_key s.Xpe.axis s.Xpe.test) (Xpe.semantic_steps xpe)
+
+(* First index in [lo, hi) whose key is >= [key]. *)
+let rec lower_bound (keys : int array) (key : int) lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if keys.(mid) < key then lower_bound keys key (mid + 1) hi else lower_bound keys key lo mid
+
+(* Index of the edge under [key], or -1. *)
+let find_edge node key =
+  let keys = node.keys in
+  let n = Array.length keys in
+  let i = lower_bound keys key 0 n in
+  if i < n && keys.(i) = key then i else -1
+
+let insert_at a i x =
+  Array.init (Array.length a + 1) (fun j -> if j < i then a.(j) else if j = i then x else a.(j - 1))
+
+let remove_at a i = Array.init (Array.length a - 1) (fun j -> if j < i then a.(j) else a.(j + 1))
 
 let add_edge t node key =
-  match Hashtbl.find_opt node.edges key with
-  | Some child -> child
-  | None ->
+  let i = lower_bound node.keys key 0 (Array.length node.keys) in
+  if i < Array.length node.keys && node.keys.(i) = key then node.kids.(i)
+  else begin
     let child = fresh_node t.next_id in
     t.next_id <- t.next_id + 1;
     t.states <- t.states + 1;
-    Hashtbl.replace node.edges key child;
-    if fst key = Xpe.Desc then node.desc_edges <- node.desc_edges + 1;
+    node.keys <- insert_at node.keys i key;
+    node.kids <- insert_at node.kids i child;
+    if is_desc key then node.desc_edges <- node.desc_edges + 1;
     child
+  end
+
+(* ---------------- insertion and removal ---------------- *)
 
 let insert t xpe payload =
   let final = List.fold_left (fun node key -> add_edge t node key) t.root (index_steps xpe) in
-  (match List.find_opt (fun (x, _) -> Xpe.equal x xpe) final.accepts with
-  | Some (_, payloads) -> payloads := payload :: !payloads
-  | None -> final.accepts <- (xpe, ref [ payload ]) :: final.accepts);
+  (match List.find_opt (fun e -> Xpe.equal e.xpe xpe) final.accepts with
+  | Some e -> e.payloads <- payload :: e.payloads
+  | None ->
+    final.accepts <-
+      { xpe; has_preds = Xpe.has_predicates xpe; payloads = [ payload ] } :: final.accepts);
   t.size <- t.size + 1
 
 (* Remove payloads selected by [pred] under the exact XPE, then prune:
@@ -101,101 +166,125 @@ let remove t xpe pred =
   let rec walk node = function
     | [] ->
       List.iter
-        (fun (x, payloads) ->
-          if Xpe.equal x xpe then begin
-            let kept = List.filter (fun p -> not (pred p)) !payloads in
-            t.size <- t.size - (List.length !payloads - List.length kept);
-            payloads := kept
+        (fun e ->
+          if Xpe.equal e.xpe xpe then begin
+            let kept = List.filter (fun p -> not (pred p)) e.payloads in
+            t.size <- t.size - (List.length e.payloads - List.length kept);
+            e.payloads <- kept
           end)
         node.accepts;
-      node.accepts <- List.filter (fun (_, payloads) -> !payloads <> []) node.accepts
-    | key :: rest -> (
-      match Hashtbl.find_opt node.edges key with
-      | Some child ->
+      node.accepts <- List.filter (fun e -> e.payloads <> []) node.accepts
+    | key :: rest ->
+      let i = find_edge node key in
+      if i >= 0 then begin
+        let child = node.kids.(i) in
         walk child rest;
-        if child.accepts = [] && Hashtbl.length child.edges = 0 then begin
-          Hashtbl.remove node.edges key;
-          if fst key = Xpe.Desc then node.desc_edges <- node.desc_edges - 1;
+        if child.accepts = [] && Array.length child.keys = 0 then begin
+          node.keys <- remove_at node.keys i;
+          node.kids <- remove_at node.kids i;
+          if is_desc key then node.desc_edges <- node.desc_edges - 1;
           t.states <- t.states - 1
         end
-      | None -> ())
+      end
   in
   walk t.root (index_steps xpe)
 
-(* Does the node keep itself alive in the frontier? True when some
-   outgoing edge uses the descendant axis — it may fire at any later
-   position. *)
-let has_desc_edge node = node.desc_edges > 0
+(* ---------------- matching ---------------- *)
+
+let push fr node =
+  if fr.len = Array.length fr.nodes then begin
+    let bigger = Array.make (2 * fr.len) node in
+    Array.blit fr.nodes 0 bigger 0 fr.len;
+    fr.nodes <- bigger
+  end;
+  fr.nodes.(fr.len) <- node;
+  fr.len <- fr.len + 1
+
+let rec scan_accepts t syms attrs = function
+  | [] -> ()
+  | e :: rest ->
+    t.match_ops <- t.match_ops + 1;
+    if (not e.has_preds) || Xpe_eval.matches_syms e.xpe syms attrs then
+      t.found <- List.rev_append e.payloads t.found;
+    scan_accepts t syms attrs rest
+
+(* A node reached in call [call]: the first time, scan its accepting
+   entries and, when it has descendant out-edges, keep it alive — it may
+   fire those at any later position. *)
+let visit t call syms attrs node =
+  if node.seen <> call then begin
+    node.seen <- call;
+    scan_accepts t syms attrs node.accepts;
+    if node.desc_edges > 0 then push t.alive node
+  end
+
+(* Follow the edge under [key], if there is one: charged, and its
+   target joins the next frontier. *)
+let follow t call syms attrs node key =
+  let i = find_edge node key in
+  if i >= 0 then begin
+    let child = node.kids.(i) in
+    t.match_ops <- t.match_ops + 1;
+    visit t call syms attrs child;
+    push t.next child
+  end
+
+(* Fire [node] on an element whose name has code [code]. Key lookups the
+   node cannot answer are skipped. *)
+let fire t call syms attrs ~allow_child node code =
+  if allow_child && Array.length node.keys > node.desc_edges then begin
+    follow t call syms attrs node (code lsl 1);
+    follow t call syms attrs node 0
+  end;
+  if node.desc_edges > 0 then begin
+    follow t call syms attrs node ((code lsl 1) lor 1);
+    follow t call syms attrs node 1
+  end
 
 (* Simulate the automaton over a path, collecting accepting payloads.
 
    Two frontiers: [fresh] nodes were reached exactly at the previous
    position boundary — both their child and descendant edges may fire on
    the next element; [alive] nodes have descendant out-edges and, once
-   reached, persist forever — but only their descendant edges keep
-   firing (their child edges were only valid immediately after they
-   were reached). *)
+   reached, persist for the rest of the call — but only their descendant
+   edges keep firing (their child edges were only valid immediately
+   after they were reached). Frontiers are walked newest first. *)
 let match_syms t syms attrs =
-  let acc = ref [] in
-  let seen_accept = Hashtbl.create 8 in
-  let collect node =
-    if not (Hashtbl.mem seen_accept node.id) then begin
-      Hashtbl.add seen_accept node.id ();
-      List.iter
-        (fun (xpe, payloads) ->
-          t.match_ops <- t.match_ops + 1;
-          if (not (Xpe.has_predicates xpe)) || Xpe_eval.matches_syms xpe syms attrs then
-            acc := List.rev_append !payloads !acc)
-        node.accepts
-    end
-  in
-  let alive_set = Hashtbl.create 16 in
-  let alive = ref [] in
-  let keep_alive node =
-    if has_desc_edge node && not (Hashtbl.mem alive_set node.id) then begin
-      Hashtbl.add alive_set node.id ();
-      alive := node :: !alive
-    end
-  in
-  let fresh = ref [ t.root ] in
-  collect t.root;
-  keep_alive t.root;
+  t.gen <- t.gen + 1;
+  let call = t.gen in
+  t.found <- [];
+  t.alive.len <- 0;
+  t.fresh.len <- 0;
+  push t.fresh t.root;
+  visit t call syms attrs t.root;
   let n = Array.length syms in
-  for i = 0 to n - 1 do
-    let sym = syms.(i) in
+  let i = ref 0 in
+  while !i < n && (t.fresh.len > 0 || t.alive.len > 0) do
+    t.gen <- t.gen + 1;
+    let elem = t.gen in
+    let code = Symbol.id syms.(!i) + 1 in
     (* Snapshot: nodes becoming alive while consuming this element must
        not fire on the same element. *)
-    let alive_now = !alive in
-    let next_set = Hashtbl.create 16 in
-    let next = ref [] in
-    let reach child =
-      t.match_ops <- t.match_ops + 1;
-      collect child;
-      keep_alive child;
-      if not (Hashtbl.mem next_set child.id) then begin
-        Hashtbl.add next_set child.id ();
-        next := child :: !next
-      end
-    in
-    let follow node key = Option.iter reach (Hashtbl.find_opt node.edges key) in
-    let fire ~allow_child node =
-      if allow_child then begin
-        follow node (Xpe.Child, Xpe.Name sym);
-        follow node (Xpe.Child, Xpe.Star)
-      end;
-      follow node (Xpe.Desc, Xpe.Name sym);
-      follow node (Xpe.Desc, Xpe.Star)
-    in
-    List.iter (fire ~allow_child:true) !fresh;
-    (* alive nodes not in the fresh set fire descendant edges only *)
-    let fresh_ids = Hashtbl.create 8 in
-    List.iter (fun node -> Hashtbl.replace fresh_ids node.id ()) !fresh;
-    List.iter
-      (fun node -> if not (Hashtbl.mem fresh_ids node.id) then fire ~allow_child:false node)
-      alive_now;
-    fresh := !next
+    let alive_now = t.alive.len in
+    let fresh = t.fresh in
+    t.next.len <- 0;
+    for j = fresh.len - 1 downto 0 do
+      let node = fresh.nodes.(j) in
+      node.fresh_at <- elem;
+      fire t call syms attrs ~allow_child:true node code
+    done;
+    (* alive nodes not in the fresh frontier fire descendant edges only *)
+    for j = alive_now - 1 downto 0 do
+      let node = t.alive.nodes.(j) in
+      if node.fresh_at <> elem then fire t call syms attrs ~allow_child:false node code
+    done;
+    t.fresh <- t.next;
+    t.next <- fresh;
+    incr i
   done;
-  List.rev !acc
+  let found = t.found in
+  t.found <- [];
+  List.rev found
 
 let match_path t steps attrs = match_syms t (Symbol.intern_path steps) attrs
 
@@ -205,10 +294,8 @@ let match_names t steps = match_path t steps (Array.make (Array.length steps) []
 let to_list t =
   let acc = ref [] in
   let rec walk node =
-    List.iter
-      (fun (xpe, payloads) -> List.iter (fun p -> acc := (xpe, p) :: !acc) !payloads)
-      node.accepts;
-    Hashtbl.iter (fun _ child -> walk child) node.edges
+    List.iter (fun e -> List.iter (fun p -> acc := (e.xpe, p) :: !acc) e.payloads) node.accepts;
+    Array.iter walk node.kids
   in
   walk t.root;
   List.rev !acc
@@ -219,8 +306,8 @@ let to_list t =
    healthy. Eager pruning promises: no dead states (every non-root state
    has an accepting entry or an out-edge — equivalently [state_count] =
    [allocated_states]), the size counter equals the stored payloads, no
-   empty accepting entry survives, and per-node Desc-edge counters are
-   exact. *)
+   empty accepting entry survives, per-node Desc-edge counters are
+   exact, and edge keys are strictly increasing, one per target. *)
 let check_invariants t =
   let problems = ref [] in
   let add fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
@@ -228,18 +315,27 @@ let check_invariants t =
   let payloads_seen = ref 0 in
   let rec walk node =
     incr walked;
-    if node.id <> t.root.id && node.accepts = [] && Hashtbl.length node.edges = 0 then
+    let n = Array.length node.keys in
+    if node.id <> t.root.id && node.accepts = [] && n = 0 then
       add "NFA state %d is dead (no accepting entry, no out-edge)" node.id;
-    let desc = Hashtbl.fold (fun k _ acc -> if fst k = Xpe.Desc then acc + 1 else acc) node.edges 0 in
+    if Array.length node.kids <> n then
+      add "NFA state %d has %d edge keys for %d targets" node.id n (Array.length node.kids);
+    for i = 1 to n - 1 do
+      if node.keys.(i - 1) >= node.keys.(i) then
+        add "NFA state %d edge keys out of order at %d" node.id i
+    done;
+    let desc = Array.fold_left (fun acc k -> if is_desc k then acc + 1 else acc) 0 node.keys in
     if desc <> node.desc_edges then
       add "NFA state %d counts %d Desc edges, has %d" node.id node.desc_edges desc;
     List.iter
-      (fun (xpe, payloads) ->
-        if !payloads = [] then
-          add "NFA state %d keeps an empty accepting entry for %s" node.id (Xpe.to_string xpe);
-        payloads_seen := !payloads_seen + List.length !payloads)
+      (fun e ->
+        if e.payloads = [] then
+          add "NFA state %d keeps an empty accepting entry for %s" node.id (Xpe.to_string e.xpe);
+        if e.has_preds <> Xpe.has_predicates e.xpe then
+          add "NFA state %d caches a stale predicate flag for %s" node.id (Xpe.to_string e.xpe);
+        payloads_seen := !payloads_seen + List.length e.payloads)
       node.accepts;
-    Hashtbl.iter (fun _ child -> walk child) node.edges
+    Array.iter walk node.kids
   in
   walk t.root;
   if !walked <> t.states then
@@ -252,4 +348,4 @@ let check_invariants t =
    child with no accepts and no edges) that eager pruning would never
    leave behind — the must-fail mutation for the audit. *)
 let plant_orphan t =
-  ignore (add_edge t t.root (Xpe.Child, Xpe.Name (Symbol.intern "__orphan__")))
+  ignore (add_edge t t.root (edge_key Xpe.Child (Xpe.Name (Symbol.intern "__orphan__"))))

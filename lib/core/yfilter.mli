@@ -3,9 +3,17 @@
     simulation pass, independently of the number of stored
     subscriptions. This is the publication matcher of [Rtable.Prt]; its
     decisions are gated to stay byte-identical to the flat list and the
-    covering tree, the references of the tests and the bench. Edges are hash lookups on
-    interned names, and removal prunes eagerly, so the automaton always
-    has exactly the states a fresh build would allocate. *)
+    covering tree, the references of the tests and the bench. Edges are
+    keyed by one int per (axis, node test) over interned names and
+    looked up by binary search in a per-node sorted array; lookups a
+    node cannot answer are skipped. Removal prunes eagerly, so the
+    automaton always has exactly the states a fresh build would
+    allocate.
+
+    Matching keeps its frontiers in buffers owned by the automaton and
+    marks nodes with per-node generation stamps instead of building
+    per-call tables, so {!match_syms} mutates the automaton: one
+    automaton must not be matched from two threads at once. *)
 
 open Xroute_xpath
 
@@ -26,9 +34,10 @@ val state_count : 'a t -> int
     sequence this equals the fresh-build count for the surviving XPEs. *)
 val allocated_states : 'a t -> int
 
-(** Cumulative matching work: automaton states reached plus accepting
-    entries scanned across all {!match_path} calls — the "entries
-    examined" measure the match-scaling bench compares engines on. *)
+(** Cumulative matching work across all {!match_syms} calls: +1 for
+    each edge followed, +1 for each accepting entry scanned (once per
+    node per call) — the "entries examined" measure the match-scaling
+    bench compares engines on. *)
 val match_ops : 'a t -> int
 
 val insert : 'a t -> Xpe.t -> 'a -> unit

@@ -54,6 +54,10 @@ let name (s : t) =
   if s >= 0 && s < n then (Atomic.get table.names).(s)
   else invalid_arg (Printf.sprintf "Symbol.name: unknown symbol %d" s)
 
+let of_id i =
+  ignore (name i);
+  i
+
 let compare_name (a : t) (b : t) =
   if equal a b then 0 else String.compare (name a) (name b)
 

@@ -22,6 +22,11 @@ val find : string -> t option
 val name : t -> string
 
 val id : t -> int
+
+(** The symbol with this id. Raises [Invalid_argument] for an id not
+    interned yet. *)
+val of_id : int -> t
+
 val equal : t -> t -> bool
 
 (** Order by id (creation order) — for maps only; never let this reach a

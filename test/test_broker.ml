@@ -305,6 +305,53 @@ let test_strategy_names_roundtrip () =
     Broker.strategy_names;
   check cb "unknown rejected" true (Broker.strategy_of_name "bogus" = None)
 
+(* The NFA gauges read the automaton's counters, not walks of it; after
+   seeded subscribe/unsubscribe churn they must still equal the walked
+   values: the payloads stored in the covering tree, and the states of
+   a fresh automaton over the survivors (which eager pruning makes the
+   churned one equal to, as the nfa-integrity audit confirms). *)
+let test_nfa_gauges_after_churn () =
+  let prng = Xroute_support.Prng.create 1616 in
+  let pool =
+    [| "/a"; "/a/b"; "/a/b/c"; "//b/c"; "/a//c"; "/*/b"; "b/c"; "/a/b[@k='v']"; "//c//d"; "/x/y" |]
+  in
+  let b = make_broker ~id:0 ~neighbors:[ 1 ] () in
+  let live = ref [] in
+  let next = ref 0 in
+  let gauge name =
+    match Xroute_obs.Metrics.scalar (Broker.metrics b) name with
+    | Some v -> int_of_float v
+    | None -> Alcotest.failf "gauge %s not registered" name
+  in
+  for round = 1 to 40 do
+    for _ = 1 to 1 + Xroute_support.Prng.int prng 6 do
+      if !live <> [] && Xroute_support.Prng.bernoulli prng 0.4 then begin
+        let id = Xroute_support.Prng.choose prng (Array.of_list !live) in
+        live := List.filter (fun i -> i <> id) !live;
+        ignore (Broker.handle b ~from:(client 5) (Message.Unsubscribe { id }))
+      end
+      else begin
+        incr next;
+        let id = sid 5 !next in
+        live := id :: !live;
+        let xpe = xp (Xroute_support.Prng.choose prng pool) in
+        ignore (Broker.handle b ~from:(client 5) (Message.Subscribe { id; xpe }))
+      end
+    done;
+    Broker.refresh_metrics b;
+    let view = Broker.audit_view b in
+    check (Alcotest.list Alcotest.string) (Printf.sprintf "round %d: nfa audit" round) []
+      view.av_nfa_invariants;
+    let fresh = Rtable.Prt.create () in
+    List.iter (fun (id, xpe, hop) -> ignore (Rtable.Prt.insert fresh id xpe hop)) view.av_subs;
+    check ci (Printf.sprintf "round %d: payload gauge = tree walk" round)
+      (List.length view.av_subs) (gauge "xroute_prt_payloads");
+    check ci (Printf.sprintf "round %d: payload gauge = live subscriptions" round)
+      (List.length !live) (gauge "xroute_prt_payloads");
+    check ci (Printf.sprintf "round %d: state gauge = walked fresh build" round)
+      (Rtable.Prt.nfa_states fresh) (gauge "xroute_nfa_states")
+  done
+
 let () =
   Alcotest.run "broker"
     [
@@ -321,6 +368,7 @@ let () =
           Alcotest.test_case "insert/match" `Quick test_prt_insert_match;
           Alcotest.test_case "remove promotions" `Quick test_prt_remove_reports_promotions;
           Alcotest.test_case "trail matching" `Quick test_prt_match_from_trail;
+          Alcotest.test_case "nfa gauges after churn" `Quick test_nfa_gauges_after_churn;
         ] );
       ( "advertisements",
         [

@@ -1,5 +1,7 @@
-(* Tests for the YFilter-style NFA index: hand-picked behaviors plus
-   randomized equivalence with the linear reference matcher. *)
+(* Tests for the YFilter-style NFA index: hand-picked behaviors, pinned
+   match charges, randomized equivalence with the linear reference
+   matcher, and a call-for-call differential (results and charge)
+   against the hash-table reference automaton of [Yfilter_ref]. *)
 
 open Xroute_core
 open Xroute_xpath
@@ -194,6 +196,167 @@ let test_equivalence_random () =
     done
   done
 
+(* Exact charges on a small automaton. [match_ops] counts +1 for each
+   edge followed and +1 for each accepting entry scanned, once per node
+   per call; Broker.work and the bench's entries/pub build on it, so
+   these numbers are derived by hand, step by step, and pinned.
+
+   Trie: root -a-> A -b-> AB [p0 p1]; A -//b-> AdB -c-> AdBC [p2];
+   root -//a-> D1 -//c-> D1C [p3]; D1 -//a-> D2 -//a-> D3 [p4]. *)
+let pinned_index () =
+  index_of [ "/a/b"; "/a/b[@k='v']"; "/a//b/c"; "//a//c"; "//a//a//a" ]
+
+let charged t p attrs =
+  let before = Yfilter.match_ops t in
+  let got = List.sort compare (Yfilter.match_path t (path p) attrs) in
+  (got, Yfilter.match_ops t - before)
+
+let test_pinned_charges () =
+  let t = pinned_index () in
+  check ci "states" 9 (Yfilter.state_count t);
+  let pin name p attrs (want, want_ops) =
+    let got, ops = charged t p attrs in
+    check (Alcotest.list ci) (name ^ ": result") want got;
+    check ci (name ^ ": charge") want_ops ops
+  in
+  let none n = Array.make n [] in
+  (* a: root fires /a (A) and //a (D1) = 2. b: A fires /b (AB, whose
+     two entries are scanned = 3) and //b (AdB = 1); alive root finds
+     no //b. The predicate entry is charged whether or not it holds. *)
+  pin "accepting node with two XPEs" "a/b" (none 2) ([ 0 ], 6);
+  pin "... predicate holds" "a/b" [| []; [ ("k", "v") ] |] ([ 0; 1 ], 6);
+  (* a = 2; x reaches nothing; on b, A is alive but not fresh: its //b
+     fires (AdB = 1), its /b must not (AB stays unreached). *)
+  pin "alive node's child edges do not re-fire" "a/x/b" (none 3) ([], 3);
+  (* a = 2. a: fresh D1 fires //a (D2); alive root fires //a into D1
+     again = 2. a: fresh D1 fires //a into D2 again (D2 was fresh on
+     this element too), fresh D2 fires //a (D3 and its entry = 2);
+     alive D2 is fresh, so it must not fire a second time; alive root
+     re-reaches D1 = 1. Total 2 + 2 + 4. *)
+  pin "fresh node reached again on its element" "a/a/a" (none 3) ([ 4 ], 8);
+  (* one more a: D1 -> D2, D2 -> D3 (entry not rescanned), root -> D1
+     = 3: D3 is charged on two elements and reported once. *)
+  pin "node reached twice, reported once" "a/a/a/a" (none 4) ([ 4 ], 11);
+  (* a = 2; c: fresh D1 fires //c (D1C and its entry = 2). *)
+  pin "descendant into accept" "a/c" (none 2) ([ 3 ], 4);
+  (* /a//b/c: c right after b. a = 2, b = 4 (as above), c: fresh AdB
+     fires /c (AdBC and its entry = 2), alive D1 fires //c (D1C and its
+     entry = 2). *)
+  pin "child after descendant" "a/b/c" (none 3) ([ 0; 2; 3 ], 10)
+
+(* ---- differential against the reference automaton ---- *)
+
+module Symbol = Xroute_support.Symbol
+module Prng = Xroute_support.Prng
+
+(* The name interned first, whose symbol id is 0: its edge code must
+   not collide with the wildcard's. *)
+let sym0_name () =
+  ignore (Symbol.intern "a");
+  Symbol.name (Symbol.of_id 0)
+
+let random_xpe prng alphabet =
+  let len = 1 + Prng.int prng 4 in
+  let relative = Prng.bernoulli prng 0.2 in
+  let steps =
+    List.init len (fun i ->
+        let test =
+          if Prng.bernoulli prng 0.25 then Xpe.Star
+          else Xpe.Name (Symbol.intern (Prng.choose prng alphabet))
+        in
+        let axis =
+          if i = 0 && relative then Xpe.Child
+          else if Prng.bernoulli prng 0.3 then Xpe.Desc
+          else Xpe.Child
+        in
+        let preds =
+          if Prng.bernoulli prng 0.15 then
+            [ { Xpe.attr = "k"; value = Prng.choose prng [| "v"; "w" |] } ]
+          else []
+        in
+        Xpe.step ~preds axis test)
+  in
+  Xpe.make ~relative steps
+
+let test_differential_reference () =
+  let prng = Prng.create 1606 in
+  let alphabet = [| "a"; "b"; "c"; sym0_name () |] in
+  let late = ref 0 in
+  let random_name () =
+    if Prng.bernoulli prng 0.1 then begin
+      (* a name interned only now, after the automaton was built *)
+      incr late;
+      Printf.sprintf "late-%d" !late
+    end
+    else Prng.choose prng alphabet
+  in
+  let calls = ref 0 in
+  for round = 1 to 20 do
+    let t : int Yfilter.t = Yfilter.create () in
+    let r : int Yfilter_ref.t = Yfilter_ref.create () in
+    let live = ref [] in
+    let next = ref 0 in
+    for _step = 1 to 30 do
+      (* inserts and removes between matches: a stamp left stale by an
+         earlier call, or a frontier buffer not reset, would show *)
+      for _ = 1 to 1 + Prng.int prng 4 do
+        if !live <> [] && Prng.bernoulli prng 0.35 then begin
+          let x, p = Prng.choose prng (Array.of_list !live) in
+          live := List.filter (fun (_, q) -> q <> p) !live;
+          Yfilter.remove t x (fun q -> q = p);
+          Yfilter_ref.remove r x (fun q -> q = p)
+        end
+        else begin
+          let x =
+            if !live <> [] && Prng.bernoulli prng 0.2 then fst (Prng.choose prng (Array.of_list !live))
+            else random_xpe prng alphabet
+          in
+          incr next;
+          live := (x, !next) :: !live;
+          Yfilter.insert t x !next;
+          Yfilter_ref.insert r x !next
+        end
+      done;
+      check (Alcotest.list Alcotest.string) "invariants" [] (Yfilter.check_invariants t);
+      for _ = 1 to 5 do
+        let len = Prng.int prng 7 in
+        let p = Array.init len (fun _ -> random_name ()) in
+        let attrs =
+          Array.init len (fun _ ->
+              if Prng.bernoulli prng 0.4 then [ ("k", Prng.choose prng [| "v"; "w" |]) ] else [])
+        in
+        let syms = Symbol.intern_path p in
+        let ops_t = Yfilter.match_ops t and ops_r = Yfilter_ref.match_ops r in
+        let got = List.sort compare (Yfilter.match_syms t syms attrs) in
+        let want = List.sort compare (Yfilter_ref.match_syms r syms attrs) in
+        incr calls;
+        let ctx () =
+          Printf.sprintf "round %d, /%s over {%s}" round
+            (String.concat "/" (Array.to_list p))
+            (String.concat " " (List.map (fun (x, q) -> Printf.sprintf "%d:%s" q (Xpe.to_string x)) !live))
+        in
+        if got <> want then
+          Alcotest.failf "%s: result [%s], reference [%s]" (ctx ())
+            (String.concat ";" (List.map string_of_int got))
+            (String.concat ";" (List.map string_of_int want));
+        let dt = Yfilter.match_ops t - ops_t and dr = Yfilter_ref.match_ops r - ops_r in
+        if dt <> dr then Alcotest.failf "%s: charged %d, reference %d" (ctx ()) dt dr
+      done
+    done
+  done;
+  check ci "calls compared" (20 * 30 * 5) !calls
+
+(* Key collisions: the id-0 name and the wildcard live side by side
+   under one node, on both axes, and each edge answers only for itself. *)
+let test_sym0_beside_star () =
+  let n0 = sym0_name () in
+  let t = index_of [ "/" ^ n0 ^ "/x"; "/*/y"; "//" ^ n0; "/q//*" ] in
+  check (Alcotest.list Alcotest.string) "invariants" [] (Yfilter.check_invariants t);
+  check (Alcotest.list ci) "name edge" [ 0; 2 ] (matches t (n0 ^ "/x"));
+  check (Alcotest.list ci) "star edge" [ 1 ] (matches t "zz/y");
+  check (Alcotest.list ci) "both under one element" [ 1; 2 ] (matches t (n0 ^ "/y"));
+  check (Alcotest.list ci) "descendant star" [ 3 ] (matches t "q/r")
+
 let () =
   Alcotest.run "yfilter"
     [
@@ -211,5 +374,15 @@ let () =
           Alcotest.test_case "predicates share prefixes" `Quick test_predicates_shared_prefix;
           Alcotest.test_case "to_list" `Quick test_to_list;
         ] );
-      ("equivalence", [ Alcotest.test_case "random vs linear" `Quick test_equivalence_random ]);
+      ( "charges",
+        [
+          Alcotest.test_case "pinned" `Quick test_pinned_charges;
+          Alcotest.test_case "id-0 name beside star" `Quick test_sym0_beside_star;
+        ] );
+      ( "equivalence",
+        [
+          Alcotest.test_case "random vs linear" `Quick test_equivalence_random;
+          Alcotest.test_case "differential vs reference automaton" `Quick
+            test_differential_reference;
+        ] );
     ]
