@@ -1409,41 +1409,6 @@ let ablation_yfilter () =
     (t_yf_match *. 1000. /. float_of_int n_pubs)
     (Yfilter.state_count yf)
 
-let ablation_trail_routing () =
-  section
-    "Ablation - XTreeNet-style trail routing (match once, follow trails)\n\
-     (interior brokers restrict matching to the trailed subtrees)";
-  let run trail_routing =
-    let strategy = { Broker.default_strategy with Broker.trail_routing } in
-    let topo = Topology.line 7 in
-    let net = Net.create ~config:{ Net.default_config with Net.strategy } topo in
-    let publisher = Net.add_client net ~broker:0 in
-    let subscriber = Net.add_client net ~broker:6 in
-    ignore (Net.advertise_dtd net publisher psd_advs);
-    Net.run net;
-    let prng = Xroute_support.Prng.create 81 in
-    let params = Xroute_workload.Xpath_gen.default_params psd in
-    List.iter
-      (fun x -> ignore (Net.subscribe net subscriber x))
-      (Xroute_workload.Xpath_gen.generate ~distinct:false params prng ~count:(scaled 800));
-    Net.run net;
-    let work_before =
-      Array.fold_left (fun acc b -> acc + Broker.work b) 0 (Net.brokers net)
-    in
-    let docs = Xroute_workload.Workload.documents ~dtd:psd ~count:(scaled 40) ~seed:82 () in
-    List.iteri (fun i d -> ignore (Net.publish_doc net publisher ~doc_id:i d)) docs;
-    Net.run net;
-    let work =
-      Array.fold_left (fun acc b -> acc + Broker.work b) 0 (Net.brokers net) - work_before
-    in
-    (work, Net.total_deliveries net)
-  in
-  let w_plain, d_plain = run false in
-  let w_trail, d_trail = run true in
-  Printf.printf "plain:  match work %8d  deliveries %d\n" w_plain d_plain;
-  Printf.printf "trails: match work %8d  deliveries %d  (%.1f%% less work)\n%!" w_trail d_trail
-    (100.0 *. float_of_int (w_plain - w_trail) /. float_of_int (max 1 w_plain))
-
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the core algorithms                    *)
 (* ------------------------------------------------------------------ *)
@@ -1629,18 +1594,18 @@ let match_scaling () =
 module Scenario = Xroute_workload.Scenario
 
 (* Two halves, one experiment. First the trust gate: at small scale,
-   every scenario kind runs on both simulator queue backends and the
-   delivery ledgers must be byte-identical (full rows), with identical
-   per-broker next-hop decisions and fault accounting — the differential
-   that makes the large-scale numbers below meaningful. Then the scale
+   every scenario kind runs twice and the replay must reproduce the
+   delivery ledger byte for byte (full rows), with identical per-broker
+   next-hop decisions and fault accounting — the determinism that makes
+   the large-scale numbers below meaningful. Then the scale
    series: the flash-crowd scenario at 10k/100k/1M virtual subscribers,
    reporting sim-events/sec and process peak RSS per point, so simulator
    performance is tracked by the same BENCH machinery as broker
    performance. Points run in ascending order (peak RSS is a high-water
    mark). *)
 let scenario_scale () =
-  section "Scenario engine: heap/list differential gate + scale series (BENCH_8.json)";
-  Printf.printf "differential gate (1000 clients, full ledgers, all kinds):\n%!";
+  section "Scenario engine: replay gate + scale series (BENCH_8.json)";
+  Printf.printf "replay gate (1000 clients, full ledgers, all kinds):\n%!";
   let gate_failed = ref false in
   List.iter
     (fun kind ->
@@ -1655,7 +1620,11 @@ let scenario_scale () =
           batch = 128;
         }
       in
-      let (a, _b, diffs), wall = time_it (fun () -> Scenario.differential ~ledger:`Full spec) in
+      let (a, diffs), wall =
+        time_it (fun () ->
+            let a = Scenario.run ~ledger:`Full spec in
+            (a, Scenario.diff a (Scenario.run ~ledger:`Full spec)))
+      in
       let name = Scenario.kind_to_string kind in
       Printf.printf "  %-8s deliveries=%-7d subs=%-6d diffs=%d (%.0f ms)\n%!" name
         a.Scenario.deliveries a.Scenario.subs_sent (List.length diffs) (wall *. 1000.0);
@@ -1672,7 +1641,7 @@ let scenario_scale () =
         ])
     Scenario.all_kinds;
   if !gate_failed then begin
-    Printf.printf "scenario-scale FAILED: heap/list ledger differential diverged\n";
+    Printf.printf "scenario-scale FAILED: a scenario replay diverged\n";
     exit 1
   end;
   let points =
@@ -1741,9 +1710,8 @@ let smoke_nfa_charge = 44490
    registered hot-path metric stays at zero — the canary for silently
    dead instrumentation. *)
 let smoke () =
-  let trace = Xroute_obs.Trace.create ~capacity:1024 () in
   let topo = Topology.line 3 in
-  let net = Net.create ~trace topo in
+  let net = Net.create topo in
   let publisher = Net.add_client net ~broker:0 in
   let subscriber = Net.add_client net ~broker:2 in
   ignore (Net.advertise_dtd net publisher psd_advs);
@@ -1796,12 +1764,7 @@ let smoke () =
         match Metrics.scalar reg name with Some v -> v = 0.0 | None -> true)
       hot_paths
   in
-  Printf.printf "smoke: %d hot-path metrics checked, %d hops traced\n" (List.length hot_paths)
-    (Xroute_obs.Trace.length trace);
-  if Xroute_obs.Trace.length trace = 0 then begin
-    Printf.printf "smoke FAILED: no hops traced\n";
-    exit 1
-  end;
+  Printf.printf "smoke: %d hot-path metrics checked\n" (List.length hot_paths);
   if dead <> [] then begin
     Printf.printf "smoke FAILED: metrics stuck at zero (or unregistered):\n";
     List.iter (fun n -> Printf.printf "  %s\n" n) dead;
@@ -1972,10 +1935,9 @@ let smoke () =
   end;
   Printf.printf "smoke: span gate ok (%d spans, leaf sum = end-to-end %.3f ms)\n"
     (List.length sps) span_delay;
-  (* Scenario gate: the heap-backed event queue must produce a
-     byte-identical delivery ledger to the sorted-list reference on a
-     small flash-crowd scenario — the differential the million-client
-     numbers in BENCH_8.json stand on. *)
+  (* Scenario gate: a replay of a small flash-crowd scenario must
+     reproduce its delivery ledger byte for byte — the determinism the
+     million-client numbers in BENCH_8.json stand on. *)
   let scen_spec =
     {
       Scenario.default_spec with
@@ -1987,9 +1949,10 @@ let smoke () =
       dtd = "book";
     }
   in
-  let scen_a, _, scen_diffs = Scenario.differential ~ledger:`Full scen_spec in
+  let scen_a = Scenario.run ~ledger:`Full scen_spec in
+  let scen_diffs = Scenario.diff scen_a (Scenario.run ~ledger:`Full scen_spec) in
   if scen_diffs <> [] then begin
-    Printf.printf "smoke FAILED: scenario heap/list differential diverged (%s)\n"
+    Printf.printf "smoke FAILED: scenario replay diverged (%s)\n"
       (String.concat ", " scen_diffs);
     exit 1
   end;
@@ -1997,7 +1960,7 @@ let smoke () =
     Printf.printf "smoke FAILED: smoke scenario produced no deliveries\n";
     exit 1
   end;
-  Printf.printf "smoke: scenario gate ok (%d deliveries, heap = list ledger)\n"
+  Printf.printf "smoke: scenario gate ok (%d deliveries, replay = ledger)\n"
     scen_a.Scenario.deliveries;
   Printf.printf "smoke ok\n%!"
 
@@ -2025,7 +1988,6 @@ let experiments =
     ("ablation-exact-cover", ablation_exact_cover);
     ("ablation-yfilter", ablation_yfilter);
     ("match-scaling", match_scaling);
-    ("ablation-trail", ablation_trail_routing);
     ("micro", micro_benchmarks);
     ("scenario-scale", scenario_scale);
   ]

@@ -259,20 +259,7 @@ let scenario_cmd =
     in
     Arg.(value & opt string "" & info [ "spec" ] ~docv:"SPEC" ~doc)
   in
-  let queue_arg =
-    Arg.(
-      value & opt string "heap"
-      & info [ "queue" ] ~docv:"heap|list" ~doc:"Simulator event-queue backend.")
-  in
-  let differential_arg =
-    Arg.(
-      value & flag
-      & info [ "differential" ]
-          ~doc:
-            "Run the spec on both queue backends and compare delivery ledgers, \
-             decisions and fault accounting; exit 1 on any discrepancy.")
-  in
-  let run spec_str queue_name differential verbose =
+  let run spec_str verbose =
     setup_logs verbose;
     let spec =
       match Scenario.spec_of_string spec_str with
@@ -281,53 +268,26 @@ let scenario_cmd =
         prerr_endline ("xroute: " ^ msg);
         exit 1
     in
-    let print_outcome (o : Scenario.outcome) =
-      Printf.printf "scenario:       %s (seed %d, dtd %s)\n"
-        (Scenario.kind_to_string o.Scenario.spec.Scenario.kind)
-        o.Scenario.spec.Scenario.seed o.Scenario.spec.Scenario.dtd;
-      Printf.printf "queue:          %s\n"
-        (match o.Scenario.queue with `Heap -> "heap" | `List -> "list");
-      Printf.printf "clients:        %d (%d subs, %d unsubs)\n"
-        o.Scenario.spec.Scenario.clients o.Scenario.subs_sent o.Scenario.unsubs_sent;
-      Printf.printf "published:      %d documents\n" o.Scenario.docs_published;
-      Printf.printf "deliveries:     %d\n" o.Scenario.deliveries;
-      Printf.printf "events:         %d (virtual clock %.3f ms)\n" o.Scenario.events
-        o.Scenario.virtual_ms;
-      Printf.printf "ledger digest:  %Lx\n" o.Scenario.ledger_digest;
-      Printf.printf "routing tables: %d PRT, %d SRT entries\n" o.Scenario.prt_total
-        o.Scenario.srt_total;
-      Printf.printf "faults:         %s\n" o.Scenario.fault_line
-    in
-    if differential then begin
-      let a, b, diffs = Scenario.differential spec in
-      print_outcome a;
-      print_newline ();
-      print_outcome b;
-      print_newline ();
-      if diffs = [] then print_endline "differential: queue backends agree"
-      else begin
-        List.iter (fun d -> print_endline ("differential: " ^ d)) diffs;
-        exit 1
-      end
-    end
-    else begin
-      let queue =
-        match queue_name with
-        | "heap" -> `Heap
-        | "list" -> `List
-        | q ->
-          prerr_endline ("xroute: unknown queue backend " ^ q ^ " (want heap or list)");
-          exit 1
-      in
-      print_outcome (Scenario.run ~queue spec)
-    end
+    let o = Scenario.run spec in
+    Printf.printf "scenario:       %s (seed %d, dtd %s)\n"
+      (Scenario.kind_to_string spec.Scenario.kind)
+      spec.Scenario.seed spec.Scenario.dtd;
+    Printf.printf "clients:        %d (%d subs, %d unsubs)\n"
+      spec.Scenario.clients o.Scenario.subs_sent o.Scenario.unsubs_sent;
+    Printf.printf "published:      %d documents\n" o.Scenario.docs_published;
+    Printf.printf "deliveries:     %d\n" o.Scenario.deliveries;
+    Printf.printf "events:         %d (virtual clock %.3f ms)\n" o.Scenario.events
+      o.Scenario.virtual_ms;
+    Printf.printf "ledger digest:  %Lx\n" o.Scenario.ledger_digest;
+    Printf.printf "routing tables: %d PRT, %d SRT entries\n" o.Scenario.prt_total
+      o.Scenario.srt_total;
+    Printf.printf "faults:         %s\n" o.Scenario.fault_line
   in
   let doc =
     "Run a scale-parameterized scenario (flash crowd, diurnal, churn, fan-out) on the \
-     simulator, or differentially across both event-queue backends."
+     simulator."
   in
-  Cmd.v (Cmd.info "scenario" ~doc)
-    Term.(const run $ spec_arg $ queue_arg $ differential_arg $ verbose_arg)
+  Cmd.v (Cmd.info "scenario" ~doc) Term.(const run $ spec_arg $ verbose_arg)
 
 let () =
   let doc = "XML/XPath content-based routing (ICDCS 2008 reproduction)" in

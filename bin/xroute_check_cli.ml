@@ -12,8 +12,8 @@
                  churn networks — or over a live daemon with --connect.
 
    Two harness-integrity families ride along (also in the default
-   set): --scenario-audit checks the scale harness itself — heap-vs-list
-   queue differential, run-to-run determinism, liveness smells — and
+   set): --scenario-audit checks the scale harness itself — a full-row
+   replay of each spec (run-to-run determinism), liveness smells — and
    --obs-audit checks the telemetry itself: sketch quantile accuracy
    against exact order statistics, counter monotonicity across
    snapshots, span/metric cross-consistency, and FEDSTATS federation
@@ -162,14 +162,14 @@ let audit_report dtd ~strategies ~seeds ~ops =
 
 (* ---------------- scenario-integrity audit ---------------- *)
 
-(* Sweep every scenario kind at smoke scale: heap-vs-list differential,
-   determinism replay, liveness smells. --inject-scenario-skew replays
-   the list leg one seed off; the audit must then exit 1 (the @scenario
-   mutation rule). *)
+(* Sweep every scenario kind at smoke scale: full-row determinism
+   replay, liveness smells. --inject-scenario-skew runs the replay one
+   seed off; the audit must then exit 1 (the @scenario mutation
+   rule). *)
 let scenario_audit_report ~clients ~seed ~inject =
   let module Scenario = Xroute_workload.Scenario in
-  (* trimmed book-DTD spec: the audit exercises the harness (queues,
-     ledger digests, generators), not nitf match throughput — the book
+  (* trimmed book-DTD spec: the audit exercises the harness (ledgers,
+     digests, generators), not nitf match throughput — the book
      grammar runs the same checks two orders of magnitude faster *)
   let specs =
     List.map
@@ -330,8 +330,8 @@ let cmd =
       & info [ "scenario-audit" ]
           ~doc:
             "Run the scenario-integrity audit family: sweep every scenario kind at \
-             smoke scale and check the heap-vs-list differential, run-to-run \
-             determinism, and liveness smells.")
+             smoke scale and check that a replay reproduces every ledger row, \
+             decision and fault count, and liveness smells.")
   in
   let obs_audit_arg =
     Arg.(
@@ -402,8 +402,8 @@ let cmd =
       value & flag
       & info [ "inject-scenario-skew" ]
           ~doc:
-            "Mutation check: replay the list-queue leg of the scenario differential \
-             one seed off; the run must report errors and exit 1.")
+            "Mutation check: run the scenario replay one seed off; the run must \
+             report errors and exit 1.")
   in
   let inject_arg =
     Arg.(

@@ -304,13 +304,12 @@ module Scenario = Xroute_workload.Scenario
 
 (* The scenario engine is the scale harness the benchmarks and the
    regression gates stand on, so its own invariants get an audit
-   family: the heap and list queue backends must produce byte-identical
-   delivery ledgers (the differential gate), identical specs must
-   reproduce identical digests across runs (determinism), and a
-   scenario must actually exercise the network it claims to — nonzero
-   deliveries, at least one subscription per client. [inject] replays the list leg of the differential one seed
-   off; the audit must then report errors (the @scenario mutation
-   rule). *)
+   family: a replay of the same spec must reproduce the full-row
+   delivery ledger, the decisions and the fault accounting
+   ([Scenario.diff], determinism), and a scenario must actually
+   exercise the network it claims to — nonzero deliveries, at least one
+   subscription per client. [inject] runs the replay one seed off; the
+   audit must then report errors (the @scenario mutation rule). *)
 let audit_scenario ?(inject = false) spec =
   let findings = ref [] in
   let where =
@@ -323,57 +322,25 @@ let audit_scenario ?(inject = false) spec =
       Finding.make ~severity:Finding.Error ~family:"scenario" ~code ~subject ~witness
       :: !findings
   in
-  let heap, _, diffs =
-    if inject then begin
-      let a = Scenario.run ~queue:`Heap spec in
-      let b =
-        Scenario.run ~queue:`List { spec with Scenario.seed = spec.Scenario.seed + 1 }
-      in
-      let d = ref [] in
-      if not (Scenario.equal_ledgers a b) then d := "delivery ledgers differ" :: !d;
-      if a.Scenario.deliveries <> b.Scenario.deliveries then
-        d :=
-          Printf.sprintf "deliveries %d vs %d" a.Scenario.deliveries
-            b.Scenario.deliveries
-          :: !d;
-      if a.Scenario.events <> b.Scenario.events then
-        d := Printf.sprintf "events %d vs %d" a.Scenario.events b.Scenario.events :: !d;
-      (a, b, List.rev !d)
-    end
-    else Scenario.differential spec
-  in
+  let first = Scenario.run ~ledger:`Full spec in
+  let replay_spec = if inject then { spec with Scenario.seed = spec.Scenario.seed + 1 } else spec in
+  let replay = Scenario.run ~ledger:`Full replay_spec in
   List.iter
-    (fun msg ->
-      report "scenario-differential"
-        (where ^ ": heap and list queue backends disagree")
-        msg)
-    diffs;
-  let again = Scenario.run ~queue:`Heap spec in
-  if not (Int64.equal again.Scenario.ledger_digest heap.Scenario.ledger_digest) then
-    report "scenario-nondeterminism"
-      (where ^ ": ledger digest changed between identical runs")
-      (Printf.sprintf "%Ld vs %Ld" heap.Scenario.ledger_digest
-         again.Scenario.ledger_digest);
-  if not (Int64.equal again.Scenario.decision_digest heap.Scenario.decision_digest)
-  then
-    report "scenario-nondeterminism"
-      (where ^ ": per-broker decision digest changed between identical runs")
-      (Printf.sprintf "%Ld vs %Ld" heap.Scenario.decision_digest
-         again.Scenario.decision_digest);
-  if again.Scenario.fault_line <> heap.Scenario.fault_line then
-    report "scenario-nondeterminism"
-      (where ^ ": fault accounting changed between identical runs")
-      (Printf.sprintf "%s vs %s" heap.Scenario.fault_line again.Scenario.fault_line);
-  if spec.Scenario.docs > 0 && spec.Scenario.clients > 0 && heap.Scenario.deliveries = 0
+    (fun field ->
+      report "scenario-nondeterminism"
+        (where ^ ": a replay of the same spec disagrees")
+        (field ^ " differ"))
+    (Scenario.diff first replay);
+  if spec.Scenario.docs > 0 && spec.Scenario.clients > 0 && first.Scenario.deliveries = 0
   then
     report "scenario-dead" (where ^ ": published documents reached no subscriber")
       (Printf.sprintf "%d docs published, %d subscriptions sent"
-         heap.Scenario.docs_published heap.Scenario.subs_sent);
-  if heap.Scenario.subs_sent < spec.Scenario.clients then
+         first.Scenario.docs_published first.Scenario.subs_sent);
+  if first.Scenario.subs_sent < spec.Scenario.clients then
     report "scenario-undersubscribed" (where ^ ": fewer subscriptions than clients")
-      (Printf.sprintf "%d subs for %d clients" heap.Scenario.subs_sent
+      (Printf.sprintf "%d subs for %d clients" first.Scenario.subs_sent
          spec.Scenario.clients);
-  (List.rev !findings, heap)
+  (List.rev !findings, first)
 
 let audit_scenario_report ?inject specs =
   let per = List.map (fun spec -> audit_scenario ?inject spec) specs in

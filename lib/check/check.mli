@@ -49,20 +49,18 @@ val audit_net_report : Xroute_overlay.Net.t -> Finding.report
 
 (** {2 Scenario-integrity audit}
 
-    The scale harness itself is audited: the simulator's heap and list
-    queue backends must produce byte-identical delivery ledgers on the
-    same scenario (the differential gate), identical specs must
-    reproduce identical ledger/decision digests and fault accounting
-    across runs, and a scenario must actually exercise the network —
-    nonzero deliveries, at least one subscription per client. All error-severity: a broken harness
-    silently invalidates every benchmark and regression gate built on
-    it. *)
+    The scale harness itself is audited: a replay of the same spec must
+    reproduce the full-row delivery ledger, the per-broker decisions and
+    the fault accounting ({!Xroute_workload.Scenario.diff}), and a
+    scenario must actually exercise the network — nonzero deliveries,
+    at least one subscription per client. All error-severity: a broken
+    harness silently invalidates every benchmark and regression gate
+    built on it. *)
 
-(** Audit one scenario spec (run it several times — keep specs at smoke
-    scale). Returns the findings plus the heap-queue outcome the checks
-    ran against. [inject] replays the list leg of the differential one
-    seed off, so the gate provably fires (the @scenario mutation
-    rule). *)
+(** Audit one scenario spec (run it twice — keep specs at smoke scale).
+    Returns the findings plus the first run's outcome. [inject] runs the
+    replay one seed off, so the gate provably fires (the @scenario
+    mutation rule). *)
 val audit_scenario :
   ?inject:bool ->
   Xroute_workload.Scenario.spec ->

@@ -32,7 +32,6 @@ type strategy = {
   use_cover : bool;  (* covering-based forwarding suppression *)
   merging : merge_mode;
   adv_cover : bool;  (* advertisement covering in the SRT (extension) *)
-  trail_routing : bool;  (* XTreeNet-style restricted re-matching *)
 }
 
 let default_strategy =
@@ -41,7 +40,6 @@ let default_strategy =
     use_cover = true;
     merging = No_merging;
     adv_cover = false;
-    trail_routing = false;
   }
 
 (* The six rows of Tables 2 and 3. *)
@@ -540,50 +538,45 @@ let handle_unsubscribe t ~from id =
 (* Publications                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Match a publication against the PRT, group the matched subscription
-   ids by next hop (for trails), account drops and deliveries, and emit
-   one Publish per hop. The trace context [ctx] is copied verbatim onto
-   every output: the broker decides routing, the transport decides spans
-   (and rewrites [parent_span] to the hop span it opens before
-   forwarding). *)
-let handle_publish t ~from pub trail ctx =
+(* Match a publication against the PRT, group the matches by next hop,
+   account drops and deliveries, and emit one Publish per hop. An inbound
+   trail is ignored and every output carries [trail = []]: the broker
+   always matches against its full PRT (Sec. 3). The trace context [ctx]
+   is copied verbatim onto every output: the broker decides routing, the
+   transport decides spans (and rewrites [parent_span] to the hop span it
+   opens before forwarding). *)
+let handle_publish t ~from pub ctx =
   t.counters.pubs_in <- t.counters.pubs_in + 1;
   M.incr t.meters.m_pubs_in;
-  let payloads =
-    if t.strategy.trail_routing && trail <> [] then Rtable.Prt.match_pub_from t.prt trail pub
-    else Rtable.Prt.match_pub t.prt pub
-  in
-  let by_hop : (Rtable.endpoint * Message.sub_id list ref) list ref = ref [] in
+  let payloads = Rtable.Prt.match_pub t.prt pub in
   (* Hop lookup by hashing, not an assoc scan: at an edge broker every
      local subscriber is a distinct hop, so the scan was quadratic in
-     matched payloads. [by_hop] still records first-encounter order —
-     the emitted message order is unchanged. *)
-  let seen : (Rtable.endpoint, Message.sub_id list ref) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (p : Rtable.Prt.payload) ->
-      if not (Rtable.endpoint_equal p.hop from) then begin
-        match Hashtbl.find_opt seen p.hop with
-        | Some ids -> ids := p.id :: !ids
-        | None ->
-          let ids = ref [ p.id ] in
-          Hashtbl.add seen p.hop ids;
-          by_hop := (p.hop, ids) :: !by_hop
-      end)
-    payloads;
-  if !by_hop = [] then begin
+     matched payloads. [hops] holds each hop once, in reverse order of
+     first encounter: the output order the golden digests pin. *)
+  let seen : (Rtable.endpoint, unit) Hashtbl.t = Hashtbl.create 16 in
+  let hops =
+    List.fold_left
+      (fun hops (p : Rtable.Prt.payload) ->
+        if Rtable.endpoint_equal p.hop from || Hashtbl.mem seen p.hop then hops
+        else begin
+          Hashtbl.add seen p.hop ();
+          p.hop :: hops
+        end)
+      [] payloads
+  in
+  if hops = [] then begin
     t.counters.pubs_dropped <- t.counters.pubs_dropped + 1;
     M.incr t.meters.m_pubs_dropped
   end;
   List.map
-    (fun (ep, ids) ->
+    (fun ep ->
       (match ep with
       | Rtable.Client _ ->
         t.counters.deliveries <- t.counters.deliveries + 1;
         M.incr t.meters.m_deliveries
       | Rtable.Neighbor _ -> ());
-      let trail = if t.strategy.trail_routing && is_neighbor_ep ep then !ids else [] in
-      (ep, Message.Publish { pub; trail; ctx }))
-    !by_hop
+      (ep, Message.Publish { pub; trail = []; ctx }))
+    hops
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
@@ -602,7 +595,7 @@ let handle t ~from (msg : Message.t) =
     | Message.Unadvertise { id } -> handle_unadvertise t ~from id
     | Message.Subscribe { id; xpe } -> handle_subscribe t ~from id xpe
     | Message.Unsubscribe { id } -> handle_unsubscribe t ~from id
-    | Message.Publish { pub; trail; ctx } -> handle_publish t ~from pub trail ctx
+    | Message.Publish { pub; trail = _; ctx } -> handle_publish t ~from pub ctx
   in
   (match msg with
   | Message.Subscribe _ ->

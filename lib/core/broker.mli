@@ -11,7 +11,6 @@ type strategy = {
   use_cover : bool;  (** covering-based forwarding suppression *)
   merging : merge_mode;
   adv_cover : bool;  (** advertisement covering in the SRT (extension) *)
-  trail_routing : bool;  (** XTreeNet-style restricted re-matching *)
 }
 
 (** Advertisements + covering, no merging. *)

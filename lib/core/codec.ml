@@ -13,6 +13,11 @@
    context (lib/obs spans); untraced publications omit them and encode
    byte-identically to the pre-tracing format.
 
+   <trail> is a ','-separated list of subscription ids. It survives only
+   for wire compatibility: brokers decode it and then ignore it (they
+   match every publication against the full PRT) and always send it
+   empty.
+
    Fields are '|'-separated; element names and attribute tokens are
    percent-encoded so the separators never collide with content. The
    format is self-describing enough for a foreign implementation and

@@ -23,9 +23,10 @@ type t =
   | Publish of {
       pub : Xroute_xml.Xml_paths.publication;
       trail : sub_id list;
-          (** XTreeNet-style optimization: ids of the upstream
-              subscriptions this publication matched; the receiver may
-              restrict matching to their subtrees. *)
+          (** Wire-compatibility field, kept so the [P|] codec
+              component stays byte for byte. Brokers ignore an inbound
+              trail (every publication is matched against the full PRT)
+              and always emit [[]]. *)
       ctx : trace_ctx option;  (** causal trace context, if traced *)
     }
 

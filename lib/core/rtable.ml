@@ -303,7 +303,7 @@ module Prt = struct
   end)
 
   type t = {
-    (* The covering tree: answers covering queries and trail matching. *)
+    (* The covering tree: answers covering queries. *)
     tree : payload Sub_tree.t;
     (* The YFilter automaton over the same subscription set: it answers
        publication matching, at a per-publication cost that grows with
@@ -316,8 +316,6 @@ module Prt = struct
     nfa : (int * payload) Yfilter.t;
     mutable nfa_seq : int;
     mutable by_id : (payload Sub_tree.node * payload) Id_map.t;
-    (* Node tests run by trail matching ([match_pub_from]). *)
-    mutable trail_checks : int;
   }
 
   let create ?flat ?covers () =
@@ -326,7 +324,6 @@ module Prt = struct
       nfa = Yfilter.create ();
       nfa_seq = 0;
       by_id = Id_map.empty;
-      trail_checks = 0;
     }
 
   let size t = Sub_tree.size t.tree
@@ -374,31 +371,7 @@ module Prt = struct
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
     |> List.map snd
 
-  (* Matching restricted to the subtrees of the given subscription ids
-     (trail routing): sound because a publication failing a node cannot
-     match anything the node covers. A trail may name a node and one of
-     its descendants; each node is tested, and its payloads reported,
-     once. Every test is charged to [match_checks]. *)
-  let match_pub_from t ids (pub : Xroute_xml.Xml_paths.publication) =
-    let acc = ref [] in
-    let visited = Hashtbl.create 16 in
-    let rec go node =
-      let key = Sub_tree.node_key node in
-      if not (Hashtbl.mem visited key) then begin
-        Hashtbl.add visited key ();
-        t.trail_checks <- t.trail_checks + 1;
-        if Xpe_eval.matches_syms (Sub_tree.node_xpe node) pub.syms pub.attrs then begin
-          acc := List.rev_append (Sub_tree.node_payloads node) !acc;
-          List.iter go (Sub_tree.node_children node)
-        end
-      end
-    in
-    List.iter
-      (fun id -> match Id_map.find_opt id t.by_id with Some (node, _) -> go node | None -> ())
-      ids;
-    List.rev !acc
-
-  let match_checks t = Yfilter.match_ops t.nfa + t.trail_checks
+  let match_checks t = Yfilter.match_ops t.nfa
   let cover_checks t = Sub_tree.cover_checks t.tree
 
   (* Total stored payloads ([size] counts distinct XPEs). *)

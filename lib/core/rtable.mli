@@ -135,14 +135,7 @@ module Prt : sig
       order: the NFA's answer. *)
   val match_pub : t -> Xroute_xml.Xml_paths.publication -> payload list
 
-  (** Matching restricted to the subtrees of the given ids (trail
-      routing); sound by the covering-pruning argument. Each tree node
-      is tested at most once per call, so a payload is reported once
-      even when the trail names a node and one of its descendants. *)
-  val match_pub_from : t -> Message.sub_id list -> Xroute_xml.Xml_paths.publication -> payload list
-
-  (** Publication matching work so far: the NFA's {!Yfilter.match_ops}
-      plus one per node tested by {!match_pub_from}. *)
+  (** Publication matching work so far: the NFA's {!Yfilter.match_ops}. *)
   val match_checks : t -> int
   val cover_checks : t -> int
 

@@ -414,7 +414,7 @@ let fed_sweep t =
    of one document) and the context is minted here. Outgoing copies
    carry this hop's span id as parent, chaining the next broker's hop
    under this one. *)
-let handle_publish t ~batch_t ~from pub trail ctx =
+let handle_publish t ~batch_t ~from pub ctx =
   let b = Broker.id t.broker in
   let t0 = Mono.now t.clock in
   let trace, parent, root =
@@ -439,7 +439,7 @@ let handle_publish t ~batch_t ~from pub trail ctx =
   let t_dec = Mono.now t.clock in
   leaf "parse" t0 t_dec ();
   let s0, m0, c0 = Broker.stage_ops t.broker in
-  let outs = Broker.handle t.broker ~from (Message.Publish { pub; trail; ctx }) in
+  let outs = Broker.handle t.broker ~from (Message.Publish { pub; trail = []; ctx }) in
   let t_match = Mono.now t.clock in
   let s1, m1, c1 = Broker.stage_ops t.broker in
   leaf "match" t_dec t_match
@@ -506,7 +506,7 @@ let handle_line t conn ~batch_t line =
     | None -> Log.warn (fun m -> m "message before HELLO, ignoring")
     | Some from -> (
       match Codec.decode payload with
-      | Ok (Message.Publish { pub; trail; ctx }) -> handle_publish t ~batch_t ~from pub trail ctx
+      | Ok (Message.Publish { pub; trail = _; ctx }) -> handle_publish t ~batch_t ~from pub ctx
       | Ok msg -> dispatch t (Broker.handle t.broker ~from msg)
       | Error e ->
         Log.warn (fun m -> m "undecodable message from %a: %a" Rtable.pp_endpoint from Codec.pp_error e)))

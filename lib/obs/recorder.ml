@@ -28,25 +28,17 @@ let last n l =
   let len = List.length l in
   if len <= n then l else List.filteri (fun i _ -> i >= len - n) l
 
-let hop_json (h : Trace.hop) =
-  Printf.sprintf
-    "{\"seq\":%d,\"kind\":\"%s\",\"key\":%d,\"broker\":%d,\"time\":%.3f,\"queue_depth\":%d,\"match_ops\":%d}"
-    h.Trace.seq (json_escape h.Trace.kind) h.Trace.key h.Trace.broker h.Trace.time
-    h.Trace.queue_depth h.Trace.match_ops
-
-let render t ~reason ~at ?metrics ?(spans = []) ?(hops = []) ?(rates = []) () =
+let render t ~reason ~at ?metrics ?(spans = []) ?(rates = []) () =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
-    (Printf.sprintf "{\"schema\":\"xroute-flight/1\",\"seq\":%d,\"reason\":\"%s\",\"at\":%.3f" t.seq
+    (Printf.sprintf "{\"schema\":\"xroute-flight/2\",\"seq\":%d,\"reason\":\"%s\",\"at\":%.3f" t.seq
        (json_escape reason) at);
   Buffer.add_string buf ",\"metrics\":";
   Buffer.add_string buf
     (match metrics with Some m -> Metrics.to_json m | None -> "null");
   Buffer.add_string buf ",\"spans\":";
   Buffer.add_string buf (Span.to_chrome (last t.keep_spans spans));
-  Buffer.add_string buf ",\"hops\":[";
-  Buffer.add_string buf (String.concat "," (List.map hop_json (last t.keep_spans hops)));
-  Buffer.add_string buf "],\"rates\":{";
+  Buffer.add_string buf ",\"rates\":{";
   Buffer.add_string buf
     (String.concat ","
        (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%.6g" (json_escape k) v) rates));
@@ -56,8 +48,8 @@ let render t ~reason ~at ?metrics ?(spans = []) ?(hops = []) ?(rates = []) () =
 let ensure_dir dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
 
-let trigger t ~reason ~at ?metrics ?spans ?hops ?rates () =
-  let body = render t ~reason ~at ?metrics ?spans ?hops ?rates () in
+let trigger t ~reason ~at ?metrics ?spans ?rates () =
+  let body = render t ~reason ~at ?metrics ?spans ?rates () in
   let path = Filename.concat t.dir (Printf.sprintf "flight-%03d-%s.json" t.seq (slug reason)) in
   t.seq <- t.seq + 1;
   try

@@ -5,8 +5,8 @@
     metrics and spans explaining it are about to be lost (crashed broker
     state is replaced; rings keep rolling). A recorder owns a directory
     and, on {!trigger}, writes one self-contained JSON file
-    ([flight-<seq>-<reason>.json], schema [xroute-flight/1]) with the
-    last N spans, the registry snapshot, recent hop records and rates.
+    ([flight-<seq>-<reason>.json], schema [xroute-flight/2]) with the
+    last N spans, the registry snapshot and rates.
 
     The ["spans"] field is itself a complete Chrome trace-event object,
     so it can be cut out and loaded in Perfetto directly.
@@ -34,7 +34,6 @@ val trigger :
   at:float ->
   ?metrics:Metrics.t ->
   ?spans:Span.span list ->
-  ?hops:Trace.hop list ->
   ?rates:(string * float) list ->
   unit ->
   (string, string) result

@@ -1,5 +1,5 @@
-(* Causal spans: see span.mli for the span-tree model. The collector
-   mirrors Trace's bounded ring + per-key buckets: eviction is
+(* Causal spans: see span.mli for the span-tree model. The collector is
+   a bounded ring with per-trace buckets: eviction is
    globally-oldest-first and buckets are in creation order, so the span
    evicted on overwrite is always the front of its trace bucket. *)
 

@@ -61,7 +61,6 @@ type traffic = {
 }
 
 module M = Xroute_obs.Metrics
-module Trace = Xroute_obs.Trace
 module Span = Xroute_obs.Span
 module Recorder = Xroute_obs.Recorder
 
@@ -165,7 +164,6 @@ type t = {
      or when the sim quiesces. *)
   mutable recovery_open : float option;
   mutable recovery_last : float;
-  trace : Trace.t option; (* per-hop delivery traces when enabled *)
   spans : Span.t option; (* causal span collection when enabled *)
   recorder : Recorder.t option; (* flight-recorder dumps on fault events *)
   health : Xroute_obs.Health.t array; (* per-broker health summaries *)
@@ -181,7 +179,7 @@ type hop_span = {
   hs_processing : float; (* this hop's processing time, ms *)
 }
 
-let create ?(config = default_config) ?queue ?trace ?spans ?recorder topo =
+let create ?(config = default_config) ?spans ?recorder topo =
   let prng = Xroute_support.Prng.create config.seed in
   let latency_table = Latency.assign config.latency prng topo in
   let brokers =
@@ -192,7 +190,7 @@ let create ?(config = default_config) ?queue ?trace ?spans ?recorder topo =
   {
     topo;
     config;
-    sim = Sim.create ?queue ();
+    sim = Sim.create ();
     prng;
     latency_table;
     brokers;
@@ -227,7 +225,6 @@ let create ?(config = default_config) ?queue ?trace ?spans ?recorder topo =
     universe = [];
     recovery_open = None;
     recovery_last = 0.0;
-    trace;
     spans;
     recorder;
     health = Array.init (Topology.broker_count topo) (fun b -> Xroute_obs.Health.create b);
@@ -294,24 +291,6 @@ let count_traffic t (msg : Message.t) =
   | Message.Publish _ ->
     t.traffic.pub <- t.traffic.pub + 1;
     M.incr t.nm.nm_pub
-
-(* Trace correlation key and kind of a message. *)
-let msg_kind (msg : Message.t) =
-  match msg with
-  | Message.Advertise _ -> "adv"
-  | Message.Unadvertise _ -> "unadv"
-  | Message.Subscribe _ -> "sub"
-  | Message.Unsubscribe _ -> "unsub"
-  | Message.Publish _ -> "pub"
-
-let msg_key (msg : Message.t) =
-  match msg with
-  | Message.Publish { pub; _ } -> pub.doc_id
-  | Message.Advertise { id; _ }
-  | Message.Unadvertise { id }
-  | Message.Subscribe { id; _ }
-  | Message.Unsubscribe { id } ->
-    Trace.key_of_id ~origin:id.origin ~seq:id.seq
 
 let total_traffic t =
   t.traffic.adv + t.traffic.unadv + t.traffic.sub + t.traffic.unsub + t.traffic.pub
@@ -428,11 +407,6 @@ let rec broker_receive t ~from b (msg : Message.t) =
     in
     let outs = Broker.handle broker ~from msg in
     let work = Broker.work broker - w0 in
-    (match t.trace with
-    | Some trace ->
-      Trace.record trace ~kind:(msg_kind msg) ~key:(msg_key msg) ~broker:b
-        ~time:(Sim.now t.sim) ~queue_depth:(Sim.pending t.sim) ~match_ops:work
-    | None -> ());
     let processing =
       t.config.per_msg_cost +. (float_of_int work *. t.config.per_match_cost)
     in
@@ -787,11 +761,6 @@ let flight_dump t ~reason ?broker () =
       | Some sc -> keep (fun b (s : Span.span) -> s.Span.broker = b) (Span.to_list sc)
       | None -> []
     in
-    let hops =
-      match t.trace with
-      | Some tr -> keep (fun b (h : Trace.hop) -> h.Trace.broker = b) (Trace.to_list tr)
-      | None -> []
-    in
     let metrics =
       match broker with
       | Some b ->
@@ -799,7 +768,7 @@ let flight_dump t ~reason ?broker () =
         Broker.metrics t.brokers.(b)
       | None -> t.metrics
     in
-    (match Recorder.trigger r ~reason ~at:(Sim.now t.sim) ~metrics ~spans ~hops () with
+    (match Recorder.trigger r ~reason ~at:(Sim.now t.sim) ~metrics ~spans () with
     | Ok path -> Log.info (fun m -> m "flight recorder: %s" path)
     | Error e -> Log.warn (fun m -> m "flight recorder failed (%s): %s" reason e))
 
@@ -962,7 +931,6 @@ let dropped_publications t =
 (* ------------------------------------------------------------------ *)
 
 let metrics t = t.metrics
-let trace t = t.trace
 let spans t = t.spans
 let recorder t = t.recorder
 

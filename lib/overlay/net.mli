@@ -43,18 +43,14 @@ type traffic = {
 
 type t
 
-(** [create ?trace ?spans ?recorder topo] — pass a [Xroute_obs.Trace.t]
-    to record every broker visit (id, virtual time, queue depth, match
-    ops charged); pass a [Xroute_obs.Span.t] collector to additionally
-    build full causal span trees per publication (root "pub" span, one
+(** [create ?spans ?recorder topo] — pass a [Xroute_obs.Span.t]
+    collector to build full causal span trees per publication (root "pub" span, one
     "hop" span per broker with per-stage leaves, "edge" spans for every
     link crossing); pass a [Xroute_obs.Recorder.t] to dump a flight
     record (final spans + metrics snapshot) when a fault-plan event
     fires. *)
 val create :
   ?config:config ->
-  ?queue:Sim.queue_kind ->
-  ?trace:Xroute_obs.Trace.t ->
   ?spans:Xroute_obs.Span.t ->
   ?recorder:Xroute_obs.Recorder.t ->
   Topology.t ->
@@ -190,9 +186,6 @@ val dropped_publications : t -> int
 (** Network-level metrics registry (traffic counters, per-hop latency
     and delivery-delay histograms); always live. *)
 val metrics : t -> Xroute_obs.Metrics.t
-
-(** The hop trace passed to {!create}, if any. *)
-val trace : t -> Xroute_obs.Trace.t option
 
 (** The span collector passed to {!create}, if any. *)
 val spans : t -> Xroute_obs.Span.t option

@@ -2,71 +2,31 @@
 
    Events are closures ordered by (virtual time, insertion sequence);
    the sequence number makes simultaneous events deterministic (FIFO
-   for equal times). Virtual time is in milliseconds.
+   for equal times). Virtual time is in milliseconds. The queue is
+   {!Xroute_support.Equeue}, a 4-ary min-heap over parallel unboxed
+   arrays: no per-event record allocation. *)
 
-   Two queue backends implement the same ordering contract:
-
-   - [`Heap] (default): {!Xroute_support.Equeue}, a 4-ary min-heap over
-     parallel unboxed arrays — the production path, no per-event record
-     allocation.
-   - [`List]: a sorted insertion list. O(n) per schedule, kept as the
-     obviously-correct reference; the scenario differential gate runs
-     every scenario against both backends and requires byte-identical
-     delivery ledgers. *)
-
-type queue_kind = [ `Heap | `List ]
-
-type list_queue = {
-  (* Ascending (time, seq); head is the next event. *)
-  mutable items : (float * int * (unit -> unit)) list;
-  mutable next_seq : int;
-}
-
-type queue = Q_heap of Xroute_support.Equeue.t | Q_list of list_queue
+module Equeue = Xroute_support.Equeue
 
 type t = {
-  queue : queue;
+  queue : Equeue.t;
   mutable now : float;
   mutable executed : int;
 }
 
-let create ?(queue = `Heap) () =
-  let queue =
-    match queue with
-    | `Heap -> Q_heap (Xroute_support.Equeue.create ~capacity:1024 ())
-    | `List -> Q_list { items = []; next_seq = 0 }
-  in
-  { queue; now = 0.0; executed = 0 }
-
-let queue_kind t = match t.queue with Q_heap _ -> `Heap | Q_list _ -> `List
+let create () = { queue = Equeue.create ~capacity:1024 (); now = 0.0; executed = 0 }
 let now t = t.now
-
-let pending t =
-  match t.queue with
-  | Q_heap h -> Xroute_support.Equeue.length h
-  | Q_list l -> List.length l.items
-
+let pending t = Equeue.length t.queue
 let executed t = t.executed
 
 (* Schedule [action] to run [delay] ms from the current virtual time. *)
 let schedule t ~delay action =
   if delay < 0.0 then invalid_arg "Sim.schedule: negative delay";
-  let time = t.now +. delay in
-  match t.queue with
-  | Q_heap h -> Xroute_support.Equeue.push h ~time action
-  | Q_list l ->
-    let seq = l.next_seq in
-    l.next_seq <- seq + 1;
-    (* Stable insert: the new event goes after every existing entry with
-       an equal time (its seq is the largest so far). *)
-    let rec insert = function
-      | [] -> [ (time, seq, action) ]
-      | ((t0, _, _) as hd) :: tl when t0 <= time -> hd :: insert tl
-      | rest -> (time, seq, action) :: rest
-    in
-    l.items <- insert l.items
+  Equeue.push t.queue ~time:(t.now +. delay) action
 
-(* Run until the queue drains (or [max_events] is hit, a runaway guard). *)
+(* Run until the queue drains (or [max_events] is hit, a runaway guard).
+   The emptiness test comes first, so a run that drains in exactly
+   [max_events] events succeeds. *)
 let run ?(max_events = 200_000_000) t =
   let budget = ref max_events in
   let exec time action =
@@ -74,27 +34,11 @@ let run ?(max_events = 200_000_000) t =
     t.executed <- t.executed + 1;
     action ()
   in
-  match t.queue with
-  | Q_heap h ->
-    while
-      if !budget <= 0 then
-        failwith "Sim.run: event budget exhausted (runaway simulation?)"
-      else Xroute_support.Equeue.pop_with h exec
-    do
-      decr budget
-    done
-  | Q_list l ->
-    let continue = ref true in
-    while !continue do
-      match l.items with
-      | [] -> continue := false
-      | (time, _, action) :: rest ->
-        if !budget <= 0 then
-          failwith "Sim.run: event budget exhausted (runaway simulation?)";
-        decr budget;
-        l.items <- rest;
-        exec time action
-    done
+  while not (Equeue.is_empty t.queue) do
+    if !budget <= 0 then failwith "Sim.run: event budget exhausted (runaway simulation?)";
+    decr budget;
+    ignore (Equeue.pop_with t.queue exec)
+  done
 
 (* Advance virtual time to at least [time] even with an empty queue. *)
 let advance_to t time = if time > t.now then t.now <- time

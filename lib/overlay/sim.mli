@@ -1,19 +1,10 @@
 (** Discrete-event simulation engine: closures ordered by (virtual time,
-    insertion sequence); time is in milliseconds.
-
-    The queue backend is pluggable: [`Heap] (default) is the unboxed
-    4-ary heap ({!Xroute_support.Equeue}); [`List] is a sorted-list
-    reference implementation kept for the scenario differential gate.
-    Both order events identically — (time, seq) with FIFO stability for
-    equal times. *)
+    insertion sequence), FIFO for equal times; time is in milliseconds.
+    The queue is the unboxed 4-ary heap {!Xroute_support.Equeue}. *)
 
 type t
 
-type queue_kind = [ `Heap | `List ]
-
-val create : ?queue:queue_kind -> unit -> t
-
-val queue_kind : t -> queue_kind
+val create : unit -> t
 
 (** Current virtual time (ms). *)
 val now : t -> float
@@ -25,8 +16,10 @@ val executed : t -> int
     @raise Invalid_argument on negative delays. *)
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 
-(** Run until the queue drains.
-    @raise Failure when [max_events] is exceeded (runaway guard). *)
+(** Run until the queue drains. A run that drains in exactly
+    [max_events] events succeeds.
+    @raise Failure when the queue still holds events after [max_events]
+    have run (runaway guard). *)
 val run : ?max_events:int -> t -> unit
 
 (** Advance the clock without executing anything. *)

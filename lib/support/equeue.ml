@@ -1,7 +1,7 @@
 (* Event queue for the discrete-event simulator: a 4-ary min-heap over
    parallel arrays.
 
-   The generic {!Heap} stores one boxed element per entry and calls a
+   A generic heap would store one boxed element per entry and call a
    closure comparator on every sift step; at millions of in-flight
    events that is one record + one option allocation per event plus a
    call-heavy ordering. Here the key lives unboxed in a [floatarray]

@@ -3,9 +3,9 @@
 
     Entries are (time, action) pairs ordered by (time, insertion
     sequence); the sequence is assigned internally so that equal-time
-    events pop in FIFO order. Compared to the generic {!Heap} this
-    stores the ordering key unboxed (no per-event record, no closure
-    comparator) — the hot path of million-event simulations. *)
+    events pop in FIFO order. The ordering key is stored unboxed (no
+    per-event record, no closure comparator): this is the hot path of
+    million-event simulations, and the simulator's only queue. *)
 
 type t
 

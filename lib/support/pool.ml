@@ -1,13 +1,10 @@
-(* Allocation helpers for simulator hot paths.
+(* Allocation helper for simulator hot paths.
 
    [Arena] is a chunked, append-only store of fixed-shape rows
    (int, int, float) — delivery-ledger entries, churn logs — kept in
    parallel unboxed chunk arrays so a million-row ledger costs three
    flat arrays per chunk instead of a million boxed tuples, and grows
-   without copying existing rows.
-
-   [Free] is a free-list object pool for scratch values (buffers,
-   work arrays) that are acquired and released many times per run. *)
+   without copying existing rows. *)
 
 module Arena = struct
   type chunk = { a : int array; b : int array; t : floatarray }
@@ -102,34 +99,4 @@ module Arena = struct
     let h = ref digest_empty in
     iter t (fun a b time -> h := digest_row !h a b time);
     digest_close !h t.len
-end
-
-module Free = struct
-  type 'a t = {
-    make : unit -> 'a;
-    reset : 'a -> unit;
-    mutable free : 'a list;
-    mutable live : int;
-    mutable created : int;
-  }
-
-  let create ~make ~reset () = { make; reset; free = []; live = 0; created = 0 }
-
-  let acquire t =
-    t.live <- t.live + 1;
-    match t.free with
-    | x :: rest ->
-      t.free <- rest;
-      x
-    | [] ->
-      t.created <- t.created + 1;
-      t.make ()
-
-  let release t x =
-    t.reset x;
-    t.live <- t.live - 1;
-    t.free <- x :: t.free
-
-  let live t = t.live
-  let created t = t.created
 end

@@ -1,5 +1,4 @@
-(** Allocation helpers for simulator hot paths: a chunked row arena and
-    a free-list object pool. *)
+(** Allocation helper for simulator hot paths: a chunked row arena. *)
 
 (** Append-only arena of (int, int, float) rows stored in parallel
     unboxed chunk arrays. Growing never copies existing rows; a row is
@@ -35,20 +34,4 @@ module Arena : sig
 
   val digest_row : int64 -> int -> int -> float -> int64
   val digest_close : int64 -> int -> int64
-end
-
-(** Free-list pool of reusable scratch objects. [reset] runs on release
-    so acquired values are always clean. *)
-module Free : sig
-  type 'a t
-
-  val create : make:(unit -> 'a) -> reset:('a -> unit) -> unit -> 'a t
-  val acquire : 'a t -> 'a
-  val release : 'a t -> 'a -> unit
-
-  (** Objects currently acquired. *)
-  val live : 'a t -> int
-
-  (** Objects ever constructed by [make]. *)
-  val created : 'a t -> int
 end

@@ -15,9 +15,9 @@
 
    Every scenario is bit-for-bit deterministic from its spec: the same
    spec and seed produce identical delivery ledgers, fault statistics
-   and routing decisions — across runs and across the simulator's [`Heap]
-   and [`List] queue backends, which is the standing differential gate
-   that makes the million-client numbers trustworthy. *)
+   and routing decisions across runs. [diff] checks that replay, and it
+   is the standing gate that makes the million-client numbers
+   trustworthy. *)
 
 open Xroute_overlay
 module Pool = Xroute_support.Pool
@@ -128,7 +128,6 @@ type ledger_mode = [ `Full | `Digest | `Auto ]
 
 type outcome = {
   spec : spec;
-  queue : Sim.queue_kind;
   subs_sent : int;
   unsubs_sent : int;
   docs_published : int;
@@ -161,8 +160,8 @@ let fault_line (fs : Net.fault_stats) =
 
 (* Per-broker next-hop decisions, read by replaying every path
    publication through [Broker.handle] from a phantom endpoint (the
-   test_fault.ml convention): what must be identical across runs and
-   queue backends is where each publication goes. Mutates broker
+   test_fault.ml convention): what must be identical across runs is
+   where each publication goes. Mutates broker
    counters — call it after every other metric is collected. *)
 let probe_decisions net docs =
   let pubs =
@@ -184,7 +183,7 @@ let probe_decisions net docs =
 (* The engine                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let run ?(queue = `Heap) ?(ledger = `Auto) ?decisions ?fault_spec spec =
+let run ?(ledger = `Auto) ?decisions ?fault_spec spec =
   let dtd =
     match Xroute_dtd.Dtd_samples.by_name spec.dtd with
     | Some d -> d
@@ -194,7 +193,7 @@ let run ?(queue = `Heap) ?(ledger = `Auto) ?decisions ?fault_spec spec =
   let leaves = Array.of_list (Topology.binary_tree_leaves ~levels:spec.levels) in
   let nleaves = Array.length leaves in
   let config = { Net.default_config with Net.seed = spec.seed } in
-  let net = Net.create ~config ~queue topo in
+  let net = Net.create ~config topo in
   let sim = Net.sim net in
 
   (* Delivery ledger: full rows at small scale, running digest always. *)
@@ -409,7 +408,6 @@ let run ?(queue = `Heap) ?(ledger = `Auto) ?decisions ?fault_spec spec =
   in
   {
     spec;
-    queue;
     subs_sent = !subs_sent;
     unsubs_sent = !unsubs_sent;
     docs_published = !docs_published;
@@ -447,13 +445,11 @@ let equal_ledgers a b =
   | None, None -> a.ledger_digest = b.ledger_digest && a.deliveries = b.deliveries
   | _ -> false
 
-(* The standing differential: run the spec on both queue backends and
-   require byte-identical ledgers (full rows when [`Full]), identical
-   decisions and fault accounting. Returns the list of discrepancies
-   (empty = gate passes). *)
-let differential ?(ledger = `Full) ?fault_spec spec =
-  let a = run ~queue:`Heap ~ledger ?fault_spec spec in
-  let b = run ~queue:`List ~ledger ?fault_spec spec in
+(* The replay check: two outcomes of the same spec must carry
+   byte-identical ledgers (full rows when both kept them), identical
+   decisions and fault accounting. Returns the discrepancies (empty =
+   the outcomes agree). *)
+let diff a b =
   let diffs = ref [] in
   let check name ok = if not ok then diffs := name :: !diffs in
   check "ledger" (equal_ledgers a b);
@@ -464,4 +460,4 @@ let differential ?(ledger = `Full) ?fault_spec spec =
   check "fault_stats" (a.fault_line = b.fault_line);
   check "events" (a.events = b.events);
   check "virtual_ms" (a.virtual_ms = b.virtual_ms);
-  (a, b, List.rev !diffs)
+  List.rev !diffs

@@ -7,9 +7,9 @@
     never materialized); deliveries stream into a chunked arena ledger
     (full rows at small scale, a running digest at large scale).
 
-    Scenarios are bit-for-bit deterministic from their spec, across runs
-    and across the simulator's [`Heap] and [`List] queue backends —
-    {!differential} is the standing gate. *)
+    Scenarios are bit-for-bit deterministic from their spec: two runs of
+    one spec agree on every {!diff} field, and that replay is the
+    standing gate. *)
 
 type kind =
   | Flash_crowd  (** burst arrival of subscribers on one hot DTD subtree *)
@@ -59,7 +59,6 @@ type ledger_mode = [ `Full | `Digest | `Auto ]
 
 type outcome = {
   spec : spec;
-  queue : Xroute_overlay.Sim.queue_kind;
   subs_sent : int;
   unsubs_sent : int;
   docs_published : int;
@@ -83,7 +82,6 @@ type outcome = {
     (default: on up to 20k clients). [fault_spec] overlays a seeded
     fault plan ({!Xroute_fault.Plan.generate}) on the scenario. *)
 val run :
-  ?queue:Xroute_overlay.Sim.queue_kind ->
   ?ledger:ledger_mode ->
   ?decisions:bool ->
   ?fault_spec:Xroute_fault.Plan.spec ->
@@ -94,11 +92,8 @@ val run :
     same order); digest + count equality otherwise. *)
 val equal_ledgers : outcome -> outcome -> bool
 
-(** Run [spec] on both queue backends and compare ledgers, decisions,
-    fault accounting, event and delivery counts. Returns both outcomes
-    and the list of discrepancies — empty means the gate passes. *)
-val differential :
-  ?ledger:ledger_mode ->
-  ?fault_spec:Xroute_fault.Plan.spec ->
-  spec ->
-  outcome * outcome * string list
+(** Compare two outcomes: ledgers ({!equal_ledgers}), decisions, fault
+    accounting, event, subscription and delivery counts, and the final
+    clock. Returns the names of the fields that differ — empty means
+    they agree. Two runs of one spec must agree (the replay check). *)
+val diff : outcome -> outcome -> string list

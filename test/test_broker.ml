@@ -104,15 +104,6 @@ let test_prt_remove_reports_promotions () =
     | roots -> Alcotest.failf "expected one promoted child, got %d roots" (List.length roots))
   | None -> Alcotest.fail "expected removal"
 
-let test_prt_match_from_trail () =
-  let prt = Rtable.Prt.create () in
-  ignore (Rtable.Prt.insert prt (sid 2 1) (xp "/a") (neighbor 1));
-  ignore (Rtable.Prt.insert prt (sid 2 2) (xp "/a/b") (neighbor 2));
-  ignore (Rtable.Prt.insert prt (sid 2 3) (xp "/x") (neighbor 3));
-  let from_root = Rtable.Prt.match_pub prt (pub "/a/b") in
-  let from_trail = Rtable.Prt.match_pub_from prt [ sid 2 1 ] (pub "/a/b") in
-  check ci "trail finds the subtree" (List.length from_root) (List.length from_trail)
-
 (* ---------------- Broker: advertisements ---------------- *)
 
 let make_broker ?(strategy = Broker.default_strategy) ~id ~neighbors () =
@@ -235,43 +226,41 @@ let test_pub_dropped_counted () =
   ignore (Broker.handle b ~from:(neighbor 1) (Message.Publish { pub = pub "/zzz"; trail = []; ctx = None }));
   check ci "dropped" 1 (Broker.counters b).Broker.pubs_dropped
 
-let test_pub_trail_routing () =
-  let strategy = { Broker.default_strategy with Broker.trail_routing = true } in
-  let b = make_broker ~strategy ~id:0 ~neighbors:[ 1; 2 ] () in
-  ignore (Broker.handle b ~from:(neighbor 1) (Message.Subscribe { id = sid 5 1; xpe = xp "/a" }));
-  let outs = Broker.handle b ~from:(neighbor 2) (Message.Publish { pub = pub "/a/b"; trail = []; ctx = None }) in
-  (match outs with
-  | [ (ep, Message.Publish { trail; _ }) ] ->
-    check cb "to neighbor 1" true (Rtable.endpoint_equal ep (neighbor 1));
-    check ci "trail carries sub id" 1 (List.length trail)
-  | _ -> Alcotest.fail "expected one publish with trail");
-  (* the downstream broker uses the trail *)
-  let b2 = make_broker ~strategy ~id:1 ~neighbors:[ 0 ] () in
-  ignore (Broker.handle b2 ~from:(client 3) (Message.Subscribe { id = sid 5 1; xpe = xp "/a" }));
-  let outs2 =
-    Broker.handle b2 ~from:(neighbor 0) (Message.Publish { pub = pub "/a/b"; trail = [ sid 5 1 ]; ctx = None })
+(* Wire compatibility: a neighbour's [P|] line that still carries a
+   trail is matched against the full PRT. The trail below names only
+   the neighbour's subscription; the local client's must match as well.
+   The line delivers exactly like its empty-trail twin, and every copy
+   goes out with [trail = []], so an untraced output line is byte for
+   byte the empty-trail encoding. *)
+let test_pub_inbound_trail_ignored () =
+  let setup () =
+    let b = make_broker ~id:0 ~neighbors:[ 1; 2 ] () in
+    ignore (Broker.handle b ~from:(neighbor 2) (Message.Subscribe { id = sid 5 1; xpe = xp "/a/b" }));
+    ignore (Broker.handle b ~from:(client 7) (Message.Subscribe { id = sid 7 1; xpe = xp "/a" }));
+    b
   in
-  check ci "delivered via trail" 1 (count_kind `Pub outs2)
-
-(* A trail naming a node and its descendant: the trailed matching is
-   charged to the broker's work, and each matched subscription goes on
-   the outgoing trail once. *)
-let test_pub_trail_overlap_charged_once () =
-  let strategy = { Broker.default_strategy with Broker.trail_routing = true } in
-  let b = make_broker ~strategy ~id:0 ~neighbors:[ 1; 2 ] () in
-  ignore (Broker.handle b ~from:(neighbor 2) (Message.Subscribe { id = sid 5 1; xpe = xp "/a" }));
-  ignore (Broker.handle b ~from:(neighbor 2) (Message.Subscribe { id = sid 5 2; xpe = xp "/a/b" }));
-  let w0 = Broker.work b in
-  let outs =
-    Broker.handle b ~from:(neighbor 1)
-      (Message.Publish { pub = pub "/a/b"; trail = [ sid 5 1; sid 5 2 ]; ctx = None })
+  let route trail =
+    let line = Codec.encode (Message.Publish { pub = pub "/a/b/c"; trail; ctx = None }) in
+    match Codec.decode line with
+    | Ok msg -> (line, Broker.handle (setup ()) ~from:(neighbor 1) msg)
+    | Error e -> Alcotest.failf "decode: %a" Codec.pp_error e
   in
-  check cb "trail matching charged" true (Broker.work b - w0 > 0);
-  match outs with
-  | [ (ep, Message.Publish { trail; _ }) ] ->
-    check cb "to neighbor 2" true (Rtable.endpoint_equal ep (neighbor 2));
-    check ci "one trail id per subscription" 2 (List.length trail)
-  | _ -> Alcotest.fail "expected one publish with trail"
+  let trailed_line, trailed = route [ sid 5 1; sid 9 9 ] in
+  let plain_line, plain = route [] in
+  check cb "the trail is on the inbound line" true (trailed_line <> plain_line);
+  check ci "two targets" 2 (count_kind `Pub trailed);
+  check ci "to client 7" 1 (List.length (msgs_to (client 7) trailed));
+  check ci "to broker 2" 1 (List.length (msgs_to (neighbor 2) trailed));
+  let encode outs = List.map (fun (ep, m) -> (ep, Codec.encode m)) outs in
+  check cb "same outputs as the empty-trail line" true (encode trailed = encode plain);
+  List.iter
+    (fun (_, m) ->
+      match m with
+      | Message.Publish { trail; _ } -> check ci "forwarded with an empty trail" 0 (List.length trail)
+      | _ -> Alcotest.fail "expected publications only")
+    trailed;
+  check cb "output line is the empty-trail encoding" true
+    (List.for_all (fun (_, l) -> l = plain_line) (encode trailed))
 
 (* ---------------- Broker: merging ---------------- *)
 
@@ -367,7 +356,6 @@ let () =
         [
           Alcotest.test_case "insert/match" `Quick test_prt_insert_match;
           Alcotest.test_case "remove promotions" `Quick test_prt_remove_reports_promotions;
-          Alcotest.test_case "trail matching" `Quick test_prt_match_from_trail;
           Alcotest.test_case "nfa gauges after churn" `Quick test_nfa_gauges_after_churn;
         ] );
       ( "advertisements",
@@ -391,9 +379,7 @@ let () =
           Alcotest.test_case "forwarding" `Quick test_pub_forwarding;
           Alcotest.test_case "not backwards" `Quick test_pub_not_backwards;
           Alcotest.test_case "dropped counted" `Quick test_pub_dropped_counted;
-          Alcotest.test_case "trail routing" `Quick test_pub_trail_routing;
-          Alcotest.test_case "overlapping trail charged once" `Quick
-            test_pub_trail_overlap_charged_once;
+          Alcotest.test_case "inbound trail ignored" `Quick test_pub_inbound_trail_ignored;
         ] );
       ( "merging",
         [

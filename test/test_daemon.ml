@@ -800,7 +800,7 @@ let test_trace_framing_hostile_payload () =
 
 (* An error-severity AUDIT finding must leave a post-mortem on disk:
    corrupt the PRT via a fake non-neighbor broker, audit, then check the
-   daemon's recorder wrote a parseable xroute-flight/1 dump. *)
+   daemon's recorder wrote a parseable xroute-flight/2 dump. *)
 let test_flight_recorder_on_audit_error () =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -834,7 +834,7 @@ let test_flight_recorder_on_audit_error () =
       let str k =
         Option.bind (Xroute_support.Json.member k j) Xroute_support.Json.to_str
       in
-      check cb "flight schema" true (str "schema" = Some "xroute-flight/1");
+      check cb "flight schema" true (str "schema" = Some "xroute-flight/2");
       check cb "reason names the audit" true
         (match str "reason" with
         | Some r -> List.exists (fun w -> w = "audit") (String.split_on_char ' ' r)

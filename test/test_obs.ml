@@ -1,5 +1,5 @@
 (* Tests for the observability library: metrics registry semantics,
-   hop tracing, and golden tests for both exposition formats. *)
+   causal spans, and golden tests for both exposition formats. *)
 
 open Xroute_obs
 
@@ -264,56 +264,6 @@ let test_golden_json () =
   in
   check cs "json" expect (Metrics.to_json (golden_registry ()))
 
-(* ---------------- hop trace ---------------- *)
-
-let test_trace_ring () =
-  let tr = Trace.create ~capacity:4 () in
-  check cb "zero capacity raises" true
-    (try
-       ignore (Trace.create ~capacity:0 ());
-       false
-     with Invalid_argument _ -> true);
-  for i = 0 to 9 do
-    Trace.record tr ~kind:"pub" ~key:i ~broker:(i mod 3) ~time:(float_of_int i)
-      ~queue_depth:i ~match_ops:0
-  done;
-  check ci "length counts all records" 10 (Trace.length tr);
-  check ci "capacity" 4 (Trace.capacity tr);
-  let retained = Trace.to_list tr in
-  check ci "retains only the newest" 4 (List.length retained);
-  check cb "oldest first" true
-    (List.map (fun h -> h.Trace.key) retained = [ 6; 7; 8; 9 ]);
-  Trace.clear tr;
-  check ci "clear resets" 0 (Trace.length tr)
-
-let test_trace_hops_for () =
-  let tr = Trace.create () in
-  let key = Trace.key_of_id ~origin:3 ~seq:7 in
-  Trace.record tr ~kind:"sub" ~key ~broker:0 ~time:0.0 ~queue_depth:1 ~match_ops:2;
-  Trace.record tr ~kind:"pub" ~key:99 ~broker:0 ~time:1.0 ~queue_depth:0 ~match_ops:0;
-  Trace.record tr ~kind:"sub" ~key ~broker:1 ~time:2.0 ~queue_depth:0 ~match_ops:5;
-  let hops = Trace.hops_for tr ~key in
-  check ci "both hops of the message" 2 (List.length hops);
-  check cb "ordered by record time" true
-    (List.map (fun h -> h.Trace.broker) hops = [ 0; 1 ]);
-  check cb "distinct ids get distinct keys" true
-    (Trace.key_of_id ~origin:3 ~seq:7 <> Trace.key_of_id ~origin:7 ~seq:3)
-
-(* The per-key bucket index: looking up one message's path must cost its
-   own hop count, no matter how much unrelated traffic the ring holds. *)
-let test_trace_lookup_cost_independent () =
-  let tr = Trace.create ~capacity:8192 () in
-  let key = 424242 in
-  for i = 0 to 2 do
-    Trace.record tr ~kind:"pub" ~key ~broker:i ~time:(float_of_int i) ~queue_depth:0
-      ~match_ops:0
-  done;
-  for i = 0 to 4999 do
-    Trace.record tr ~kind:"pub" ~key:i ~broker:0 ~time:10.0 ~queue_depth:0 ~match_ops:0
-  done;
-  check ci "path found under noise" 3 (List.length (Trace.hops_for tr ~key));
-  check ci "lookup cost = this key's hops, not ring size" 3 (Trace.last_lookup_cost tr)
-
 (* ---------------- causal spans ---------------- *)
 
 let test_span_tree_and_stage_sum () =
@@ -496,7 +446,8 @@ let test_recorder_dump () =
     | Error e -> Alcotest.fail ("dump is not JSON: " ^ e)
     | Ok j ->
       let str k = Option.bind (Xroute_support.Json.member k j) Xroute_support.Json.to_str in
-      check cb "flight schema" true (str "schema" = Some "xroute-flight/1");
+      check cb "flight schema" true (str "schema" = Some "xroute-flight/2");
+      check cb "no hops field" true (Xroute_support.Json.member "hops" j = None);
       check cb "reason embedded" true (str "reason" = Some "Broker 2 crashed!");
       check cb "spans field is a chrome trace object" true
         (match Xroute_support.Json.member "spans" j with
@@ -536,13 +487,6 @@ let () =
         [
           Alcotest.test_case "golden prometheus" `Quick test_golden_prometheus;
           Alcotest.test_case "golden json" `Quick test_golden_json;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "ring buffer" `Quick test_trace_ring;
-          Alcotest.test_case "hops_for" `Quick test_trace_hops_for;
-          Alcotest.test_case "lookup cost independent of noise" `Quick
-            test_trace_lookup_cost_independent;
         ] );
       ( "span",
         [

@@ -96,6 +96,24 @@ let test_sim_budget () =
      Alcotest.fail "expected budget exhaustion"
    with Failure _ -> ())
 
+(* The budget is the number of events a run may execute: a run that
+   drains in exactly [max_events] events passes (one of them schedules
+   another, so the queue is refilled mid-run), one event fewer raises. *)
+let test_sim_budget_exact () =
+  let run budget =
+    let sim = Sim.create () in
+    Sim.schedule sim ~delay:1.0 ignore;
+    Sim.schedule sim ~delay:2.0 (fun () -> Sim.schedule sim ~delay:0.0 ignore);
+    Sim.run ~max_events:budget sim;
+    Sim.executed sim
+  in
+  check ci "budget = event count drains" 3 (run 3);
+  Alcotest.check_raises "budget below the event count"
+    (Failure "Sim.run: event budget exhausted (runaway simulation?)") (fun () -> ignore (run 2));
+  let empty = Sim.create () in
+  Sim.run ~max_events:0 empty;
+  check ci "an empty run fits a zero budget" 0 (Sim.executed empty)
+
 (* ---------------- Latency ---------------- *)
 
 let test_latency_models () =
@@ -374,6 +392,7 @@ let () =
           Alcotest.test_case "cascading" `Quick test_sim_cascading;
           Alcotest.test_case "negative delay" `Quick test_sim_negative_delay;
           Alcotest.test_case "budget" `Quick test_sim_budget;
+          Alcotest.test_case "budget equal to the event count" `Quick test_sim_budget_exact;
         ] );
       ("latency", [ Alcotest.test_case "models" `Quick test_latency_models ]);
       ( "net",

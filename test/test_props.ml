@@ -349,13 +349,22 @@ let prop_audit_clean_after_churn =
       Net.run net;
       Xroute_check.Check.audit_net net = [])
 
-(* Heap sort property on random int lists. *)
+(* Heap sort property of the event queue: random small-int times pop
+   sorted, and equal times in push order (a stable sort by time). *)
 let prop_heap_sorts =
+  let module Equeue = Xroute_support.Equeue in
   QCheck.Test.make ~name:"heap sorts" ~count:300
     QCheck.(list_of_size (QCheck.Gen.int_range 0 100) small_int) (fun xs ->
-      let h = Xroute_support.Heap.create ~cmp:compare ~dummy:0 () in
-      List.iter (Xroute_support.Heap.push h) xs;
-      Xroute_support.Heap.to_list h = List.sort compare xs)
+      let tagged = List.mapi (fun i x -> (x, i)) xs in
+      let q = Equeue.create ~capacity:1 () in
+      let popped = ref [] in
+      List.iter
+        (fun (x, i) -> Equeue.push q ~time:(float_of_int x) (fun () -> popped := (x, i) :: !popped))
+        tagged;
+      while Equeue.pop_with q (fun _ act -> act ()) do
+        ()
+      done;
+      List.rev !popped = List.stable_sort (fun (a, _) (b, _) -> compare a b) tagged)
 
 let () =
   let to_alcotest = List.map QCheck_alcotest.to_alcotest in

@@ -235,8 +235,9 @@ let test_bench7_saturation () =
 
 (* The BENCH_8 scenario-scale pin: the committed scale series must
    reach a million clients with positive throughput and RSS figures at
-   >= 3 scale points, and every heap-vs-list differential record must
-   show identical ledgers with zero diffs. *)
+   >= 3 scale points, and every scenario-differential record (the
+   replay gate; the records keep their historical name) must show
+   identical ledgers with zero diffs. *)
 let test_bench8_scenario_scale () =
   match List.assoc_opt "BENCH_8.json" (bench_files ()) with
   | None -> Alcotest.fail "BENCH_8.json not committed at the repo root"
@@ -261,7 +262,7 @@ let test_bench8_scenario_scale () =
             | None -> false)
           experiments
       in
-      (* differential gate: all four kinds, identical ledgers, 0 diffs *)
+      (* replay gate: all four kinds, identical ledgers, 0 diffs *)
       let diffs = named "scenario-differential-" in
       check ci "all four scenario kinds in the differential gate" 4 (List.length diffs);
       List.iter

@@ -1,6 +1,6 @@
 (* Scenario-engine regression: determinism (same seed + spec => same
    delivery ledger, fault accounting, and per-broker next-hop decisions
-   across independent runs) and the heap-vs-list queue differential that
+   across independent runs) and the [Scenario.diff] replay check that
    backs the million-client numbers. Runs at smoke scale — correctness
    of the engine, not its throughput. *)
 
@@ -249,36 +249,37 @@ let test_golden_work_totals () =
   check ci "deliveries" 29 (Net.total_deliveries net);
   check ci "messages" 11283 (Net.total_traffic net)
 
-(* ---------------- heap vs list differential ---------------- *)
+(* ---------------- replay check ---------------- *)
 
-let test_queue_differential () =
+(* [Scenario.diff] is the replay gate of the audit, --smoke and
+   scenario-scale: a replay of every kind agrees on every field, and a
+   run one seed off is caught. *)
+let test_replay_diff () =
   List.iter
     (fun kind ->
       let spec = small kind in
-      let a, b, diffs = Scenario.differential spec in
+      let a = Scenario.run ~ledger:`Full spec in
       let name = Scenario.kind_to_string kind in
-      if diffs <> [] then
-        Alcotest.failf "%s: heap/list differential diffs: %s" name (String.concat ", " diffs);
-      check cb (name ^ ": heap ran on heap queue") true (a.Scenario.queue = `Heap);
-      check cb (name ^ ": list ran on list queue") true (b.Scenario.queue = `List);
-      check cb (name ^ ": rows match") true (ledger_rows a = ledger_rows b))
+      (match Scenario.diff a (Scenario.run ~ledger:`Full spec) with
+      | [] -> ()
+      | diffs -> Alcotest.failf "%s: replay diffs: %s" name (String.concat ", " diffs));
+      let skewed = Scenario.run ~ledger:`Full { spec with Scenario.seed = spec.Scenario.seed + 1 } in
+      check cb (name ^ ": a run one seed off differs in its ledger") true
+        (List.mem "ledger" (Scenario.diff a skewed)))
     Scenario.all_kinds
 
-(* The differential holds under an overlaid fault plan too: crashes and
-   outages are virtual-time-deterministic, so both backends must agree
-   on losses and recoveries, not just the happy path. *)
-let test_queue_differential_with_faults () =
+(* The replay holds under an overlaid fault plan too: crashes and
+   outages are virtual-time-deterministic, so a replay must agree on
+   losses and recoveries, not just the happy path. *)
+let test_replay_with_faults () =
   let fspec =
     { Xroute_fault.Plan.default_spec with Xroute_fault.Plan.client_drops = 0 }
   in
   let spec = { (small Scenario.Churn) with Scenario.seed = 5 } in
-  let a, b, diffs = Scenario.differential ~fault_spec:fspec spec in
-  if diffs <> [] then
-    Alcotest.failf "faulted differential diffs: %s" (String.concat ", " diffs);
-  check cb "faults actually fired" true
-    (a.Scenario.fault_line = b.Scenario.fault_line
-    && a.Scenario.fault_line <> Scenario.(run (small Flash_crowd)).Scenario.fault_line
-    || a.Scenario.fault_line <> "");
+  let a = Scenario.run ~ledger:`Full ~fault_spec:fspec spec in
+  (match Scenario.diff a (Scenario.run ~ledger:`Full ~fault_spec:fspec spec) with
+  | [] -> ()
+  | diffs -> Alcotest.failf "faulted replay diffs: %s" (String.concat ", " diffs));
   (* the plan must have produced at least one crash for the gate to mean
      anything *)
   check cb "crashes in fault line" true
@@ -308,9 +309,9 @@ let () =
           Alcotest.test_case "golden pins" `Quick test_golden_pins;
           Alcotest.test_case "golden work totals" `Quick test_golden_work_totals;
         ] );
-      ( "differential",
+      ( "replay",
         [
-          Alcotest.test_case "heap vs list" `Quick test_queue_differential;
-          Alcotest.test_case "heap vs list under faults" `Quick test_queue_differential_with_faults;
+          Alcotest.test_case "diff catches a seed skew" `Quick test_replay_diff;
+          Alcotest.test_case "under faults" `Quick test_replay_with_faults;
         ] );
     ]

@@ -1,4 +1,5 @@
-(* Tests for the support library: PRNG, heap, Zipf, stats. *)
+(* Tests for the support library: PRNG, Zipf, stats, the event heap
+   and the row arena. *)
 
 open Xroute_support
 
@@ -117,84 +118,6 @@ let test_prng_pareto_min () =
   let p = Prng.create 41 in
   for _ = 1 to 1000 do
     check cb "at least xm" true (Prng.pareto p ~alpha:1.5 ~xm:0.4 >= 0.4)
-  done
-
-(* ---------------- Heap ---------------- *)
-
-let int_heap () = Heap.create ~cmp:compare ~dummy:0 ()
-
-let test_heap_empty () =
-  let h = int_heap () in
-  check cb "is_empty" true (Heap.is_empty h);
-  check ci "length" 0 (Heap.length h);
-  check (Alcotest.option ci) "peek" None (Heap.peek_min h);
-  check (Alcotest.option ci) "pop" None (Heap.pop_min h)
-
-let test_heap_sorts () =
-  let h = int_heap () in
-  let input = [ 5; 3; 8; 1; 9; 2; 7; 4; 6; 0 ] in
-  List.iter (Heap.push h) input;
-  let rec drain acc =
-    match Heap.pop_min h with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  check (Alcotest.list ci) "ascending" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ] (drain [])
-
-let test_heap_duplicates () =
-  let h = int_heap () in
-  List.iter (Heap.push h) [ 2; 2; 1; 1; 3 ];
-  check (Alcotest.list ci) "dups kept" [ 1; 1; 2; 2; 3 ] (Heap.to_list h);
-  check ci "length" 5 (Heap.length h)
-
-let test_heap_growth () =
-  let h = Heap.create ~capacity:2 ~cmp:compare ~dummy:0 () in
-  for i = 1000 downto 1 do
-    Heap.push h i
-  done;
-  check ci "all stored" 1000 (Heap.length h);
-  check (Alcotest.option ci) "min" (Some 1) (Heap.peek_min h)
-
-let test_heap_to_list_preserves () =
-  let h = int_heap () in
-  List.iter (Heap.push h) [ 4; 2; 6 ];
-  ignore (Heap.to_list h);
-  check ci "untouched" 3 (Heap.length h)
-
-let test_heap_clear () =
-  let h = int_heap () in
-  List.iter (Heap.push h) [ 1; 2; 3 ];
-  Heap.clear h;
-  check cb "cleared" true (Heap.is_empty h)
-
-let test_heap_interleaved () =
-  let h = int_heap () in
-  Heap.push h 5;
-  Heap.push h 1;
-  check (Alcotest.option ci) "pop 1" (Some 1) (Heap.pop_min h);
-  Heap.push h 3;
-  check (Alcotest.option ci) "pop 3" (Some 3) (Heap.pop_min h);
-  check (Alcotest.option ci) "pop 5" (Some 5) (Heap.pop_min h)
-
-let test_heap_random_model () =
-  let p = Prng.create 99 in
-  let h = int_heap () in
-  let model = ref [] in
-  for _ = 1 to 2000 do
-    if Prng.bool p || !model = [] then begin
-      let v = Prng.int p 1000 in
-      Heap.push h v;
-      model := v :: !model
-    end
-    else begin
-      let expected = List.fold_left min max_int !model in
-      (match Heap.pop_min h with
-      | Some got -> check ci "model min" expected got
-      | None -> Alcotest.fail "heap empty but model is not");
-      let rec remove_one = function
-        | [] -> []
-        | x :: rest -> if x = expected then rest else x :: remove_one rest
-      in
-      model := remove_one !model
-    end
   done
 
 (* ---------------- Zipf ---------------- *)
@@ -351,7 +274,11 @@ let test_equeue_clear_and_reuse () =
 
 (* Seeded random insert/pop interleavings against a sorted-list oracle.
    Times are drawn from a tiny set so timestamp ties are the common
-   case, exercising the FIFO tie-break continuously. *)
+   case, exercising the FIFO tie-break continuously. A third of the pops
+   push from inside [pop_with], as the simulator's handlers do:
+   zero-delay events at the popped time (they must queue behind its
+   equal-time peers) and events one tick later. The queue starts at
+   capacity 1, so some of those pushes grow the heap mid-pop. *)
 let test_equeue_random_vs_oracle () =
   List.iter
     (fun seed ->
@@ -360,28 +287,34 @@ let test_equeue_random_vs_oracle () =
       let oracle = ref [] (* (time, push index), kept in pop order *) in
       let fired = ref [] in
       let pushes = ref 0 in
+      let nested_pushes = ref 0 in
       (* stable insert: after all entries with time <= t *)
       let rec ins t tag = function
         | [] -> [ (t, tag) ]
         | (t0, g0) :: rest when t0 <= t -> (t0, g0) :: ins t tag rest
         | later -> (t, tag) :: later
       in
+      let push time =
+        let tag = !pushes in
+        incr pushes;
+        Equeue.push q ~time (tagged fired tag);
+        oracle := ins time tag !oracle
+      in
       for _ = 1 to 3000 do
-        if Prng.bool p || !oracle = [] then begin
-          let time = float_of_int (Prng.int p 8) in
-          let tag = !pushes in
-          incr pushes;
-          Equeue.push q ~time (tagged fired tag);
-          oracle := ins time tag !oracle
-        end
+        if Prng.bool p || !oracle = [] then push (float_of_int (Prng.int p 8))
         else begin
           let expect_t, expect_tag = List.hd !oracle in
           oracle := List.tl !oracle;
+          let nested = if Prng.int p 3 = 0 then Prng.int p 6 else 0 in
           let ok =
             Equeue.pop_with q (fun t act ->
                 act ();
                 if t <> expect_t then
-                  Alcotest.failf "seed %d: popped time %g, oracle %g" seed t expect_t)
+                  Alcotest.failf "seed %d: popped time %g, oracle %g" seed t expect_t;
+                for _ = 1 to nested do
+                  incr nested_pushes;
+                  push (t +. float_of_int (Prng.int p 2))
+                done)
           in
           check cb "pop succeeded" true ok;
           match !fired with
@@ -392,10 +325,121 @@ let test_equeue_random_vs_oracle () =
           | [] -> Alcotest.fail "nothing fired"
         end
       done;
-      check ci "length agrees with oracle" (List.length !oracle) (Equeue.length q))
+      check cb "some pops pushed" true (!nested_pushes > 0);
+      check ci "length agrees with oracle" (List.length !oracle) (Equeue.length q);
+      check (Alcotest.list ci) "drain agrees with oracle" (List.map snd !oracle)
+        (eq_drain fired q))
     [ 7; 42; 1234 ]
 
-(* ---------------- Pool (arena + free list) ---------------- *)
+(* ---------------- Equeue heap mechanics ---------------- *)
+
+(* The simulator's only heap is [Equeue]; these exercise its 4-ary sift
+   paths directly: sizes across several tree levels, growth, and pushes
+   made while a pop is in progress. *)
+
+let test_heap_empty () =
+  let q = Equeue.create ~capacity:2 () in
+  List.iter (fun t -> Equeue.push q ~time:t ignore) [ 2.0; 1.0; 3.0 ];
+  while Equeue.pop_with q (fun _ act -> act ()) do
+    ()
+  done;
+  check cb "drained queue is empty" true (Equeue.is_empty q);
+  check ci "length" 0 (Equeue.length q);
+  check (Alcotest.option cf) "min_time" None (Equeue.min_time q);
+  check cb "pop on drained" false (Equeue.pop_with q (fun _ _ -> Alcotest.fail "called"))
+
+let test_heap_sorts () =
+  let q = Equeue.create () in
+  let fired = ref [] in
+  List.iter
+    (fun i -> Equeue.push q ~time:(float_of_int i) (tagged fired i))
+    [ 5; 3; 8; 1; 9; 2; 7; 4; 6; 0 ];
+  check (Alcotest.list ci) "ascending" (List.init 10 Fun.id) (eq_drain fired q)
+
+let test_heap_duplicates () =
+  let q = Equeue.create () in
+  List.iter (fun t -> Equeue.push q ~time:t ignore) [ 2.0; 2.0; 1.0; 1.0; 3.0 ];
+  check ci "length" 5 (Equeue.length q);
+  check (Alcotest.list cf) "dups kept" [ 1.0; 1.0; 2.0; 2.0; 3.0 ]
+    (List.map (fun (t, _, _) -> t) (Equeue.to_sorted_list q))
+
+(* Growth from a tiny capacity, both between pops and inside one: an
+   action that pushes past the current capacity while [pop_with] runs. *)
+let test_heap_growth () =
+  let q = Equeue.create ~capacity:2 () in
+  for i = 1000 downto 1 do
+    Equeue.push q ~time:(float_of_int i) ignore
+  done;
+  check ci "all stored" 1000 (Equeue.length q);
+  check (Alcotest.option cf) "min" (Some 1.0) (Equeue.min_time q);
+  let q = Equeue.create ~capacity:1 () in
+  let fired = ref [] in
+  Equeue.push q ~time:0.0 (fun () ->
+      fired := -1 :: !fired;
+      for i = 99 downto 0 do
+        Equeue.push q ~time:(float_of_int i) (tagged fired i)
+      done);
+  check (Alcotest.list ci) "pushed mid-pop, popped in order" (-1 :: List.init 100 Fun.id)
+    (eq_drain fired q)
+
+let test_heap_to_list_preserves () =
+  let q = Equeue.create () in
+  List.iter (fun t -> Equeue.push q ~time:t ignore) [ 4.0; 2.0; 6.0; 1.0 ];
+  ignore (Equeue.pop_with q (fun _ _ -> ()));
+  ignore (Equeue.to_sorted_list q);
+  check ci "untouched" 3 (Equeue.length q);
+  check (Alcotest.option cf) "min kept" (Some 2.0) (Equeue.min_time q)
+
+let test_heap_clear () =
+  let q = Equeue.create ~capacity:2 () in
+  for i = 0 to 40 do
+    Equeue.push q ~time:(float_of_int (40 - i)) ignore
+  done;
+  ignore (Equeue.pop_with q (fun _ _ -> ()));
+  Equeue.clear q;
+  check cb "cleared" true (Equeue.is_empty q);
+  check (Alcotest.option cf) "no min" None (Equeue.min_time q)
+
+(* Pushes from inside a pop, as simulator handlers make them: a
+   zero-delay event at the popped time queues behind the equal-time
+   events already waiting, and ahead of later ones. *)
+let test_heap_interleaved () =
+  let q = Equeue.create () in
+  let fired = ref [] in
+  Equeue.push q ~time:5.0 (tagged fired 5);
+  Equeue.push q ~time:1.0 (fun () ->
+      fired := 1 :: !fired;
+      Equeue.push q ~time:1.0 (tagged fired 12));
+  Equeue.push q ~time:1.0 (tagged fired 11);
+  Equeue.push q ~time:3.0 (tagged fired 3);
+  check (Alcotest.list ci) "zero-delay push after equal-time peers" [ 1; 11; 12; 3; 5 ]
+    (eq_drain fired q)
+
+(* Integer keys over a wide range against a min-of-multiset model: the
+   tie-free counterpart of the oracle test above. *)
+let test_heap_random_model () =
+  let p = Prng.create 99 in
+  let q = Equeue.create ~capacity:1 () in
+  let model = ref [] in
+  for _ = 1 to 2000 do
+    if Prng.bool p || !model = [] then begin
+      let v = Prng.int p 1000 in
+      Equeue.push q ~time:(float_of_int v) ignore;
+      model := v :: !model
+    end
+    else begin
+      let expected = List.fold_left min max_int !model in
+      check cb "pop succeeded" true
+        (Equeue.pop_with q (fun t _ -> check cf "model min" (float_of_int expected) t));
+      let rec remove_one = function
+        | [] -> []
+        | x :: rest -> if x = expected then rest else x :: remove_one rest
+      in
+      model := remove_one !model
+    end
+  done
+
+(* ---------------- Pool (arena) ---------------- *)
 
 let test_arena_rows_and_growth () =
   (* chunk_rows=4 forces several chunk boundaries *)
@@ -439,22 +483,6 @@ let test_arena_digest_incremental () =
   check ci "clear empties" 0 (Pool.Arena.length a);
   check Alcotest.int64 "empty digest" (Pool.Arena.digest_close Pool.Arena.digest_empty 0)
     (Pool.Arena.digest a)
-
-let test_free_pool () =
-  let pool = Pool.Free.create ~make:(fun () -> ref 0) ~reset:(fun r -> r := 0) () in
-  let x = Pool.Free.acquire pool in
-  x := 41;
-  check ci "live" 1 (Pool.Free.live pool);
-  check ci "created" 1 (Pool.Free.created pool);
-  Pool.Free.release pool x;
-  check ci "released" 0 (Pool.Free.live pool);
-  let y = Pool.Free.acquire pool in
-  check cb "recycled" true (x == y);
-  check ci "reset ran" 0 !y;
-  check ci "no fresh make" 1 (Pool.Free.created pool);
-  let z = Pool.Free.acquire pool in
-  check cb "fresh when empty" false (y == z);
-  check ci "created grew" 2 (Pool.Free.created pool)
 
 let () =
   Alcotest.run "support"
@@ -502,7 +530,6 @@ let () =
         [
           Alcotest.test_case "arena rows and growth" `Quick test_arena_rows_and_growth;
           Alcotest.test_case "arena digest incremental" `Quick test_arena_digest_incremental;
-          Alcotest.test_case "free pool" `Quick test_free_pool;
         ] );
       ( "zipf",
         [
