@@ -1706,6 +1706,14 @@ let scenario_scale () =
    and 4 NITF documents (seeds 14, 15). *)
 let smoke_nfa_charge = 44490
 
+(* [Rtable.Prt.cover_checks] after inserting that corpus, and the
+   number of maximal nodes the covering tree ends with. The covering
+   charge feeds Broker.work and the virtual clock like the match
+   charge, so the name-signature prefilter in front of [Cover.covers]
+   (or any covering rewrite) must leave both exactly as they are. *)
+let smoke_cover_charge = 48714
+let smoke_maximal = 109
+
 (* Drive a tiny workload through the simulator and fail if any
    registered hot-path metric stays at zero — the canary for silently
    dead instrumentation. *)
@@ -1748,6 +1756,7 @@ let smoke () =
       "xroute_prt_payloads";
       "xroute_prt_match_checks_total";
       "xroute_prt_cover_checks_total";
+      "xroute_prt_cover_tests_total";
       "xroute_prt_pub_match_ops";
       "xroute_net_msgs_total";
       "xroute_net_msgs_adv_total";
@@ -1828,6 +1837,17 @@ let smoke () =
   if nfa_charge <> smoke_nfa_charge then begin
     Printf.printf "smoke FAILED: PRT NFA charged %d match checks, pinned %d\n" nfa_charge
       smoke_nfa_charge;
+    exit 1
+  end;
+  (* The prefilter may skip predicate calls, never a charged check. *)
+  let cover_charge = Rtable.Prt.cover_checks prt_nfa in
+  let maximal = List.length (Sub_tree.maximal (Rtable.Prt.tree prt_nfa)) in
+  Printf.printf "smoke: PRT covering: %d checks charged, %d predicate calls, %d maximal\n"
+    cover_charge (Rtable.Prt.cover_tests prt_nfa) maximal;
+  if cover_charge <> smoke_cover_charge || maximal <> smoke_maximal then begin
+    Printf.printf
+      "smoke FAILED: PRT covering charged %d checks with %d maximal nodes, pinned %d and %d\n"
+      cover_charge maximal smoke_cover_charge smoke_maximal;
     exit 1
   end;
   if nfa_diffs <> [] then begin

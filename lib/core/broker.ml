@@ -89,6 +89,7 @@ type meters = {
   m_srt_overlap_tests : M.counter; (* mirrors Srt.overlap_tests *)
   m_prt_match_checks : M.counter; (* mirrors Prt.match_checks *)
   m_prt_cover_checks : M.counter; (* mirrors Prt.cover_checks *)
+  m_prt_cover_tests : M.counter; (* mirrors Prt.cover_tests *)
   m_srt_size : M.gauge;
   m_srt_buckets : M.gauge; (* non-empty SRT root-element buckets *)
   m_srt_bucket_max : M.gauge; (* fullest bucket's occupancy *)
@@ -126,6 +127,9 @@ let make_meters reg =
       M.counter reg ~help:"PRT publication match checks" "xroute_prt_match_checks_total";
     m_prt_cover_checks =
       M.counter reg ~help:"PRT covering checks" "xroute_prt_cover_checks_total";
+    m_prt_cover_tests =
+      M.counter reg ~help:"PRT covering checks the name-signature prefilter let through"
+        "xroute_prt_cover_tests_total";
     m_srt_size = M.gauge reg ~help:"SRT entries" "xroute_srt_size";
     m_srt_buckets =
       M.gauge reg ~help:"Non-empty SRT root-element buckets" "xroute_srt_buckets";
@@ -243,6 +247,7 @@ let refresh_metrics t =
   M.counter_set m.m_srt_overlap_tests (Rtable.Srt.overlap_tests t.srt);
   M.counter_set m.m_prt_match_checks (Rtable.Prt.match_checks t.prt);
   M.counter_set m.m_prt_cover_checks (Rtable.Prt.cover_checks t.prt);
+  M.counter_set m.m_prt_cover_tests (Rtable.Prt.cover_tests t.prt);
   M.set_int m.m_srt_size (Rtable.Srt.size t.srt);
   M.set_int m.m_srt_buckets (Rtable.Srt.bucket_count t.srt);
   M.set_int m.m_srt_bucket_max (Rtable.Srt.max_bucket_size t.srt);
@@ -509,9 +514,11 @@ let handle_unsubscribe t ~from id =
     let upstream = List.map (fun ep -> (ep, Message.Unsubscribe { id })) where in
     (* Every subscription the departed one covered — its former children,
        equal subscriptions sharing its node, and covered subscriptions in
-       other subtrees (the super-pointer relations) — may have relied on
-       its forwarding; re-forward each wherever it is no longer served.
-       Only needed when the departed subscription was forwarded at all. *)
+       other subtrees (the relations the paper's super pointers record;
+       [Sub_tree.covered_nodes] finds them by searching the tree) — may
+       have relied on its forwarding; re-forward each wherever it is no
+       longer served. Only needed when the departed subscription was
+       forwarded at all. *)
     let reforward_msgs =
       if (not t.strategy.use_cover) || where = [] then []
       else begin

@@ -19,7 +19,15 @@
      are unconstrained wildcards (the paper's special case); the overhang
      length becomes a "debt" that the next placement must clear by
      standing at least that far into later segments, which keeps the
-     witness alignment valid for every gap size, including zero. *)
+     witness alignment valid for every gap size, including zero.
+
+   Every rule above maps s1's steps one-to-one onto steps of s2, and a
+   name covers only itself. So s1 can cover s2 only if s1 names nothing
+   s2 does not and is no longer than s2. [signature] packs both facts
+   into a name bitmask plus a step count, and [may_cover] compares two
+   signatures with one [land]: the subscription tree runs the rules
+   only on the pairs it admits (the argument, for [covers_exact] too,
+   is at [signature]). *)
 
 open Xroute_xpath
 
@@ -195,6 +203,42 @@ let covers (s1 : Xpe.t) (s2 : Xpe.t) =
 let covers_exact (s1 : Xpe.t) (s2 : Xpe.t) =
   if not (Xpe.has_predicates s1) then Xroute_automata.Lang.xpe_contains s1 s2
   else covers s1 s2
+
+(* ------------------------------------------------------------------ *)
+(* Name signature: a necessary condition for covering                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Every branch of [covers] maps s1's steps one-to-one onto steps of s2:
+   equality trivially, [abs_sim_cov] position by position, [rel_sim_cov]
+   at an offset, [des_cov] segment by segment (an overhang only with
+   free wildcards). A named step covers only the same name
+   ([test_covers]), and [abs_sim_cov] and [des_cov] test the length
+   first while [rel_sim_cov] fits s1 inside s2. So [covers s1 s2]
+   implies names(s1) ⊆ names(s2) and |s1| <= |s2|. [covers_exact] implies
+   the same: with predicates on s1 it is [covers]; without, s2's
+   shortest witness path (wildcards read as the automata's "other"
+   letter, every // gap empty) has |s2| elements named only from s2,
+   and s1 matches no path shorter than |s1| or lacking one of its
+   names.
+
+   The signature packs both: the names as a bitmask (bit [Symbol.id
+   mod Sys.int_size]; two names sharing a bit only let more pairs
+   through) and the step count. [may_cover] is then one [land] and one
+   comparison, and a [false] answer proves that neither rule covers. *)
+type signature = { names : int; length : int }
+
+let signature (x : Xpe.t) =
+  let names =
+    List.fold_left
+      (fun acc (s : Xpe.step) ->
+        match s.test with
+        | Xpe.Name n -> acc lor (1 lsl (Xroute_support.Symbol.id n mod Sys.int_size))
+        | Xpe.Star -> acc)
+      0 x.steps
+  in
+  { names; length = Xpe.length x }
+
+let may_cover g1 g2 = g1.names land lnot g2.names = 0 && g1.length <= g2.length
 
 (* Covering between non-recursive advertisements reuses the subscription
    algorithm (Sec. 4.2 note): a non-recursive advertisement has the form

@@ -32,6 +32,19 @@ val covers : Xpe.t -> Xpe.t -> bool
     analyzer and the merger check. *)
 val covers_exact : Xpe.t -> Xpe.t -> bool
 
+(** An XPE's name signature: the set of element names it mentions, as
+    a bitmask over {!Xroute_support.Symbol.id} (modulo
+    [Sys.int_size]), plus its step count. *)
+type signature
+
+val signature : Xpe.t -> signature
+
+(** [may_cover (signature s1) (signature s2)] is a necessary condition
+    of both [covers s1 s2] and [covers_exact s1 s2]: every name of [s1]
+    is a name of [s2] (up to bitmask collisions) and [s1] has no more
+    steps than [s2]. A [false] answer proves that neither covers. *)
+val may_cover : signature -> signature -> bool
+
 (** Covering between advertisements: positional rules for non-recursive
     ones (same-length requirement — advertisements match full paths),
     exact containment for recursive ones. *)

@@ -373,6 +373,7 @@ module Prt = struct
 
   let match_checks t = Yfilter.match_ops t.nfa
   let cover_checks t = Sub_tree.cover_checks t.tree
+  let cover_tests t = Sub_tree.cover_tests t.tree
 
   (* Total stored payloads ([size] counts distinct XPEs). *)
   let payload_count t = Sub_tree.payload_count t.tree

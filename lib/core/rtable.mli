@@ -137,7 +137,13 @@ module Prt : sig
 
   (** Publication matching work so far: the NFA's {!Yfilter.match_ops}. *)
   val match_checks : t -> int
+
+  (** Covering work charged so far: {!Sub_tree.cover_checks}. *)
   val cover_checks : t -> int
+
+  (** Covering predicate calls so far, after the signature prefilter:
+      {!Sub_tree.cover_tests}. *)
+  val cover_tests : t -> int
 
   (** Total stored payloads ({!size} counts distinct XPEs), folded over
       the covering tree. *)

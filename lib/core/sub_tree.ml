@@ -2,9 +2,10 @@
 
    Subscriptions are stored so that every node's XPE covers the XPEs of
    its entire subtree. Because covering is only a partial order, a node
-   may be covered by subscriptions outside its ancestor chain; "super
-   pointers" record such extra covering relations, turning the structure
-   into a DAG.
+   may also be covered by subscriptions outside its ancestor chain. The
+   paper records those relations as "super pointers"; nothing here needs
+   them, since every query that must find such coverers ([coverers],
+   [covered_nodes]) searches the tree for them.
 
    The protocol-relevant queries are:
    - [is_covered]: is a new subscription covered by a stored one? This is
@@ -21,7 +22,18 @@
 
    The covering predicate is injected at creation: brokers use the
    paper's rules ({!Cover.covers}), the ablations and tests may plug in
-   exact containment. *)
+   exact containment.
+
+   Covering tests are prefiltered. Each node stores its XPE's name
+   signature ({!Cover.signature}: a name bitmask plus the step count),
+   computed once, and each query computes its own once. A candidate
+   pair goes to the covering predicate only when [Cover.may_cover]
+   admits it. That test is a necessary condition of both the paper's
+   rules and exact containment (argued at [Cover.signature]), so no
+   decision changes. On match-heavy set-up it rejects about 99 % of
+   the candidates. The cost model does not see the prefilter:
+   [cover_checks] charges every candidate the scan considers, while
+   [cover_tests] counts the predicate calls that run. *)
 
 open Xroute_xpath
 module Symbol = Xroute_support.Symbol
@@ -33,7 +45,7 @@ type 'a node = {
   mutable payloads : 'a list;
   mutable parent : 'a node option; (* None for the virtual root *)
   mutable children : 'a node list;
-  mutable supers : 'a node list; (* nodes this one covers outside its subtree *)
+  signature : Cover.signature; (* prefilter for covering tests on [xpe] *)
 }
 
 type 'a t = {
@@ -53,7 +65,8 @@ type 'a t = {
   mutable root_general : 'a node list;
   mutable next_id : int;
   mutable count : int; (* stored subscriptions (root excluded) *)
-  mutable cover_checks : int; (* covering tests performed, for metrics *)
+  mutable cover_checks : int; (* covering tests charged, for metrics *)
+  mutable cover_tests : int; (* of which the prefilter passed to [covers] *)
   mutable match_checks : int; (* publication match tests performed *)
   (* Memoized covering queries. Workloads where many subscribers share
      an XPE repeat the same root-fringe scan per arrival, which was the
@@ -78,16 +91,17 @@ let first_step_key xpe =
 (* [flat] builds the no-covering baseline: insertion appends under the
    root in O(1) and no covering relation is ever reported. *)
 let create ?(flat = false) ?(covers = fun s1 s2 -> Cover.covers s1 s2) () =
+  let xpe = Xpe.absolute_of_names [ "*" ] in
   let root =
     {
       id = 0;
-      xpe = Xpe.absolute_of_names [ "*" ];
       (* placeholders; never consulted *)
+      xpe;
       key = "";
       payloads = [];
       parent = None;
       children = [];
-      supers = [];
+      signature = Cover.signature xpe;
     }
   in
   {
@@ -100,6 +114,7 @@ let create ?(flat = false) ?(covers = fun s1 s2 -> Cover.covers s1 s2) () =
     next_id = 1;
     count = 0;
     cover_checks = 0;
+    cover_tests = 0;
     match_checks = 0;
     version = 0;
     cache_version = 0;
@@ -110,19 +125,32 @@ let create ?(flat = false) ?(covers = fun s1 s2 -> Cover.covers s1 s2) () =
 let size t = t.count
 let root t = t.root
 let cover_checks t = t.cover_checks
+let cover_tests t = t.cover_tests
 let match_checks t = t.match_checks
 
 let node_xpe n = n.xpe
 let node_key n = n.key
 let node_payloads n = n.payloads
 let node_children n = n.children
-let node_supers n = n.supers
 
 let is_root n = n.parent = None
 
-let covers_checked t s1 s2 =
+(* One covering test of [s1] against [s2], with signatures [g1], [g2]:
+   charged whatever the prefilter says, run only when it admits the
+   pair. *)
+let covers_checked t s1 g1 s2 g2 =
   t.cover_checks <- t.cover_checks + 1;
-  t.covers s1 s2
+  Cover.may_cover g1 g2
+  && begin
+       t.cover_tests <- t.cover_tests + 1;
+       t.covers s1 s2
+     end
+
+(* Does stored node [n] cover the query [xpe] (signature [g])? *)
+let node_covers t n xpe g = covers_checked t n.xpe n.signature xpe g
+
+(* Does the query [xpe] (signature [g]) cover stored node [n]? *)
+let covers_node t xpe g n = covers_checked t xpe g n.xpe n.signature
 
 (* ---------------- root fringe index ---------------- *)
 
@@ -194,7 +222,9 @@ let find_equal t xpe = Hashtbl.find_opt t.by_key (Xpe.to_string xpe)
 let is_covered t xpe =
   (not t.flat)
   && ((match find_equal t xpe with Some _ -> true | None -> false)
-     || List.exists (fun c -> covers_checked t c.xpe xpe) (root_cover_candidates t xpe))
+     ||
+     let g = Cover.signature xpe in
+     List.exists (fun c -> node_covers t c xpe g) (root_cover_candidates t xpe))
 
 let cache_refresh t =
   if t.cache_version <> t.version then begin
@@ -215,30 +245,24 @@ let covered_roots ?key t xpe =
       nodes
     | None ->
       let c0 = t.cover_checks in
-      let nodes =
-        List.filter (fun c -> covers_checked t xpe c.xpe) (root_covered_candidates t xpe)
-      in
+      let g = Cover.signature xpe in
+      let nodes = List.filter (covers_node t xpe g) (root_covered_candidates t xpe) in
       Hashtbl.add t.covered_roots_cache key (nodes, t.cover_checks - c0);
       nodes
   end
 
-(* All stored nodes covered by [xpe]: subtrees of covered roots plus
-   whatever super pointers reach (used by diagnostics and merging). *)
+(* All stored nodes covered by [xpe]: the whole subtree of every node
+   it covers, found by descending through the nodes it does not cover
+   (a covered node may sit below one that is not). *)
 let covered_nodes t xpe =
-  let seen = Hashtbl.create 16 in
+  let g = Cover.signature xpe in
   let acc = ref [] in
   let rec add n =
-    if not (Hashtbl.mem seen n.id) then begin
-      Hashtbl.add seen n.id ();
-      acc := n :: !acc;
-      List.iter add n.children;
-      List.iter add n.supers
-    end
+    acc := n :: !acc;
+    List.iter add n.children
   in
   let rec scan n =
-    List.iter
-      (fun c -> if covers_checked t xpe c.xpe then add c else scan c)
-      n.children
+    List.iter (fun c -> if covers_node t xpe g c then add c else scan c) n.children
   in
   scan t.root;
   List.rev !acc
@@ -273,6 +297,7 @@ let insert ?key t xpe payload =
     node.payloads <- payload :: node.payloads;
     node
   | None ->
+    let g = Cover.signature xpe in
     let fresh () =
       let n =
         {
@@ -282,7 +307,7 @@ let insert ?key t xpe payload =
           payloads = [ payload ];
           parent = None;
           children = [];
-          supers = [];
+          signature = g;
         }
       in
       t.next_id <- t.next_id + 1;
@@ -300,14 +325,14 @@ let insert ?key t xpe payload =
         let candidates =
           if is_root parent then root_cover_candidates t xpe else parent.children
         in
-        let covering = List.find_opt (fun c -> covers_checked t c.xpe xpe) candidates in
+        let covering = List.find_opt (fun c -> node_covers t c xpe g) candidates in
         match covering with
         | Some c -> place c
         | None ->
           let covered_candidates =
             if is_root parent then root_covered_candidates t xpe else parent.children
           in
-          let covered = List.filter (fun c -> covers_checked t xpe c.xpe) covered_candidates in
+          let covered = List.filter (covers_node t xpe g) covered_candidates in
           let n = fresh () in
           (* attach the new node first: [attach]/[detach_from] maintain
              the root-fringe index based on the parent, so the node must
@@ -319,32 +344,17 @@ let insert ?key t xpe payload =
               detach_from t parent c;
               attach t n c)
             covered;
-          (* super pointers: the parent's supers that the new node covers
-             move to it (paper, case 1/2). *)
-          let moved, kept =
-            List.partition (fun s -> covers_checked t xpe s.xpe) parent.supers
-          in
-          parent.supers <- kept;
-          n.supers <- moved;
           n
       in
       place t.root
     end
 
-(* Record an extra covering relation discovered outside the tree shape
-   (lazy super-pointer maintenance). *)
-let add_super coverer covered =
-  if not (List.exists (fun s -> s.id = covered.id) coverer.supers) then
-    coverer.supers <- covered :: coverer.supers
-
 (* ------------------------------------------------------------------ *)
 (* Removal                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Remove one payload occurrence; the node disappears when its last
-   payload does, its children being promoted to the parent. Super
-   pointers to the node are dropped lazily during traversals; here we
-   clean eagerly to keep the structure tight. *)
+(* Delete a node, promoting its children to its parent (the parent
+   covers them by transitivity). *)
 let remove_node t n =
   match n.parent with
   | None -> invalid_arg "Sub_tree.remove_node: virtual root"
@@ -353,9 +363,6 @@ let remove_node t n =
     detach_from t p n;
     List.iter (fun c -> attach t p c) n.children;
     n.children <- [];
-    (* drop super pointers to n *)
-    iter (fun m -> m.supers <- List.filter (fun s -> s.id <> n.id) m.supers) t;
-    p.supers <- List.filter (fun s -> s.id <> n.id) p.supers;
     t.count <- t.count - 1
 
 (* Remove one occurrence (physical equality) of [payload]; the node is
@@ -420,14 +427,7 @@ let check_invariants t =
         if not (is_root n) && not (t.covers n.xpe c.xpe) then
           err "parent %s does not cover child %s" (Xpe.to_string n.xpe) (Xpe.to_string c.xpe);
         go c)
-      n.children;
-    if not (is_root n) then
-      List.iter
-        (fun s ->
-          if not (t.covers n.xpe s.xpe) then
-            err "super pointer %s -> %s without covering" (Xpe.to_string n.xpe)
-              (Xpe.to_string s.xpe))
-        n.supers
+      n.children
   in
   go t.root;
   (* count consistency *)
@@ -450,11 +450,12 @@ let coverers ?key t xpe =
       nodes
     | None ->
       let c0 = t.cover_checks in
+      let g = Cover.signature xpe in
       let acc = ref [] in
       let rec go children =
         List.iter
           (fun c ->
-            if covers_checked t c.xpe xpe then begin
+            if node_covers t c xpe g then begin
               acc := c :: !acc;
               go c.children
             end)

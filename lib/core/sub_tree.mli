@@ -1,8 +1,14 @@
-(** The subscription tree with super pointers (Sec. 4.1): every node's
-    XPE covers its whole subtree; super pointers record covering
-    relations that cross subtrees. Payloads of type ['a] (e.g. routing
-    last-hops) accumulate on nodes; equal XPEs share a node when found on
-    the covering descent path. *)
+(** The subscription tree (Sec. 4.1): every node's XPE covers its whole
+    subtree. Covering relations that cross subtrees (the paper's super
+    pointers) are not stored; the queries that need them search the
+    tree. Payloads of type ['a] (e.g. routing last-hops) accumulate on
+    nodes; equal XPEs share a node when found on the covering descent
+    path.
+
+    Each node keeps its XPE's {!Cover.signature}, and every covering test
+    first asks {!Cover.may_cover}: only pairs it admits reach the
+    covering predicate. The charge ({!cover_checks}) still counts every
+    candidate. *)
 
 open Xroute_xpath
 
@@ -10,7 +16,10 @@ type 'a node
 type 'a t
 
 (** [create ~covers ()] builds an empty tree using the given covering
-    predicate (defaults to the paper's rules, {!Cover.covers}). With
+    predicate (defaults to the paper's rules, {!Cover.covers}). The
+    predicate must imply {!Cover.may_cover} on the two XPEs' signatures,
+    as {!Cover.covers} and {!Cover.covers_exact} do: pairs the signature
+    test rejects are never passed to it. With
     [~flat:true] the tree degenerates to the no-covering baseline: O(1)
     insertion under the root, no covering relations reported. *)
 val create : ?flat:bool -> ?covers:(Xpe.t -> Xpe.t -> bool) -> unit -> 'a t
@@ -21,8 +30,15 @@ val size : 'a t -> int
 (** The virtual root (no subscription). *)
 val root : 'a t -> 'a node
 
-(** Number of covering tests performed so far (metrics). *)
+(** Covering tests charged so far: every candidate a covering scan
+    considers, whether or not the signature prefilter rejected it, plus
+    what each memo hit replays. The cost model (and [Broker.work]) is
+    built on this count. *)
 val cover_checks : 'a t -> int
+
+(** Covering predicate calls made so far: the candidates the signature
+    prefilter passed. At most {!cover_checks}. *)
+val cover_tests : 'a t -> int
 
 (** Number of publication match tests performed so far (metrics). *)
 val match_checks : 'a t -> int
@@ -36,7 +52,6 @@ val node_key : 'a node -> string
 
 val node_payloads : 'a node -> 'a list
 val node_children : 'a node -> 'a node list
-val node_supers : 'a node -> 'a node list
 val is_root : 'a node -> bool
 
 (** Iterate over all stored nodes (virtual root excluded). *)
@@ -64,16 +79,13 @@ val is_covered : 'a t -> Xpe.t -> bool
     subscriptions to unsubscribe when this one takes over. *)
 val covered_roots : ?key:string -> 'a t -> Xpe.t -> 'a node list
 
-(** All stored nodes covered by the XPE (subtrees plus super-pointer
-    targets). *)
+(** All stored nodes covered by the XPE: the subtrees of every covered
+    node, wherever it sits. *)
 val covered_nodes : 'a t -> Xpe.t -> 'a node list
 
 (** Insert a subscription; returns its node (an existing one when an
     equal XPE is already stored — the payload is appended). *)
 val insert : ?key:string -> 'a t -> Xpe.t -> 'a -> 'a node
-
-(** Record an extra covering relation as a super pointer. *)
-val add_super : 'a node -> 'a node -> unit
 
 (** Delete a node; its children are promoted to its parent.
     @raise Invalid_argument on the virtual root. *)

@@ -201,6 +201,156 @@ let test_paper_exact_disagreements () =
         false (Cover.covers a b))
     disagreement_corpus
 
+(* ---------------- Name-signature prefilter ---------------- *)
+
+let may_cover s1 s2 = Cover.may_cover (Cover.signature s1) (Cover.signature s2)
+
+(* [covers] and [covers_exact] must each imply [may_cover]: the
+   subscription tree never calls them on a pair the signatures reject.
+   Returns how many pairs some rule covered and how many the signature
+   rejected, so the callers can check the sample is not vacuous. *)
+let assert_prefilter_necessary pairs =
+  List.fold_left
+    (fun (covered, rejected) (s1, s2) ->
+      let paper = Cover.covers s1 s2 and exact = Cover.covers_exact s1 s2 in
+      let admitted = may_cover s1 s2 in
+      if (paper || exact) && not admitted then
+        Alcotest.failf "signature rejects %s vs %s, yet %s holds" (Xpe.to_string s1)
+          (Xpe.to_string s2)
+          (if paper then "covers" else "covers_exact");
+      ( (if paper || exact then covered + 1 else covered),
+        if admitted then rejected else rejected + 1 ))
+    (0, 0) pairs
+
+(* Over the analyzer's soundness corpus (the seeds [Soundness.run]
+   sweeps by default) and the pinned disagreement corpus. *)
+let test_prefilter_soundness_corpus () =
+  let generated =
+    List.concat_map
+      (fun seed ->
+        let prng = Xroute_support.Prng.create seed in
+        List.init 1000 (fun _ ->
+            let s1 = Xroute_check.Soundness.gen_xpe prng in
+            (s1, Xroute_check.Soundness.gen_xpe prng)))
+      [ 1; 2; 3; 4 ]
+  in
+  let pinned = List.map (fun (a, b) -> (xp a, xp b)) disagreement_corpus in
+  let covered, rejected = assert_prefilter_necessary (generated @ pinned) in
+  check cb "corpus has covering pairs" true (covered > 100);
+  check cb "corpus has rejected pairs" true (rejected > 1000)
+
+(* Two distinct names that share a signature bit: [b] interned after
+   [a] until their one-step signatures admit each other both ways. *)
+let colliding_names () =
+  let a = "sig-collide-a" in
+  let g name = Cover.signature (Xpe.absolute_of_names [ name ]) in
+  let rec find i =
+    if i > 10 * Sys.int_size then Alcotest.fail "no signature collision found"
+    else begin
+      let b = Printf.sprintf "sig-collide-%d" i in
+      if Cover.may_cover (g a) (g b) && Cover.may_cover (g b) (g a) then (a, b)
+      else find (i + 1)
+    end
+  in
+  find 0
+
+(* Seeded pairs with wildcards, leading and inner //, relative XPEs,
+   predicates, and two names colliding in the mask. *)
+let test_prefilter_random_pairs () =
+  let a, b = colliding_names () in
+  check cb "collision admitted" true (may_cover (xp ("/" ^ a)) (xp ("/" ^ b)));
+  check cb "collision not covering" false (Cover.covers (xp ("/" ^ a)) (xp ("/" ^ b)));
+  let alphabet = [| "a"; "b"; "c"; a; b |] in
+  let preds = [| { Xpe.attr = "id"; value = "1" }; { Xpe.attr = "lang"; value = "en" } |] in
+  let prng = Xroute_support.Prng.create 4711 in
+  let module P = Xroute_support.Prng in
+  let random_xpe () =
+    let len = 1 + P.int prng 5 in
+    let relative = P.bernoulli prng 0.2 in
+    let steps =
+      List.init len (fun i ->
+          let test =
+            if P.bernoulli prng 0.3 then Xpe.Star else Xpe.test_of_string (P.choose prng alphabet)
+          in
+          let axis =
+            if i = 0 && relative then Xpe.Child
+            else if P.bernoulli prng 0.3 then Xpe.Desc
+            else Xpe.Child
+          in
+          let preds = if P.bernoulli prng 0.15 then [ P.choose prng preds ] else [] in
+          Xpe.step ~preds axis test)
+    in
+    Xpe.make ~relative steps
+  in
+  let pairs =
+    List.init 6000 (fun _ ->
+        let s1 = random_xpe () in
+        (* a prefix or a sibling of s1 now and then, so covering pairs
+           are common *)
+        let s2 =
+          if P.bernoulli prng 0.3 then
+            Xpe.make ~relative:(Xpe.is_relative s1) (s1.Xpe.steps @ (random_xpe ()).Xpe.steps)
+          else random_xpe ()
+        in
+        (s1, s2))
+  in
+  let covered, rejected = assert_prefilter_necessary pairs in
+  check cb "pairs include covering ones" true (covered > 500);
+  check cb "pairs include rejected ones" true (rejected > 1000)
+
+(* Insert/remove churn through a tree whose covering predicate counts
+   its calls: the count equals [cover_tests], the structure stays
+   sound after every step, and every covering query still returns what
+   a brute-force scan of the stored XPEs with [Cover.covers] returns. *)
+let test_prefilter_tree_churn () =
+  let calls = ref 0 in
+  let counting s1 s2 =
+    incr calls;
+    Cover.covers s1 s2
+  in
+  let t : int Sub_tree.t = Sub_tree.create ~covers:counting () in
+  let prng = Xroute_support.Prng.create 2718 in
+  let invariants what =
+    (* [check_invariants] calls the predicate itself, outside the
+       tree's count *)
+    let before = !calls in
+    (match Sub_tree.check_invariants t with
+    | [] -> ()
+    | errs -> Alcotest.failf "%s: invariants violated: %s" what (String.concat "; " errs));
+    calls := before;
+    check Alcotest.int (what ^ ": predicate calls = cover_tests") !calls (Sub_tree.cover_tests t)
+  in
+  let names xs = List.sort compare (List.map (fun n -> Xpe.to_string (Sub_tree.node_xpe n)) xs) in
+  let live = ref [] in
+  for step = 1 to 600 do
+    let x = Xroute_check.Soundness.gen_xpe prng in
+    let what = Printf.sprintf "step %d (%s)" step (Xpe.to_string x) in
+    if !live <> [] && Xroute_support.Prng.bernoulli prng 0.4 then begin
+      let i = Xroute_support.Prng.int prng (List.length !live) in
+      let node, payload = List.nth !live i in
+      live := List.filteri (fun j _ -> j <> i) !live;
+      Sub_tree.remove_payload t node payload
+    end
+    else live := (Sub_tree.insert t x step, step) :: !live;
+    invariants what;
+    let stored = Sub_tree.to_list t in
+    let brute f = names (List.filter f stored) in
+    check cb (what ^ ": is_covered")
+      (List.exists (fun n -> Cover.covers (Sub_tree.node_xpe n) x) stored)
+      (Sub_tree.is_covered t x);
+    check (Alcotest.list Alcotest.string) (what ^ ": coverers")
+      (brute (fun n -> Cover.covers (Sub_tree.node_xpe n) x))
+      (names (Sub_tree.coverers t x));
+    check (Alcotest.list Alcotest.string) (what ^ ": covered_nodes")
+      (brute (fun n -> Cover.covers x (Sub_tree.node_xpe n)))
+      (names (Sub_tree.covered_nodes t x));
+    check (Alcotest.list Alcotest.string) (what ^ ": covered_roots")
+      (names (List.filter (fun n -> Cover.covers x (Sub_tree.node_xpe n)) (Sub_tree.maximal t)))
+      (names (Sub_tree.covered_roots t x));
+    invariants what
+  done;
+  check cb "prefilter skipped candidates" true (Sub_tree.cover_tests t < Sub_tree.cover_checks t)
+
 let () =
   Alcotest.run "cover"
     [
@@ -222,6 +372,13 @@ let () =
       ( "disagreements",
         [ Alcotest.test_case "pinned paper-vs-exact corpus" `Quick test_paper_exact_disagreements ] );
       ("advertisements", [ Alcotest.test_case "covering" `Quick test_adv_covering ]);
+      ( "prefilter",
+        [
+          Alcotest.test_case "necessary on the soundness corpus" `Quick
+            test_prefilter_soundness_corpus;
+          Alcotest.test_case "necessary on random pairs" `Quick test_prefilter_random_pairs;
+          Alcotest.test_case "tree churn" `Quick test_prefilter_tree_churn;
+        ] );
       ( "random",
         [
           Alcotest.test_case "paper covering is sound" `Slow test_paper_covering_sound_random;

@@ -14,15 +14,18 @@ let cb = Alcotest.bool
 let ci = Alcotest.int
 let cs = Alcotest.string
 
-(* Walk up from the cwd to the checkout (dune runtest starts tests in
-   _build/default/test; dune exec starts them wherever it was invoked). *)
+(* Walk up from the cwd to the source root: the first directory holding
+   [dune-project] (dune runtest starts tests in _build/default/test,
+   where dune does not copy that file; dune exec starts them wherever it
+   was invoked). Keyed on [dune-project] rather than [.git] so an
+   exported tree without git metadata finds its reports too. *)
 let repo_root () =
   match Sys.getenv_opt "XROUTE_ROOT" with
   | Some r -> r
   | None ->
     let rec up dir n =
       if n = 0 then dir
-      else if Sys.file_exists (Filename.concat dir ".git") then dir
+      else if Sys.file_exists (Filename.concat dir "dune-project") then dir
       else up (Filename.dirname dir) (n - 1)
     in
     up (Sys.getcwd ()) 8

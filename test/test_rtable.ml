@@ -244,6 +244,22 @@ let test_prt_counters_move () =
   ignore (Rtable.Prt.match_pub prt (pub "/a/b"));
   check cb "match checks counted" true (Rtable.Prt.match_checks prt > m0)
 
+(* The name-signature prefilter on the smoke gate's PRT corpus (1 500
+   PSD Set-A XPEs, seed 13): every candidate is still charged, and
+   most never reach the covering predicate. *)
+let test_prt_cover_prefilter () =
+  let psd = Lazy.force Xroute_dtd.Dtd_samples.psd in
+  let xpes =
+    Xroute_workload.Workload.xpes ~params:(Xroute_workload.Workload.set_a_params psd)
+      ~count:1500 ~seed:13 ()
+  in
+  let prt = Rtable.Prt.create () in
+  List.iteri (fun i x -> ignore (Rtable.Prt.insert prt (sid 2 i) x (c 0))) xpes;
+  let checks = Rtable.Prt.cover_checks prt and tests = Rtable.Prt.cover_tests prt in
+  check cb "covering checks charged" true (checks > 0);
+  check cb "covering predicate called" true (tests > 0);
+  check cb "prefilter rejected candidates" true (tests < checks)
+
 let () =
   Alcotest.run "rtable"
     [
@@ -270,5 +286,6 @@ let () =
           Alcotest.test_case "flat mode" `Quick test_prt_flat_mode;
           Alcotest.test_case "attribute matching" `Quick test_prt_attr_matching;
           Alcotest.test_case "counters" `Quick test_prt_counters_move;
+          Alcotest.test_case "cover prefilter" `Quick test_prt_cover_prefilter;
         ] );
     ]

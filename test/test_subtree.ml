@@ -1,5 +1,5 @@
 (* Tests for Sub_tree: insertion cases, covering queries, removal,
-   publication matching with pruning, super pointers and invariants. *)
+   publication matching with pruning and invariants. *)
 
 open Xroute_core
 open Xroute_xpath
@@ -168,19 +168,6 @@ let test_match_checks_reduced_by_pruning () =
   let pruned_work = Sub_tree.match_checks t - before in
   check cb "only maximal nodes tested" true (pruned_work <= 2)
 
-let test_super_pointer_api () =
-  let t : int Sub_tree.t = Sub_tree.create () in
-  let a = Sub_tree.insert t (xp "/*/b") 0 in
-  let b = Sub_tree.insert t (xp "/a/b/c") 1 in
-  (* /*/b covers /a/b... record the cross-tree relation explicitly *)
-  Sub_tree.add_super a b;
-  check ci "super recorded" 1 (List.length (Sub_tree.node_supers a));
-  Sub_tree.add_super a b;
-  check ci "idempotent" 1 (List.length (Sub_tree.node_supers a));
-  (* removal of the target drops the pointer *)
-  Sub_tree.remove_node t b;
-  check ci "super dropped" 0 (List.length (Sub_tree.node_supers a))
-
 let test_insert_random_invariants () =
   let prng = Xroute_support.Prng.create 2024 in
   let alphabet = [| "a"; "b" |] in
@@ -242,7 +229,6 @@ let () =
         [
           Alcotest.test_case "promotes children" `Quick test_remove_promotes_children;
           Alcotest.test_case "shared node payloads" `Quick test_remove_payload_keeps_shared_node;
-          Alcotest.test_case "super pointers" `Quick test_super_pointer_api;
         ] );
       ( "match",
         [
