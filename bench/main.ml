@@ -12,35 +12,44 @@ open Xroute_core
 open Xroute_overlay
 module Metrics = Xroute_obs.Metrics
 
+(* Rejected with exit 2 before anything runs unless it parses as a
+   finite float > 0: [scaled] would turn nan or a negative into size-1
+   workloads and a report nobody asked for. *)
 let scale =
   match Sys.getenv_opt "XROUTE_BENCH_SCALE" with
-  | Some s -> (try float_of_string s with _ -> 1.0)
   | None -> 1.0
+  | Some s -> (
+    match float_of_string_opt s with
+    | Some f when Float.is_finite f && f > 0.0 -> f
+    | _ ->
+      Printf.eprintf "bad XROUTE_BENCH_SCALE %S (want a finite number > 0)\n" s;
+      exit 2)
 
 let scaled n = max 1 (int_of_float (float_of_int n *. scale))
 
 (* ------------------------------------------------------------------ *)
-(* Machine-readable reports: BENCH_5/6/7.json                          *)
+(* Machine-readable report: BENCH_5.json                               *)
 (* ------------------------------------------------------------------ *)
-
 (* Every experiment records (name, fields); the runner adds wall time.
-   Written next to the printed tables so runs can be diffed/gated by
-   tooling (schema documented in EXPERIMENTS.md). The match-scaling
-   experiment writes to a second sink (schema xroute-bench/6) so its
-   records can be regenerated without touching BENCH_5.json. *)
+   The sink (schema xroute-bench/5, documented in EXPERIMENTS.md) is
+   merged, not overwritten: a run replaces the records it produced,
+   matched by name, and keeps every other record, so running one
+   experiment cannot erase the others. Each record written carries the
+   scale it ran at; the top-level scale is the one the file was
+   created with. *)
 module Report = struct
+  module Json = Xroute_support.Json
+
   type value = F of float | I of int | B of bool
 
+  let path = Option.value ~default:"BENCH_5.json" (Sys.getenv_opt "XROUTE_BENCH_JSON")
+  let schema = "xroute-bench/5"
   let records : (string * (string * value) list) list ref = ref []
-  let records6 : (string * (string * value) list) list ref = ref []
-  let records7 : (string * (string * value) list) list ref = ref []
-  let records8 : (string * (string * value) list) list ref = ref []
-  let records10 : (string * (string * value) list) list ref = ref []
 
   (* Append fields to the experiment's record (merging by name; a
      re-recorded field replaces the old value rather than duplicating
      the JSON key). *)
-  let record_in records name fields =
+  let record name fields =
     match List.assoc_opt name !records with
     | Some existing ->
       let kept =
@@ -49,72 +58,73 @@ module Report = struct
       records := (name, kept @ fields) :: List.remove_assoc name !records
     | None -> records := (name, fields) :: !records
 
-  let record name fields = record_in records name fields
-  let record6 name fields = record_in records6 name fields
-  let record7 name fields = record_in records7 name fields
-  let record8 name fields = record_in records8 name fields
-  let record10 name fields = record_in records10 name fields
+  (* Floats keep six significant digits, as the committed reports do. *)
+  let json_of_value = function
+    | F f when Float.is_finite f -> Json.Num (float_of_string (Printf.sprintf "%.6g" f))
+    | F _ -> Json.Null
+    | I i -> Json.Num (float_of_int i)
+    | B b -> Json.Bool b
 
-  let render_value = function
-    | F f -> if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
-    | I i -> string_of_int i
-    | B b -> if b then "true" else "false"
+  (* The existing sink as (top-level scale, records), or None when there
+     is none yet. A sink that does not parse as an xroute-bench/5 report
+     exits 2 before any experiment runs, and the file is left as it
+     is. *)
+  let load () =
+    if not (Sys.file_exists path) then None
+    else
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      let fail why =
+        Printf.eprintf "%s: %s; not overwriting it\n" path why;
+        exit 2
+      in
+      match Json.parse text with
+      | Error e -> fail e
+      | Ok j -> (
+        match
+          ( Option.bind (Json.member "schema" j) Json.to_str,
+            Option.bind (Json.member "scale" j) Json.to_num,
+            Option.bind (Json.member "experiments" j) Json.to_list )
+        with
+        | Some s, Some sc, Some l when s = schema -> Some (sc, l)
+        | _ -> fail ("not an " ^ schema ^ " report"))
 
-  let render_record (name, fields) =
-    let body =
-      List.map (fun (k, v) -> Printf.sprintf "%S:%s" k (render_value v)) fields
+  (* Drop the existing records this run produced, keep the rest, append
+     the new ones. *)
+  let write existing =
+    let fresh =
+      List.rev_map
+        (fun (name, fields) ->
+          ( name,
+            Json.Obj
+              (("name", Json.Str name)
+              :: ("scale", Json.Num scale)
+              :: List.map (fun (k, v) -> (k, json_of_value v)) fields) ))
+        !records
     in
-    Printf.sprintf "{\"name\":%S,%s}" name (String.concat "," body)
-
-  let write_sink ~schema path records =
-    let oc = open_out path in
-    Printf.fprintf oc "{\"schema\":%S,\"scale\":%.3f,\"experiments\":[%s]}\n" schema scale
-      (String.concat "," (List.rev_map render_record records));
-    close_out oc;
-    Printf.printf "\nwrote %s (%d experiment records)\n%!" path (List.length records)
-
-  let write path =
-    write_sink ~schema:"xroute-bench/5" path !records;
-    if !records6 <> [] then
-      write_sink ~schema:"xroute-bench/6"
-        (Option.value ~default:"BENCH_6.json" (Sys.getenv_opt "XROUTE_BENCH_JSON6"))
-        !records6;
-    if !records7 <> [] then
-      write_sink ~schema:"xroute-bench/7"
-        (Option.value ~default:"BENCH_7.json" (Sys.getenv_opt "XROUTE_BENCH_JSON7"))
-        !records7;
-    if !records8 <> [] then
-      write_sink ~schema:"xroute-bench/8"
-        (Option.value ~default:"BENCH_8.json" (Sys.getenv_opt "XROUTE_BENCH_JSON8"))
-        !records8;
-    if !records10 <> [] then
-      write_sink ~schema:"xroute-bench/10"
-        (Option.value ~default:"BENCH_10.json" (Sys.getenv_opt "XROUTE_BENCH_JSON10"))
-        !records10
+    let top_scale, old = Option.value ~default:(scale, []) existing in
+    let kept =
+      List.filter
+        (fun r ->
+          match Option.bind (Json.member "name" r) Json.to_str with
+          | Some n -> not (List.mem_assoc n fresh)
+          | None -> true)
+        old
+    in
+    let experiments = kept @ List.map snd fresh in
+    let report =
+      Json.Obj
+        [
+          ("schema", Json.Str schema);
+          ("scale", Json.Num top_scale);
+          ("experiments", Json.Arr experiments);
+        ]
+    in
+    Out_channel.with_open_bin path (fun oc ->
+        output_string oc (Json.to_string report);
+        output_char oc '\n');
+    Printf.printf "\nwrote %s (%d records, %d from this run)\n%!" path
+      (List.length experiments) (List.length fresh)
 end
-
-(* Process peak RSS (VmHWM) in bytes, from /proc/self/status — a
-   monotone high-water mark, so the scenario scale series runs its
-   points in ascending order and each reading reflects the largest
-   population simulated so far. *)
-let peak_rss_bytes () =
-  try
-    let ic = open_in "/proc/self/status" in
-    let rec find () =
-      match input_line ic with
-      | line ->
-        if String.length line > 6 && String.sub line 0 6 = "VmHWM:" then begin
-          close_in ic;
-          let digits = String.to_seq line |> Seq.filter (fun c -> c >= '0' && c <= '9') in
-          int_of_string (String.of_seq digits) * 1024
-        end
-        else find ()
-      | exception End_of_file ->
-        close_in ic;
-        0
-    in
-    find ()
-  with Sys_error _ -> 0
 
 let section title =
   Printf.printf "\n==============================================================\n";
@@ -137,557 +147,6 @@ let tree_of_xpes ?covers xpes =
   let tree : int Sub_tree.t = Sub_tree.create ?covers () in
   List.iteri (fun i x -> ignore (Sub_tree.insert tree x i)) xpes;
   tree
-
-(* ------------------------------------------------------------------ *)
-(* SRT root-element index vs flat list scan                            *)
-(* ------------------------------------------------------------------ *)
-
-(* A dissemination broker hosts the advertisement sets of every feed it
-   serves; a subscription anchored at one feed's root element should not
-   pay a match operation for every other feed's advertisements. The SRT
-   differential loads all four bundled feeds into the indexed table,
-   pushes a subscription workload through [hops_for_sub], and checks it
-   against the full-scan reference (routing decisions byte-identical,
-   every candidate entry charged). The reference itself is the flat
-   list scan: it pays one match operation per stored entry, which
-   measures the scans the index avoided. *)
-
-let all_feed_advs =
-  lazy
-    (let book = Lazy.force Xroute_dtd.Dtd_samples.book in
-     let insurance = Lazy.force Xroute_dtd.Dtd_samples.insurance in
-     nitf_advs
-     @ psd_advs
-     @ Xroute_dtd.Dtd_paths.advertisements (Xroute_dtd.Dtd_graph.build book)
-     @ Xroute_dtd.Dtd_paths.advertisements (Xroute_dtd.Dtd_graph.build insurance))
-
-(* Every fifth advertisement comes from a local client (the publisher's
-   own broker), the rest from four neighbors: many entries per hop, and
-   client hops the lookup must leave out. *)
-let srt_fill advs =
-  let srt = Rtable.Srt.create () in
-  List.iteri
-    (fun i adv ->
-      let hop = if i mod 5 = 4 then Rtable.Client (i mod 3) else Rtable.Neighbor (i mod 4) in
-      ignore (Rtable.Srt.add srt { Message.origin = 1; seq = i } adv hop))
-    advs;
-  srt
-
-let decision_string hops =
-  String.concat ";" (List.map (fun ep -> Format.asprintf "%a" Rtable.pp_endpoint ep) hops)
-
-(* The full-scan reference: every stored entry in newest-first order,
-   neighbor hops deduplicated by first occurrence. An entry whose hop
-   is already in the answer cannot change it, so its overlap test is
-   skipped. *)
-let srt_reference_hops entries xpe =
-  List.fold_left
-    (fun acc (e : Rtable.Srt.entry) ->
-      match e.hop with
-      | Rtable.Neighbor _
-        when (not (List.exists (Rtable.endpoint_equal e.hop) acc))
-             && Adv_match.overlaps_paper xpe e.adv ->
-        e.hop :: acc
-      | Rtable.Neighbor _ | Rtable.Client _ -> acc)
-    [] entries
-  |> List.rev
-
-(* The entries the cost model charges a lookup: the whole table for an
-   unanchored subscription, else the entries rooted at the
-   subscription's root element plus the star- and group-rooted ones. *)
-let srt_reference_candidates srt xpe =
-  let entries = Rtable.Srt.entries srt in
-  let rooted_at n (e : Rtable.Srt.entry) =
-    match Xroute_xpath.Adv.parts e.adv with
-    | Xroute_xpath.Adv.Lit steps :: _ -> (
-      match steps.(0) with
-      | Xroute_xpath.Xpe.Name m -> Xroute_support.Symbol.equal m n
-      | Xroute_xpath.Xpe.Star -> true)
-    | _ -> true
-  in
-  match Rtable.Srt.sub_root xpe with
-  | Some n -> List.length (List.filter (rooted_at n) entries)
-  | None -> List.length entries
-
-(* Run [xpes] through the indexed SRT and the full-scan reference;
-   returns (identical, ops_list, ops_indexed, wall_list_s, wall_indexed_s,
-   indexed_srt), where the list side is the reference, charged one op
-   per stored entry. [identical] holds when, for every XPE, the table
-   returns the reference's hops and charges its candidate count. *)
-let srt_differential ~advs xpes =
-  let srt = srt_fill advs in
-  let entries = Rtable.Srt.entries srt in
-  let list_decisions, t_list =
-    time_it (fun () -> List.map (fun x -> decision_string (srt_reference_hops entries x)) xpes)
-  in
-  let idx_decisions, t_idx =
-    time_it (fun () ->
-        List.map
-          (fun x ->
-            let ops0 = Rtable.Srt.match_ops srt in
-            let d = decision_string (Rtable.Srt.hops_for_sub srt x) in
-            (d, Rtable.Srt.match_ops srt - ops0))
-          xpes)
-  in
-  let identical =
-    List.for_all2
-      (fun x (expected, (d_idx, ops_idx)) ->
-        String.equal d_idx expected && ops_idx = srt_reference_candidates srt x)
-      xpes
-      (List.combine list_decisions idx_decisions)
-  in
-  let ops_list = List.length entries * List.length xpes in
-  (identical, ops_list, Rtable.Srt.match_ops srt, t_list, t_idx, srt)
-
-let srt_bucket_bench () =
-  section
-    "SRT index - root-element buckets vs flat list scan\n\
-     (Figure-6 workload: Set A at 10k XPEs, NITF; SRT holds the\n\
-     advertisement sets of all four bundled feeds. Decisions must be\n\
-     byte-identical; the index only avoids provably non-overlapping scans)";
-  let advs = Lazy.force all_feed_advs in
-  let count = scaled 10_000 in
-  let xpes =
-    Xroute_workload.Workload.xpes ~params:(Xroute_workload.Workload.set_a_params nitf)
-      ~count ~seed:11 ()
-  in
-  let identical, ops_list, ops_idx, t_list, t_idx, idx_srt = srt_differential ~advs xpes in
-  let saved_pct =
-    100.0 *. float_of_int (ops_list - ops_idx) /. float_of_int (max 1 ops_list)
-  in
-  Printf.printf "%d advertisements (%d buckets, max occupancy %d, catch-all %d), %d XPEs\n"
-    (Rtable.Srt.size idx_srt) (Rtable.Srt.bucket_count idx_srt)
-    (Rtable.Srt.max_bucket_size idx_srt) (Rtable.Srt.catch_all_size idx_srt)
-    (List.length xpes);
-  Printf.printf "%-12s match_ops %10d  wall %8.1f ms\n" "flat list" ops_list (t_list *. 1000.0);
-  Printf.printf "%-12s match_ops %10d  wall %8.1f ms  (%.1f%% scans avoided)\n" "indexed"
-    ops_idx (t_idx *. 1000.0) saved_pct;
-  Printf.printf "routing decisions and charged ops identical to the full scan: %b\n%!"
-    identical;
-  Report.record "srt-index"
-    [
-      ("advertisements", Report.I (Rtable.Srt.size idx_srt));
-      ("xpes", Report.I (List.length xpes));
-      ("srt_buckets", Report.I (Rtable.Srt.bucket_count idx_srt));
-      ("srt_bucket_max", Report.I (Rtable.Srt.max_bucket_size idx_srt));
-      ("srt_catch_all", Report.I (Rtable.Srt.catch_all_size idx_srt));
-      ("match_ops_list", Report.I ops_list);
-      ("match_ops_indexed", Report.I ops_idx);
-      ("scans_avoided_pct", Report.F saved_pct);
-      ("wall_ms_list", Report.F (t_list *. 1000.0));
-      ("wall_ms_indexed", Report.F (t_idx *. 1000.0));
-      ("decisions_identical", Report.B identical);
-    ];
-  if not identical then begin
-    Printf.printf "ERROR: indexed SRT diverged from the full-scan reference\n";
-    exit 1
-  end;
-  (* The same table seen from the small feed: PSD subscriptions skip the
-     dominant NITF bucket, the situation the index is built for. *)
-  let psd_xpes =
-    Xroute_workload.Workload.xpes ~params:(Xroute_workload.Workload.set_a_params psd)
-      ~count ~seed:13 ()
-  in
-  let identical_p, ops_list_p, ops_idx_p, t_list_p, t_idx_p, _ =
-    srt_differential ~advs psd_xpes
-  in
-  let saved_pct_p =
-    100.0 *. float_of_int (ops_list_p - ops_idx_p) /. float_of_int (max 1 ops_list_p)
-  in
-  Printf.printf "PSD subscriptions against the same table:\n";
-  Printf.printf "%-12s match_ops %10d  wall %8.1f ms\n" "flat list" ops_list_p
-    (t_list_p *. 1000.0);
-  Printf.printf "%-12s match_ops %10d  wall %8.1f ms  (%.1f%% scans avoided)\n" "indexed"
-    ops_idx_p (t_idx_p *. 1000.0) saved_pct_p;
-  Printf.printf "routing decisions and charged ops identical to the full scan: %b\n%!"
-    identical_p;
-  Report.record "srt-index-psd"
-    [
-      ("xpes", Report.I (List.length psd_xpes));
-      ("match_ops_list", Report.I ops_list_p);
-      ("match_ops_indexed", Report.I ops_idx_p);
-      ("scans_avoided_pct", Report.F saved_pct_p);
-      ("wall_ms_list", Report.F (t_list_p *. 1000.0));
-      ("wall_ms_indexed", Report.F (t_idx_p *. 1000.0));
-      ("decisions_identical", Report.B identical_p);
-    ];
-  if not identical_p then begin
-    Printf.printf
-      "ERROR: indexed SRT diverged from the full-scan reference (PSD workload)\n";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Daemon throughput: loopback pub/sub burst over real sockets         *)
-(* ------------------------------------------------------------------ *)
-
-let daemon_throughput () =
-  section
-    "Daemon throughput - loopback pub/sub burst (2 brokers over TCP)\n\
-     (exercises the daemon's buffered write path under publication\n\
-     fan-out; throughput is end-to-end: publish, route, deliver)";
-  let open Xroute_daemon in
-  let d0 = Daemon.create ~id:0 ~port:0 ~neighbors:[ (1, ("127.0.0.1", 0)) ] () in
-  let d1 =
-    Daemon.create ~id:1 ~port:0 ~neighbors:[ (0, ("127.0.0.1", Daemon.port d0)) ] ()
-  in
-  let threads =
-    List.map (fun d -> Thread.create (fun () -> Daemon.run ~timeout:0.005 d) ()) [ d0; d1 ]
-  in
-  Thread.delay 0.3;
-  let publisher = Client.connect ~client_id:100 ~host:"127.0.0.1" ~port:(Daemon.port d0) in
-  let subscriber = Client.connect ~client_id:200 ~host:"127.0.0.1" ~port:(Daemon.port d1) in
-  ignore (Client.advertise publisher (Xroute_xpath.Adv.parse "/burst/item"));
-  Thread.delay 0.2;
-  ignore (Client.subscribe subscriber (Xroute_xpath.Xpe_parser.parse "/burst"));
-  Thread.delay 0.2;
-  let n = scaled 1000 in
-  let doc = Xroute_xml.Xml_parser.parse "<burst><item/></burst>" in
-  let t0 = Unix.gettimeofday () in
-  for doc_id = 0 to n - 1 do
-    ignore (Client.publish_doc publisher ~doc_id doc)
-  done;
-  let deadline = t0 +. 60.0 in
-  let received = ref 0 in
-  while !received < n && Unix.gettimeofday () < deadline do
-    received := !received + List.length (Client.drain_deliveries ~timeout:0.2 subscriber)
-  done;
-  let wall = Unix.gettimeofday () -. t0 in
-  let per_sec = float_of_int !received /. wall in
-  Printf.printf "%d publications published, %d delivered in %.2f s  (%.0f msgs/s end-to-end)\n%!"
-    n !received wall per_sec;
-  Client.close publisher;
-  Client.close subscriber;
-  List.iter Daemon.request_stop [ d0; d1 ];
-  List.iter Thread.join threads;
-  Report.record "daemon-throughput"
-    [
-      ("published", Report.I n);
-      ("delivered", Report.I !received);
-      ("burst_wall_ms", Report.F (wall *. 1000.0));
-      ("msgs_per_sec", Report.F per_sec);
-    ];
-  if !received < n then begin
-    Printf.printf "ERROR: daemon burst lost %d publications\n" (n - !received);
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Saturation: pipelined multi-root burst against the daemon          *)
-(* ------------------------------------------------------------------ *)
-
-(* The saturation burst: a 2-broker line saturated by four pipelined
-   publishers (one advertisement root each, publications pre-framed and
-   written in ~56 KB chunks so the event loop sees deep batches, not one
-   line per syscall). The subscriber side holds a mixed selection — one
-   shallow anchored XPE, one deep anchored XPE, one unanchored
-   ("//...") — and one root is deliberately unsubscribed so selectivity
-   is real; every expected doc id must arrive. *)
-
-let saturation_run ?(telemetry = true) ~docs_per_root () =
-  let open Xroute_daemon in
-  let d0 =
-    Daemon.create ~telemetry ~id:0 ~port:0 ~neighbors:[ (1, ("127.0.0.1", 0)) ] ()
-  in
-  let d1 =
-    Daemon.create ~telemetry ~id:1 ~port:0
-      ~neighbors:[ (0, ("127.0.0.1", Daemon.port d0)) ] ()
-  in
-  let threads =
-    List.map (fun d -> Thread.create (fun () -> Daemon.run ~timeout:0.005 d) ()) [ d0; d1 ]
-  in
-  Thread.delay 0.3;
-  let roots = 4 in
-  let publishers =
-    List.init roots (fun k ->
-        Client.connect ~client_id:(100 + k) ~host:"127.0.0.1" ~port:(Daemon.port d0))
-  in
-  List.iteri
-    (fun k p ->
-      ignore (Client.advertise p (Xroute_xpath.Adv.parse (Printf.sprintf "/burst%d/item%d" k k))))
-    publishers;
-  Thread.delay 0.3;
-  let subscriber = Client.connect ~client_id:200 ~host:"127.0.0.1" ~port:(Daemon.port d1) in
-  (* roots 0-2 subscribed (anchored shallow / anchored deep / unanchored),
-     root 3 withheld *)
-  ignore (Client.subscribe subscriber (Xroute_xpath.Xpe_parser.parse "/burst0"));
-  ignore (Client.subscribe subscriber (Xroute_xpath.Xpe_parser.parse "/burst1/item1"));
-  ignore (Client.subscribe subscriber (Xroute_xpath.Xpe_parser.parse "//item2"));
-  Thread.delay 0.3;
-  (* Pre-frame each publisher's burst into chunks of whole lines: the
-     publisher writes a chunk per syscall, which is what lets a 1-core
-     box saturate the daemon's batched read path. *)
-  let chunks_for k =
-    let doc =
-      Xroute_xml.Xml_parser.parse (Printf.sprintf "<burst%d><item%d/></burst%d>" k k k)
-    in
-    let chunks = ref [] in
-    let chunk = Buffer.create (1 lsl 16) in
-    for i = 0 to docs_per_root - 1 do
-      let doc_id = (k * 10_000_000) + i in
-      List.iter
-        (fun pub ->
-          Buffer.add_string chunk
-            ("M|" ^ Codec.encode (Message.Publish { pub; trail = []; ctx = None }) ^ "\n"))
-        (Xroute_xml.Xml_paths.decompose ~doc_id doc);
-      if Buffer.length chunk >= 56 * 1024 then begin
-        chunks := Buffer.contents chunk :: !chunks;
-        Buffer.clear chunk
-      end
-    done;
-    if Buffer.length chunk > 0 then chunks := Buffer.contents chunk :: !chunks;
-    List.rev !chunks
-  in
-  let bursts = List.mapi (fun k p -> (p, ref (chunks_for k))) publishers in
-  let expected =
-    List.concat_map
-      (fun k -> List.init docs_per_root (fun i -> (k * 10_000_000) + i))
-      [ 0; 1; 2 ]
-  in
-  let published = roots * docs_per_root in
-  let t0 = Unix.gettimeofday () in
-  (* round-robin one chunk per publisher so the roots interleave on the
-     wire *)
-  let remaining = ref true in
-  while !remaining do
-    remaining := false;
-    List.iter
-      (fun (p, chunks) ->
-        match !chunks with
-        | [] -> ()
-        | c :: rest ->
-          Client.send_line p c;
-          chunks := rest;
-          if rest <> [] then remaining := true)
-      bursts
-  done;
-  let deadline = t0 +. 120.0 in
-  let got = Hashtbl.create (List.length expected) in
-  while Hashtbl.length got < List.length expected && Unix.gettimeofday () < deadline do
-    List.iter
-      (fun i -> Hashtbl.replace got i ())
-      (Client.drain_deliveries ~timeout:0.2 subscriber)
-  done;
-  let wall = Unix.gettimeofday () -. t0 in
-  let delivered = List.sort compare (Hashtbl.fold (fun i () acc -> i :: acc) got []) in
-  let per_sec = float_of_int (Hashtbl.length got) /. wall in
-  let hops =
-    Xroute_obs.Span.to_list (Daemon.spans d1)
-    |> List.filter (fun (s : Xroute_obs.Span.span) -> s.name = "hop" && s.stop > s.start)
-    |> List.map Xroute_obs.Span.duration
-    |> List.sort compare
-  in
-  let percentile p =
-    match hops with
-    | [] -> 0.0
-    | l ->
-      let n = List.length l in
-      List.nth l (min (n - 1) (int_of_float (p *. float_of_int n)))
-  in
-  List.iter Client.close (subscriber :: publishers);
-  List.iter Daemon.request_stop [ d0; d1 ];
-  List.iter Thread.join threads;
-  (published, delivered, expected, wall, per_sec, percentile 0.5, percentile 0.99)
-
-let saturation () =
-  section
-    "Saturation - pipelined 4-root burst through the daemon\n\
-     (pre-framed publications written in 56KB chunks through a 2-broker\n\
-     line; every expected doc id must arrive)";
-  let docs_per_root = scaled 5000 in
-  let published, delivered, expected, wall, per_sec, p50, p99 =
-    saturation_run ~docs_per_root ()
-  in
-  Printf.printf
-    "%d published, %d/%d delivered in %.2f s  (%.0f msgs/s, hop p50 %.2f ms, p99 %.2f ms)\n%!"
-    published (List.length delivered) (List.length expected) wall per_sec p50 p99;
-  if delivered <> expected then begin
-    Printf.printf "ERROR: saturation burst lost or misrouted publications\n";
-    exit 1
-  end;
-  Report.record7 "saturation-domains-1"
-    [
-      ("domains", Report.I 1);
-      ("roots", Report.I 4);
-      ("published", Report.I published);
-      ("delivered", Report.I (List.length delivered));
-      ("burst_wall_ms", Report.F (wall *. 1000.0));
-      ("msgs_per_sec", Report.F per_sec);
-      ("p50_hop_ms", Report.F p50);
-      ("p99_hop_ms", Report.F p99);
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Telemetry federation: sketch error, convergence, overhead (BENCH_10)*)
-(* ------------------------------------------------------------------ *)
-
-(* Three claims of the telemetry-federation PR, each committed as a
-   BENCH_10 record. (a) The DDSketch-style quantile sketch stays within
-   its advertised relative-error bound against exact order statistics on
-   every seeded distribution shape the overlay actually produces. (b) A
-   hop-bounded FEDSTATS pull over a line overlay converges: the merged
-   view is exactly the union of the per-broker summaries — zero merge
-   diffs — at every overlay size, and is idempotent under self-merge.
-   (c) Telemetry is cheap: the BENCH_7 saturation burst re-run with the
-   per-link health summary on vs off must land within 1.1x. *)
-let obs_telemetry () =
-  section
-    "Telemetry federation - sketch error, FEDSTATS convergence, overhead\n\
-     (sketch quantiles vs exact order statistics per distribution; the\n\
-     sim FEDSTATS pull vs the union of broker healths at 3/5/7 brokers;\n\
-     the BENCH_7 burst with --no-telemetry vs the default)";
-  let module Sketch = Xroute_obs.Sketch in
-  let module Health = Xroute_obs.Health in
-  let module Prng = Xroute_support.Prng in
-  let alpha = Sketch.default_alpha in
-  let quantiles = [ 0.5; 0.9; 0.95; 0.99; 0.999 ] in
-  let samples = scaled 20_000 in
-  let prng = Prng.create 10 in
-  let zipf = Xroute_support.Zipf.create ~n:1000 ~exponent:1.1 in
-  let dists =
-    [
-      ("uniform", fun () -> 1.0 +. Prng.float prng 1000.0);
-      ("exponential", fun () -> -50.0 *. log (1.0 -. Prng.unit_float prng));
-      ("zipf", fun () -> float_of_int (1 + Xroute_support.Zipf.sample zipf prng));
-      ( "latency-mix",
-        fun () ->
-          if Prng.bernoulli prng 0.05 then 100.0 +. Prng.float prng 900.0
-          else 0.5 +. Prng.float prng 4.5 );
-    ]
-  in
-  Printf.printf "sketch error (alpha %.3f, %d samples per distribution):\n" alpha samples;
-  let worst = ref 0.0 in
-  List.iter
-    (fun (name, gen) ->
-      let sketch = Sketch.create () in
-      let raw = Array.init samples (fun _ -> gen ()) in
-      Array.iter (Sketch.observe sketch) raw;
-      let max_err =
-        List.fold_left
-          (fun acc q ->
-            let exact = Xroute_support.Stats.percentile raw q in
-            let est = Sketch.quantile sketch q in
-            Float.max acc (Float.abs (est -. exact) /. Float.max 1e-12 (Float.abs exact)))
-          0.0 quantiles
-      in
-      worst := Float.max !worst max_err;
-      Printf.printf "  %-12s max rel error %.5f  (bound %.3f)\n%!" name max_err alpha;
-      Report.record10
-        ("sketch-error-" ^ name)
-        [
-          ("samples", Report.I samples);
-          ("alpha", Report.F alpha);
-          ("max_rel_error", Report.F max_err);
-          ("within_bound", Report.B (max_err <= alpha +. 1e-9));
-        ])
-    dists;
-  Report.record10 "sketch-error"
-    [
-      ("distributions", Report.I (List.length dists));
-      ("alpha", Report.F alpha);
-      ("max_rel_error", Report.F !worst);
-      ("within_bound", Report.B (!worst <= alpha +. 1e-9));
-    ];
-  if !worst > alpha +. 1e-9 then begin
-    Printf.printf "ERROR: sketch quantile outside the advertised bound\n";
-    exit 1
-  end;
-  (* FEDSTATS convergence vs overlay size: publish down a line, pull the
-     federated view from one end, and diff it origin-by-origin against
-     the union of the brokers' own summaries. *)
-  Printf.printf "\nFEDSTATS convergence (line overlays):\n";
-  List.iter
-    (fun brokers ->
-      let net =
-        Net.create
-          ~config:{ Net.default_config with Net.latency = Latency.constant 1.0; seed = 10 }
-          (Topology.line brokers)
-      in
-      let publisher = Net.add_client net ~broker:0 in
-      let subscriber = Net.add_client net ~broker:(brokers - 1) in
-      ignore (Net.advertise_dtd net publisher psd_advs);
-      Net.run net;
-      ignore
-        (Net.subscribe net subscriber
-           (Xroute_xpath.Xpe_parser.parse ("/" ^ Xroute_dtd.Dtd_ast.root psd)));
-      Net.run net;
-      let docs = Xroute_workload.Workload.documents ~dtd:psd ~count:(scaled 20) ~seed:10 () in
-      List.iteri (fun i d -> ignore (Net.publish_doc net publisher ~doc_id:i d)) docs;
-      Net.run net;
-      let view = Net.fedstats net ~root:0 () in
-      let expected = Health.view_of (List.init brokers (Net.health net)) in
-      let merge_diffs =
-        List.fold_left
-          (fun acc (origin, s) ->
-            match List.assoc_opt origin view with
-            | Some got when Health.encode_summary got = Health.encode_summary s -> acc
-            | _ -> acc + 1)
-          0 expected
-      in
-      let pubs_total = List.fold_left (fun acc (_, s) -> acc + Health.pubs s) 0 view in
-      let idempotent = Health.view_equal (Health.merge_views view view) view in
-      Printf.printf
-        "  %d brokers: %d origins, %d merge diffs, %d pubs federated, idempotent %b\n%!"
-        brokers (List.length view) merge_diffs pubs_total idempotent;
-      Report.record10
-        (Printf.sprintf "fed-convergence-%d" brokers)
-        [
-          ("brokers", Report.I brokers);
-          ("origins", Report.I (List.length view));
-          ("merge_diffs", Report.I merge_diffs);
-          ("pubs_federated", Report.I pubs_total);
-          ("idempotent", Report.B idempotent);
-        ];
-      if merge_diffs <> 0 || List.length view <> brokers then begin
-        Printf.printf "ERROR: FEDSTATS view diverged from the union of broker healths\n";
-        exit 1
-      end)
-    [ 3; 5; 7 ];
-  (* Telemetry overhead: the BENCH_7 burst with the health summary on vs
-     off (the daemon's --no-telemetry switch). Best of two runs per mode
-     so the committed ratio reflects the shim cost, not scheduler
-     noise. *)
-  let docs_per_root = scaled 5000 in
-  let best telemetry =
-    let one () =
-      let published, delivered, expected, _, per_sec, _, _ =
-        saturation_run ~telemetry ~docs_per_root ()
-      in
-      if delivered <> expected then begin
-        Printf.printf "ERROR: telemetry overhead burst lost or misrouted publications\n";
-        exit 1
-      end;
-      (published, per_sec)
-    in
-    let published, a = one () in
-    let _, b = one () in
-    (published, Float.max a b)
-  in
-  let published, per_sec_on = best true in
-  let _, per_sec_off = best false in
-  let ratio = per_sec_off /. per_sec_on in
-  (* BENCH_7.json saturation-domains-1 msgs_per_sec: the same burst. *)
-  let bench7_msgs_per_sec = 27424.8 in
-  Printf.printf
-    "\ntelemetry overhead (BENCH_7 burst, best of 2):\n\
-    \  on  %8.0f msgs/s\n\
-    \  off %8.0f msgs/s   ratio off/on %.3f  (gate <= 1.1)\n%!"
-    per_sec_on per_sec_off ratio;
-  Report.record10 "telemetry-overhead"
-    [
-      ("domains", Report.I 1);
-      ("published", Report.I published);
-      ("msgs_per_sec_on", Report.F per_sec_on);
-      ("msgs_per_sec_off", Report.F per_sec_off);
-      ("ratio_off_over_on", Report.F ratio);
-      ("bench7_msgs_per_sec", Report.F bench7_msgs_per_sec);
-      ("ratio_vs_bench7", Report.F (per_sec_on /. bench7_msgs_per_sec));
-      ("within_gate", Report.B (ratio <= 1.1));
-    ];
-  if ratio > 1.1 then begin
-    Printf.printf "ERROR: telemetry costs more than 10%% of burst throughput\n";
-    exit 1
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Fault recovery: seeded outage plan, convergence after healing       *)
@@ -1410,80 +869,10 @@ let ablation_yfilter () =
     (Yfilter.state_count yf)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the core algorithms                    *)
+(* Instrumentation smoke check (wired into dune runtest)               *)
 (* ------------------------------------------------------------------ *)
 
-let micro_benchmarks () =
-  section "Micro-benchmarks (Bechamel; ns per operation)";
-  let open Bechamel in
-  let xp = Xroute_xpath.Xpe_parser.parse in
-  let ad = Xroute_xpath.Adv.parse in
-  let abs_xpe = xp "/nitf/body/*/block/p" in
-  let rel_xpe = xp "block/p/em" in
-  let des_xpe = xp "/nitf//block/*//em" in
-  let rec_adv = ad "/nitf/body/body.content(/block)+/p/em" in
-  let plain_adv = Xroute_xpath.Adv.of_names [ "nitf"; "body"; "body.content"; "block"; "p"; "em" ] in
-  let plain_syms = Xroute_xpath.Adv.to_symbols plain_adv in
-  let s1 = xp "/nitf/body/*//p" and s2 = xp "/nitf/body/body.content/block/p/em" in
-  let tree = tree_of_xpes
-      (Xroute_workload.Workload.xpes ~params:(Xroute_workload.Workload.set_a_params nitf)
-         ~count:2000 ~seed:91 ()) in
-  let path = [| "nitf"; "body"; "body.content"; "block"; "p"; "em" |] in
-  let tests =
-    [
-      Test.make ~name:"AbsExprAndAdv"
-        (Staged.stage (fun () -> Adv_match.abs_expr_and_adv abs_xpe.Xroute_xpath.Xpe.steps plain_syms));
-      Test.make ~name:"RelExprAndAdv"
-        (Staged.stage (fun () -> Adv_match.rel_expr_and_adv rel_xpe.Xroute_xpath.Xpe.steps plain_syms));
-      Test.make ~name:"RelExprAndAdv-naive"
-        (Staged.stage (fun () -> Adv_match.rel_expr_and_adv_naive rel_xpe.Xroute_xpath.Xpe.steps plain_syms));
-      Test.make ~name:"DesExprAndAdv"
-        (Staged.stage (fun () -> Adv_match.des_expr_and_adv des_xpe plain_syms));
-      Test.make ~name:"RecAdvMatch"
-        (Staged.stage (fun () -> Adv_match.expr_and_rec_adv abs_xpe rec_adv));
-      Test.make ~name:"ExactOverlap(NFA)"
-        (Staged.stage (fun () -> Adv_match.overlaps_exact abs_xpe rec_adv));
-      Test.make ~name:"Cover.covers"
-        (Staged.stage (fun () -> Cover.covers s1 s2));
-      Test.make ~name:"Cover.covers-exact"
-        (Staged.stage (fun () -> Cover.covers_exact s1 s2));
-      Test.make ~name:"SubTree.match(2k)"
-        (Staged.stage (fun () -> Sub_tree.match_names tree path));
-      Test.make ~name:"SubTree.is_covered(2k)"
-        (Staged.stage (fun () -> Sub_tree.is_covered tree s2));
-    ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:None () in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let analyzed = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          let estimate =
-            match Analyze.OLS.estimates ols_result with
-            | Some [ e ] -> e
-            | _ -> nan
-          in
-          Printf.printf "%-28s %12.1f ns/op\n%!" name estimate)
-        analyzed)
-    tests
-
-(* ------------------------------------------------------------------ *)
-(* Match scaling - flat scan vs covering tree vs shared-prefix NFA     *)
-(* ------------------------------------------------------------------ *)
-
-(* Per-publication match cost as the PRT grows from 1k to 100k
-   subscriptions: the PRT's shared-prefix NFA against two references
-   built from {!Sub_tree} — the flat list (no covering) and the covering
-   tree (pruned DFS, the paper's matcher). Decisions must be
-   byte-identical across all three at every size; the NFA's
-   per-publication cost must track its branching into the publication,
-   not the table size. Records go to BENCH_6.json. *)
+module Scenario = Xroute_workload.Scenario
 
 let ids_decision ids =
   List.sort_uniq compare ids
@@ -1495,211 +884,6 @@ let prt_decision (prt : Rtable.Prt.t) (pub : Xroute_xml.Xml_paths.publication) =
 
 let tree_decision (tree : Message.sub_id Sub_tree.t) (pub : Xroute_xml.Xml_paths.publication) =
   ids_decision (Sub_tree.match_syms tree pub.syms pub.attrs)
-
-let match_scaling () =
-  section
-    "Match scaling - flat list vs covering tree vs shared-prefix NFA\n\
-     (PRT publication matching as the table grows; Set A, NITF; the\n\
-     PRT's NFA and both Sub_tree references must agree decision-for-\n\
-     decision while the NFA's cost stays flat in the table size)";
-  let sizes = List.sort_uniq compare [ scaled 1_000; scaled 10_000; scaled 100_000 ] in
-  let requested = List.fold_left max 1 sizes in
-  let xpes =
-    Array.of_list
-      (Xroute_workload.Workload.xpes
-         ~params:(Xroute_workload.Workload.set_a_params nitf) ~count:requested ~seed:71 ())
-  in
-  (* the generator caps at the DTD's distinct-XPE space *)
-  let avail = Array.length xpes in
-  if avail < requested then
-    Printf.printf "(workload yields %d distinct XPEs for %d requested)\n" avail requested;
-  let docs = Xroute_workload.Workload.documents ~dtd:nitf ~count:(scaled 10) ~seed:72 () in
-  let pubs = Xroute_workload.Workload.publications_of_documents docs in
-  let n_pubs = List.length pubs in
-  let flat = Sub_tree.create ~flat:true () in
-  let tree = Sub_tree.create () in
-  let nfa = Rtable.Prt.create () in
-  let inserted = ref 0 in
-  let fill upto =
-    for i = !inserted to min upto avail - 1 do
-      let id : Message.sub_id = { origin = 1; seq = i } in
-      ignore (Sub_tree.insert flat xpes.(i) id);
-      ignore (Sub_tree.insert tree xpes.(i) id);
-      ignore (Rtable.Prt.insert nfa id xpes.(i) (Rtable.Client 0))
-    done;
-    inserted := min upto avail
-  in
-  Printf.printf "%d publications from %d documents\n" n_pubs (scaled 10);
-  Printf.printf "%-9s %-9s | %13s %13s %13s | %11s %11s %11s | %5s\n" "xpes" "(stored)"
-    "flat ent/pub" "tree ent/pub" "nfa ent/pub" "flat ms/pub" "tree ms/pub" "nfa ms/pub"
-    "diffs";
-  let last_ratio = ref 0.0 in
-  List.iter
-    (fun size ->
-      fill size;
-      let run checks decide =
-        let before = checks () in
-        let decisions, wall = time_it (fun () -> List.map decide pubs) in
-        (decisions, checks () - before, wall)
-      in
-      let run_tree t = run (fun () -> Sub_tree.match_checks t) (tree_decision t) in
-      let d_flat, ops_flat, t_flat = run_tree flat in
-      let d_tree, ops_tree, t_tree = run_tree tree in
-      let d_nfa, ops_nfa, t_nfa =
-        run (fun () -> Rtable.Prt.match_checks nfa) (prt_decision nfa)
-      in
-      let diffs l = List.fold_left2 (fun n a b -> if String.equal a b then n else n + 1) 0 d_flat l in
-      let decision_diffs = diffs d_tree + diffs d_nfa in
-      let per ops = float_of_int ops /. float_of_int (max 1 n_pubs) in
-      let ms t = t *. 1000.0 /. float_of_int (max 1 n_pubs) in
-      let ratio = per ops_flat /. Float.max 1.0 (per ops_nfa) in
-      last_ratio := ratio;
-      Printf.printf
-        "%-9d %-9d | %13.1f %13.1f %13.1f | %11.4f %11.4f %11.4f | %5d  (flat/nfa %.1fx)\n%!"
-        size !inserted (per ops_flat) (per ops_tree) (per ops_nfa) (ms t_flat) (ms t_tree)
-        (ms t_nfa) decision_diffs ratio;
-      Report.record6
-        (Printf.sprintf "match-scaling-%d" size)
-        [
-          ("xpes_requested", Report.I size);
-          ("xpes_stored", Report.I !inserted);
-          ("publications", Report.I n_pubs);
-          ("entries_per_pub_flat", Report.F (per ops_flat));
-          ("entries_per_pub_tree", Report.F (per ops_tree));
-          ("entries_per_pub_nfa", Report.F (per ops_nfa));
-          ("ms_per_pub_flat", Report.F (ms t_flat));
-          ("ms_per_pub_tree", Report.F (ms t_tree));
-          ("ms_per_pub_nfa", Report.F (ms t_nfa));
-          ("nfa_states", Report.I (Rtable.Prt.nfa_states nfa));
-          ("flat_over_nfa", Report.F ratio);
-          ("decision_diffs", Report.I decision_diffs);
-          ("decisions_identical", Report.B (decision_diffs = 0));
-        ];
-      if decision_diffs <> 0 then begin
-        Printf.printf "match-scaling FAILED: %d decision diffs at %d XPEs\n" decision_diffs
-          size;
-        exit 1
-      end)
-    sizes;
-  Report.record6 "match-scaling"
-    [
-      ("sizes", Report.I (List.length sizes));
-      ("flat_over_nfa_at_max", Report.F !last_ratio);
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Million-client scenario engine: sim-events/sec and peak RSS          *)
-(* ------------------------------------------------------------------ *)
-
-module Scenario = Xroute_workload.Scenario
-
-(* Two halves, one experiment. First the trust gate: at small scale,
-   every scenario kind runs twice and the replay must reproduce the
-   delivery ledger byte for byte (full rows), with identical per-broker
-   next-hop decisions and fault accounting — the determinism that makes
-   the large-scale numbers below meaningful. Then the scale
-   series: the flash-crowd scenario at 10k/100k/1M virtual subscribers,
-   reporting sim-events/sec and process peak RSS per point, so simulator
-   performance is tracked by the same BENCH machinery as broker
-   performance. Points run in ascending order (peak RSS is a high-water
-   mark). *)
-let scenario_scale () =
-  section "Scenario engine: replay gate + scale series (BENCH_8.json)";
-  Printf.printf "replay gate (1000 clients, full ledgers, all kinds):\n%!";
-  let gate_failed = ref false in
-  List.iter
-    (fun kind ->
-      let spec =
-        {
-          Scenario.default_spec with
-          Scenario.kind;
-          clients = 1_000;
-          docs = 8;
-          levels = 3;
-          xpes = 64;
-          batch = 128;
-        }
-      in
-      let (a, diffs), wall =
-        time_it (fun () ->
-            let a = Scenario.run ~ledger:`Full spec in
-            (a, Scenario.diff a (Scenario.run ~ledger:`Full spec)))
-      in
-      let name = Scenario.kind_to_string kind in
-      Printf.printf "  %-8s deliveries=%-7d subs=%-6d diffs=%d (%.0f ms)\n%!" name
-        a.Scenario.deliveries a.Scenario.subs_sent (List.length diffs) (wall *. 1000.0);
-      if diffs <> [] then gate_failed := true;
-      Report.record8
-        (Printf.sprintf "scenario-differential-%s" name)
-        [
-          ("clients", Report.I spec.Scenario.clients);
-          ("deliveries", Report.I a.Scenario.deliveries);
-          ("subs", Report.I a.Scenario.subs_sent);
-          ("unsubs", Report.I a.Scenario.unsubs_sent);
-          ("ledger_diffs", Report.I (List.length diffs));
-          ("ledgers_identical", Report.B (diffs = []));
-        ])
-    Scenario.all_kinds;
-  if !gate_failed then begin
-    Printf.printf "scenario-scale FAILED: a scenario replay diverged\n";
-    exit 1
-  end;
-  let points =
-    [
-      (scaled 10_000, 4, 8, 1_024);
-      (scaled 100_000, 5, 6, 4_096);
-      (scaled 1_000_000, 6, 4, 8_192);
-    ]
-  in
-  Printf.printf "\nflash-crowd scale series:\n";
-  Printf.printf "%-9s %-8s | %10s %12s %12s %10s | %9s\n" "clients" "brokers" "deliveries"
-    "sim events" "events/sec" "wall s" "peakRSS MB";
-  List.iter
-    (fun (clients, levels, docs, batch) ->
-      let spec =
-        {
-          Scenario.default_spec with
-          Scenario.kind = Scenario.Flash_crowd;
-          clients;
-          docs;
-          levels;
-          batch;
-        }
-      in
-      let o, wall =
-        time_it (fun () -> Scenario.run ~ledger:`Digest ~decisions:false spec)
-      in
-      let rss = peak_rss_bytes () in
-      let eps = float_of_int o.Scenario.events /. Float.max 1e-9 wall in
-      Printf.printf "%-9d %-8d | %10d %12d %12.0f %10.2f | %9.1f\n%!" clients
-        ((1 lsl levels) - 1) o.Scenario.deliveries o.Scenario.events eps wall
-        (float_of_int rss /. 1.0e6);
-      Report.record8
-        (Printf.sprintf "scenario-scale-%d" clients)
-        [
-          ("clients", Report.I clients);
-          ("brokers", Report.I ((1 lsl levels) - 1));
-          ("docs", Report.I o.Scenario.docs_published);
-          ("subs", Report.I o.Scenario.subs_sent);
-          ("deliveries", Report.I o.Scenario.deliveries);
-          ("events", Report.I o.Scenario.events);
-          ("events_per_sec", Report.F eps);
-          ("wall_s", Report.F wall);
-          ("peak_rss_bytes", Report.I rss);
-          ("prt_total", Report.I o.Scenario.prt_total);
-          ("virtual_ms", Report.F o.Scenario.virtual_ms);
-        ])
-    points;
-  Report.record8 "scenario-scale"
-    [
-      ("scale_points", Report.I (List.length points));
-      ("max_clients", Report.I (List.fold_left (fun m (c, _, _, _) -> max m c) 0 points));
-      ("differential_gate", Report.B (not !gate_failed));
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Instrumentation smoke check (wired into dune runtest)               *)
-(* ------------------------------------------------------------------ *)
 
 (* [Rtable.Prt.match_checks] of the smoke gate's PRT corpus below: the
    742 PSD Set-A XPEs of seed 13 against the 483 publications of 8 PSD
@@ -1778,26 +962,6 @@ let smoke () =
     Printf.printf "smoke FAILED: metrics stuck at zero (or unregistered):\n";
     List.iter (fun n -> Printf.printf "  %s\n" n) dead;
     print_string (Metrics.to_prometheus reg);
-    exit 1
-  end;
-  (* Indexed SRT against the full-scan reference: identical routing
-     decisions and charged ops on a seeded multi-feed workload with
-     mixed client and neighbor hops, the index charging strictly fewer
-     than the full scan. *)
-  let advs = Lazy.force all_feed_advs in
-  let xpes =
-    Xroute_workload.Workload.xpes ~params:(Xroute_workload.Workload.set_a_params nitf)
-      ~count:2000 ~seed:11 ()
-  in
-  let identical, ops_list, ops_idx, _, _, _ = srt_differential ~advs xpes in
-  Printf.printf "smoke: SRT differential on %d XPEs x %d advs: list %d ops, indexed %d ops\n"
-    (List.length xpes) (List.length advs) ops_list ops_idx;
-  if not identical then begin
-    Printf.printf "smoke FAILED: indexed SRT diverged from the full-scan reference\n";
-    exit 1
-  end;
-  if ops_idx >= ops_list then begin
-    Printf.printf "smoke FAILED: SRT index avoided no scans (%d >= %d)\n" ops_idx ops_list;
     exit 1
   end;
   (* PRT NFA vs the flat list: identical routing decisions on the PSD
@@ -1957,7 +1121,7 @@ let smoke () =
     (List.length sps) span_delay;
   (* Scenario gate: a replay of a small flash-crowd scenario must
      reproduce its delivery ledger byte for byte — the determinism the
-     million-client numbers in BENCH_8.json stand on. *)
+     sim-churn numbers of perfbench stand on. *)
   let scen_spec =
     {
       Scenario.default_spec with
@@ -2000,16 +1164,9 @@ let experiments =
     ("fig10", fig10);
     ("fig11", fig11);
     ("latency-breakdown", latency_breakdown);
-    ("srt-index", srt_bucket_bench);
-    ("daemon-throughput", daemon_throughput);
-    ("saturation", saturation);
-    ("obs-telemetry", obs_telemetry);
     ("fault-recovery", fault_recovery);
     ("ablation-exact-cover", ablation_exact_cover);
     ("ablation-yfilter", ablation_yfilter);
-    ("match-scaling", match_scaling);
-    ("micro", micro_benchmarks);
-    ("scenario-scale", scenario_scale);
   ]
 
 let () =
@@ -2042,9 +1199,8 @@ let () =
     | name :: rest -> parse_args (name :: acc) rest
   in
   let names = parse_args [] (List.tl (Array.to_list Sys.argv)) in
-  (* Reject a typo (or --help) before anything runs: the BENCH_5 sink
-     below is written whatever ran, and an empty run would overwrite the
-     committed records. *)
+  (* Reject a typo (or --help) before anything runs, and an unreadable
+     sink before an experiment spends time on records it cannot keep. *)
   (match List.filter (fun n -> not (List.mem_assoc n experiments)) names with
   | [] -> ()
   | unknown ->
@@ -2052,6 +1208,7 @@ let () =
       (String.concat ", " unknown)
       (String.concat ", " (List.map fst experiments));
     exit 2);
+  let existing = Report.load () in
   let only = if names = [] then None else Some names in
   let want name = match only with None -> true | Some l -> List.mem name l in
   Printf.printf "xroute experiment harness (scale %.2f; set XROUTE_BENCH_SCALE to change)\n" scale;
@@ -2064,6 +1221,5 @@ let () =
         Report.record name [ ("wall_ms", Report.F (wall *. 1000.0)) ]
       end)
     experiments;
-  Report.write
-    (Option.value ~default:"BENCH_5.json" (Sys.getenv_opt "XROUTE_BENCH_JSON"));
+  Report.write existing;
   Printf.printf "\nDone.\n"

@@ -22,7 +22,7 @@ let parse_neighbor s =
 
 let neighbor_conv = Arg.conv (parse_neighbor, fun ppf (id, (h, p)) -> Format.fprintf ppf "%d:%s:%d" id h p)
 
-let run id port neighbors strategy_name flight_dir no_telemetry verbose =
+let run id port neighbors strategy_name flight_dir verbose =
   Fmt_tty.setup_std_outputs ();
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level (Some (if verbose then Logs.Debug else Logs.Info));
@@ -34,8 +34,7 @@ let run id port neighbors strategy_name flight_dir no_telemetry verbose =
       exit 1
   in
   let daemon =
-    Xroute_daemon.Daemon.create ~strategy ?flight_dir ~telemetry:(not no_telemetry) ~id ~port
-      ~neighbors ()
+    Xroute_daemon.Daemon.create ~strategy ?flight_dir ~id ~port ~neighbors ()
   in
   Printf.printf "broker %d listening on port %d (strategy %s)\n%!" id
     (Xroute_daemon.Daemon.port daemon) strategy_name;
@@ -61,17 +60,10 @@ let cmd =
            ~doc:"Enable the flight recorder: dump spans, metrics and rates to \
                  $(docv) when an AUDIT reports an error-severity finding.")
   in
-  let no_telemetry_arg =
-    Arg.(value & flag & info [ "no-telemetry" ]
-           ~doc:"Disable the per-link health summary (the FEDSTATS data source): skips \
-                 every health-recording call on the hot path — for measuring the \
-                 telemetry overhead (BENCH_10). The broker still answers FEDSTATS, \
-                 with an empty summary.")
-  in
   let verbose_arg = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Debug logging.") in
   Cmd.v
     (Cmd.info "xroute_brokerd" ~version:"1.0.0" ~doc:"Content-based XML router daemon")
     Term.(const run $ id_arg $ port_arg $ neighbors_arg $ strategy_arg $ flight_dir_arg
-          $ no_telemetry_arg $ verbose_arg)
+          $ verbose_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -36,8 +36,8 @@ val allocated_states : 'a t -> int
 
 (** Cumulative matching work across all {!match_syms} calls: +1 for
     each edge followed, +1 for each accepting entry scanned (once per
-    node per call) — the "entries examined" measure the match-scaling
-    bench compares engines on. *)
+    node per call) — the "entries examined" measure behind perfbench's
+    [rtable.prt.entries_per_pub]. *)
 val match_ops : 'a t -> int
 
 val insert : 'a t -> Xpe.t -> 'a -> unit

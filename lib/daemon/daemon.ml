@@ -68,12 +68,10 @@ type t = {
   clock : Mono.t; (* monotonic wall clock, ms (span timestamps) *)
   spans : Span.t; (* causal spans of publications through this broker *)
   timeseries : Timeseries.t; (* periodic registry snapshots *)
-  snapshot_period : float; (* ms between snapshots *)
   recorder : Recorder.t option; (* flight recorder, when --flight-dir set *)
   read_buf : Bytes.t; (* reusable socket read buffer *)
   resolved : (string, Unix.inet_addr) Hashtbl.t; (* DNS memo for dials *)
   health : Xroute_obs.Health.t; (* this broker's health summary *)
-  telemetry : bool; (* when false, skip health recording (bench switch) *)
   mutable fed_pending : fed_pending list;
   mutable fed_seq : int; (* fresh sub-request ids *)
   mutable last_snapshot : float;
@@ -81,6 +79,9 @@ type t = {
   mutable last_dial : float;
   mutable stop_requested : bool;
 }
+
+(* Wall ms between registry snapshots into the timeseries ring. *)
+let snapshot_period = 1000.0
 
 (* How long a federation pull waits for neighbor replies before
    answering with what it has (wall ms). *)
@@ -145,9 +146,8 @@ let conn_for t ep =
 (* ---------------- creation ---------------- *)
 
 let create ?(strategy = Broker.default_strategy) ?(max_write_chunk = max_int)
-    ?(snapshot_period = 1000.0) ?flight_dir ?(telemetry = true) ~id ~port ~neighbors () =
+    ?flight_dir ~id ~port ~neighbors () =
   if max_write_chunk <= 0 then invalid_arg "Daemon.create: max_write_chunk <= 0";
-  if snapshot_period <= 0.0 then invalid_arg "Daemon.create: snapshot_period <= 0";
   (* Writes to a peer that vanished must surface as EPIPE, not kill the
      process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
@@ -172,12 +172,10 @@ let create ?(strategy = Broker.default_strategy) ?(max_write_chunk = max_int)
        merges TRACE| replies from several daemons. *)
     spans = Span.create ~id_base:(id * 1_000_000_000) ();
     timeseries = Timeseries.create (Broker.metrics broker);
-    snapshot_period;
     recorder = Option.map (fun dir -> Recorder.create ~dir ()) flight_dir;
     read_buf = Bytes.create 65536;
     resolved = Hashtbl.create 4;
     health = Xroute_obs.Health.create id;
-    telemetry;
     fed_pending = [];
     fed_seq = 0;
     last_snapshot = 0.0;
@@ -194,18 +192,15 @@ let health t = t.health
 let send_message t ep (msg : Message.t) =
   match conn_for t ep with
   | Some conn ->
-    (if t.telemetry then
-       match ep with
-       | Rtable.Neighbor n -> Xroute_obs.Health.record_send t.health ~peer:n
-       | Rtable.Client _ -> ());
+    (match ep with
+    | Rtable.Neighbor n -> Xroute_obs.Health.record_send t.health ~peer:n
+    | Rtable.Client _ -> ());
     enqueue conn ("M|" ^ Codec.encode msg)
   | None ->
-    (if t.telemetry then begin
-       Xroute_obs.Health.record_drop t.health;
-       match ep with
-       | Rtable.Neighbor n -> Xroute_obs.Health.record_link_drop t.health ~peer:n
-       | Rtable.Client _ -> ()
-     end);
+    Xroute_obs.Health.record_drop t.health;
+    (match ep with
+    | Rtable.Neighbor n -> Xroute_obs.Health.record_link_drop t.health ~peer:n
+    | Rtable.Client _ -> ());
     Log.warn (fun m ->
         m "broker %d: no connection for %a, dropping %a" (Broker.id t.broker)
           Rtable.pp_endpoint ep Message.pp msg)
@@ -462,19 +457,17 @@ let handle_publish t ~batch_t ~from pub ctx =
   leaf "serialize" t_match t_ser ();
   Span.finish hop ~at:t_ser;
   Option.iter (fun r -> Span.extend r ~at:t_ser) root;
-  if t.telemetry then begin
-    let h = t.health in
-    Xroute_obs.Health.record_pub h;
-    Xroute_obs.Health.record_hop_latency h (t_ser -. batch_t);
-    (* Attribute the hop's latency to each egress link it fed: the
-       per-link quantiles then expose which links sit behind slow hops. *)
-    List.iter
-      (fun (ep, _) ->
-        match ep with
-        | Rtable.Neighbor n -> Xroute_obs.Health.record_link_latency h ~peer:n (t_ser -. batch_t)
-        | Rtable.Client _ -> ())
-      outs
-  end
+  let h = t.health in
+  Xroute_obs.Health.record_pub h;
+  Xroute_obs.Health.record_hop_latency h (t_ser -. batch_t);
+  (* Attribute the hop's latency to each egress link it fed: the
+     per-link quantiles then expose which links sit behind slow hops. *)
+  List.iter
+    (fun (ep, _) ->
+      match ep with
+      | Rtable.Neighbor n -> Xroute_obs.Health.record_link_latency h ~peer:n (t_ser -. batch_t)
+      | Rtable.Client _ -> ())
+    outs
 
 (* Identify a connection. A peer re-connecting (or a confused one)
    can send a HELLO claiming an endpoint that already has a live
@@ -640,25 +633,23 @@ let flush_out t conn =
    takes the baseline sample). *)
 let maybe_snapshot t =
   let at = Mono.now t.clock in
-  if at -. t.last_snapshot >= t.snapshot_period then begin
+  if at -. t.last_snapshot >= snapshot_period then begin
     t.last_snapshot <- at;
     Broker.refresh_metrics t.broker;
     Timeseries.snapshot t.timeseries ~at;
-    if t.telemetry then begin
-      (* Health gauges sampled per snapshot: ingress queue depth (always
-         0 — every line is handled as it is read) and egress backlog
-         (bytes buffered across conns). *)
-      Xroute_obs.Health.record_queue_depth t.health 0.0;
-      let backlog =
-        List.fold_left
-          (fun acc c ->
-            acc + Buffer.length c.outbuf
-            + Queue.fold (fun a s -> a + String.length s) (-c.out_off) c.outq)
-          0 t.conns
-      in
-      Xroute_obs.Health.record_backlog t.health (float_of_int backlog);
-      Xroute_obs.Health.tick t.health ~now:at
-    end
+    (* Health gauges sampled per snapshot: ingress queue depth (always
+       0 — every line is handled as it is read) and egress backlog
+       (bytes buffered across conns). *)
+    Xroute_obs.Health.record_queue_depth t.health 0.0;
+    let backlog =
+      List.fold_left
+        (fun acc c ->
+          acc + Buffer.length c.outbuf
+          + Queue.fold (fun a s -> a + String.length s) (-c.out_off) c.outq)
+        0 t.conns
+    in
+    Xroute_obs.Health.record_backlog t.health (float_of_int backlog);
+    Xroute_obs.Health.tick t.health ~now:at
   end
 
 (* Accept everything the backlog holds, not just one connection per

@@ -32,20 +32,14 @@ type t
     maps neighbor broker ids to their (host, port) addresses.
     [max_write_chunk] caps the bytes per [write] syscall on the queued
     output path (default unlimited) — set it to 1 to exercise the
-    partial-write offset logic deterministically. [snapshot_period] is
-    the interval (ms of wall clock, default 1000) between metrics
-    snapshots into the {!timeseries} ring. [flight_dir] enables the
-    flight recorder: when an [AUDIT] reports an error-severity finding,
-    the span ring, registry and latest rates are dumped there
-    ([Xroute_obs.Recorder]). [telemetry] (default true) maintains the
-    {!health} summary; [false] skips every health-recording call — the
-    switch behind the telemetry-overhead experiment (BENCH_10). *)
+    partial-write offset logic deterministically. [flight_dir] enables
+    the flight recorder: when an [AUDIT] reports an error-severity
+    finding, the span ring, registry and latest rates are dumped there
+    ([Xroute_obs.Recorder]). *)
 val create :
   ?strategy:Xroute_core.Broker.strategy ->
   ?max_write_chunk:int ->
-  ?snapshot_period:float ->
   ?flight_dir:string ->
-  ?telemetry:bool ->
   id:int ->
   port:int ->
   neighbors:(int * (string * int)) list ->
@@ -58,7 +52,7 @@ val broker : t -> Xroute_core.Broker.t
 (** This broker's live health summary ({!Xroute_obs.Health}): hop
     latency / queue depth / egress backlog sketches, pub and drop
     counts, per-link send rates. Link EWMA rates fold and the epoch
-    bumps on every registry snapshot ([snapshot_period]) and on every
+    bumps on every registry snapshot (once a second) and on every
     [FEDSTATS] pull. Pulled overlay-wide by the [FEDSTATS|] command:
     [FEDSTATS|<reqid>|<ttl>|<seen>] answers
     [FEDSTATS|BEGIN|<reqid>], one [F|<escaped summary line>] per origin
@@ -72,7 +66,7 @@ val health : t -> Xroute_obs.Health.t
     spans merged across daemons stay unique). *)
 val spans : t -> Xroute_obs.Span.t
 
-(** Periodic registry snapshots (one per [snapshot_period]). *)
+(** Periodic registry snapshots (one a second of wall clock). *)
 val timeseries : t -> Xroute_obs.Timeseries.t
 
 (** The flight recorder, when [create] was given a [flight_dir]. *)

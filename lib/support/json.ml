@@ -175,3 +175,38 @@ let member key = function
 let to_num = function Num f -> Some f | _ -> None
 let to_str = function Str s -> Some s | _ -> None
 let to_list = function Arr l -> Some l | _ -> None
+
+(* Shortest of %.15g/%.16g/%.17g that reads back as the same float, so a
+   parsed number is re-emitted exactly; JSON has no NaN or infinity. *)
+let number f =
+  if not (Float.is_finite f) then "null"
+  else
+    let s = Printf.sprintf "%.15g" f in
+    if float_of_string s = f then s
+    else
+      let s = Printf.sprintf "%.16g" f in
+      if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+let quote s =
+  let buf = Buffer.create (String.length s + 2) in
+  Buffer.add_char buf '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
+let rec to_string = function
+  | Null -> "null"
+  | Bool b -> string_of_bool b
+  | Num f -> number f
+  | Str s -> quote s
+  | Arr l -> "[" ^ String.concat "," (List.map to_string l) ^ "]"
+  | Obj fields ->
+    "{"
+    ^ String.concat "," (List.map (fun (k, v) -> quote k ^ ":" ^ to_string v) fields)
+    ^ "}"

@@ -1,6 +1,7 @@
-(* Validation gate for the committed machine-readable artifacts: every
+(* Validation gate for the machine-readable artifacts: every
    BENCH_<n>.json at the repo root must declare the xroute-bench/<n>
-   schema matching its filename and be structurally sound, and the
+   schema matching its filename and be structurally sound, a bench run
+   must merge into its sink without losing records, and the
    Chrome trace-event export must stay byte-stable (external tooling —
    Perfetto, chrome://tracing — parses it, so drift is an interface
    break). Tests run from _build/default/test, so the repo root is
@@ -135,277 +136,53 @@ let test_bench5_latency_breakdown () =
                 "link_p50_ms"; "deliver_p50_ms" ])
         [ "no-Adv-no-Cov"; "with-Adv-with-Cov"; "with-Adv-with-CovPM" ])
 
-(* The match-scaling records are the committed face of the PR-6
-   tentpole: pin their presence and shape in BENCH_6.json, and gate the
-   two claims the NFA promotion stands on — zero decision diffs, and an
-   order-of-magnitude fewer entries examined than the flat scan at the
-   largest table. *)
-let test_bench6_match_scaling () =
-  match List.assoc_opt "BENCH_6.json" (bench_files ()) with
-  | None -> Alcotest.fail "BENCH_6.json not committed at the repo root"
-  | Some path -> (
-    match Json.parse (read_file path) with
-    | Error e -> Alcotest.fail ("BENCH_6.json: " ^ e)
-    | Ok j ->
-      check cs "schema" "xroute-bench/6"
-        (Option.value ~default:"<missing>"
-           (Option.bind (Json.member "schema" j) Json.to_str));
-      let experiments =
-        Option.value ~default:[]
-          (Option.bind (Json.member "experiments" j) Json.to_list)
-      in
-      let record name =
-        List.find_opt
-          (fun r -> Option.bind (Json.member "name" r) Json.to_str = Some name)
-          experiments
-      in
-      List.iter
-        (fun size ->
-          let name = Printf.sprintf "match-scaling-%d" size in
-          match record name with
-          | None -> Alcotest.fail (name ^ " record missing")
-          | Some r ->
-            let num field = Option.bind (Json.member field r) Json.to_num in
-            List.iter
-              (fun field ->
-                check cb (name ^ " has positive " ^ field) true
-                  (match num field with Some v -> v > 0.0 | None -> false))
-              [ "xpes_stored"; "publications"; "entries_per_pub_flat";
-                "entries_per_pub_tree"; "entries_per_pub_nfa"; "nfa_states";
-                "flat_over_nfa" ];
-            check cb (name ^ ": zero decision diffs") true (num "decision_diffs" = Some 0.0);
-            check cb (name ^ ": decisions_identical") true
-              (Option.bind (Json.member "decisions_identical" r) (function
-                 | Json.Bool b -> Some b
-                 | _ -> None)
-              = Some true);
-            (* the NFA must examine no more than the flat scan anywhere *)
-            check cb (name ^ ": nfa examines fewer entries") true
-              (match (num "entries_per_pub_nfa", num "entries_per_pub_flat") with
-              | Some n, Some f -> n <= f
-              | _ -> false))
-        [ 1000; 10000; 100000 ];
-      (match record "match-scaling" with
-      | None -> Alcotest.fail "match-scaling summary record missing"
-      | Some r ->
-        check cb "flat/nfa ratio at the largest table is >= 10x" true
-          (match Option.bind (Json.member "flat_over_nfa_at_max" r) Json.to_num with
-          | Some v -> v >= 10.0
-          | None -> false)))
+(* The report merge gate. A dune rule seeds a sink with a foreign record
+   and a stale fig6 record, then runs every experiment at scale 0.01
+   into it (bench/dune). The run must leave one record per experiment at
+   that scale, replace the stale record whole, keep the foreign record
+   exactly as seeded and keep the sink's top-level scale. *)
+let kept_experiments =
+  [ "fig6"; "fig7"; "fig8"; "table1"; "table2"; "table3"; "fig9"; "fig10"; "fig11";
+    "latency-breakdown"; "fault-recovery"; "ablation-exact-cover"; "ablation-yfilter" ]
 
-(* The BENCH_7 saturation pin: the committed sequential burst record
-   must be complete and show no publication loss. The file also holds
-   the 4-domain run of the since-deleted domain pool; it stays as a
-   historical record and is not pinned. *)
-let test_bench7_saturation () =
-  match List.assoc_opt "BENCH_7.json" (bench_files ()) with
-  | None -> Alcotest.fail "BENCH_7.json not committed at the repo root"
-  | Some path -> (
-    match Json.parse (read_file path) with
-    | Error e -> Alcotest.fail ("BENCH_7.json: " ^ e)
-    | Ok j ->
-      check cs "schema" "xroute-bench/7"
-        (Option.value ~default:"<missing>"
-           (Option.bind (Json.member "schema" j) Json.to_str));
-      let experiments =
-        Option.value ~default:[]
-          (Option.bind (Json.member "experiments" j) Json.to_list)
-      in
-      let record name =
-        List.find_opt
-          (fun r -> Option.bind (Json.member "name" r) Json.to_str = Some name)
-          experiments
-      in
-      let get name =
-        match record name with
-        | Some r -> r
-        | None -> Alcotest.fail (name ^ " record missing")
-      in
-      let r = get "saturation-domains-1" in
-      let num field = Option.bind (Json.member field r) Json.to_num in
-      List.iter
-        (fun field ->
-          check cb ("has positive " ^ field) true
-            (match num field with Some v -> v > 0.0 | None -> false))
-        [ "domains"; "roots"; "published"; "delivered"; "burst_wall_ms"; "msgs_per_sec";
-          "p50_hop_ms"; "p99_hop_ms" ];
-      (* the subscriber holds 3 of the 4 roots: no loss means
-         delivered = 3/4 of published *)
-      check cb "no publication loss" true
-        (match (num "published", num "delivered") with
-        | Some p, Some d -> d = p *. 0.75
-        | _ -> false))
-
-(* The BENCH_8 scenario-scale pin: the committed scale series must
-   reach a million clients with positive throughput and RSS figures at
-   >= 3 scale points, and every scenario-differential record (the
-   replay gate; the records keep their historical name) must show
-   identical ledgers with zero diffs. *)
-let test_bench8_scenario_scale () =
-  match List.assoc_opt "BENCH_8.json" (bench_files ()) with
-  | None -> Alcotest.fail "BENCH_8.json not committed at the repo root"
-  | Some path -> (
-    match Json.parse (read_file path) with
-    | Error e -> Alcotest.fail ("BENCH_8.json: " ^ e)
-    | Ok j ->
-      check cs "schema" "xroute-bench/8"
-        (Option.value ~default:"<missing>"
-           (Option.bind (Json.member "schema" j) Json.to_str));
-      let experiments =
-        Option.value ~default:[]
-          (Option.bind (Json.member "experiments" j) Json.to_list)
-      in
-      let named prefix =
-        List.filter
-          (fun r ->
-            match Option.bind (Json.member "name" r) Json.to_str with
-            | Some n ->
-              String.length n >= String.length prefix
-              && String.sub n 0 (String.length prefix) = prefix
-            | None -> false)
-          experiments
-      in
-      (* replay gate: all four kinds, identical ledgers, 0 diffs *)
-      let diffs = named "scenario-differential-" in
-      check ci "all four scenario kinds in the differential gate" 4 (List.length diffs);
-      List.iter
-        (fun r ->
-          let name =
-            Option.value ~default:"?" (Option.bind (Json.member "name" r) Json.to_str)
-          in
-          check cb (name ^ ": zero ledger diffs") true
-            (Option.bind (Json.member "ledger_diffs" r) Json.to_num = Some 0.0);
-          check cb (name ^ ": ledgers identical") true
-            (Option.bind (Json.member "ledgers_identical" r) (function
-               | Json.Bool b -> Some b
-               | _ -> None)
-            = Some true))
-        diffs;
-      (* scale series: >= 3 points, each with throughput and peak RSS *)
-      let points = named "scenario-scale-" in
-      check cb ">= 3 scale points" true (List.length points >= 3);
-      List.iter
-        (fun r ->
-          let name =
-            Option.value ~default:"?" (Option.bind (Json.member "name" r) Json.to_str)
-          in
-          List.iter
-            (fun field ->
-              check cb (name ^ " has positive " ^ field) true
-                (match Option.bind (Json.member field r) Json.to_num with
-                | Some v -> v > 0.0
-                | None -> false))
-            [ "clients"; "brokers"; "subs"; "deliveries"; "events";
-              "events_per_sec"; "wall_s"; "peak_rss_bytes" ])
-        points;
-      check cb "the million-client point is present" true
-        (List.exists
-           (fun r -> Option.bind (Json.member "clients" r) Json.to_num = Some 1_000_000.0)
-           points);
-      (* summary record ties the two together *)
-      let summary =
-        List.find_opt
-          (fun r -> Option.bind (Json.member "name" r) Json.to_str = Some "scenario-scale")
-          experiments
-      in
-      match summary with
-      | None -> Alcotest.fail "scenario-scale summary record missing"
-      | Some r ->
-        check cb "summary max_clients = 1000000" true
-          (Option.bind (Json.member "max_clients" r) Json.to_num = Some 1_000_000.0);
-        check cb "summary differential_gate" true
-          (Option.bind (Json.member "differential_gate" r) (function
-             | Json.Bool b -> Some b
-             | _ -> None)
-          = Some true))
-
-(* The BENCH_10 telemetry pin: the committed sketch-error records must
-   sit within the advertised relative-error bound on every distribution,
-   the FEDSTATS pull must have converged with zero merge diffs at every
-   overlay size (all origins present, idempotent), and the telemetry-
-   overhead re-run of the BENCH_7 burst must show the health summary
-   costing at most 10% throughput (off/on ratio <= 1.1). *)
-let test_bench10_obs () =
-  match List.assoc_opt "BENCH_10.json" (bench_files ()) with
-  | None -> Alcotest.fail "BENCH_10.json not committed at the repo root"
-  | Some path -> (
-    match Json.parse (read_file path) with
-    | Error e -> Alcotest.fail ("BENCH_10.json: " ^ e)
-    | Ok j ->
-      check cs "schema" "xroute-bench/10"
-        (Option.value ~default:"<missing>"
-           (Option.bind (Json.member "schema" j) Json.to_str));
-      let experiments =
-        Option.value ~default:[]
-          (Option.bind (Json.member "experiments" j) Json.to_list)
-      in
-      let record name =
-        List.find_opt
-          (fun r -> Option.bind (Json.member "name" r) Json.to_str = Some name)
-          experiments
-      in
-      let get name =
-        match record name with
-        | Some r -> r
-        | None -> Alcotest.fail (name ^ " record missing")
-      in
-      let num r field = Option.bind (Json.member field r) Json.to_num in
-      let flag r field =
-        Option.bind (Json.member field r) (function
-          | Json.Bool b -> Some b
-          | _ -> None)
-      in
-      (* sketch accuracy: every distribution within the advertised bound *)
-      List.iter
-        (fun dist ->
-          let name = "sketch-error-" ^ dist in
-          let r = get name in
-          check cb (name ^ ": positive sample count") true
-            (match num r "samples" with Some v -> v > 0.0 | None -> false);
-          check cb (name ^ ": within_bound") true (flag r "within_bound" = Some true);
-          check cb (name ^ ": max_rel_error <= alpha") true
-            (match (num r "max_rel_error", num r "alpha") with
-            | Some e, Some a -> a > 0.0 && e <= a +. 1e-9
-            | _ -> false))
-        [ "uniform"; "exponential"; "zipf"; "latency-mix" ];
-      let summary = get "sketch-error" in
-      check cb "sketch summary covers all four distributions" true
-        (num summary "distributions" = Some 4.0);
-      check cb "sketch summary within_bound" true
-        (flag summary "within_bound" = Some true);
-      (* federation convergence: all origins, zero diffs, idempotent *)
-      List.iter
-        (fun brokers ->
-          let name = Printf.sprintf "fed-convergence-%d" brokers in
-          let r = get name in
-          check cb (name ^ ": every origin present") true
-            (num r "origins" = Some (float_of_int brokers));
-          check cb (name ^ ": zero merge diffs") true (num r "merge_diffs" = Some 0.0);
-          check cb (name ^ ": traffic federated") true
-            (match num r "pubs_federated" with Some v -> v > 0.0 | None -> false);
-          check cb (name ^ ": idempotent") true (flag r "idempotent" = Some true))
-        [ 3; 5; 7 ];
-      (* telemetry overhead: the acceptance gate is ratio <= 1.1 *)
-      let overhead = get "telemetry-overhead" in
-      List.iter
-        (fun field ->
-          check cb ("telemetry-overhead has positive " ^ field) true
-            (match num overhead field with Some v -> v > 0.0 | None -> false))
-        [ "domains"; "published"; "msgs_per_sec_on"; "msgs_per_sec_off" ];
-      check cb "compared against the committed BENCH_7 number" true
-        (num overhead "bench7_msgs_per_sec" = Some 13908.8);
-      check cb "within_gate" true (flag overhead "within_gate" = Some true);
-      check cb "telemetry costs <= 10% (off/on ratio <= 1.1)" true
-        (match num overhead "ratio_off_over_on" with
-        | Some r -> r <= 1.1
-        | None -> false);
-      check cb "ratio is consistent with the raw numbers" true
-        (match
-           (num overhead "ratio_off_over_on", num overhead "msgs_per_sec_off",
-            num overhead "msgs_per_sec_on")
-         with
-        | Some r, Some off, Some on -> Float.abs (r -. (off /. on)) < 0.01
-        | _ -> false))
+let test_bench_run_merges () =
+  let bench_file f =
+    Filename.concat (Filename.dirname Sys.executable_name) (Filename.concat "../bench" f)
+  in
+  let load f =
+    match Json.parse (read_file (bench_file f)) with
+    | Ok j -> j
+    | Error e -> Alcotest.fail (f ^ " is not valid JSON: " ^ e)
+  in
+  let seed = load "report_seed.json" and run = load "report_run.json" in
+  let records j =
+    Option.value ~default:[] (Option.bind (Json.member "experiments" j) Json.to_list)
+  in
+  let name_of r = Option.value ~default:"" (Option.bind (Json.member "name" r) Json.to_str) in
+  let named j n = List.filter (fun r -> name_of r = n) (records j) in
+  let num r k = Option.bind (Json.member k r) Json.to_num in
+  check cs "schema" "xroute-bench/5"
+    (Option.value ~default:"<missing>" (Option.bind (Json.member "schema" run) Json.to_str));
+  check cb "top-level scale kept" true (num run "scale" = num seed "scale");
+  List.iter
+    (fun name ->
+      match named run name with
+      | [ r ] ->
+        check cb (name ^ " at scale 0.01") true (num r "scale" = Some 0.01);
+        check cb (name ^ " has wall_ms") true (num r "wall_ms" <> None)
+      | l -> Alcotest.failf "%s: %d records, want 1" name (List.length l))
+    kept_experiments;
+  check cb "foreign record untouched" true
+    (named seed "foreign-record" <> [] && named run "foreign-record" = named seed "foreign-record");
+  check cb "stale fig6 record replaced" true
+    (List.for_all (fun r -> Json.member "stale_field" r = None) (named run "fig6"));
+  List.iter
+    (fun r ->
+      let name = name_of r in
+      check cb (name ^ ": expected record") true
+        (name = "foreign-record" || List.mem name kept_experiments
+        || String.starts_with ~prefix:"latency-breakdown-" name))
+    (records run)
 
 (* ---------------- Chrome trace-event golden ---------------- *)
 
@@ -478,14 +255,8 @@ let () =
             test_bench_reports_validate;
           Alcotest.test_case "BENCH_5 latency breakdown" `Quick
             test_bench5_latency_breakdown;
-          Alcotest.test_case "BENCH_6 match scaling" `Quick
-            test_bench6_match_scaling;
-          Alcotest.test_case "BENCH_7 saturation" `Quick
-            test_bench7_saturation;
-          Alcotest.test_case "BENCH_8 scenario scale" `Quick
-            test_bench8_scenario_scale;
-          Alcotest.test_case "BENCH_10 telemetry federation" `Quick
-            test_bench10_obs;
+          Alcotest.test_case "run merges into a seeded sink" `Quick
+            test_bench_run_merges;
         ] );
       ( "chrome-export",
         [

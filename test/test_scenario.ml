@@ -251,8 +251,7 @@ let test_golden_work_totals () =
 
 (* ---------------- replay check ---------------- *)
 
-(* [Scenario.diff] is the replay gate of the audit, --smoke and
-   scenario-scale: a replay of every kind agrees on every field, and a
+(* [Scenario.diff] is the replay gate of the audit and --smoke: a replay of every kind agrees on every field, and a
    run one seed off is caught. *)
 let test_replay_diff () =
   List.iter

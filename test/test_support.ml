@@ -1,5 +1,5 @@
-(* Tests for the support library: PRNG, Zipf, stats, the event heap
-   and the row arena. *)
+(* Tests for the support library: PRNG, Zipf, stats, the event heap,
+   the row arena and the JSON writer. *)
 
 open Xroute_support
 
@@ -165,6 +165,29 @@ let test_zipf_single () =
   let p = Prng.create 59 in
   check ci "only rank" 0 (Zipf.sample z p);
   check cf "prob 1" 1.0 (Zipf.probability z 0)
+
+(* ---------------- Json ---------------- *)
+
+(* [to_string] is read back to an equal value: numbers to the last bit
+   (the bench report re-emits records it did not produce), strings with
+   quotes, backslashes, control bytes and UTF-8. *)
+let test_json_round_trip () =
+  let v =
+    Json.Obj
+      [
+        ("name", Json.Str "q\"uote\\back\nline\001ctl \xc3\xa9");
+        ("nums", Json.Arr (List.map (fun f -> Json.Num f)
+                   [ 0.0; -0.5; 0.1; 1.0 /. 3.0; 0.0895217; 9007199254740993.0; 1e300; 5e-324 ]));
+        ("ints", Json.Arr [ Json.Num 1_000_000.0; Json.Num (-7.0) ]);
+        ("flags", Json.Arr [ Json.Bool true; Json.Bool false; Json.Null ]);
+        ("nested", Json.Obj [ ("empty", Json.Obj []); ("list", Json.Arr []) ]);
+      ]
+  in
+  check cb "parse (to_string v) = v" true (Json.parse (Json.to_string v) = Ok v);
+  check Alcotest.string "integers and short decimals stay short" "[1000000,0.0895217,-7]"
+    (Json.to_string (Json.Arr [ Json.Num 1e6; Json.Num 0.0895217; Json.Num (-7.0) ]));
+  check Alcotest.string "non-finite numbers are null" "[null,null]"
+    (Json.to_string (Json.Arr [ Json.Num nan; Json.Num infinity ]))
 
 (* ---------------- Stats ---------------- *)
 
@@ -548,4 +571,5 @@ let () =
           Alcotest.test_case "summary" `Quick test_stats_summary;
           Alcotest.test_case "reduction" `Quick test_stats_reduction;
         ] );
+      ("json", [ Alcotest.test_case "writer round trip" `Quick test_json_round_trip ]);
     ]
