@@ -72,6 +72,7 @@ type t = {
   read_buf : Bytes.t; (* reusable socket read buffer *)
   resolved : (string, Unix.inet_addr) Hashtbl.t; (* DNS memo for dials *)
   health : Xroute_obs.Health.t; (* this broker's health summary *)
+  conn_refused : Xroute_obs.Metrics.counter; (* accepts closed at [max_accept_fd] *)
   mutable fed_pending : fed_pending list;
   mutable fed_seq : int; (* fresh sub-request ids *)
   mutable last_snapshot : float;
@@ -94,6 +95,22 @@ let timeseries t = t.timeseries
 let recorder t = t.recorder
 
 (* ---------------- low-level helpers ---------------- *)
+
+(* [Unix.select] takes descriptors below FD_SETSIZE only: one more fails
+   the whole call with EINVAL, which would end the loop. An accepted
+   connection is kept only while its descriptor is below
+   [max_accept_fd], which leaves [dial_headroom] numbers for neighbor
+   dials; a dial past FD_SETSIZE is dropped and retried on a later
+   tick. *)
+let fd_setsize = 1024
+let dial_headroom = 64
+let max_accept_fd = fd_setsize - dial_headroom
+
+(* Pending connections the kernel queues before [accept_burst] runs. *)
+let listen_backlog = 1024
+
+(* On Unix a descriptor is its number. *)
+let fd_number (fd : Unix.file_descr) : int = Obj.magic fd
 
 let conn_of fd =
   Unix.set_nonblock fd;
@@ -154,7 +171,7 @@ let create ?(strategy = Broker.default_strategy) ?(max_write_chunk = max_int)
   let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
   Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  Unix.listen listen_fd 16;
+  Unix.listen listen_fd listen_backlog;
   Unix.set_nonblock listen_fd;
   let actual_port =
     match Unix.getsockname listen_fd with Unix.ADDR_INET (_, p) -> p | _ -> port
@@ -176,6 +193,10 @@ let create ?(strategy = Broker.default_strategy) ?(max_write_chunk = max_int)
     read_buf = Bytes.create 65536;
     resolved = Hashtbl.create 4;
     health = Xroute_obs.Health.create id;
+    conn_refused =
+      Xroute_obs.Metrics.counter (Broker.metrics broker)
+        ~help:"Accepted connections closed because their descriptor would not fit select"
+        "xroute_daemon_conn_refused_total";
     fed_pending = [];
     fed_seq = 0;
     last_snapshot = 0.0;
@@ -401,17 +422,18 @@ let fed_sweep t =
 (* Handle one routed publication, timing its stages into the span
    collector. The hop span covers [batch_t (socket readable) …
    serialize end]; its leaves tile that interval — queue (buffer wait
-   behind earlier lines of the batch), parse (codec decode), match
-   (Broker.handle, with the SRT/PRT/cover op deltas as meta), serialize
-   (encode + enqueue) — so leaf durations sum to the hop duration
-   exactly. A publication arriving without trace context is at its
-   first broker: a root "pub" span is opened (reused across the paths
-   of one document) and the context is minted here. Outgoing copies
-   carry this hop's span id as parent, chaining the next broker's hop
-   under this one. *)
-let handle_publish t ~batch_t ~from pub ctx =
+   behind earlier lines of the batch, up to [t_parse]), parse (codec
+   decode, from [t_parse], taken in [handle_line] before decoding),
+   match (Broker.handle, with the SRT/PRT/cover op deltas as meta),
+   serialize (encode + enqueue) — so leaf durations sum to the hop
+   duration exactly. A publication arriving without trace context is at
+   its first broker: a root "pub" span is opened (reused across the
+   paths of one document) and the context is minted here. Outgoing
+   copies carry this hop's span id as parent, chaining the next
+   broker's hop under this one. *)
+let handle_publish t ~batch_t ~t_parse ~from pub ctx =
   let b = Broker.id t.broker in
-  let t0 = Mono.now t.clock in
+  let t_dec = Mono.now t.clock in
   let trace, parent, root =
     match (ctx : Message.trace_ctx option) with
     | Some c -> (c.trace, Some c.parent_span, None)
@@ -426,25 +448,25 @@ let handle_publish t ~batch_t ~from pub ctx =
       (pub.Xroute_xml.Xml_paths.doc_id, Some root.Span.id, Some root)
   in
   let hop = Span.start_span t.spans ?parent ~trace ~name:"hop" ~broker:b ~at:batch_t () in
-  let leaf name start stop ?meta () =
+  let leaf name start stop =
     if stop -. start > 0.0 then
-      ignore (Span.record t.spans ~parent:hop.Span.id ?meta ~trace ~name ~broker:b ~start ~stop ())
+      ignore (Span.record t.spans ~parent:hop.Span.id ~trace ~name ~broker:b ~start ~stop ())
   in
-  leaf "queue" batch_t t0 ();
-  let t_dec = Mono.now t.clock in
-  leaf "parse" t0 t_dec ();
+  leaf "queue" batch_t t_parse;
+  leaf "parse" t_parse t_dec;
   let s0, m0, c0 = Broker.stage_ops t.broker in
   let outs = Broker.handle t.broker ~from (Message.Publish { pub; trail = []; ctx }) in
   let t_match = Mono.now t.clock in
   let s1, m1, c1 = Broker.stage_ops t.broker in
-  leaf "match" t_dec t_match
-    ~meta:
-      [
-        ("srt_ops", string_of_int (s1 - s0));
-        ("prt_ops", string_of_int (m1 - m0));
-        ("cover_ops", string_of_int (c1 - c0));
-      ]
-    ();
+  if t_match -. t_dec > 0.0 then begin
+    let m =
+      Span.record t.spans ~parent:hop.Span.id ~trace ~name:"match" ~broker:b ~start:t_dec
+        ~stop:t_match ()
+    in
+    Span.add_int_meta m "srt_ops" (s1 - s0);
+    Span.add_int_meta m "prt_ops" (m1 - m0);
+    Span.add_int_meta m "cover_ops" (c1 - c0)
+  end;
   let ctx' = Some { Message.trace; parent_span = hop.Span.id } in
   dispatch t
     (List.map
@@ -454,7 +476,7 @@ let handle_publish t ~batch_t ~from pub ctx =
          | m -> (ep, m))
        outs);
   let t_ser = Mono.now t.clock in
-  leaf "serialize" t_match t_ser ();
+  leaf "serialize" t_match t_ser;
   Span.finish hop ~at:t_ser;
   Option.iter (fun r -> Span.extend r ~at:t_ser) root;
   let h = t.health in
@@ -498,8 +520,10 @@ let handle_line t conn ~batch_t line =
     match conn.endpoint with
     | None -> Log.warn (fun m -> m "message before HELLO, ignoring")
     | Some from -> (
+      let t_parse = Mono.now t.clock in
       match Codec.decode payload with
-      | Ok (Message.Publish { pub; trail = _; ctx }) -> handle_publish t ~batch_t ~from pub ctx
+      | Ok (Message.Publish { pub; trail = _; ctx }) ->
+        handle_publish t ~batch_t ~t_parse ~from pub ctx
       | Ok msg -> dispatch t (Broker.handle t.broker ~from msg)
       | Error e ->
         Log.warn (fun m -> m "undecodable message from %a: %a" Rtable.pp_endpoint from Codec.pp_error e)))
@@ -581,6 +605,8 @@ let dial_missing t =
           | Some addr -> (
             match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
             | exception Unix.Unix_error _ -> ()
+            | fd when fd_number fd >= fd_setsize -> (
+              try Unix.close fd with Unix.Unix_error _ -> ())
             | fd -> (
               Unix.set_nonblock fd;
               match Unix.connect fd (Unix.ADDR_INET (addr, port)) with
@@ -654,11 +680,15 @@ let maybe_snapshot t =
 
 (* Accept everything the backlog holds, not just one connection per
    tick: under a connection burst, one-accept-per-select caps the accept
-   rate at 1/timeout per second and the backlog overflows. *)
+   rate at 1/timeout per second and the backlog overflows. A connection
+   whose descriptor would not fit [select] is closed and counted. *)
 let accept_burst t =
   let continue = ref true in
   while !continue do
     match Unix.accept t.listen_fd with
+    | fd, _ when fd_number fd >= max_accept_fd ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Xroute_obs.Metrics.incr t.conn_refused
     | fd, _ -> t.conns <- conn_of fd :: t.conns
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> continue := false
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()

@@ -1,7 +1,56 @@
 (* Causal spans: see span.mli for the span-tree model. The collector is
-   a bounded ring with per-trace buckets: eviction is
-   globally-oldest-first and buckets are in creation order, so the span
-   evicted on overwrite is always the front of its trace bucket. *)
+   a flat ring: one array per span field, indexed by slot = creation
+   number mod size, so recording a span stores into preallocated arrays
+   and retains no heap block of its own. A span's id is [id0 + creation
+   number], which makes [find] arithmetic. Each trace with retained
+   spans has one [entry]; its spans are chained oldest to newest
+   through [next]. Eviction is globally oldest-first, so the evicted
+   span is always the head of its trace's chain. *)
+
+type entry = {
+  mutable first : int; (* creation number of the oldest retained span *)
+  mutable last : int; (* ... and of the newest *)
+  mutable count : int; (* retained spans of the trace *)
+  mutable root : int; (* creation number of the first retained root, or -1 *)
+}
+
+module Traces = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
+(* Parent column value of a root. *)
+let no_parent = min_int
+
+(* Integer meta entries a span can hold (see [add_int_meta]). *)
+let int_meta_max = 3
+
+let initial_size = 64
+
+type t = {
+  capacity : int;
+  id0 : int; (* id of creation number 0 *)
+  traces : entry Traces.t;
+  mutable size : int; (* slots allocated; doubles up to [capacity] *)
+  mutable n : int; (* creation number of the next span *)
+  mutable lo : int; (* creation number of the first span since [clear] *)
+  mutable trace : int array;
+  mutable parent : int array;
+  mutable name : string array;
+  mutable broker : int array;
+  mutable start : float array;
+  mutable stop : float array;
+  mutable meta : (string * string) list array;
+  mutable ints : int array; (* integer meta entries held *)
+  mutable int_keys : string array; (* [int_meta_max] per slot *)
+  mutable int_vals : int array;
+  mutable next : int array; (* creation number of the trace's next span, or -1 *)
+  mutable last_lookup_cost : int;
+}
+
+type handle = { id : int; owner : t }
 
 type span = {
   id : int;
@@ -10,115 +59,200 @@ type span = {
   name : string;
   broker : int;
   start : float;
-  mutable stop : float;
-  mutable meta : (string * string) list;
+  stop : float;
+  meta : (string * string) list;
 }
 
-type t = {
-  capacity : int;
-  ring : span option array;
-  mutable total : int; (* spans ever started *)
-  mutable next_id : int;
-  by_id : (int, span) Hashtbl.t;
-  by_trace : (int, span Queue.t) Hashtbl.t;
-  mutable last_lookup_cost : int;
-}
+(* Fresh columns of [size] slots, holding creation numbers [lo, n) of
+   the old ones. *)
+let resize (t : t) size =
+  let old = t.size in
+  let move stride a blank =
+    let b = Array.make (stride * size) blank in
+    for i = t.lo to t.n - 1 do
+      Array.blit a (stride * (i mod old)) b (stride * (i mod size)) stride
+    done;
+    b
+  in
+  t.trace <- move 1 t.trace 0;
+  t.parent <- move 1 t.parent 0;
+  t.name <- move 1 t.name "";
+  t.broker <- move 1 t.broker 0;
+  t.start <- move 1 t.start 0.0;
+  t.stop <- move 1 t.stop 0.0;
+  t.meta <- move 1 t.meta [];
+  t.ints <- move 1 t.ints 0;
+  t.int_keys <- move int_meta_max t.int_keys "";
+  t.int_vals <- move int_meta_max t.int_vals 0;
+  t.next <- move 1 t.next (-1);
+  t.size <- size
 
 let create ?(capacity = 8192) ?(id_base = 0) () =
   if capacity <= 0 then invalid_arg "Span.create: capacity must be positive";
-  {
-    capacity;
-    ring = Array.make capacity None;
-    total = 0;
-    next_id = id_base + 1;
-    by_id = Hashtbl.create 256;
-    by_trace = Hashtbl.create 64;
-    last_lookup_cost = 0;
-  }
-
-let length t = t.total
-let capacity t = t.capacity
-
-let evict t s =
-  Hashtbl.remove t.by_id s.id;
-  match Hashtbl.find_opt t.by_trace s.trace with
-  | None -> ()
-  | Some q ->
-    ignore (Queue.pop q);
-    if Queue.is_empty q then Hashtbl.remove t.by_trace s.trace
-
-let push t s =
-  let slot = t.total mod t.capacity in
-  (match t.ring.(slot) with Some old -> evict t old | None -> ());
-  t.ring.(slot) <- Some s;
-  t.total <- t.total + 1;
-  Hashtbl.replace t.by_id s.id s;
-  let q =
-    match Hashtbl.find_opt t.by_trace s.trace with
-    | Some q -> q
-    | None ->
-      let q = Queue.create () in
-      Hashtbl.add t.by_trace s.trace q;
-      q
-  in
-  Queue.push s q
-
-let start_span t ?parent ~trace ~name ~broker ~at () =
-  let s =
+  let t =
     {
-      id = t.next_id;
-      trace;
-      parent;
-      name;
-      broker;
-      start = at;
-      stop = at;
-      meta = [];
+      capacity;
+      id0 = id_base + 1;
+      traces = Traces.create 64;
+      size = 0;
+      n = 0;
+      lo = 0;
+      trace = [||];
+      parent = [||];
+      name = [||];
+      broker = [||];
+      start = [||];
+      stop = [||];
+      meta = [||];
+      ints = [||];
+      int_keys = [||];
+      int_vals = [||];
+      next = [||];
+      last_lookup_cost = 0;
     }
   in
-  t.next_id <- t.next_id + 1;
-  push t s;
-  s
+  resize t (min capacity initial_size);
+  t
 
-let finish s ~at = s.stop <- at
-let extend s ~at = if at > s.stop then s.stop <- at
+let length (t : t) = t.n - t.lo
+let capacity (t : t) = t.capacity
 
-let record t ?parent ?(meta = []) ~trace ~name ~broker ~start ~stop () =
-  let s = start_span t ?parent ~trace ~name ~broker ~at:start () in
-  s.stop <- stop;
-  s.meta <- meta;
-  s
+(* Is creation number [i] retained? *)
+let live (t : t) i = i >= t.lo && i < t.n && t.n - i <= t.capacity
 
-let add_meta s k v = s.meta <- s.meta @ [ (k, v) ]
-let find t id = Hashtbl.find_opt t.by_id id
+(* The first root at or after creation number [i] along a trace chain. *)
+let rec first_root (t : t) i =
+  if i < 0 then -1
+  else
+    let s = i mod t.size in
+    if t.parent.(s) = no_parent then i else first_root t t.next.(s)
 
-let spans_for t ~trace =
-  match Hashtbl.find_opt t.by_trace trace with
+(* Creation number [i - capacity] leaves slot [s]. *)
+let evict (t : t) i s =
+  let tr = t.trace.(s) in
+  let e = Traces.find t.traces tr in
+  e.count <- e.count - 1;
+  if e.count = 0 then Traces.remove t.traces tr
+  else begin
+    e.first <- t.next.(s);
+    if e.root = i - t.capacity then e.root <- first_root t e.first
+  end
+
+let push (t : t) ~parent ~trace ~name ~broker ~start ~stop ~meta =
+  let i = t.n in
+  if i - t.lo = t.size && t.size < t.capacity then resize t (min t.capacity (2 * t.size));
+  let s = i mod t.size in
+  if i - t.lo >= t.capacity then evict t i s;
+  t.trace.(s) <- trace;
+  t.parent.(s) <- parent;
+  t.name.(s) <- name;
+  t.broker.(s) <- broker;
+  t.start.(s) <- start;
+  t.stop.(s) <- stop;
+  t.meta.(s) <- meta;
+  t.ints.(s) <- 0;
+  t.next.(s) <- -1;
+  t.n <- i + 1;
+  let is_root = parent = no_parent in
+  (match Traces.find t.traces trace with
+  | e ->
+    t.next.(e.last mod t.size) <- i;
+    e.last <- i;
+    e.count <- e.count + 1;
+    if is_root && e.root < 0 then e.root <- i
+  | exception Not_found ->
+    Traces.add t.traces trace
+      { first = i; last = i; count = 1; root = (if is_root then i else -1) });
+  { id = t.id0 + i; owner = t }
+
+let parent_col = function Some p -> p | None -> no_parent
+
+let start_span (t : t) ?parent ~trace ~name ~broker ~at () =
+  push t ~parent:(parent_col parent) ~trace ~name ~broker ~start:at ~stop:at ~meta:[]
+
+let record (t : t) ?parent ?(meta = []) ~trace ~name ~broker ~start ~stop () =
+  push t ~parent:(parent_col parent) ~trace ~name ~broker ~start ~stop ~meta
+
+(* The slot of a handle's span, or -1 once it has left the ring. *)
+let slot_of (h : handle) =
+  let t : t = h.owner in
+  let i = h.id - t.id0 in
+  if live t i then i mod t.size else -1
+
+let finish h ~at =
+  let s = slot_of h in
+  if s >= 0 then h.owner.stop.(s) <- at
+
+let extend h ~at =
+  let s = slot_of h in
+  if s >= 0 && at > h.owner.stop.(s) then h.owner.stop.(s) <- at
+
+let add_int_meta h key v =
+  let s = slot_of h in
+  if s >= 0 then begin
+    let t : t = h.owner in
+    let k = t.ints.(s) in
+    if k = int_meta_max then invalid_arg "Span.add_int_meta: span already holds 3 entries";
+    t.int_keys.((int_meta_max * s) + k) <- key;
+    t.int_vals.((int_meta_max * s) + k) <- v;
+    t.ints.(s) <- k + 1
+  end
+
+(* A read-only copy of the retained span with creation number [i]. *)
+let snapshot (t : t) i : span =
+  let s = i mod t.size in
+  let meta =
+    match t.ints.(s) with
+    | 0 -> t.meta.(s)
+    | k ->
+      t.meta.(s)
+      @ List.init k (fun j ->
+            let c = (int_meta_max * s) + j in
+            (t.int_keys.(c), string_of_int t.int_vals.(c)))
+  in
+  let p = t.parent.(s) in
+  {
+    id = t.id0 + i;
+    trace = t.trace.(s);
+    parent = (if p = no_parent then None else Some p);
+    name = t.name.(s);
+    broker = t.broker.(s);
+    start = t.start.(s);
+    stop = t.stop.(s);
+    meta;
+  }
+
+let find (t : t) id =
+  let i = id - t.id0 in
+  if live t i then Some (snapshot t i) else None
+
+let spans_for (t : t) ~trace =
+  match Traces.find_opt t.traces trace with
   | None ->
     t.last_lookup_cost <- 0;
     []
-  | Some q ->
-    t.last_lookup_cost <- Queue.length q;
-    List.rev (Queue.fold (fun acc s -> s :: acc) [] q)
+  | Some e ->
+    t.last_lookup_cost <- e.count;
+    let rec walk i acc =
+      if i < 0 then List.rev acc else walk t.next.(i mod t.size) (snapshot t i :: acc)
+    in
+    walk e.first []
 
-let root_for t ~trace =
-  List.find_opt (fun s -> s.parent = None) (spans_for t ~trace)
+let root_for (t : t) ~trace =
+  match Traces.find t.traces trace with
+  | e when e.root >= 0 -> Some { id = t.id0 + e.root; owner = t }
+  | _ | (exception Not_found) -> None
 
-let last_lookup_cost t = t.last_lookup_cost
+let last_lookup_cost (t : t) = t.last_lookup_cost
 
-let to_list t =
-  let n = min t.total t.capacity in
-  let start = t.total - n in
-  List.init n (fun i ->
-      match t.ring.((start + i) mod t.capacity) with
-      | Some s -> s
-      | None -> assert false)
+let to_list (t : t) =
+  let first = max t.lo (t.n - t.capacity) in
+  List.init (t.n - first) (fun k -> snapshot t (first + k))
 
-let clear t =
-  Array.fill t.ring 0 t.capacity None;
-  Hashtbl.reset t.by_id;
-  Hashtbl.reset t.by_trace;
-  t.total <- 0
+let clear (t : t) =
+  t.lo <- t.n;
+  Traces.reset t.traces;
+  resize t (min t.capacity initial_size)
 
 let duration s = s.stop -. s.start
 

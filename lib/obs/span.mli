@@ -17,12 +17,42 @@
       outgoing link, so sibling leaves never overlap even under fanout.
 
     Times are milliseconds — virtual in the simulator, monotonic wall
-    clock ({!Xroute_support.Mono}) in the daemon. A collector retains
-    the newest [capacity] spans in a ring with a per-trace bucket index
-    ({!spans_for} cost is independent of unrelated traffic). Daemons use
-    disjoint [id_base]s so spans merged from several processes keep
-    globally unique ids. *)
+    clock ({!Xroute_support.Mono}) in the daemon. Daemons use disjoint
+    [id_base]s so spans merged from several processes keep globally
+    unique ids.
 
+    {2 The collector}
+
+    A collector retains the newest [capacity] spans in a flat ring: one
+    array per span field (trace, parent, name, broker, unboxed
+    [start]/[stop], meta, up to three integer meta entries), indexed by
+    creation number mod the array size. The arrays start at 64 slots and
+    double up to [capacity], so a large collector costs nothing until it
+    fills. Recording a span stores into those arrays and retains no heap
+    block of its own; the only retained allocation is one small entry per
+    trace with retained spans, which holds the trace's oldest and newest
+    span, its span count and its first root. Spans of one trace are
+    chained through a per-slot link. Per operation:
+
+    - {!start_span}, {!record}: O(1), one hash lookup on the trace;
+    - {!finish}, {!extend}, {!add_int_meta}: O(1) arithmetic on the id;
+    - {!find}: O(1), since a span's id is [id_base + 1 + creation number];
+    - {!root_for}: O(1), read from the trace's entry;
+    - {!spans_for}: O(trace size), independent of unrelated traffic;
+    - eviction of the oldest span: O(1), plus, when it evicts a trace's
+      root, a walk to the next root that never revisits a span.
+
+    Writers get a {!handle}; readers ({!find}, {!spans_for},
+    {!to_list}) build read-only {!span} records on demand. *)
+
+type t
+
+(** A recorded span, as returned by {!start_span}, {!record} and
+    {!root_for}: its [id] plus the collector that holds it. Operations
+    on a handle whose span has left the ring do nothing. *)
+type handle = private { id : int; owner : t }
+
+(** A read-only copy of a span. *)
 type span = {
   id : int;
   trace : int;  (** correlation key; [doc_id] for publications *)
@@ -30,25 +60,24 @@ type span = {
   name : string;  (** "pub", "hop", "edge", or a stage name *)
   broker : int;  (** broker id; [-1] outside any broker *)
   start : float;  (** ms *)
-  mutable stop : float;  (** ms; [= start] while open *)
-  mutable meta : (string * string) list;
+  stop : float;  (** ms; [= start] while open *)
+  meta : (string * string) list;
 }
-
-type t
 
 (** Ring of the newest [capacity] spans (default 8192). [id_base] offsets
     allocated ids — give each daemon a disjoint base.
     @raise Invalid_argument when [capacity <= 0]. *)
 val create : ?capacity:int -> ?id_base:int -> unit -> t
 
-(** Spans ever started (may exceed the retained count). *)
+(** Spans started since creation or the last {!clear} (may exceed the
+    retained count). *)
 val length : t -> int
 
 val capacity : t -> int
 
 (** Open a span at [at]; [stop] starts equal to [start]. *)
 val start_span :
-  t -> ?parent:int -> trace:int -> name:string -> broker:int -> at:float -> unit -> span
+  t -> ?parent:int -> trace:int -> name:string -> broker:int -> at:float -> unit -> handle
 
 (** Record a closed span in one call. *)
 val record :
@@ -61,15 +90,19 @@ val record :
   start:float ->
   stop:float ->
   unit ->
-  span
+  handle
 
 (** Close at [at] (unconditionally). *)
-val finish : span -> at:float -> unit
+val finish : handle -> at:float -> unit
 
 (** Push [stop] forward to [at] if later; never moves it back. *)
-val extend : span -> at:float -> unit
+val extend : handle -> at:float -> unit
 
-val add_meta : span -> string -> string -> unit
+(** Attach [key = string_of_int v] to the span's meta without
+    allocating. Readers list these entries after the [?meta] given to
+    {!record}, in the order added. [key] is stored, not copied.
+    @raise Invalid_argument on a fourth entry for one span. *)
+val add_int_meta : handle -> string -> int -> unit
 
 (** Retained span by id. O(1). *)
 val find : t -> int -> span option
@@ -77,8 +110,8 @@ val find : t -> int -> span option
 (** Retained spans of one trace, creation order. O(trace size). *)
 val spans_for : t -> trace:int -> span list
 
-(** The retained root (parent = None) of a trace, if any. *)
-val root_for : t -> trace:int -> span option
+(** The oldest retained root (parent = None) of a trace, if any. O(1). *)
+val root_for : t -> trace:int -> handle option
 
 (** Spans examined by the most recent {!spans_for}. *)
 val last_lookup_cost : t -> int
@@ -86,7 +119,10 @@ val last_lookup_cost : t -> int
 (** Retained spans, oldest first. *)
 val to_list : t -> span list
 
+(** Drop every span. Ids keep counting up, so a handle from before the
+    clear never names a later span. *)
 val clear : t -> unit
+
 val duration : span -> float
 
 (** {2 Renderers and checks} — pure functions over span lists, so spans

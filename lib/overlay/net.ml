@@ -174,7 +174,7 @@ type t = {
    outgoing trace context points at it. *)
 type hop_span = {
   hs_spans : Span.t;
-  hs_hop : Span.span;
+  hs_hop : Span.handle;
   hs_trace : int;
   hs_processing : float; (* this hop's processing time, ms *)
 }

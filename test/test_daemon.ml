@@ -429,6 +429,50 @@ let test_bare_tag_lines () =
   Daemon.request_stop d;
   Thread.join th
 
+(* 1 100 idle connections push the daemon's descriptors past
+   FD_SETSIZE, where select would fail. Those past the limit are closed
+   and counted; the loop keeps serving an earlier, identified
+   connection. *)
+let test_fd_limit () =
+  let d = Daemon.create ~id:0 ~port:0 ~neighbors:[] () in
+  let th = Thread.create (fun () -> Daemon.run ~timeout:0.01 d) () in
+  let port = Daemon.port d in
+  let first = raw_connect port in
+  raw_send first "HELLO|client|300\nPING\n";
+  check cb "PONG before the flood" true (await_line first ~timeout:2.0 "PONG");
+  (* A connect the daemon never accepts fails after 2 s instead of
+     hanging in SYN retries. *)
+  let connect_bounded () =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.setsockopt_float fd Unix.SO_SNDTIMEO 2.0;
+    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+    fd
+  in
+  let flood = Array.init 1100 (fun _ -> connect_bounded ()) in
+  raw_send first "PING\n";
+  check cb "PONG after 1100 connections" true (await_line first ~timeout:10.0 "PONG");
+  Thread.delay 0.2;
+  (* A refused connection reads end of file; select cannot watch these
+     descriptors, so poll them with non-blocking reads. *)
+  let buf = Bytes.create 1 in
+  let closed fd =
+    Unix.set_nonblock fd;
+    match Unix.read fd buf 0 1 with
+    | n -> n = 0
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> false
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true
+  in
+  let refused = Array.fold_left (fun n fd -> if closed fd then n + 1 else n) 0 flood in
+  check cb "connections past the limit refused" true (refused > 0 && refused < 1100);
+  check (Alcotest.option (Alcotest.float 0.0)) "refusals counted" (Some (float_of_int refused))
+    (Xroute_obs.Metrics.scalar
+       (Xroute_core.Broker.metrics (Daemon.broker d))
+       "xroute_daemon_conn_refused_total");
+  Array.iter Unix.close flood;
+  Unix.close first;
+  Daemon.request_stop d;
+  Thread.join th
+
 (* ---------------- scripted end to end ---------------- *)
 
 (* A fixed publish script against one daemon: each subscriber sees
@@ -647,6 +691,33 @@ let test_trace_over_wire () =
   check cb "per-stage leaves present" true
     (List.exists (fun s -> s.Span.name = "parse") spans
     && List.exists (fun s -> s.Span.name = "match") spans);
+  (* At every broker the leaves tile the hop exactly, queue -> parse ->
+     match -> serialize, and decoding is billed to a parse leaf. *)
+  List.iter
+    (fun (hop : Span.span) ->
+      let leaves =
+        List.sort
+          (fun (a : Span.span) b -> compare a.start b.start)
+          (List.filter
+             (fun (s : Span.span) ->
+               s.parent = Some hop.id
+               && not (List.exists (fun (c : Span.span) -> c.parent = Some s.id) spans))
+             spans)
+      in
+      let names = List.map (fun (s : Span.span) -> s.name) leaves in
+      check cb
+        (Printf.sprintf "broker %d: leaves in stage order" hop.broker)
+        true
+        (List.filter (fun n -> List.mem n names) [ "queue"; "parse"; "match"; "serialize" ]
+        = names);
+      check cb (Printf.sprintf "broker %d: parse leaf" hop.broker) true (List.mem "parse" names);
+      let rec tiles at = function
+        | [] -> at = hop.stop
+        | (s : Span.span) :: rest -> s.start = at && tiles s.stop rest
+      in
+      check cb (Printf.sprintf "broker %d: leaves tile the hop" hop.broker) true
+        (tiles hop.start leaves))
+    hops;
   (match Span.check_tree spans with
   | Ok () -> ()
   | Error e -> Alcotest.fail ("merged trace mis-nested: " ^ e));
@@ -863,6 +934,7 @@ let () =
             test_duplicate_hello_reconnect;
           Alcotest.test_case "1MB inbound burst" `Quick test_large_inbound_burst;
           Alcotest.test_case "bare F and M lines dropped" `Quick test_bare_tag_lines;
+          Alcotest.test_case "1100 connections past FD_SETSIZE" `Quick test_fd_limit;
         ] );
       ( "linebuf",
         [

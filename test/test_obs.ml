@@ -288,7 +288,7 @@ let test_span_tree_and_stage_sum () =
     (match Span.root_for t ~trace:7 with Some r -> r.Span.id = root.Span.id | None -> false);
   check cb "extend never moves stop back" true
     (Span.extend root ~at:1.0;
-     root.Span.stop = 3.0)
+     match Span.find t root.Span.id with Some r -> r.Span.stop = 3.0 | None -> false)
 
 let test_span_check_tree_rejects () =
   let expect_error label spans =
@@ -354,11 +354,12 @@ let test_span_ring_and_lookup_cost () =
 let test_span_wire_roundtrip () =
   let t = Span.create () in
   let nasty = "hop|with\npipes\rand 100% escapes" in
-  let s =
+  let h =
     Span.record t ~parent:3 ~trace:9 ~name:nasty ~broker:2
       ~meta:[ ("k|ey", "v|al\nue"); ("pct", "100%") ]
       ~start:1.5 ~stop:2.5 ()
   in
+  let s = Option.get (Span.find t h.Span.id) in
   match Span.of_wire_line (Span.to_wire_line s) with
   | None -> Alcotest.fail "wire line did not parse back"
   | Some s' ->
@@ -370,6 +371,250 @@ let test_span_wire_roundtrip () =
     check cf "start" 1.5 s'.Span.start;
     check cf "stop" 2.5 s'.Span.stop;
     check cb "hostile meta intact" true (s'.Span.meta = s.Span.meta)
+
+(* ---------------- span store vs a naive model ---------------- *)
+
+(* Random sequences of collector calls over a few interleaved traces,
+   checked after every step against a list of every span ever created.
+   A span is retained while it is among the newest [capacity] spans
+   created since the last [clear]. *)
+
+type span_op =
+  | Start of int * int * float (* trace, parent choice, at *)
+  | Record of int * int * float * float * bool (* trace, parent choice, start, stop, meta *)
+  | Finish of int * float (* handle choice *)
+  | Extend of int * float
+  | Int_meta of int * int
+  | Clear
+
+let span_traces = 4
+let model_id_base = 5000
+
+let print_span_op = function
+  | Start (tr, p, at) -> Printf.sprintf "start(tr=%d,p=%d,at=%g)" tr p at
+  | Record (tr, p, a, b, m) -> Printf.sprintf "record(tr=%d,p=%d,%g..%g,meta=%b)" tr p a b m
+  | Finish (h, at) -> Printf.sprintf "finish(h=%d,%g)" h at
+  | Extend (h, at) -> Printf.sprintf "extend(h=%d,%g)" h at
+  | Int_meta (h, v) -> Printf.sprintf "int_meta(h=%d,%d)" h v
+  | Clear -> "clear"
+
+let gen_span_ops =
+  QCheck.Gen.(
+    let time = map float_of_int (int_bound 20) in
+    let trace = int_bound (span_traces - 1) in
+    (* parent choice: 0 = root, 1 = an id never allocated, k = handle k-2 *)
+    let parent = frequency [ (1, return 0); (1, return 1); (5, int_range 2 1000) ] in
+    let handle = int_bound 1000 in
+    list_size (int_bound 250)
+      (frequency
+         [
+           (6, map3 (fun tr p at -> Start (tr, p, at)) trace parent time);
+           ( 6,
+             map3
+               (fun (tr, p) (a, b) m -> Record (tr, p, a, b, m))
+               (pair trace parent) (pair time time) bool );
+           (2, map2 (fun h at -> Finish (h, at)) handle time);
+           (2, map2 (fun h at -> Extend (h, at)) handle time);
+           (2, map2 (fun h v -> Int_meta (h, v)) handle (int_bound 99));
+           (1, return Clear);
+         ]))
+
+type mspan = {
+  m_id : int;
+  m_trace : int;
+  m_parent : int option;
+  m_name : string;
+  m_start : float;
+  mutable m_stop : float;
+  m_meta : (string * string) list;
+  mutable m_ints : (string * int) list;
+}
+
+let span_of_model m : Span.span =
+  {
+    id = m.m_id;
+    trace = m.m_trace;
+    parent = m.m_parent;
+    name = m.m_name;
+    broker = m.m_trace + 10;
+    start = m.m_start;
+    stop = m.m_stop;
+    meta = m.m_meta @ List.map (fun (k, v) -> (k, string_of_int v)) m.m_ints;
+  }
+
+let run_span_model capacity ops =
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  let t = Span.create ~capacity ~id_base:model_id_base () in
+  let created = ref [] (* newest first *)
+  and handles : (Span.handle * mspan) array ref = ref [||] in
+  let n = ref 0 and lo = ref 0 in
+  let live m =
+    let i = m.m_id - model_id_base - 1 in
+    i >= !lo && !n - i <= capacity
+  in
+  let pick k = if Array.length !handles = 0 then None else Some (k mod Array.length !handles) in
+  let parent_of = function
+    | 0 -> None
+    | 1 -> Some 999_999
+    | k -> (
+      match pick (k - 2) with
+      | Some j -> Some (fst !handles.(j)).Span.id
+      | None -> None)
+  in
+  let add (h : Span.handle) m =
+    if h.Span.id <> m.m_id then fail "handle id %d, expected %d" h.Span.id m.m_id;
+    handles := Array.append !handles [| (h, m) |];
+    created := m :: !created;
+    incr n
+  in
+  let fresh trace parent name start stop meta =
+    {
+      m_id = model_id_base + 1 + !n;
+      m_trace = trace;
+      m_parent = parent;
+      m_name = name;
+      m_start = start;
+      m_stop = stop;
+      m_meta = meta;
+      m_ints = [];
+    }
+  in
+  let step = function
+    | Start (trace, p, at) ->
+      let parent = parent_of p in
+      let name = if parent = None then "pub" else "hop" in
+      let h = Span.start_span t ?parent ~trace ~name ~broker:(trace + 10) ~at () in
+      add h (fresh trace parent name at at [])
+    | Record (trace, p, start, stop, with_meta) ->
+      let parent = parent_of p in
+      let meta = if with_meta then [ ("k", string_of_int trace); ("x|y", "") ] else [] in
+      let h =
+        Span.record t ?parent ~meta ~trace ~name:"leaf" ~broker:(trace + 10) ~start ~stop ()
+      in
+      add h (fresh trace parent "leaf" start stop meta)
+    | Finish (k, at) ->
+      Option.iter
+        (fun j ->
+          let h, m = !handles.(j) in
+          Span.finish h ~at;
+          if live m then m.m_stop <- at)
+        (pick k)
+    | Extend (k, at) ->
+      Option.iter
+        (fun j ->
+          let h, m = !handles.(j) in
+          Span.extend h ~at;
+          if live m && at > m.m_stop then m.m_stop <- at)
+        (pick k)
+    | Int_meta (k, v) ->
+      Option.iter
+        (fun j ->
+          let h, m = !handles.(j) in
+          let key = "i" ^ string_of_int (List.length m.m_ints) in
+          match Span.add_int_meta h key v with
+          | () ->
+            if live m then
+              if List.length m.m_ints = 3 then fail "a fourth int meta entry was accepted"
+              else m.m_ints <- m.m_ints @ [ (key, v) ]
+          | exception Invalid_argument _ ->
+            if not (live m && List.length m.m_ints = 3) then fail "int meta refused")
+        (pick k)
+    | Clear ->
+      Span.clear t;
+      lo := !n
+  in
+  let check_all () =
+    let all = List.rev !created in
+    let retained = List.filter live all in
+    if Span.length t <> !n - !lo then fail "length %d, expected %d" (Span.length t) (!n - !lo);
+    if Span.to_list t <> List.map span_of_model retained then fail "to_list differs";
+    List.iter
+      (fun m ->
+        if Span.find t m.m_id <> (if live m then Some (span_of_model m) else None) then
+          fail "find %d differs" m.m_id)
+      all;
+    if Span.find t model_id_base <> None || Span.find t (model_id_base + !n + 1) <> None then
+      fail "find outside the allocated ids";
+    for trace = 0 to span_traces - 1 do
+      let mine = List.filter (fun m -> m.m_trace = trace) retained in
+      if Span.spans_for t ~trace <> List.map span_of_model mine then
+        fail "spans_for %d differs" trace;
+      if Span.last_lookup_cost t <> List.length mine then
+        fail "last_lookup_cost %d, expected %d" (Span.last_lookup_cost t) (List.length mine);
+      let want = List.find_opt (fun m -> m.m_parent = None) mine in
+      match (Span.root_for t ~trace, want) with
+      | None, None -> ()
+      | Some h, Some m when h.Span.id = m.m_id -> ()
+      | _ -> fail "root_for %d differs" trace
+    done
+  in
+  List.iter
+    (fun op ->
+      step op;
+      check_all ())
+    ops;
+  true
+
+let span_model_props =
+  List.map
+    (fun capacity ->
+      QCheck.Test.make
+        ~name:(Printf.sprintf "store = model, capacity %d" capacity)
+        ~count:100
+        (QCheck.make ~print:(QCheck.Print.list print_span_op) gen_span_ops)
+        (run_span_model capacity))
+    [ 1; 2; 3; 7; 64; 65; 130 ]
+
+(* Once the ring is full, recording a hop's spans on traces that already
+   have spans retains nothing: every write lands in the preallocated
+   columns, so a forced minor collection promotes no words per span.
+   Each hop records what Daemon.handle_publish records at a first
+   broker. *)
+let test_span_ring_allocation_free () =
+  let t = Span.create ~id_base:1_000_000_000 () in
+  let traces = 16 in
+  let hop i =
+    let trace = i mod traces and at = float_of_int i in
+    let root =
+      match Span.root_for t ~trace with
+      | Some r -> r
+      | None -> Span.start_span t ~trace ~name:"pub" ~broker:(-1) ~at ()
+    in
+    let h = Span.start_span t ~parent:root.Span.id ~trace ~name:"hop" ~broker:0 ~at () in
+    let leaf name k =
+      Span.record t ~parent:h.Span.id ~trace ~name ~broker:0 ~start:(at +. k)
+        ~stop:(at +. k +. 0.1) ()
+    in
+    ignore (leaf "queue" 0.0);
+    ignore (leaf "parse" 0.1);
+    let m = leaf "match" 0.2 in
+    Span.add_int_meta m "srt_ops" i;
+    Span.add_int_meta m "prt_ops" (i + 1);
+    Span.add_int_meta m "cover_ops" (i + 2);
+    ignore (leaf "serialize" 0.3);
+    Span.finish h ~at:(at +. 0.4);
+    Span.extend root ~at:(at +. 0.4)
+  in
+  let hops = 10_000 in
+  for i = 0 to Span.capacity t do
+    hop i
+  done;
+  check cb "ring full" true (Span.length t > Span.capacity t);
+  let before = Span.length t in
+  Gc.minor ();
+  let p0 = (Gc.quick_stat ()).Gc.promoted_words in
+  for i = 1 to hops do
+    hop i
+  done;
+  Gc.minor ();
+  let promoted = (Gc.quick_stat ()).Gc.promoted_words -. p0 in
+  let spans = Span.length t - before in
+  check cb "at least five spans a hop" true (spans >= 5 * hops);
+  (* What a minor collection inside the loop finds live (the current
+     hop's handles) is promoted; that is a few words per collection, far
+     below one word per 100 spans. The old store promoted every span. *)
+  if promoted *. 100.0 >= float_of_int spans then
+    Alcotest.failf "%.0f words promoted over %d spans" promoted spans
 
 (* ---------------- monotonic clock ---------------- *)
 
@@ -495,7 +740,9 @@ let () =
             test_span_check_tree_rejects;
           Alcotest.test_case "ring and lookup cost" `Quick test_span_ring_and_lookup_cost;
           Alcotest.test_case "wire round-trip" `Quick test_span_wire_roundtrip;
+          Alcotest.test_case "full ring promotes no words" `Quick test_span_ring_allocation_free;
         ] );
+      ("span model", List.map QCheck_alcotest.to_alcotest span_model_props);
       ( "clock",
         [ Alcotest.test_case "monotonic under backward steps" `Quick test_mono_never_decreases ] );
       ( "timeseries",
