@@ -238,12 +238,9 @@ let fault_recovery () =
     docs_after;
   Net.run control_net;
   let convergent = faulted_deliveries = List.map post_heal control_subs in
-  let st = Net.fault_stats net in
-  let mean l =
-    if l = [] then 0.0 else List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
-  in
-  let fmax l = List.fold_left Float.max 0.0 l in
-  let recovery = st.Net.recovery_times in
+  let fm = Net.fault_meters net in
+  let v = Metrics.value in
+  let recovery = Metrics.summary fm.recovery_ms in
   let post_heal_total =
     List.fold_left (fun acc l -> acc + List.length l) 0 faulted_deliveries
   in
@@ -253,13 +250,13 @@ let fault_recovery () =
     spec.Plan.link_downs spec.Plan.link_delays spec.Plan.link_dups spec.Plan.client_drops;
   Printf.printf
     "faults:   %d crashes, %d restarts, %d requeued sends, %d duplicated deliveries\n"
-    st.Net.crashes st.Net.restarts st.Net.requeues st.Net.dup_deliveries;
+    (v fm.crashes) (v fm.restarts) (v fm.requeues) (v fm.dups);
   Printf.printf
     "losses:   %d messages destroyed at dead brokers (%d publications dropped end-to-end)\n"
-    st.Net.destroyed (Net.dropped_publications net);
+    (v fm.destroyed) (Net.dropped_publications net);
   Printf.printf
     "recovery: %d episodes, mean %.1f ms, max %.1f ms virtual; %d ledger entries replayed\n"
-    (List.length recovery) (mean recovery) (fmax recovery) st.Net.replayed;
+    recovery.count recovery.mean recovery.max (v fm.replayed);
   Printf.printf "post-heal: %d deliveries, %s the fault-free control\n%!" post_heal_total
     (if convergent then "identical to" else "DIVERGED from");
   Report.record "fault-recovery"
@@ -267,19 +264,19 @@ let fault_recovery () =
       ("seed", Report.I seed);
       ("plan_events", Report.I (List.length plan.Plan.events));
       ("horizon_ms", Report.F plan.Plan.horizon);
-      ("crashes", Report.I st.Net.crashes);
-      ("restarts", Report.I st.Net.restarts);
-      ("requeues", Report.I st.Net.requeues);
-      ("dup_deliveries", Report.I st.Net.dup_deliveries);
-      ("destroyed", Report.I st.Net.destroyed);
-      ("destroyed_pubs", Report.I st.Net.destroyed_pubs);
+      ("crashes", Report.I (v fm.crashes));
+      ("restarts", Report.I (v fm.restarts));
+      ("requeues", Report.I (v fm.requeues));
+      ("dup_deliveries", Report.I (v fm.dups));
+      ("destroyed", Report.I (v fm.destroyed));
+      ("destroyed_pubs", Report.I (v fm.pubs_destroyed));
       ("dropped_publications", Report.I (Net.dropped_publications net));
-      ("client_disconnects", Report.I st.Net.client_disconnects);
-      ("client_reconnects", Report.I st.Net.client_reconnects);
-      ("replayed", Report.I st.Net.replayed);
-      ("recovery_episodes", Report.I (List.length recovery));
-      ("recovery_ms_mean", Report.F (mean recovery));
-      ("recovery_ms_max", Report.F (fmax recovery));
+      ("client_disconnects", Report.I (v fm.disconnects));
+      ("client_reconnects", Report.I (v fm.reconnects));
+      ("replayed", Report.I (v fm.replayed));
+      ("recovery_episodes", Report.I recovery.count);
+      ("recovery_ms_mean", Report.F recovery.mean);
+      ("recovery_ms_max", Report.F recovery.max);
       ("post_heal_deliveries", Report.I post_heal_total);
       ("convergent", Report.B convergent);
       ("faulted_wall_ms", Report.F (wall_faulted *. 1000.0));
@@ -614,7 +611,9 @@ let fig9 () =
     let docs = Xroute_workload.Workload.documents ~dtd:psd ~count:(scaled 40) ~seed:61 () in
     List.iteri (fun i d -> ignore (Net.publish_doc net publisher ~doc_id:i d)) docs;
     Net.run net;
-    ((Net.traffic net).Net.pub, Net.dropped_publications net, Net.total_deliveries net)
+    ( int_of_float (Option.get (Metrics.scalar (Net.metrics net) "xroute_net_msgs_pub_total")),
+      Net.dropped_publications net,
+      Net.total_deliveries net )
   in
   let base_pubs, base_dropped, base_deliveries = run Broker.No_merging in
   Printf.printf "(control without merging: %d pub messages, %d edge drops)\n" base_pubs
@@ -1050,7 +1049,8 @@ let smoke () =
   Net.run fnet;
   ignore (Net.publish_doc fnet fpub ~doc_id:2 (Xroute_xml.Xml_parser.parse "<x><y/></x>"));
   Net.run fnet;
-  let fstats = Net.fault_stats fnet in
+  let fm = Net.fault_meters fnet in
+  let recovery = Metrics.summary fm.recovery_ms in
   if Hashtbl.mem fsub.Net.delivered 1 then begin
     Printf.printf "smoke FAILED: publication sent into the crash window was delivered\n";
     exit 1
@@ -1063,15 +1063,13 @@ let smoke () =
     Printf.printf "smoke FAILED: crash-destroyed publication not accounted as dropped\n";
     exit 1
   end;
-  if List.length fstats.Net.recovery_times <> 1 then begin
-    Printf.printf "smoke FAILED: expected 1 recovery episode, measured %d\n"
-      (List.length fstats.Net.recovery_times);
+  if recovery.count <> 1 then begin
+    Printf.printf "smoke FAILED: expected 1 recovery episode, measured %d\n" recovery.count;
     exit 1
   end;
   Printf.printf
     "smoke: fault gate ok (crash/restart recovered; %d msgs destroyed, %.1f ms recovery)\n"
-    fstats.Net.destroyed
-    (List.hd fstats.Net.recovery_times);
+    (Metrics.value fm.destroyed) recovery.max;
   (* Span gate: a traced publication must yield a complete, well-nested
      span tree whose stage leaves sum exactly to the measured
      end-to-end latency — the invariant the latency-breakdown

@@ -225,14 +225,17 @@ let simulate_cmd =
       (fun i d -> ignore (Xroute_overlay.Net.publish_doc net publisher ~doc_id:i d))
       documents;
     Xroute_overlay.Net.run net;
-    let traffic = Xroute_overlay.Net.traffic net in
+    let msgs kind =
+      Xroute_obs.Metrics.scalar (Xroute_overlay.Net.metrics net)
+        (Printf.sprintf "xroute_net_msgs_%s_total" kind)
+      |> Option.fold ~none:0 ~some:int_of_float
+    in
     Printf.printf "strategy:        %s\n" strategy_name;
     Printf.printf "brokers:         %d\n" (Xroute_overlay.Topology.broker_count topo);
     Printf.printf "subscribers:     %d x %d subscriptions\n" (List.length clients) subs;
     Printf.printf "traffic:         %d messages (adv %d, sub %d, unsub %d, pub %d)\n"
       (Xroute_overlay.Net.total_traffic net)
-      traffic.Xroute_overlay.Net.adv traffic.Xroute_overlay.Net.sub
-      traffic.Xroute_overlay.Net.unsub traffic.Xroute_overlay.Net.pub;
+      (msgs "adv") (msgs "sub") (msgs "unsub") (msgs "pub");
     Printf.printf "routing tables:  %d PRT entries, %d SRT entries (all brokers)\n"
       (Xroute_overlay.Net.total_prt_size net)
       (Xroute_overlay.Net.total_srt_size net);

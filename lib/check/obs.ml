@@ -208,6 +208,28 @@ let check_monotonic samples =
   walk samples;
   (List.rev !findings, !counters)
 
+(* [xroute_net_msgs_total] is a counter of its own, not a sum taken at
+   read time, so at every snapshot it must equal the sum of the five
+   per-kind counters. *)
+let check_traffic_sum samples =
+  let kinds = [ "adv"; "unadv"; "sub"; "unsub"; "pub" ] in
+  List.filter_map
+    (fun ({ Timeseries.values; at } : Timeseries.sample) ->
+      let get name = Option.value ~default:0.0 (List.assoc_opt name values) in
+      let total = get "xroute_net_msgs_total" in
+      let by_kind =
+        List.fold_left
+          (fun acc k -> acc +. get (Printf.sprintf "xroute_net_msgs_%s_total" k))
+          0.0 kinds
+      in
+      if total = by_kind then None
+      else
+        Some
+          (err "obs-traffic-sum" "the message total is not the sum of the per-kind counters"
+             (Printf.sprintf "xroute_net_msgs_total=%g, per-kind sum=%g at t=%g" total by_kind
+                at)))
+    samples
+
 let check_gauges registry =
   let findings = ref [] in
   let gauges = ref 0 in
@@ -325,6 +347,7 @@ let audit ?(seed = 1) ?(samples = 4000) ?(inject = false) () =
   let h = overlay_harness ~seed in
   let ts_samples = if inject then plant_drift h.ts_samples else h.ts_samples in
   let mono_findings, counters = check_monotonic ts_samples in
+  let sum_findings = check_traffic_sum ts_samples in
   let gauge_findings, gauges = check_gauges (Net.aggregate_metrics h.net) in
   let cross_findings, pub_msgs, hop_spans = check_cross_consistency h in
   let fed_findings, fed_origins, merge_diffs = check_federation h in
@@ -344,5 +367,5 @@ let audit ?(seed = 1) ?(samples = 4000) ?(inject = false) () =
         ("obs_fed_origins", f fed_origins);
         ("obs_fed_merge_diffs", f merge_diffs);
       ]
-    (acc_findings @ law_findings @ mono_findings @ gauge_findings @ cross_findings
-   @ fed_findings)
+    (acc_findings @ law_findings @ mono_findings @ sum_findings @ gauge_findings
+   @ cross_findings @ fed_findings)

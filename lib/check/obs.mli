@@ -13,7 +13,9 @@
       counts are integers), and encode/decode as the identity;
     - {e overlay telemetry} — a 3-broker line under a book-DTD workload,
       checked end to end: counter monotonicity across timeseries
-      snapshots (the [_total] convention), gauge and quantile
+      snapshots (the [_total] convention), the message total equal to
+      the sum of the five per-kind message counters at every snapshot
+      ([obs-traffic-sum]), gauge and quantile
       finiteness, span/metric/health cross-consistency (the Publish
       counter, the per-visit "hop" spans and the federated health pub
       counts must agree exactly), and the federation itself (the pulled

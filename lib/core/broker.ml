@@ -62,16 +62,6 @@ let strategy_names =
     "with-Adv-with-CovIPM";
   ]
 
-type counters = {
-  mutable msgs_in : int;
-  mutable advs_in : int;
-  mutable subs_in : int;
-  mutable pubs_in : int;
-  mutable unsubs_in : int;
-  mutable pubs_dropped : int; (* arrived with no matching subscription *)
-  mutable deliveries : int; (* publications handed to local clients *)
-}
-
 module M = Xroute_obs.Metrics
 
 (* Handles into the broker's metrics registry, resolved once at creation
@@ -181,7 +171,6 @@ type t = {
   mutable merge_seq : int;
   (* path universe for the imperfect degree (publisher DTD knowledge) *)
   mutable universe : string array list;
-  counters : counters;
   metrics : M.t;
   meters : meters;
 }
@@ -203,23 +192,12 @@ let create ?(strategy = default_strategy) ~id ~neighbors () =
     suppressed = [];
     merge_seq = 0;
     universe = [];
-    counters =
-      {
-        msgs_in = 0;
-        advs_in = 0;
-        subs_in = 0;
-        pubs_in = 0;
-        unsubs_in = 0;
-        pubs_dropped = 0;
-        deliveries = 0;
-      };
     metrics;
     meters = make_meters metrics;
   }
 
 let id t = t.id
 let strategy t = t.strategy
-let counters t = t.counters
 let metrics t = t.metrics
 let srt_size t = Rtable.Srt.size t.srt
 let prt_size t = Rtable.Prt.size t.prt
@@ -383,7 +361,6 @@ let unserved_targets t ~self_id ~key xpe targets =
 (* ------------------------------------------------------------------ *)
 
 let handle_advertise t ~from id adv =
-  t.counters.advs_in <- t.counters.advs_in + 1;
   M.incr t.meters.m_advs_in;
   match Rtable.Srt.add t.srt id adv from with
   | `Duplicate -> []
@@ -455,7 +432,6 @@ let handle_unadvertise t ~from id =
 (* ------------------------------------------------------------------ *)
 
 let handle_subscribe t ~from id xpe =
-  t.counters.subs_in <- t.counters.subs_in + 1;
   M.incr t.meters.m_subs_in;
   if Rtable.Prt.mem t.prt id then [] (* duplicate *)
   else begin
@@ -501,7 +477,6 @@ let handle_subscribe t ~from id xpe =
   end
 
 let handle_unsubscribe t ~from id =
-  t.counters.unsubs_in <- t.counters.unsubs_in + 1;
   M.incr t.meters.m_unsubs_in;
   ignore from;
   match Rtable.Prt.remove t.prt id with
@@ -553,7 +528,6 @@ let handle_unsubscribe t ~from id =
    transport decides spans (and rewrites [parent_span] to the hop span it
    opens before forwarding). *)
 let handle_publish t ~from pub ctx =
-  t.counters.pubs_in <- t.counters.pubs_in + 1;
   M.incr t.meters.m_pubs_in;
   let payloads = Rtable.Prt.match_pub t.prt pub in
   (* Hop lookup by hashing, not an assoc scan: at an edge broker every
@@ -571,16 +545,11 @@ let handle_publish t ~from pub ctx =
         end)
       [] payloads
   in
-  if hops = [] then begin
-    t.counters.pubs_dropped <- t.counters.pubs_dropped + 1;
-    M.incr t.meters.m_pubs_dropped
-  end;
+  if hops = [] then M.incr t.meters.m_pubs_dropped;
   List.map
     (fun ep ->
       (match ep with
-      | Rtable.Client _ ->
-        t.counters.deliveries <- t.counters.deliveries + 1;
-        M.incr t.meters.m_deliveries
+      | Rtable.Client _ -> M.incr t.meters.m_deliveries
       | Rtable.Neighbor _ -> ());
       (ep, Message.Publish { pub; trail = []; ctx }))
     hops
@@ -590,7 +559,6 @@ let handle_publish t ~from pub ctx =
 (* ------------------------------------------------------------------ *)
 
 let handle t ~from (msg : Message.t) =
-  t.counters.msgs_in <- t.counters.msgs_in + 1;
   M.incr t.meters.m_msgs_in;
   Log.debug (fun m ->
       m "broker %d <- %a: %a" t.id Rtable.pp_endpoint from Message.pp msg);

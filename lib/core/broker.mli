@@ -21,30 +21,21 @@ val strategy_of_name : string -> strategy option
 
 val strategy_names : string list
 
-type counters = {
-  mutable msgs_in : int;
-  mutable advs_in : int;
-  mutable subs_in : int;
-  mutable pubs_in : int;
-  mutable unsubs_in : int;
-  mutable pubs_dropped : int;
-      (** publications that produced no output: in-network false
-          positives under merging *)
-  mutable deliveries : int;  (** publications handed to local clients *)
-}
-
 type t
 
 val create : ?strategy:strategy -> id:int -> neighbors:int list -> unit -> t
 
 val id : t -> int
 val strategy : t -> strategy
-val counters : t -> counters
 
 (** The broker's metrics registry (see [Xroute_obs.Metrics]): message
     counters, match-op histograms and — after {!refresh_metrics} —
     index-size gauges. Registered eagerly at {!create}, so every metric
-    name is present even before traffic arrives. *)
+    name is present even before traffic arrives. The counters are the
+    only store of the broker's event counts; read them by name, e.g.
+    [xroute_broker_pubs_dropped_total] (publications that produced no
+    output: in-network false positives under merging) and
+    [xroute_broker_deliveries_total]. *)
 val metrics : t -> Xroute_obs.Metrics.t
 
 (** Push the derived quantities (SRT/PRT sizes, cumulative match

@@ -189,7 +189,7 @@ let create ?(strategy = Broker.default_strategy) ?(max_write_chunk = max_int)
        merges TRACE| replies from several daemons. *)
     spans = Span.create ~id_base:(id * 1_000_000_000) ();
     timeseries = Timeseries.create (Broker.metrics broker);
-    recorder = Option.map (fun dir -> Recorder.create ~dir ()) flight_dir;
+    recorder = Option.map (fun dir -> Recorder.create ~dir) flight_dir;
     read_buf = Bytes.create 65536;
     resolved = Hashtbl.create 4;
     health = Xroute_obs.Health.create id;

@@ -9,6 +9,7 @@ type t = {
   requeues : Metrics.counter;
   dups : Metrics.counter;
   destroyed : Metrics.counter;
+  pubs_destroyed : Metrics.counter;
   disconnects : Metrics.counter;
   reconnects : Metrics.counter;
   replayed : Metrics.counter;
@@ -28,6 +29,9 @@ let create reg =
     destroyed =
       Metrics.counter reg ~help:"Messages destroyed at a dead broker or disconnected client"
         "xroute_fault_msgs_destroyed_total";
+    pubs_destroyed =
+      Metrics.counter reg ~help:"Publications among the destroyed messages"
+        "xroute_fault_pubs_destroyed_total";
     disconnects =
       Metrics.counter reg ~help:"Client disconnects injected" "xroute_fault_client_disconnects_total";
     reconnects =

@@ -41,12 +41,12 @@ type t = {
      tick's timestamp (ms). *)
   pending : (int, int) Hashtbl.t;
   mutable last_tick : float;
-  window : float; (* EWMA window, ms *)
 }
 
-let default_window = 5000.0
+(* The EWMA sliding window, ms. *)
+let window = 5000.0
 
-let create ?(window = default_window) origin =
+let create origin =
   {
     origin;
     epoch = 0;
@@ -58,7 +58,6 @@ let create ?(window = default_window) origin =
     links = Hashtbl.create 8;
     pending = Hashtbl.create 8;
     last_tick = nan;
-    window;
   }
 
 let origin t = t.origin
@@ -111,7 +110,7 @@ let tick t ~now =
   else begin
     let dt = now -. t.last_tick in
     if dt > 0.0 then begin
-      let decay = exp (-.dt /. t.window) in
+      let decay = exp (-.dt /. window) in
       Hashtbl.iter
         (fun _ l ->
           let n = Option.value (Hashtbl.find_opt t.pending l.l_peer) ~default:0 in

@@ -21,9 +21,9 @@ type link = {
   mutable l_rate : float;  (** EWMA sends/s, updated by {!tick} *)
 }
 
-(** [create ?window origin] — [window] is the EWMA sliding window in ms
-    (default 5000). *)
-val create : ?window:float -> int -> t
+(** [create origin] — the link send rates are EWMAs over a 5000 ms
+    sliding window. *)
+val create : int -> t
 
 val origin : t -> int
 

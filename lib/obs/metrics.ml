@@ -9,30 +9,19 @@
    Naming convention: [xroute_<subsystem>_<metric>], with [_total] for
    monotonic counters and [_ms] for millisecond-valued histograms.
 
-   Histograms feed two stores per observation: a capped raw-sample
-   array (see [histogram ~cap]) and an uncapped mergeable quantile
-   sketch ({!Sketch}). While nothing has been dropped the summary is
-   the exact [Stats.summarize] of the raw samples; once observations
-   pass the cap the quantiles switch to the sketch — which keeps seeing
-   every value, fixing the bias capped arrays had toward early samples —
-   while count/sum/mean/stddev/min/max stay exact throughout (tracked
-   as running scalars). Exported as a Prometheus summary (p50/p95/p99
-   quantiles plus [_sum]/[_count]). *)
+   A histogram is its mergeable quantile sketch ({!Sketch}) plus a
+   running sum of squares: the sketch keeps count, sum, min and max
+   exactly and the quantiles within its relative-error bound, the sum
+   of squares keeps the standard deviation exact. Exported as a
+   Prometheus summary (p50/p95/p99 quantiles plus [_sum]/[_count]). *)
 
 type counter = { c_name : string; mutable c_value : int }
 type gauge = { g_name : string; mutable g_value : float }
 
 type histogram = {
   h_name : string;
-  h_cap : int; (* retained-sample bound *)
-  mutable h_samples : float array;
-  mutable h_len : int;
-  mutable h_sum : float;
+  h_sketch : Sketch.t; (* every observation: count, sum, min, max, quantiles *)
   mutable h_sumsq : float;
-  mutable h_min : float; (* exact over every observation; +inf when empty *)
-  mutable h_max : float;
-  mutable h_total : int; (* observations ever, including beyond the cap *)
-  h_sketch : Sketch.t; (* every observation, never capped *)
 }
 
 type metric = Counter of counter | Gauge of gauge | Histogram of histogram
@@ -76,26 +65,14 @@ let gauge t ?(help = "") name =
     | Gauge g -> g
     | _ -> assert false)
 
-let histogram t ?(help = "") ?(cap = 65536) name =
+let histogram t ?(help = "") name =
   match find t name with
   | Some (Histogram h) -> h
   | Some _ -> invalid_arg ("Metrics.histogram: " ^ name ^ " registered with another type")
   | None -> (
     match
       register t name help
-        (Histogram
-           {
-             h_name = name;
-             h_cap = cap;
-             h_samples = Array.make 64 0.0;
-             h_len = 0;
-             h_sum = 0.0;
-             h_sumsq = 0.0;
-             h_min = infinity;
-             h_max = neg_infinity;
-             h_total = 0;
-             h_sketch = Sketch.create ();
-           })
+        (Histogram { h_name = name; h_sketch = Sketch.create (); h_sumsq = 0.0 })
     with
     | Histogram h -> h
     | _ -> assert false)
@@ -121,63 +98,38 @@ let gauge_value g = g.g_value
 
 (* ---------------- histograms ---------------- *)
 
-let push_sample h v =
-  if h.h_len < h.h_cap then begin
-    if h.h_len = Array.length h.h_samples then begin
-      let bigger =
-        Array.make (min h.h_cap (2 * Array.length h.h_samples)) 0.0
-      in
-      Array.blit h.h_samples 0 bigger 0 h.h_len;
-      h.h_samples <- bigger
-    end;
-    h.h_samples.(h.h_len) <- v;
-    h.h_len <- h.h_len + 1
-  end
-
 let observe h v =
-  h.h_sum <- h.h_sum +. v;
-  h.h_sumsq <- h.h_sumsq +. (v *. v);
-  if v < h.h_min then h.h_min <- v;
-  if v > h.h_max then h.h_max <- v;
-  h.h_total <- h.h_total + 1;
   Sketch.observe h.h_sketch v;
-  push_sample h v
+  h.h_sumsq <- h.h_sumsq +. (v *. v)
 
-let samples h = Array.sub h.h_samples 0 h.h_len
 let sketch h = h.h_sketch
+let observations h = Sketch.count h.h_sketch
+let sum h = Sketch.sum h.h_sketch
 
-(* While no observation has been dropped the raw samples are the whole
-   stream and the summary is exact. Past the cap (or after an
-   [aggregate] that pooled more than fits) the quantiles come from the
-   sketch — within its relative-error bound but unbiased — and the
-   moments from the exact running scalars. *)
+(* Count, sum, min and max are the sketch's exact scalars, the
+   quantiles its estimates; an empty histogram reads all zeros, never
+   the sketch's infinite extrema. *)
 let summary h =
-  if h.h_total <= h.h_len then Xroute_support.Stats.summarize (samples h)
+  let s = h.h_sketch in
+  let count = Sketch.count s in
+  if count = 0 then Xroute_support.Stats.summarize [||]
   else begin
-    let n = float_of_int h.h_total in
-    let mean = h.h_sum /. n in
+    let n = float_of_int count in
+    let mean = Sketch.sum s /. n in
     let var =
-      if h.h_total < 2 then 0.0
-      else Float.max 0.0 ((h.h_sumsq -. (n *. mean *. mean)) /. (n -. 1.0))
+      if count < 2 then 0.0 else Float.max 0.0 ((h.h_sumsq -. (n *. mean *. mean)) /. (n -. 1.0))
     in
     {
-      Xroute_support.Stats.count = h.h_total;
+      Xroute_support.Stats.count;
       mean;
       stddev = sqrt var;
-      min = h.h_min;
-      max = h.h_max;
-      p50 = Sketch.quantile h.h_sketch 0.5;
-      p95 = Sketch.quantile h.h_sketch 0.95;
-      p99 = Sketch.quantile h.h_sketch 0.99;
+      min = Sketch.min_value s;
+      max = Sketch.max_value s;
+      p50 = Sketch.quantile s 0.5;
+      p95 = Sketch.quantile s 0.95;
+      p99 = Sketch.quantile s 0.99;
     }
   end
-
-let quantile h q =
-  if h.h_total <= h.h_len then Xroute_support.Stats.percentile (samples h) q
-  else Sketch.quantile h.h_sketch q
-
-let observations h = h.h_total
-let sum h = h.h_sum
 
 (* ---------------- lookup helpers ---------------- *)
 
@@ -187,14 +139,14 @@ let scalar t name =
   match find t name with
   | Some (Counter c) -> Some (float_of_int c.c_value)
   | Some (Gauge g) -> Some g.g_value
-  | Some (Histogram h) -> Some (float_of_int h.h_total)
+  | Some (Histogram h) -> Some (float_of_int (observations h))
   | None -> None
 
 (* ---------------- aggregation ---------------- *)
 
-(* Merge registries: counters and gauges sum, histograms pool their
-   retained samples, merge their sketches, and combine their exact
-   running scalars. Used to total per-broker registries network-wide. *)
+(* Merge registries: counters and gauges sum, histograms merge their
+   sketches and sums of squares. Used to total per-broker registries
+   network-wide. *)
 let aggregate ts =
   let out = create () in
   List.iter
@@ -209,15 +161,8 @@ let aggregate ts =
             let g' = gauge out ~help name in
             g'.g_value <- g'.g_value +. g.g_value
           | Histogram h ->
-            let h' = histogram out ~help ~cap:h.h_cap name in
-            for i = 0 to h.h_len - 1 do
-              push_sample h' h.h_samples.(i)
-            done;
-            h'.h_total <- h'.h_total + h.h_total;
-            h'.h_sum <- h'.h_sum +. h.h_sum;
+            let h' = histogram out ~help name in
             h'.h_sumsq <- h'.h_sumsq +. h.h_sumsq;
-            if h.h_min < h'.h_min then h'.h_min <- h.h_min;
-            if h.h_max > h'.h_max then h'.h_max <- h.h_max;
             Sketch.merge_into ~dst:h'.h_sketch h.h_sketch)
         t.items)
     ts;
@@ -252,8 +197,8 @@ let to_prometheus t =
           (Printf.sprintf "%s{quantile=\"0.95\"} %s\n" name (fmt_float s.p95));
         Buffer.add_string buf
           (Printf.sprintf "%s{quantile=\"0.99\"} %s\n" name (fmt_float s.p99));
-        Buffer.add_string buf (Printf.sprintf "%s_sum %s\n" name (fmt_float h.h_sum));
-        Buffer.add_string buf (Printf.sprintf "%s_count %d\n" name h.h_total))
+        Buffer.add_string buf (Printf.sprintf "%s_sum %s\n" name (fmt_float (sum h)));
+        Buffer.add_string buf (Printf.sprintf "%s_count %d\n" name s.count))
     (metrics t);
   Buffer.contents buf
 
@@ -280,7 +225,7 @@ let to_json t =
       let s = summary h in
       Printf.sprintf
         "{%s,\"type\":\"histogram\",\"count\":%d,\"sum\":%s,\"mean\":%s,\"min\":%s,\"max\":%s,\"p50\":%s,\"p95\":%s,\"p99\":%s}"
-        base h.h_total (fmt_float h.h_sum) (fmt_float s.mean) (fmt_float s.min)
+        base s.count (fmt_float (sum h)) (fmt_float s.mean) (fmt_float s.min)
         (fmt_float s.max) (fmt_float s.p50) (fmt_float s.p95) (fmt_float s.p99)
   in
   "{\"metrics\":[" ^ String.concat "," (List.map item (metrics t)) ^ "]}"

@@ -22,11 +22,8 @@ val counter : t -> ?help:string -> string -> counter
 
 val gauge : t -> ?help:string -> string -> gauge
 
-(** [cap] bounds the retained raw samples (default 65536). Every
-    observation additionally feeds an uncapped {!Sketch.t} and the exact
-    running count/sum/sum-of-squares/min/max, so {!summary} stays
-    unbiased past the cap (see {!summary} for the exact contract). *)
-val histogram : t -> ?help:string -> ?cap:int -> string -> histogram
+(** A histogram is its {!Sketch.t} plus a running sum of squares. *)
+val histogram : t -> ?help:string -> string -> histogram
 
 val incr : counter -> unit
 
@@ -45,27 +42,17 @@ val gauge_value : gauge -> float
 
 val observe : histogram -> float -> unit
 
-(** Retained samples, oldest first — the whole stream while the
-    observation count is within [cap], a biased prefix after. *)
-val samples : histogram -> float array
-
 (** The histogram's quantile sketch: every observation ever made,
     mergeable across brokers ({!Sketch.merge}). *)
 val sketch : histogram -> Sketch.t
 
-(** Contract: while no sample has been dropped (observations <= [cap]),
-    this is exactly [Stats.summarize (samples h)]. Once the cap is
-    exceeded, [count]/[sum]/[mean]/[stddev]/[min]/[max] remain exact
-    (running scalars over the full stream) and the quantiles come from
-    the sketch — unbiased, within its relative-error bound
-    ({!Sketch.alpha}) — rather than from the truncated sample prefix. *)
+(** [count]/[sum]/[mean]/[stddev]/[min]/[max] are exact over every
+    observation; p50/p95/p99 are sketch estimates, within relative
+    error {!Sketch.alpha} of the exact order statistic. An empty
+    histogram reads all zeros. *)
 val summary : histogram -> Xroute_support.Stats.summary
 
-(** Arbitrary quantile ([q] in [[0, 1]]), same exact-then-sketch
-    contract as {!summary}. *)
-val quantile : histogram -> float -> float
-
-(** Observations ever made (may exceed the retained count). *)
+(** Observations ever made. *)
 val observations : histogram -> int
 
 val sum : histogram -> float
@@ -80,10 +67,10 @@ val find : t -> string -> metric option
     observation count. [None] when unregistered. *)
 val scalar : t -> string -> float option
 
-(** Merge registries: counters and gauges sum; histograms pool their
-    retained samples, merge their sketches and combine their exact
-    running scalars, so the aggregate's {!summary} obeys the same
-    contract as a single histogram's. *)
+(** Merge registries: counters and gauges sum; histograms merge their
+    sketches ({!Sketch.merge_into}) and sums of squares, so the
+    aggregate's {!summary} obeys the same contract as a single
+    histogram's. *)
 val aggregate : t list -> t
 
 (** Prometheus text exposition (counters, gauges, and histograms as

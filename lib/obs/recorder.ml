@@ -1,11 +1,13 @@
 type t = {
   dir : string;
-  keep_spans : int;
   mutable seq : int;
   mutable dumps : string list; (* newest first *)
 }
 
-let create ?(keep_spans = 512) ~dir () = { dir; keep_spans; seq = 0; dumps = [] }
+(* Spans embedded per dump, newest kept. *)
+let keep_spans = 512
+
+let create ~dir = { dir; seq = 0; dumps = [] }
 let dir t = t.dir
 let dumps t = t.dumps
 
@@ -37,7 +39,7 @@ let render t ~reason ~at ?metrics ?(spans = []) ?(rates = []) () =
   Buffer.add_string buf
     (match metrics with Some m -> Metrics.to_json m | None -> "null");
   Buffer.add_string buf ",\"spans\":";
-  Buffer.add_string buf (Span.to_chrome (last t.keep_spans spans));
+  Buffer.add_string buf (Span.to_chrome (last keep_spans spans));
   Buffer.add_string buf ",\"rates\":{";
   Buffer.add_string buf
     (String.concat ","

@@ -16,10 +16,9 @@
 
 type t
 
-(** [create ~dir ()] records into [dir] (created if missing).
-    [keep_spans] caps the spans embedded per dump (newest kept,
-    default 512). *)
-val create : ?keep_spans:int -> dir:string -> unit -> t
+(** [create ~dir] records into [dir] (created if missing). Each dump
+    embeds the newest 512 spans it is given. *)
+val create : dir:string -> t
 
 val dir : t -> string
 

@@ -4,9 +4,9 @@
    midpoint estimate 2*gamma^i/(gamma+1) of any bucket is within a
    relative error of alpha of every value the bucket holds. Bucket
    counts are integers and merge by addition, which makes the merge
-   exact, commutative and associative — the property the capped
-   raw-sample histograms lack and the reason federation routes all
-   cross-broker quantiles through this module.
+   exact, commutative and associative — the reason federation routes
+   all cross-broker quantiles through this module, and every
+   {!Metrics} histogram is one.
 
    Values below [tiny] (1e-9) in magnitude land in a dedicated zero
    bucket; negative values get a mirrored bucket table over their

@@ -1,15 +1,15 @@
 type sample = { at : float; values : (string * float) list }
 
 type t = {
-  capacity : int;
   ring : sample option array;
   mutable total : int;
   registry : Metrics.t;
 }
 
-let create ?(capacity = 128) registry =
-  if capacity <= 0 then invalid_arg "Timeseries.create: capacity must be positive";
-  { capacity; ring = Array.make capacity None; total = 0; registry }
+(* Samples retained, newest kept. *)
+let capacity = 128
+
+let create registry = { ring = Array.make capacity None; total = 0; registry }
 
 let scalar_of = function
   | Metrics.Counter c -> float_of_int (Metrics.value c)
@@ -20,27 +20,26 @@ let snapshot t ~at =
   let values =
     List.map (fun (name, _help, m) -> (name, scalar_of m)) (Metrics.metrics t.registry)
   in
-  t.ring.(t.total mod t.capacity) <- Some { at; values };
+  t.ring.(t.total mod capacity) <- Some { at; values };
   t.total <- t.total + 1
 
 let length t = t.total
-let capacity t = t.capacity
 
 let to_list t =
-  let n = min t.total t.capacity in
+  let n = min t.total capacity in
   let start = t.total - n in
   List.init n (fun i ->
-      match t.ring.((start + i) mod t.capacity) with
+      match t.ring.((start + i) mod capacity) with
       | Some s -> s
       | None -> assert false)
 
 let last t =
-  if t.total = 0 then None else t.ring.((t.total - 1) mod t.capacity)
+  if t.total = 0 then None else t.ring.((t.total - 1) mod capacity)
 
 let last_two t =
   if t.total < 2 then None
   else
-    match (t.ring.((t.total - 2) mod t.capacity), t.ring.((t.total - 1) mod t.capacity)) with
+    match (t.ring.((t.total - 2) mod capacity), t.ring.((t.total - 1) mod capacity)) with
     | Some prev, Some cur -> Some (prev, cur)
     | _ -> None
 

@@ -13,17 +13,14 @@ type sample = {
 
 type t
 
-(** Ring of the newest [capacity] samples (default 128) over [registry].
-    @raise Invalid_argument when [capacity <= 0]. *)
-val create : ?capacity:int -> Metrics.t -> t
+(** Ring of the newest 128 samples over [registry]. *)
+val create : Metrics.t -> t
 
 (** Sample every registered metric at time [at]. *)
 val snapshot : t -> at:float -> unit
 
 (** Snapshots ever taken. *)
 val length : t -> int
-
-val capacity : t -> int
 
 (** Retained samples, oldest first. *)
 val to_list : t -> sample list

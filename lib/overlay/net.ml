@@ -52,14 +52,6 @@ type client = {
   mutable sub_ledger : (Message.sub_id * Xroute_xpath.Xpe.t) list;
 }
 
-type traffic = {
-  mutable adv : int;
-  mutable unadv : int;
-  mutable sub : int;
-  mutable unsub : int;
-  mutable pub : int;
-}
-
 module M = Xroute_obs.Metrics
 module Span = Xroute_obs.Span
 module Recorder = Xroute_obs.Recorder
@@ -72,6 +64,7 @@ type net_meters = {
   nm_unsub : M.counter;
   nm_pub : M.counter;
   nm_total : M.counter;
+  nm_pubs_dropped : M.counter; (* publications a live broker routed nowhere *)
   nm_deliveries : M.counter;
   nm_hop_latency : M.histogram; (* full per-hop cost, ms *)
   nm_delivery_delay : M.histogram; (* emit-to-first-delivery, ms *)
@@ -87,6 +80,9 @@ let make_net_meters reg =
       M.counter reg ~help:"Unsubscribe messages received by brokers" "xroute_net_msgs_unsub_total";
     nm_pub = M.counter reg ~help:"Publish messages received by brokers" "xroute_net_msgs_pub_total";
     nm_total = M.counter reg ~help:"Messages received by brokers" "xroute_net_msgs_total";
+    nm_pubs_dropped =
+      M.counter reg ~help:"Publications a broker received and routed nowhere"
+        "xroute_net_pubs_dropped_total";
     nm_deliveries =
       M.counter reg ~help:"First-time (client, doc) deliveries" "xroute_net_deliveries_total";
     nm_hop_latency =
@@ -116,22 +112,6 @@ type dlink = {
   mutable probing : bool;
 }
 
-(* Plain-int fault accounting (the registry mirrors it via fault
-   meters); [recovery_times] collects one entry per completed
-   broker-restart recovery episode. *)
-type fault_stats = {
-  mutable crashes : int;
-  mutable restarts : int;
-  mutable requeues : int;
-  mutable dup_deliveries : int;
-  mutable destroyed : int; (* messages lost to a dead broker / dropped client *)
-  mutable destroyed_pubs : int; (* publications among [destroyed] *)
-  mutable client_disconnects : int;
-  mutable client_reconnects : int;
-  mutable replayed : int; (* ledger entries re-injected by recovery *)
-  mutable recovery_times : float list; (* virtual ms, newest first *)
-}
-
 type t = {
   topo : Topology.t;
   config : config;
@@ -149,7 +129,6 @@ type t = {
   mutable virtual_deliveries : int;
   mutable next_cid : int;
   mutable next_seq : int;
-  traffic : traffic; (* messages received by brokers, by kind *)
   pub_emit : (int, float) Hashtbl.t; (* doc_id -> emit time *)
   mutable delivery_delays : (int * int * float) list; (* client, doc, delay *)
   metrics : M.t; (* network-level registry; brokers own theirs *)
@@ -157,7 +136,6 @@ type t = {
   fm : Xroute_obs.Fault_meters.t;
   link_faults : (int * int, link_fault) Hashtbl.t;
   dlinks : (int * int, dlink) Hashtbl.t; (* keyed (src, dst), directed *)
-  fstats : fault_stats;
   mutable universe : string array list; (* re-handed to restarted brokers *)
   (* Recovery episode being measured: opened at a broker restart, its
      end stamped by the last message processed, closed at the next fault
@@ -201,7 +179,6 @@ let create ?(config = default_config) ?spans ?recorder topo =
     virtual_deliveries = 0;
     next_cid = 0;
     next_seq = 0;
-    traffic = { adv = 0; unadv = 0; sub = 0; unsub = 0; pub = 0 };
     pub_emit = Hashtbl.create 64;
     delivery_delays = [];
     metrics;
@@ -209,19 +186,6 @@ let create ?(config = default_config) ?spans ?recorder topo =
     fm = Xroute_obs.Fault_meters.create metrics;
     link_faults = Hashtbl.create 8;
     dlinks = Hashtbl.create 16;
-    fstats =
-      {
-        crashes = 0;
-        restarts = 0;
-        requeues = 0;
-        dup_deliveries = 0;
-        destroyed = 0;
-        destroyed_pubs = 0;
-        client_disconnects = 0;
-        client_reconnects = 0;
-        replayed = 0;
-        recovery_times = [];
-      };
     universe = [];
     recovery_open = None;
     recovery_last = 0.0;
@@ -275,27 +239,15 @@ let virtual_deliveries t = t.virtual_deliveries
 
 let count_traffic t (msg : Message.t) =
   M.incr t.nm.nm_total;
-  match msg with
-  | Message.Advertise _ ->
-    t.traffic.adv <- t.traffic.adv + 1;
-    M.incr t.nm.nm_adv
-  | Message.Unadvertise _ ->
-    t.traffic.unadv <- t.traffic.unadv + 1;
-    M.incr t.nm.nm_unadv
-  | Message.Subscribe _ ->
-    t.traffic.sub <- t.traffic.sub + 1;
-    M.incr t.nm.nm_sub
-  | Message.Unsubscribe _ ->
-    t.traffic.unsub <- t.traffic.unsub + 1;
-    M.incr t.nm.nm_unsub
-  | Message.Publish _ ->
-    t.traffic.pub <- t.traffic.pub + 1;
-    M.incr t.nm.nm_pub
+  M.incr
+    (match msg with
+    | Message.Advertise _ -> t.nm.nm_adv
+    | Message.Unadvertise _ -> t.nm.nm_unadv
+    | Message.Subscribe _ -> t.nm.nm_sub
+    | Message.Unsubscribe _ -> t.nm.nm_unsub
+    | Message.Publish _ -> t.nm.nm_pub)
 
-let total_traffic t =
-  t.traffic.adv + t.traffic.unadv + t.traffic.sub + t.traffic.unsub + t.traffic.pub
-
-let traffic t = t.traffic
+let total_traffic t = M.value t.nm.nm_total
 
 (* ------------------------------------------------------------------ *)
 (* Fault bookkeeping                                                   *)
@@ -334,10 +286,9 @@ let backoff_cap_ms = 16.0
    gone. Publications among them feed [dropped_publications] so crash
    losses are reported, not silent. *)
 let destroy t (msg : Message.t) =
-  t.fstats.destroyed <- t.fstats.destroyed + 1;
   M.incr t.fm.destroyed;
   match msg with
-  | Message.Publish _ -> t.fstats.destroyed_pubs <- t.fstats.destroyed_pubs + 1
+  | Message.Publish _ -> M.incr t.fm.pubs_destroyed
   | Message.Advertise _ | Message.Unadvertise _ | Message.Subscribe _ | Message.Unsubscribe _ ->
     ()
 
@@ -354,9 +305,7 @@ let close_recovery t =
   | None -> ()
   | Some started ->
     t.recovery_open <- None;
-    let dur = Float.max 0.0 (t.recovery_last -. started) in
-    t.fstats.recovery_times <- dur :: t.fstats.recovery_times;
-    M.observe t.fm.recovery_ms dur
+    M.observe t.fm.recovery_ms (Float.max 0.0 (t.recovery_last -. started))
 
 (* Client-side reception. *)
 let client_receive t c (msg : Message.t) =
@@ -406,6 +355,7 @@ let rec broker_receive t ~from b (msg : Message.t) =
       | _ -> (0, 0, 0)
     in
     let outs = Broker.handle broker ~from msg in
+    (match (msg, outs) with Message.Publish _, [] -> M.incr t.nm.nm_pubs_dropped | _ -> ());
     let work = Broker.work broker - w0 in
     let processing =
       t.config.per_msg_cost +. (float_of_int work *. t.config.per_match_cost)
@@ -516,7 +466,6 @@ and transmit t ~src ~dst ~cost ?sp msg =
     let d = dlink t src dst in
     Queue.push (cost, msg) d.blocked;
     Xroute_obs.Health.record_backlog t.health.(src) (float_of_int (Queue.length d.blocked));
-    t.fstats.requeues <- t.fstats.requeues + 1;
     M.incr t.fm.requeues;
     if not d.probing then begin
       d.probing <- true;
@@ -539,11 +488,7 @@ and probe_link t src dst attempt =
         | None -> false
       in
       if down then begin
-        let n = Queue.length d.blocked in
-        t.fstats.requeues <- t.fstats.requeues + n;
-        for _ = 1 to n do
-          M.incr t.fm.requeues
-        done;
+        M.add t.fm.requeues (Queue.length d.blocked);
         probe_link t src dst (attempt + 1)
       end
       else begin
@@ -602,7 +547,6 @@ and deliver_on_link t ~src ~dst ~cost ?sp msg =
       broker_receive t ~from:(Rtable.Neighbor src) dst msg);
   match lf with
   | Some f when now < f.dup_until ->
-    t.fstats.dup_deliveries <- t.fstats.dup_deliveries + 1;
     M.incr t.fm.dups;
     let arrival2 = Float.max (arrival +. 0.001) d.tail in
     d.tail <- arrival2;
@@ -731,18 +675,14 @@ let broker_alive t b = t.alive.(b)
 (* Replay the client's ledger with the original ids (in registration
    order): the receiving broker deduplicates, so replay is idempotent. *)
 let replay_ledger t c =
-  let count () =
-    t.fstats.replayed <- t.fstats.replayed + 1;
-    M.incr t.fm.replayed
-  in
   List.iter
     (fun (id, adv) ->
-      count ();
+      M.incr t.fm.replayed;
       inject t c (Message.Advertise { id; adv }))
     (List.rev c.adv_ledger);
   List.iter
     (fun (id, xpe) ->
-      count ();
+      M.incr t.fm.replayed;
       inject t c (Message.Subscribe { id; xpe }))
     (List.rev c.sub_ledger)
 
@@ -776,7 +716,6 @@ let crash_broker t b =
   if t.alive.(b) then begin
     close_recovery t;
     t.alive.(b) <- false;
-    t.fstats.crashes <- t.fstats.crashes + 1;
     M.incr t.fm.crashes;
     flight_dump t ~reason:(Printf.sprintf "broker %d crash" b) ~broker:b ();
     Log.info (fun m -> m "broker %d crashed at t=%.3fms" b (Sim.now t.sim))
@@ -795,7 +734,6 @@ let restart_broker t b =
     t.brokers.(b) <-
       Broker.create ~strategy:t.config.strategy ~id:b ~neighbors:(Topology.neighbors t.topo b) ();
     if t.universe <> [] then Broker.set_universe t.brokers.(b) t.universe;
-    t.fstats.restarts <- t.fstats.restarts + 1;
     M.incr t.fm.restarts;
     t.recovery_open <- Some (Sim.now t.sim);
     t.recovery_last <- Sim.now t.sim;
@@ -820,7 +758,6 @@ let restart_broker t b =
 let disconnect_client t c =
   if c.connected then begin
     c.connected <- false;
-    t.fstats.client_disconnects <- t.fstats.client_disconnects + 1;
     M.incr t.fm.disconnects;
     Log.info (fun m -> m "client %d disconnected at t=%.3fms" c.cid (Sim.now t.sim))
   end
@@ -833,7 +770,6 @@ let disconnect_client t c =
 let reconnect_client t c =
   if not c.connected then begin
     c.connected <- true;
-    t.fstats.client_reconnects <- t.fstats.client_reconnects + 1;
     M.incr t.fm.reconnects;
     Log.info (fun m -> m "client %d reconnected at t=%.3fms" c.cid (Sim.now t.sim));
     if t.alive.(c.home) then begin
@@ -882,7 +818,7 @@ let install_plan t (plan : Xroute_fault.Plan.t) =
         Sim.schedule t.sim ~delay:(at +. down_for) (fun () -> on_client cid (reconnect_client t)))
     plan.P.events
 
-let fault_stats t = t.fstats
+let fault_meters t = t.fm
 
 (* Run a merging pass on every broker and deliver what it emits. *)
 let merge_all t =
@@ -917,14 +853,13 @@ let total_srt_size t = Array.fold_left (fun acc b -> acc + Broker.srt_size b) 0 
 let total_deliveries t =
   List.fold_left (fun acc c -> acc + Hashtbl.length c.delivered) 0 t.clients
 
-(* Publications that reached a broker with no matching subscription
+(* Publications that reached a live broker and were routed nowhere
    (with merging: the in-network false positives), plus publications
    destroyed by an injected fault — a crash takes its in-flight and
    queued publications with it, and those losses are reported here, not
-   silently swallowed. *)
-let dropped_publications t =
-  Array.fold_left (fun acc b -> acc + (Broker.counters b).pubs_dropped) 0 t.brokers
-  + t.fstats.destroyed_pubs
+   silently swallowed. Both are network counters, so a broker restart,
+   which discards the broker's own registry, does not lower the sum. *)
+let dropped_publications t = M.value t.nm.nm_pubs_dropped + M.value t.fm.pubs_destroyed
 
 (* ------------------------------------------------------------------ *)
 (* Registry and traces                                                 *)

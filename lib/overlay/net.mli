@@ -33,14 +33,6 @@ type client = {
   mutable sub_ledger : (Message.sub_id * Xroute_xpath.Xpe.t) list;
 }
 
-type traffic = {
-  mutable adv : int;
-  mutable unadv : int;
-  mutable sub : int;
-  mutable unsub : int;
-  mutable pub : int;
-}
-
 type t
 
 (** [create ?spans ?recorder topo] — pass a [Xroute_obs.Span.t]
@@ -127,23 +119,11 @@ val set_universe : t -> string array list -> unit
     (0.5 ms doubling to 16 ms); duplicated deliveries are harmless
     because the protocol deduplicates by id. *)
 
-(** Cumulative fault accounting; [recovery_times] holds one entry
-    (virtual ms of post-restart churn) per completed recovery episode,
-    newest first. *)
-type fault_stats = {
-  mutable crashes : int;
-  mutable restarts : int;
-  mutable requeues : int;
-  mutable dup_deliveries : int;
-  mutable destroyed : int;
-  mutable destroyed_pubs : int;
-  mutable client_disconnects : int;
-  mutable client_reconnects : int;
-  mutable replayed : int;
-  mutable recovery_times : float list;
-}
-
-val fault_stats : t -> fault_stats
+(** Cumulative fault accounting, registered in {!metrics}: one counter
+    per fault fact, and the [recovery_ms] histogram with one
+    observation (virtual ms of post-restart churn) per completed
+    recovery episode. *)
+val fault_meters : t -> Xroute_obs.Fault_meters.t
 
 (** Schedule every event of a fault plan (times relative to now). *)
 val install_plan : t -> Xroute_fault.Plan.t -> unit
@@ -163,9 +143,8 @@ val reconnect_client : t -> client -> unit
 
 (** {2 Metrics} *)
 
-(** Messages received by brokers, by kind. *)
-val traffic : t -> traffic
-
+(** Messages received by brokers ([xroute_net_msgs_total]; by kind in
+    [xroute_net_msgs_{adv,unadv,sub,unsub,pub}_total]). *)
 val total_traffic : t -> int
 
 (** (client, doc, delay-ms) per first delivery. *)
@@ -178,13 +157,16 @@ val total_srt_size : t -> int
 (** Distinct (client, document) deliveries. *)
 val total_deliveries : t -> int
 
-(** Publications that reached a broker and produced no output (the
-    in-network false positives under imperfect merging), plus
-    publications destroyed by an injected fault. *)
+(** Publications that reached a live broker and produced no output
+    ([xroute_net_pubs_dropped_total]: the in-network false positives
+    under imperfect merging), plus publications destroyed by an injected
+    fault ([xroute_fault_pubs_destroyed_total]). Reads no broker state,
+    so a broker restart never lowers it. *)
 val dropped_publications : t -> int
 
-(** Network-level metrics registry (traffic counters, per-hop latency
-    and delivery-delay histograms); always live. *)
+(** Network-level metrics registry (traffic and drop counters, the
+    [xroute_fault_*] family, per-hop latency and delivery-delay
+    histograms); always live, and the only store of these counts. *)
 val metrics : t -> Xroute_obs.Metrics.t
 
 (** The span collector passed to {!create}, if any. *)

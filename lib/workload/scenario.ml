@@ -138,7 +138,7 @@ type outcome = {
   ledger_digest : int64; (* always: Arena-compatible running digest *)
   decisions : string list; (* per-broker next-hop probe lines, when probed *)
   decision_digest : int64;
-  fault_line : string; (* rendered fault_stats *)
+  fault_line : string; (* rendered fault counters *)
   prt_total : int;
   srt_total : int;
   dropped_pubs : int;
@@ -150,13 +150,14 @@ type outcome = {
 
 let string_digest h s = Pool.Arena.digest_row h (Hashtbl.hash s) (String.length s) 0.0
 
-let fault_line (fs : Net.fault_stats) =
+let fault_line (fm : Xroute_obs.Fault_meters.t) =
+  let v = Xroute_obs.Metrics.value in
   Printf.sprintf
     "crashes=%d restarts=%d requeues=%d dups=%d destroyed=%d destroyed_pubs=%d \
      disconnects=%d reconnects=%d replayed=%d recoveries=%d"
-    fs.Net.crashes fs.Net.restarts fs.Net.requeues fs.Net.dup_deliveries fs.Net.destroyed
-    fs.Net.destroyed_pubs fs.Net.client_disconnects fs.Net.client_reconnects fs.Net.replayed
-    (List.length fs.Net.recovery_times)
+    (v fm.crashes) (v fm.restarts) (v fm.requeues) (v fm.dups) (v fm.destroyed)
+    (v fm.pubs_destroyed) (v fm.disconnects) (v fm.reconnects) (v fm.replayed)
+    (Xroute_obs.Metrics.observations fm.recovery_ms)
 
 (* Per-broker next-hop decisions, read by replaying every path
    publication through [Broker.handle] from a phantom endpoint (the
@@ -392,7 +393,7 @@ let run ?(ledger = `Auto) ?decisions ?fault_spec spec =
   let prt_total = Net.total_prt_size net in
   let srt_total = Net.total_srt_size net in
   let dropped_pubs = Net.dropped_publications net in
-  let fl = fault_line (Net.fault_stats net) in
+  let fl = fault_line (Net.fault_meters net) in
   let events = Sim.executed sim in
   let virtual_ms = Sim.now sim in
   let do_decisions =
@@ -457,7 +458,7 @@ let diff a b =
   check "subs" (a.subs_sent = b.subs_sent);
   check "unsubs" (a.unsubs_sent = b.unsubs_sent);
   check "decisions" (a.decisions = b.decisions && a.decision_digest = b.decision_digest);
-  check "fault_stats" (a.fault_line = b.fault_line);
+  check "faults" (a.fault_line = b.fault_line);
   check "events" (a.events = b.events);
   check "virtual_ms" (a.virtual_ms = b.virtual_ms);
   List.rev !diffs

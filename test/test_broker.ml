@@ -224,7 +224,8 @@ let test_pub_not_backwards () =
 let test_pub_dropped_counted () =
   let b = make_broker ~id:0 ~neighbors:[ 1 ] () in
   ignore (Broker.handle b ~from:(neighbor 1) (Message.Publish { pub = pub "/zzz"; trail = []; ctx = None }));
-  check ci "dropped" 1 (Broker.counters b).Broker.pubs_dropped
+  check cb "dropped" true
+    (Xroute_obs.Metrics.scalar (Broker.metrics b) "xroute_broker_pubs_dropped_total" = Some 1.0)
 
 (* Wire compatibility: a neighbour's [P|] line that still carries a
    trail is matched against the full PRT. The trail below names only

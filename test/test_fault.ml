@@ -21,6 +21,7 @@ module Plan = Xroute_fault.Plan
 
 let check = Alcotest.check
 let ci = Alcotest.int
+let counter = Xroute_obs.Metrics.value
 
 let xp = Xroute_xpath.Xpe_parser.parse
 
@@ -102,8 +103,9 @@ let snapshot net publisher subscribers docs =
 
 (* Run the op script interleaved with the fault plan, all inside one
    simulation run: op [i] fires at the (i+1)-th fraction of the plan
-   horizon, so operations land before, during and after fault windows. *)
-let run_faulted ~seed ~strategy_name ~advs ~spec ops docs =
+   horizon, so operations land before, during and after fault windows.
+   [during] documents are published the same way. *)
+let run_plan ~seed ~strategy_name ~advs ~spec ?(during = []) ops =
   let net, publisher, subscribers = build_net ~seed ~strategy_name in
   ignore (Net.advertise_dtd net publisher advs);
   Net.run net;
@@ -124,7 +126,18 @@ let run_faulted ~seed ~strategy_name ~advs ~spec ops docs =
           | Sub (c, xpe, tag) -> Hashtbl.replace ids tag (Net.subscribe net subscribers.(c) xpe)
           | Unsub (c, tag) -> Net.unsubscribe net subscribers.(c) (Hashtbl.find ids tag)))
     ops;
+  let ndocs = List.length during in
+  List.iteri
+    (fun i doc ->
+      let at = plan.Plan.horizon *. float_of_int (i + 1) /. float_of_int (ndocs + 1) in
+      Sim.schedule (Net.sim net) ~delay:at (fun () ->
+          ignore (Net.publish_doc net publisher ~doc_id:i doc)))
+    during;
   Net.run net;
+  (net, publisher, subscribers)
+
+let run_faulted ~seed ~strategy_name ~advs ~spec ops docs =
+  let net, publisher, subscribers = run_plan ~seed ~strategy_name ~advs ~spec ops in
   (net, publisher, subscribers, snapshot net publisher subscribers docs)
 
 (* Fresh fault-free network holding only the surviving subscriptions
@@ -164,17 +177,17 @@ let run_round ~seed ~strategy_name =
     run_faulted ~seed ~strategy_name ~advs ~spec ops docs
   in
   (* the plan must actually have fired in full *)
-  let st = Net.fault_stats net in
+  let fm = Net.fault_meters net in
   check ci (Printf.sprintf "seed %d %s: crashes" seed strategy_name) spec.Plan.crashes
-    st.Net.crashes;
+    (counter fm.crashes);
   check ci (Printf.sprintf "seed %d %s: restarts" seed strategy_name) spec.Plan.crashes
-    st.Net.restarts;
+    (counter fm.restarts);
   check ci
     (Printf.sprintf "seed %d %s: recovery episodes measured" seed strategy_name)
-    st.Net.restarts
-    (List.length st.Net.recovery_times);
+    (counter fm.restarts)
+    (Xroute_obs.Metrics.observations fm.recovery_ms);
   check ci (Printf.sprintf "seed %d %s: client drops" seed strategy_name)
-    spec.Plan.client_drops st.Net.client_disconnects;
+    spec.Plan.client_drops (counter fm.disconnects);
   let ledgers =
     Array.map (fun (c : Net.client) -> List.rev_map snd c.Net.sub_ledger) subscribers
   in
@@ -195,6 +208,63 @@ let test_convergence_sweep () =
         run_round ~seed ~strategy_name
       done)
     strategies
+
+(* Every count of a faulted run is read from the metrics registries,
+   the only store of them. The expected values were read, for the same
+   seed, plan, strategy and workload, from the plain count records the
+   network and brokers kept beside the registries before those records
+   were deleted; the registries must report each one unchanged.
+   Documents are published across the plan horizon, so publications
+   also die at crashed brokers. *)
+let test_registry_counts_pinned () =
+  let seed = 2 and strategy_name = "with-Adv-with-Cov" in
+  let dtd = Lazy.force Xroute_dtd.Dtd_samples.book in
+  let advs = Xroute_dtd.Dtd_paths.advertisements (Xroute_dtd.Dtd_graph.build dtd) in
+  let ops = gen_script ~seed ~nclients:4 ~nops:18 (Xroute_workload.Workload.set_a_params dtd) in
+  let docs = Xroute_workload.Workload.documents ~dtd ~count:10 ~seed:(seed + 1000) () in
+  let net, _, _ = run_plan ~seed ~strategy_name ~advs ~spec:Plan.default_spec ~during:docs ops in
+  let read reg name =
+    Option.fold ~none:(-1) ~some:int_of_float (Xroute_obs.Metrics.scalar reg name)
+  in
+  List.iter
+    (fun (name, want) -> check ci name want (read (Net.metrics net) name))
+    [
+      ("xroute_fault_crashes_total", 2);
+      ("xroute_fault_restarts_total", 2);
+      ("xroute_fault_requeues_total", 77);
+      ("xroute_fault_dup_deliveries_total", 7);
+      ("xroute_fault_msgs_destroyed_total", 21);
+      ("xroute_fault_pubs_destroyed_total", 19);
+      ("xroute_fault_client_disconnects_total", 1);
+      ("xroute_fault_client_reconnects_total", 1);
+      ("xroute_fault_replayed_total", 8);
+      ("xroute_fault_recovery_ms", 2);
+      ("xroute_net_msgs_adv_total", 120);
+      ("xroute_net_msgs_unadv_total", 32);
+      ("xroute_net_msgs_sub_total", 34);
+      ("xroute_net_msgs_unsub_total", 20);
+      ("xroute_net_msgs_pub_total", 380);
+      ("xroute_net_msgs_total", 586);
+    ];
+  let fields =
+    [ "msgs_in"; "advs_in"; "subs_in"; "pubs_in"; "unsubs_in"; "pubs_dropped"; "deliveries" ]
+  in
+  List.iteri
+    (fun b want ->
+      let reg = Broker.metrics (Net.broker net b) in
+      check (Alcotest.list ci)
+        (Printf.sprintf "broker %d counts (%s)" b (String.concat " " fields))
+        want
+        (List.map (fun f -> read reg ("xroute_broker_" ^ f ^ "_total")) fields))
+    [
+      [ 71; 8; 4; 57; 2; 35; 0 ];
+      [ 76; 16; 8; 47; 6; 0; 0 ];
+      [ 63; 16; 4; 41; 2; 1; 0 ];
+      [ 74; 16; 3; 45; 2; 0; 45 ];
+      [ 37; 16; 3; 8; 2; 0; 8 ];
+      [ 49; 16; 2; 22; 1; 0; 22 ];
+      [ 73; 16; 2; 46; 1; 0; 46 ];
+    ]
 
 (* Deterministic core: crash the relay broker of a line, restart it,
    and the surviving subscription must keep delivering — through
@@ -222,9 +292,9 @@ let test_crash_recovery_line () =
   ignore (Net.publish_doc net publisher ~doc_id:1 (Xroute_xml.Xml_parser.parse "<x><y/></x>"));
   Net.run net;
   check ci "delivered after recovery" 1 (Hashtbl.length s.Net.delivered);
-  let st = Net.fault_stats net in
-  check ci "one crash" 1 st.Net.crashes;
-  check ci "one recovery episode" 1 (List.length st.Net.recovery_times)
+  let fm = Net.fault_meters net in
+  check ci "one crash" 1 (counter fm.crashes);
+  check ci "one recovery episode" 1 (Xroute_obs.Metrics.observations fm.recovery_ms)
 
 (* A subscription revoked while its client was disconnected must be
    reconciled away on reconnect (the broker never saw the
@@ -291,5 +361,7 @@ let () =
           Alcotest.test_case "spec parser" `Quick test_spec_parser;
           Alcotest.test_case "convergence sweep (12 plans x 3 strategies)" `Quick
             test_convergence_sweep;
+          Alcotest.test_case "registry holds the pinned counts" `Quick
+            test_registry_counts_pinned;
         ] );
     ]

@@ -2,6 +2,8 @@
    causal spans, and golden tests for both exposition formats. *)
 
 open Xroute_obs
+module Prng = Xroute_support.Prng
+module Stats = Xroute_support.Stats
 
 let check = Alcotest.check
 let cb = Alcotest.bool
@@ -65,30 +67,63 @@ let test_gauge () =
 
 (* ---------------- histograms ---------------- *)
 
-let test_histogram_summary_matches_stats () =
-  let reg = Metrics.create () in
-  let h = Metrics.histogram reg "xroute_test_latency_ms" in
-  let prng = Xroute_support.Prng.create 99 in
-  let values = Array.init 500 (fun _ -> Xroute_support.Prng.float prng 100.0) in
-  Array.iter (Metrics.observe h) values;
-  let expect = Xroute_support.Stats.summarize values in
-  let got = Metrics.summary h in
-  check ci "count" expect.count got.count;
-  check cf "mean" expect.mean got.mean;
-  check cf "p50" expect.p50 got.p50;
-  check cf "p95" expect.p95 got.p95;
-  check cf "p99" expect.p99 got.p99;
-  check cf "sum matches" (Array.fold_left ( +. ) 0.0 values) (Metrics.sum h)
+(* Streams on both sides of 65 536 observations: seeded uniform values
+   and an ascending run, whose quantiles a sample-prefix store would
+   bias toward the first values. *)
+let histogram_streams () =
+  let prng = Prng.create 17 in
+  List.concat_map
+    (fun n ->
+      [
+        ( Printf.sprintf "uniform %d" n,
+          Array.init n (fun _ -> 0.5 +. Prng.float prng 1000.0) );
+        (Printf.sprintf "ascending %d" n, Array.init n (fun i -> float_of_int (i + 1)));
+      ])
+    [ 1_000; 70_000 ]
 
-let test_histogram_cap () =
-  let reg = Metrics.create () in
-  let h = Metrics.histogram reg ~cap:10 "xroute_test_latency_ms" in
-  for i = 1 to 25 do
-    Metrics.observe h (float_of_int i)
-  done;
-  check ci "retains at most cap samples" 10 (Array.length (Metrics.samples h));
-  check ci "total counts past the cap" 25 (Metrics.observations h);
-  check cf "sum counts past the cap" 325.0 (Metrics.sum h)
+let histogram_of values =
+  let h = Metrics.histogram (Metrics.create ()) "xroute_test_latency_ms" in
+  Array.iter (Metrics.observe h) values;
+  h
+
+(* The summary agrees with [Stats.summarize] over the same values:
+   count and mean exactly, stddev to rounding, and each quantile within
+   the sketch's relative error. *)
+let test_histogram_summary_matches_stats () =
+  List.iter
+    (fun (name, values) ->
+      let s : Stats.summary = Metrics.summary (histogram_of values) in
+      let want : Stats.summary = Stats.summarize values in
+      check ci (name ^ ": count") want.count s.count;
+      check cb (name ^ ": mean exact") true (want.mean = s.mean);
+      check cb
+        (Printf.sprintf "%s: stddev %g matches %g" name s.stddev want.stddev)
+        true
+        (abs_float (s.stddev -. want.stddev) <= 1e-6 *. want.stddev);
+      List.iter
+        (fun (q, got) ->
+          let exact = Stats.percentile values q in
+          check cb
+            (Printf.sprintf "%s: p%g = %g within alpha of %g" name (q *. 100.0) got exact)
+            true
+            (abs_float (got -. exact) <= (Sketch.default_alpha *. abs_float exact) +. 1e-9))
+        [ (0.5, s.p50); (0.95, s.p95); (0.99, s.p99) ])
+    (histogram_streams ())
+
+let test_histogram_moments_exact () =
+  List.iter
+    (fun (name, values) ->
+      let h = histogram_of values in
+      let s = Metrics.summary h in
+      let want : Stats.summary = Stats.summarize values in
+      let exact what a b = check cb (Printf.sprintf "%s: %s exact" name what) true (a = b) in
+      exact "count" (float_of_int want.count) (float_of_int s.count);
+      exact "observations" (float_of_int want.count) (float_of_int (Metrics.observations h));
+      exact "sum" (Array.fold_left ( +. ) 0.0 values) (Metrics.sum h);
+      exact "min" want.min s.min;
+      exact "max" want.max s.max;
+      exact "mean" want.mean s.mean)
+    (histogram_streams ())
 
 (* Interleaved updates from simulator callbacks: events scheduled out of
    order must still produce a consistent registry. *)
@@ -146,30 +181,32 @@ let test_aggregate () =
   check cb "gauges sum" true (Metrics.scalar agg "xroute_test_depth" = Some 3.5);
   (match Metrics.find agg "xroute_test_latency_ms" with
   | Some (Metrics.Histogram h) ->
-    check ci "samples pooled" 3 (Metrics.observations h);
+    check ci "observations pooled" 3 (Metrics.observations h);
     check cf "sums pooled" 13.0 (Metrics.sum h)
   | _ -> Alcotest.fail "aggregated histogram missing")
 
-(* Aggregation must survive capped histograms: the pooled registry keeps
-   only each source's retained samples, but the observation count and
-   sum must stay the true totals, not the retained ones. *)
-let test_aggregate_capped_histograms () =
-  let mk n base =
+(* Aggregating three registries gives the histogram one registry would
+   have held had it seen every observation: the sketches merge exactly.
+   Quarter-integer values keep every float sum exact in any order. *)
+let test_aggregate_equals_one_histogram () =
+  let prng = Prng.create 5 in
+  let whole = Metrics.histogram (Metrics.create ()) "xroute_test_latency_ms" in
+  let part n =
     let reg = Metrics.create () in
-    let h = Metrics.histogram reg ~cap:4 "xroute_test_latency_ms" in
-    for i = 1 to n do
-      Metrics.observe h (base +. float_of_int i)
+    let h = Metrics.histogram reg "xroute_test_latency_ms" in
+    for _ = 1 to n do
+      let v = float_of_int (1 + Prng.int prng 2000) /. 4.0 in
+      Metrics.observe h v;
+      Metrics.observe whole v
     done;
     reg
   in
-  let a = mk 10 0.0 (* retains 4 of 10, sum 55 *) in
-  let b = mk 6 100.0 (* retains 4 of 6, sum 621 *) in
-  match Metrics.find (Metrics.aggregate [ a; b ]) "xroute_test_latency_ms" with
+  let parts = [ part 300; part 1; part 2000 ] in
+  match Metrics.find (Metrics.aggregate parts) "xroute_test_latency_ms" with
   | Some (Metrics.Histogram h) ->
-    check ci "true observation total past both caps" 16 (Metrics.observations h);
-    check cf "true sum past both caps" 676.0 (Metrics.sum h);
-    check cb "retained pool still bounded by the cap" true
-      (Array.length (Metrics.samples h) <= 4)
+    check cb "merged sketch equals the single-histogram sketch" true
+      (Sketch.equal (Metrics.sketch h) (Metrics.sketch whole));
+    check ci "observations" 2301 (Metrics.observations h)
   | _ -> Alcotest.fail "aggregated histogram missing"
 
 (* counter_set mirrors an external cumulative source; after aggregation
@@ -236,7 +273,7 @@ let test_golden_prometheus () =
     String.concat "\n"
       [
         "# TYPE xroute_test_latency_ms summary";
-        "xroute_test_latency_ms{quantile=\"0.5\"} 2";
+        "xroute_test_latency_ms{quantile=\"0.5\"} 1.99366";
         "xroute_test_latency_ms{quantile=\"0.95\"} 4";
         "xroute_test_latency_ms{quantile=\"0.99\"} 4";
         "xroute_test_latency_ms_sum 10";
@@ -256,13 +293,35 @@ let test_golden_json () =
   let expect =
     "{\"metrics\":["
     ^ "{\"name\":\"xroute_test_latency_ms\",\"help\":\"\",\"type\":\"histogram\",\
-       \"count\":4,\"sum\":10,\"mean\":2.5,\"min\":1,\"max\":4,\"p50\":2,\"p95\":4,\"p99\":4},"
+       \"count\":4,\"sum\":10,\"mean\":2.5,\"min\":1,\"max\":4,\"p50\":1.99366,\"p95\":4,\"p99\":4},"
     ^ "{\"name\":\"xroute_test_msgs_total\",\"help\":\"Messages handled.\",\
        \"type\":\"counter\",\"value\":42},"
     ^ "{\"name\":\"xroute_test_size\",\"help\":\"Table size.\",\"type\":\"gauge\",\
        \"value\":17.5}]}"
   in
   check cs "json" expect (Metrics.to_json (golden_registry ()))
+
+(* An empty histogram exposes zeros, never the sketch's infinite
+   extrema, so both expositions stay parseable. *)
+let test_empty_histogram_zeros () =
+  let reg = Metrics.create () in
+  ignore (Metrics.histogram reg "xroute_test_latency_ms");
+  check cs "prometheus zeros"
+    (String.concat "\n"
+       [
+         "# TYPE xroute_test_latency_ms summary";
+         "xroute_test_latency_ms{quantile=\"0.5\"} 0";
+         "xroute_test_latency_ms{quantile=\"0.95\"} 0";
+         "xroute_test_latency_ms{quantile=\"0.99\"} 0";
+         "xroute_test_latency_ms_sum 0";
+         "xroute_test_latency_ms_count 0";
+         "";
+       ])
+    (Metrics.to_prometheus reg);
+  check cs "json zeros"
+    "{\"metrics\":[{\"name\":\"xroute_test_latency_ms\",\"help\":\"\",\"type\":\"histogram\",\
+     \"count\":0,\"sum\":0,\"mean\":0,\"min\":0,\"max\":0,\"p50\":0,\"p95\":0,\"p99\":0}]}"
+    (Metrics.to_json reg)
 
 (* ---------------- causal spans ---------------- *)
 
@@ -641,7 +700,7 @@ let test_timeseries_deltas_and_rates () =
   let reg = Metrics.create () in
   let c = Metrics.counter reg "xroute_test_events_total" in
   let g = Metrics.gauge reg "xroute_test_depth" in
-  let ts = Timeseries.create ~capacity:4 reg in
+  let ts = Timeseries.create reg in
   check cb "no deltas before two snapshots" true (Timeseries.deltas ts = []);
   Metrics.add c 10;
   Metrics.set g 2.0;
@@ -654,13 +713,15 @@ let test_timeseries_deltas_and_rates () =
     (List.assoc "xroute_test_depth" (Timeseries.deltas ts));
   check cf "rate is per second" 2.5
     (List.assoc "xroute_test_events_total" (Timeseries.rates ts));
-  for i = 1 to 6 do
+  for i = 1 to 198 do
     Timeseries.snapshot ts ~at:(3000.0 +. float_of_int i)
   done;
-  check ci "snapshots ever" 8 (Timeseries.length ts);
-  check ci "ring retains capacity" 4 (List.length (Timeseries.to_list ts));
+  check ci "snapshots ever" 200 (Timeseries.length ts);
+  let kept = Timeseries.to_list ts in
+  check ci "ring retains the newest 128" 128 (List.length kept);
+  check cb "oldest retained is snapshot 73" true ((List.hd kept).Timeseries.at = 3071.0);
   check cb "last is the newest" true
-    (match Timeseries.last ts with Some s -> s.Timeseries.at = 3006.0 | None -> false)
+    (match Timeseries.last ts with Some s -> s.Timeseries.at = 3198.0 | None -> false)
 
 (* ---------------- flight recorder ---------------- *)
 
@@ -669,7 +730,7 @@ let test_recorder_dump () =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "xroute-flight-test-%d" (Unix.getpid ()))
   in
-  let r = Recorder.create ~dir () in
+  let r = Recorder.create ~dir in
   let t = Span.create () in
   ignore (Span.record t ~trace:1 ~name:"hop" ~broker:0 ~start:0.0 ~stop:1.0 ());
   let reg = Metrics.create () in
@@ -701,7 +762,7 @@ let test_recorder_dump () =
     Sys.remove path);
   (try Sys.rmdir dir with Sys_error _ -> ());
   (* a broken directory is reported, never raised *)
-  let bad = Recorder.create ~dir:"/dev/null/nope" () in
+  let bad = Recorder.create ~dir:"/dev/null/nope" in
   check cb "broken dir reported as Error" true
     (match bad |> fun b -> Recorder.trigger b ~reason:"x" ~at:0.0 () with
     | Error _ -> true
@@ -718,12 +779,12 @@ let () =
           Alcotest.test_case "gauge" `Quick test_gauge;
           Alcotest.test_case "histogram summary = Stats.summarize" `Quick
             test_histogram_summary_matches_stats;
-          Alcotest.test_case "histogram cap" `Quick test_histogram_cap;
+          Alcotest.test_case "histogram moments exact" `Quick test_histogram_moments_exact;
           Alcotest.test_case "interleaved sim updates" `Quick test_interleaved_sim_updates;
           Alcotest.test_case "scalar and find" `Quick test_scalar_and_find;
           Alcotest.test_case "aggregate" `Quick test_aggregate;
-          Alcotest.test_case "aggregate capped histograms" `Quick
-            test_aggregate_capped_histograms;
+          Alcotest.test_case "aggregate equals one histogram" `Quick
+            test_aggregate_equals_one_histogram;
           Alcotest.test_case "aggregate then counter_set" `Quick
             test_aggregate_counter_set_no_regression;
           Alcotest.test_case "aggregate preserves help" `Quick test_aggregate_preserves_help;
@@ -732,6 +793,7 @@ let () =
         [
           Alcotest.test_case "golden prometheus" `Quick test_golden_prometheus;
           Alcotest.test_case "golden json" `Quick test_golden_json;
+          Alcotest.test_case "empty histogram exposes zeros" `Quick test_empty_histogram_zeros;
         ] );
       ( "span",
         [

@@ -332,8 +332,8 @@ let test_dup_and_delay_no_double_count () =
     ignore (Net.publish_doc net publisher ~doc_id:i doc)
   done;
   Net.run net;
-  let st = Net.fault_stats net in
-  check cb "duplicates actually produced" true (st.Net.dup_deliveries > 0);
+  check cb "duplicates actually produced" true
+    (Xroute_obs.Metrics.value (Net.fault_meters net).dups > 0);
   check ci "one delivery per document" 3 (Net.total_deliveries net);
   check ci "client delivered set not inflated" 3 (Hashtbl.length subscriber.Net.delivered);
   check ci "one delay record per (client, doc)" 3 (List.length (Net.delivery_delays net));
@@ -361,9 +361,10 @@ let test_crash_drop_accounting () =
   (* every path publication is forwarded by broker 0 and dies at dead
      broker 1; nothing reaches the subscriber *)
   check ci "no delivery through the dead broker" 0 (Net.total_deliveries net);
-  let st = Net.fault_stats net in
-  check ci "each path pub destroyed exactly once" paths st.Net.destroyed_pubs;
-  check ci "destroyed counts only the path pubs" paths st.Net.destroyed;
+  let fm = Net.fault_meters net in
+  check ci "each path pub destroyed exactly once" paths
+    (Xroute_obs.Metrics.value fm.pubs_destroyed);
+  check ci "destroyed counts only the path pubs" paths (Xroute_obs.Metrics.value fm.destroyed);
   check ci "dropped_publications reports the crash losses" paths (Net.dropped_publications net);
   (* after recovery the same document goes through *)
   Net.restart_broker net 1;
@@ -372,6 +373,22 @@ let test_crash_drop_accounting () =
   Net.run net;
   check ci "delivery resumes after restart" 1 (Net.total_deliveries net);
   check ci "dropped count unchanged by the healthy publish" paths (Net.dropped_publications net)
+
+(* A restart replaces the broker and its registry; publications it had
+   already routed nowhere must stay counted. *)
+let test_drop_count_survives_restart () =
+  let net = Net.create (Topology.line 2) in
+  let publisher = Net.add_client net ~broker:0 in
+  ignore (Net.advertise net publisher (Xroute_xpath.Adv.parse "/a"));
+  Net.run net;
+  ignore (Net.publish_doc net publisher ~doc_id:1 (Xroute_xml.Xml_parser.parse "<a/>"));
+  Net.run net;
+  check ci "the unsubscribed publication is dropped at broker 0" 1
+    (Net.dropped_publications net);
+  Net.crash_broker net 0;
+  Net.restart_broker net 0;
+  Net.run net;
+  check ci "the drop survives the restart" 1 (Net.dropped_publications net)
 
 let () =
   Alcotest.run "overlay"
@@ -407,5 +424,7 @@ let () =
           Alcotest.test_case "dup/delay links don't double-count" `Quick
             test_dup_and_delay_no_double_count;
           Alcotest.test_case "crash drop accounting" `Quick test_crash_drop_accounting;
+          Alcotest.test_case "drop count survives a restart" `Quick
+            test_drop_count_survives_restart;
         ] );
     ]

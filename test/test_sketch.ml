@@ -1,8 +1,8 @@
 (* Tests for the mergeable quantile sketch and the health summaries
    built on it: the relative-error bound on seeded distributions
    (including Zipf ranks), the merge algebra the FEDSTATS federation
-   relies on, the canonical wire encoding, the capped-histogram
-   quantile fix in Metrics, and the Health view merge. *)
+   relies on, the canonical wire encoding, quantiles of a Metrics
+   histogram past the old sample cap, and the Health view merge. *)
 
 open Xroute_obs
 open Xroute_support
@@ -176,38 +176,29 @@ let test_edges () =
   check ci "clear empties" 0 (Sketch.count s);
   check cf "alpha survives clear" 0.01 (Sketch.alpha s)
 
-(* ---------------- Metrics: capped histogram quantiles ---------------- *)
+(* ---------------- Metrics: quantiles past the old sample cap ---------------- *)
 
-(* The satellite fix this PR ships: a histogram past its sample cap used
-   to compute quantiles from the truncated prefix — ascending input made
-   every quantile report one of the cap smallest values. Quantiles now
-   come from the sketch once the cap is exceeded. *)
+(* Histograms once kept a prefix of their samples, and an ascending
+   stream past that cap made every quantile report one of the first
+   values. Quantiles come from the sketch alone; on an ascending run
+   longer than the old 65 536-sample cap they stay within the bound. *)
 let test_capped_histogram_unbiased () =
   let reg = Metrics.create () in
-  let h = Metrics.histogram reg ~cap:64 "xroute_test_latency_ms" in
-  for i = 1 to 10_000 do
-    Metrics.observe h (float_of_int i)
-  done;
-  check ci "retained samples capped" 64 (Array.length (Metrics.samples h));
-  let s = Metrics.summary h in
-  check ci "count exact past cap" 10_000 s.Stats.count;
-  check cf "min exact" 1.0 s.Stats.min;
-  check cf "max exact" 10_000.0 s.Stats.max;
-  check cb "p50 unbiased" true (abs_float (s.Stats.p50 -. 5000.0) /. 5000.0 <= 0.011);
-  check cb "p99 unbiased" true (abs_float (s.Stats.p99 -. 9900.0) /. 9900.0 <= 0.011);
-  check cb "arbitrary quantile unbiased" true
-    (abs_float (Metrics.quantile h 0.9 -. 9000.0) /. 9000.0 <= 0.011)
-
-let test_uncapped_histogram_exact () =
-  let reg = Metrics.create () in
   let h = Metrics.histogram reg "xroute_test_latency_ms" in
-  List.iter (Metrics.observe h) [ 1.0; 2.0; 3.0; 4.0 ];
+  let n = 70_000 in
+  let values = Array.init n (fun i -> float_of_int (i + 1)) in
+  Array.iter (Metrics.observe h) values;
   let s = Metrics.summary h in
-  let want = Stats.summarize (Metrics.samples h) in
-  check cf "p50 exact under cap" want.Stats.p50 s.Stats.p50;
-  check cf "p95 exact under cap" want.Stats.p95 s.Stats.p95;
-  check cf "p99 exact under cap" want.Stats.p99 s.Stats.p99;
-  check cf "stddev exact under cap" want.Stats.stddev s.Stats.stddev
+  check ci "count exact" n s.Stats.count;
+  check cf "min exact" 1.0 s.Stats.min;
+  check cf "max exact" (float_of_int n) s.Stats.max;
+  let unbiased what got q =
+    let exact = Stats.percentile values q in
+    check cb what true (abs_float (got -. exact) /. exact <= 0.011)
+  in
+  unbiased "p50 unbiased" s.Stats.p50 0.5;
+  unbiased "p99 unbiased" s.Stats.p99 0.99;
+  unbiased "arbitrary quantile unbiased" (Sketch.quantile (Metrics.sketch h) 0.9) 0.9
 
 (* ---------------- Health summaries and views ---------------- *)
 
@@ -284,8 +275,6 @@ let () =
         [
           Alcotest.test_case "capped histogram quantiles unbiased" `Quick
             test_capped_histogram_unbiased;
-          Alcotest.test_case "uncapped histogram exact" `Quick
-            test_uncapped_histogram_exact;
         ] );
       ( "health",
         [
