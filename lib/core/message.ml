@@ -26,9 +26,12 @@ type t =
   | Unsubscribe of { id : sub_id }
   | Publish of {
       pub : Xroute_xml.Xml_paths.publication;
-      (* XTreeNet-style optimization (Sec. 6 discussion): ids of the
-         upstream subscriptions this publication already matched; the
-         receiving broker may restrict matching to their subtrees. *)
+      (* Ids of upstream subscriptions, a leftover of trail routing.
+         Brokers ignore an inbound trail (every publication is matched
+         against the full PRT) and always send it empty. The field
+         survives for wire compatibility — the [P|] codec component
+         stays byte for byte — and because perfbench's pbench.ml builds
+         and matches it. *)
       trail : sub_id list;
       ctx : trace_ctx option;
     }

@@ -73,6 +73,7 @@ type t = {
   resolved : (string, Unix.inet_addr) Hashtbl.t; (* DNS memo for dials *)
   health : Xroute_obs.Health.t; (* this broker's health summary *)
   conn_refused : Xroute_obs.Metrics.counter; (* accepts closed at [max_accept_fd] *)
+  oversize : Xroute_obs.Metrics.counter; (* conns closed past [max_line_bytes] *)
   mutable fed_pending : fed_pending list;
   mutable fed_seq : int; (* fresh sub-request ids *)
   mutable last_snapshot : float;
@@ -105,6 +106,11 @@ let recorder t = t.recorder
 let fd_setsize = 1024
 let dial_headroom = 64
 let max_accept_fd = fd_setsize - dial_headroom
+
+(* The longest inbound line a peer may send (bytes). A peer that sends
+   more without a newline is closed: otherwise its connection's line
+   buffer would grow without limit. *)
+let max_line_bytes = 1 lsl 20
 
 (* Pending connections the kernel queues before [accept_burst] runs. *)
 let listen_backlog = 1024
@@ -197,6 +203,10 @@ let create ?(strategy = Broker.default_strategy) ?(max_write_chunk = max_int)
       Xroute_obs.Metrics.counter (Broker.metrics broker)
         ~help:"Accepted connections closed because their descriptor would not fit select"
         "xroute_daemon_conn_refused_total";
+    oversize =
+      Xroute_obs.Metrics.counter (Broker.metrics broker)
+        ~help:"Connections closed because an inbound line outgrew the line limit"
+        "xroute_daemon_oversize_total";
     fed_pending = [];
     fed_seq = 0;
     last_snapshot = 0.0;
@@ -216,7 +226,12 @@ let send_message t ep (msg : Message.t) =
     (match ep with
     | Rtable.Neighbor n -> Xroute_obs.Health.record_send t.health ~peer:n
     | Rtable.Client _ -> ());
-    enqueue conn ("M|" ^ Codec.encode msg)
+    if not conn.closed then begin
+      (* Encoded straight into the egress buffer: no line string. *)
+      Buffer.add_string conn.outbuf "M|";
+      Codec.encode_into conn.outbuf msg;
+      Buffer.add_char conn.outbuf '\n'
+    end
   | None ->
     Xroute_obs.Health.record_drop t.health;
     (match ep with
@@ -514,35 +529,40 @@ let handle_hello t conn line kind id =
   | "client", Some c -> identify t conn (Rtable.Client c)
   | _ -> Log.warn (fun m -> m "malformed HELLO %S" line)
 
+(* An "M|<codec line>" line: the message is decoded in place, from
+   offset 2, so the payload is never copied out of the line. *)
+let handle_routed t conn ~batch_t line =
+  match conn.endpoint with
+  | None -> Log.warn (fun m -> m "message before HELLO, ignoring")
+  | Some from -> (
+    let t_parse = Mono.now t.clock in
+    match Codec.decode_sub line ~pos:2 with
+    | Ok (Message.Publish { pub; trail = _; ctx }) ->
+      handle_publish t ~batch_t ~t_parse ~from pub ctx
+    | Ok msg -> dispatch t (Broker.handle t.broker ~from msg)
+    | Error e ->
+      Log.warn (fun m -> m "undecodable message from %a: %a" Rtable.pp_endpoint from Codec.pp_error e))
+
 let handle_line t conn ~batch_t line =
-  match Framing.split line with
-  | Some ("M", payload) -> (
-    match conn.endpoint with
-    | None -> Log.warn (fun m -> m "message before HELLO, ignoring")
-    | Some from -> (
-      let t_parse = Mono.now t.clock in
-      match Codec.decode payload with
-      | Ok (Message.Publish { pub; trail = _; ctx }) ->
-        handle_publish t ~batch_t ~t_parse ~from pub ctx
-      | Ok msg -> dispatch t (Broker.handle t.broker ~from msg)
-      | Error e ->
-        Log.warn (fun m -> m "undecodable message from %a: %a" Rtable.pp_endpoint from Codec.pp_error e)))
-  | Some ("F", payload) -> fed_frame_line conn payload
-  | Some _ | None -> (
-    match String.split_on_char '|' line with
-    | "HELLO" :: kind :: id :: _ -> handle_hello t conn line kind id
-    | "PING" :: _ -> enqueue conn "PONG"
-    | "STATS" :: rest ->
-      let fmt = match rest with "json" :: _ -> `Json | _ -> `Prom in
-      send_stats t conn fmt
-    | "AUDIT" :: _ -> send_audit t conn
-    | "TRACE" :: key :: _ -> send_trace t conn key
-    | "FEDSTATS" :: "BEGIN" :: subid :: _ -> fed_frame_begin conn subid
-    | "FEDSTATS" :: "END" :: subid :: _ -> fed_frame_end t conn subid
-    | "FEDSTATS" :: reqid :: ttl :: rest ->
-      let ttl = Option.value (int_of_string_opt ttl) ~default:0 in
-      handle_fedstats t conn ~reqid ~ttl ~seen:(parse_seen rest)
-    | _ -> Log.warn (fun m -> m "unknown line %S" line))
+  if String.starts_with ~prefix:"M|" line then handle_routed t conn ~batch_t line
+  else
+    match Framing.split line with
+    | Some ("F", payload) -> fed_frame_line conn payload
+    | Some _ | None -> (
+      match String.split_on_char '|' line with
+      | "HELLO" :: kind :: id :: _ -> handle_hello t conn line kind id
+      | "PING" :: _ -> enqueue conn "PONG"
+      | "STATS" :: rest ->
+        let fmt = match rest with "json" :: _ -> `Json | _ -> `Prom in
+        send_stats t conn fmt
+      | "AUDIT" :: _ -> send_audit t conn
+      | "TRACE" :: key :: _ -> send_trace t conn key
+      | "FEDSTATS" :: "BEGIN" :: subid :: _ -> fed_frame_begin conn subid
+      | "FEDSTATS" :: "END" :: subid :: _ -> fed_frame_end t conn subid
+      | "FEDSTATS" :: reqid :: ttl :: rest ->
+        let ttl = Option.value (int_of_string_opt ttl) ~default:0 in
+        handle_fedstats t conn ~reqid ~ttl ~seen:(parse_seen rest)
+      | _ -> Log.warn (fun m -> m "unknown line %S" line))
 
 (* Extract complete lines from the connection buffer. [batch_t] is when
    the socket became readable: lines later in the batch were queued
@@ -715,6 +735,13 @@ let read_conn t conn =
     | n ->
       Linebuf.add_subbytes conn.inbuf t.read_buf 0 n;
       drain_lines t conn ~batch_t;
+      if (not conn.closed) && Linebuf.length conn.inbuf > max_line_bytes then begin
+        Log.warn (fun m ->
+            m "broker %d: inbound line past %d bytes, closing the connection"
+              (Broker.id t.broker) max_line_bytes);
+        Xroute_obs.Metrics.incr t.oversize;
+        close_conn t conn
+      end;
       if n < size then continue := false
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> continue := false
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()

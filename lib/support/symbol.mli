@@ -15,6 +15,17 @@ type t = private int
     to the same symbol forever. *)
 val intern : string -> t
 
+(** [intern_sub s pos len] is [intern (String.sub s pos len)], but it
+    reads the name in place: it allocates only for a name not seen
+    before. Raises [Invalid_argument] for a slice outside [s]. *)
+val intern_sub : string -> int -> int -> t
+
+(** [intern_split s pos len sep] interns each [sep]-separated field of
+    the slice, in order, under one lock. An empty field interns [""].
+    Allocates the result array, plus a copy of each new name. Raises
+    [Invalid_argument] for a slice outside [s]. *)
+val intern_split : string -> int -> int -> char -> t array
+
 (** The symbol a name is already interned as, if any. *)
 val find : string -> t option
 
@@ -42,7 +53,7 @@ val hash : t -> int
 (** Distinct names interned so far. *)
 val count : unit -> int
 
-(** Intern every element of a path. *)
+(** Intern every element of a path, under one lock. *)
 val intern_path : string array -> t array
 
 val pp : Format.formatter -> t -> unit

@@ -15,14 +15,29 @@ type publication = {
   path_count : int; (* how many path publications the document yields *)
 }
 
-(* The one place publications are born: [syms] is always [steps]
-   interned, so matchers can rely on it without re-checking. *)
+(* Publications are born here, in [of_syms] or in [decompose] (which
+   takes symbols from the tree): each way [syms] is [steps] interned, so
+   matchers can rely on it without re-checking. *)
 let make ~doc_id ~path_id ~steps ~attrs ~doc_size ~path_count =
   {
     doc_id;
     path_id;
     steps;
     syms = Xroute_support.Symbol.intern_path steps;
+    attrs;
+    doc_size;
+    path_count;
+  }
+
+(* A publication whose names are already interned (the wire decoder's
+   case): [steps] is read back from [syms], so each step shares the
+   interned string and [syms] is still [steps] interned. *)
+let of_syms ~doc_id ~path_id ~syms ~attrs ~doc_size ~path_count =
+  {
+    doc_id;
+    path_id;
+    steps = Array.map Xroute_support.Symbol.name syms;
+    syms;
     attrs;
     doc_size;
     path_count;

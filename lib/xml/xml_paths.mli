@@ -22,6 +22,17 @@ val make :
   path_count:int ->
   publication
 
+(** Build a publication from names already interned; [steps] is
+    [Array.map Symbol.name syms]. *)
+val of_syms :
+  doc_id:int ->
+  path_id:int ->
+  syms:Xroute_support.Symbol.t array ->
+  attrs:(string * string) list array ->
+  doc_size:int ->
+  path_count:int ->
+  publication
+
 val pp_publication : Format.formatter -> publication -> unit
 val publication_to_string : publication -> string
 

@@ -1,5 +1,6 @@
-(* Tests for the wire codec: hand-written cases, error handling, and a
-   QCheck round-trip property. *)
+(* Tests for the wire codec: hand-written cases, error handling, a
+   QCheck round-trip property, agreement with the reference codec
+   (test/codec_ref.ml) and allocation guards on the per-hop path. *)
 
 open Xroute_core
 open Xroute_xpath
@@ -125,6 +126,146 @@ let prop_roundtrip =
     (QCheck.make ~print:Message.to_string gen_msg)
     roundtrip
 
+(* ---------------- against the reference codec ---------------- *)
+
+let agree line =
+  match Codec_ref.disagreement line with
+  | None -> ()
+  | Some why -> Alcotest.failf "%S: %s" line why
+
+(* Hand-picked lines at the edges of the grammar: numeric fields that
+   only [int_of_string] reads, escapes it half-reads, arity and
+   separator corner cases. Each must get the reference's verdict. *)
+let test_reference_cases () =
+  List.iter agree
+    [
+      ""; "1"; "1|"; "1||"; "1|P"; "1|P|"; "11|S|1.1|/a"; "01|S|1.1|/a"; "1|SS|1.1|/a";
+      "1|S|1.1|/a"; "1|S|1.1|/a|"; "1|S|1.1"; "1|S|.1|/a"; "1|S|1.|/a"; "1|S|1.1.1|/a";
+      "1|S|0x1F.1_0|/a"; "1|S|-3.+4|/a"; "1|S|- 3.4|/a"; "1|S|1.99999999999999999999|/a";
+      "1|S|1.4611686018427387903|/a"; "1|S|1.4611686018427387904|/a";
+      "1|S|1.0x7FFFFFFFFFFFFFFF|/a"; "1|S|0b101.0o17|/a"; "1|S|0u12.1|/a";
+      "1|U|1.1|"; "1|U|1.1|junk"; "1|u|2.3|x"; "1|U|1.1"; "1|A|1.1|/a/b(/c)+/d";
+      "1|A|1.1|%2Fa"; "1|A|1.1|%2"; "1|S|1.1|%2F%61"; "1|S|1.1|%2_a"; "1|S|1.1|%_2a";
+      "1|P|1.2.3.4||a|"; "1|P|1.2.3.4||a,b|"; "1|P|1.2.3.4||a,b|,"; "1|P|1.2.3.4||a,b|,,";
+      "1|P|1.2.3.4||a|,"; "1|P|1.2.3.4||a|k=v"; "1|P|1.2.3.4||a|k=v=w"; "1|P|1.2.3.4||a|k";
+      "1|P|1.2.3.4||a|k=v;"; "1|P|1.2.3.4||a|;k=v"; "1|P|1.2.3.4||a|=v"; "1|P|1.2.3.4||a|k=";
+      "1|P|1.2.3.4||a,b|k=v;x=%3D,"; "1|P|1.2.3.4||a,b|,k=%7C"; "1|P|1.2.3.4|||";
+      "1|P|1.2.3.4||,a|"; "1|P|1.2.3.4||a,|"; "1|P|1.2.3.4||a,,b|"; "1|P|1.2.3.4||%61,b|";
+      "1|P|1.2.3.4||%6|"; "1|P|1.2.3.4||%|"; "1|P|1.2.3.4||a%2_b|"; "1|P|1.2.3.4||a%_2b|"; "1|P|1.2.3.4||a%2C%7Cb|"; "1|P|1.2.3.4|1.1,2.2|a|";
+      "1|P|1.2.3.4|1.1,|a|"; "1|P|1.2.3.4|,1.1|a|"; "1|P|1.2.3.4|1|a|"; "1|P|1.2.3|x|a|";
+      "1|P|1.2.3||a|"; "1|P|1.2.3.4.5||a|"; "1|P|1.2.3.4.5.6||a|"; "1|P|1.2.3.4.5.6.7||a|";
+      "1|P|1.2.3.4.5.x||a|"; "1|P|1.2.3.4..6||a|"; "1|P|.2.3.4||a|"; "1|P|1..3.4||a|";
+      "1|P|-1.0x2.3_0.+4.-5.6||a|"; "1|P|1.2.3.4||a|||"; "1|P|1.2.3.4||a";
+      "1|P|1.2.3.4||a\n|"; "1|P|1.2.3.4||a b|k=v w";
+    ]
+
+(* decode_sub reads the slice in place: the daemon's "M|" payload
+   decodes exactly as the bare line does. *)
+let test_decode_sub_offset () =
+  let line = "1|P|5.2.123.4.5.77|1.1|a,b%2Cc|k=v,x=1;y=2" in
+  let show = function
+    | Ok m -> Codec.encode m
+    | Error (e : Codec.error) -> "error: " ^ e.reason
+  in
+  check cs "M| payload = bare line" (show (Codec.decode line))
+    (show (Codec.decode_sub ("M|" ^ line) ~pos:2));
+  check cs "encodes back byte for byte" line (show (Codec.decode line));
+  check cb "pos past the end is rejected" true
+    (match Codec.decode_sub "1|U|1.1|" ~pos:9 with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+(* Messages the reference encoder must print identically: negative ids
+   and counters, escapes in steps and attributes, '=' inside values,
+   non-empty trails, trace contexts. *)
+let gen_wire_msg =
+  QCheck.Gen.(
+    let gen_int = oneof [ int_range (-1000) 1000; oneofl [ 0; -1; max_int; min_int ] ] in
+    let gen_id = map2 (fun o s -> sid o s) gen_int gen_int in
+    let gen_text =
+      oneof
+        [
+          oneofl [ "a"; "feed"; "w|x"; "y,z"; "p%q"; "k=v"; "a;b"; "="; "nl\nx"; "%41" ];
+          string_size ~gen:(oneofl [ 'a'; '|'; ','; ';'; '='; '%'; '.'; '\n'; '0' ]) (int_range 1 6);
+        ]
+    in
+    let* kind = int_range 0 4 in
+    let* id = gen_id in
+    match kind with
+    | 0 ->
+      let* names = list_size (int_range 1 4) (oneofl [ "a"; "b"; "c" ]) in
+      return (Message.Advertise { id; adv = Adv.of_names names })
+    | 1 -> return (Message.Unadvertise { id })
+    | 2 ->
+      let* names = list_size (int_range 1 4) (oneofl [ "a"; "b"; "*" ]) in
+      return (Message.Subscribe { id; xpe = Xpe.absolute_of_names names })
+    | 3 -> return (Message.Unsubscribe { id })
+    | _ ->
+      let* steps = array_size (int_range 1 5) gen_text in
+      let* attrs =
+        array_repeat (Array.length steps)
+          (list_size (int_range 0 2) (pair gen_text (oneof [ gen_text; return "" ])))
+      in
+      let* trail = list_size (int_range 0 3) gen_id in
+      let* ctx = opt (map2 (fun trace parent_span -> { Message.trace; parent_span }) gen_int gen_int) in
+      let* doc_id = gen_int and* path_id = gen_int and* doc_size = gen_int and* path_count = gen_int in
+      return
+        (Message.Publish
+           {
+             pub = Xroute_xml.Xml_paths.make ~doc_id ~path_id ~steps ~attrs ~doc_size ~path_count;
+             trail;
+             ctx;
+           }))
+
+let prop_encode_matches_reference =
+  QCheck.Test.make ~name:"encode = reference encode, decode agrees" ~count:2000
+    (QCheck.make ~print:Codec_ref.encode gen_wire_msg)
+    (fun msg ->
+      let want = Codec_ref.encode msg in
+      let buf = Buffer.create 16 in
+      Buffer.add_string buf "M|";
+      Codec.encode_into buf msg;
+      Codec.encode msg = want
+      && Buffer.contents buf = "M|" ^ want
+      && Codec_ref.disagreement want = None)
+
+(* ---------------- allocation guards ---------------- *)
+
+(* Minor words per call of [f], over [n] calls after one warm-up call. *)
+let words_per_call ?(n = 10_000) f =
+  ignore (Sys.opaque_identity (f ()));
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+(* A traced 5-step small-msg publication, as a broker receives it. *)
+let small_msg_line = "1|P|417.0.49.1.417.1000000042||feed,sec3,item,body,para|,,,,"
+
+(* Once its names are interned, decoding the line allocates only the
+   message itself. *)
+let test_decode_words () =
+  let line = "M|" ^ small_msg_line in
+  let w = words_per_call (fun () -> Codec.decode_sub line ~pos:2) in
+  Printf.printf "decode: %.1f words a line\n" w;
+  if w >= 100.0 then Alcotest.failf "decode allocates %.1f words a line (limit 100)" w
+
+(* Into a warmed buffer, encoding allocates nothing of its own. *)
+let test_encode_words () =
+  let msg =
+    match Codec.decode small_msg_line with Ok m -> m | Error _ -> Alcotest.fail "fixture"
+  in
+  let buf = Buffer.create 256 in
+  let w =
+    words_per_call (fun () ->
+        Buffer.clear buf;
+        Codec.encode_into buf msg)
+  in
+  Printf.printf "encode_into: %.1f words a message\n" w;
+  check cs "fixture round-trips" small_msg_line (Buffer.contents buf);
+  if w >= 64.0 then Alcotest.failf "encode_into allocates %.1f words (limit 64)" w
+
 let () =
   Alcotest.run "codec"
     [
@@ -138,4 +279,15 @@ let () =
           Alcotest.test_case "decode errors" `Quick test_decode_errors;
         ] );
       ("property", [ QCheck_alcotest.to_alcotest prop_roundtrip ]);
+      ( "reference",
+        [
+          Alcotest.test_case "grammar edge cases" `Quick test_reference_cases;
+          Alcotest.test_case "decode_sub offset" `Quick test_decode_sub_offset;
+          QCheck_alcotest.to_alcotest prop_encode_matches_reference;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "decode under 100 words" `Quick test_decode_words;
+          Alcotest.test_case "encode_into under 64 words" `Quick test_encode_words;
+        ] );
     ]

@@ -473,6 +473,59 @@ let test_fd_limit () =
   Daemon.request_stop d;
   Thread.join th
 
+(* A peer that sends 2 MiB without a newline is closed once its
+   unconsumed bytes pass the 1 MiB line limit, and counted; the daemon
+   keeps serving everyone else. *)
+let test_oversize_line () =
+  let d = Daemon.create ~id:0 ~port:0 ~neighbors:[] () in
+  let th = Thread.create (fun () -> Daemon.run ~timeout:0.01 d) () in
+  let port = Daemon.port d in
+  let hog = raw_connect port in
+  raw_send hog "HELLO|client|300\n";
+  (* The daemon closes mid-stream, so the writer sees EPIPE or a reset
+     rather than finishing. *)
+  let chunk = String.make 65536 'a' in
+  let sent = ref 0 in
+  (try
+     while !sent < 2 lsl 20 do
+       sent := !sent + Unix.write_substring hog chunk 0 (String.length chunk)
+     done
+   with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+  let buf = Bytes.create 4096 in
+  let rec closed_by_peer deadline =
+    Unix.gettimeofday () < deadline
+    &&
+    match Unix.select [ hog ] [] [] 0.5 with
+    | [], _, _ -> closed_by_peer deadline
+    | _ -> (
+      match Unix.read hog buf 0 (Bytes.length buf) with
+      | 0 -> true
+      | _ -> closed_by_peer deadline
+      | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true)
+  in
+  check cb "the hog is disconnected" true (closed_by_peer (Unix.gettimeofday () +. 10.0));
+  check (Alcotest.option (Alcotest.float 0.0)) "the close is counted" (Some 1.0)
+    (Xroute_obs.Metrics.scalar
+       (Xroute_core.Broker.metrics (Daemon.broker d))
+       "xroute_daemon_oversize_total");
+  let peer = raw_connect port in
+  raw_send peer "HELLO|client|301\nPING\n";
+  check cb "PONG after the hog" true (await_line peer ~timeout:2.0 "PONG");
+  let publisher = Client.connect ~client_id:100 ~host:"127.0.0.1" ~port in
+  let subscriber = Client.connect ~client_id:200 ~host:"127.0.0.1" ~port in
+  ignore (Client.advertise publisher (Xroute_xpath.Adv.parse "/a/b"));
+  ignore (Client.subscribe subscriber (xp "/a"));
+  Thread.delay 0.2;
+  ignore (Client.publish_doc publisher ~doc_id:3 (Xroute_xml.Xml_parser.parse "<a><b/></a>"));
+  check (Alcotest.list ci) "deliveries after the hog" [ 3 ]
+    (Client.drain_deliveries ~timeout:1.0 subscriber);
+  Unix.close hog;
+  Unix.close peer;
+  Client.close publisher;
+  Client.close subscriber;
+  Daemon.request_stop d;
+  Thread.join th
+
 (* ---------------- scripted end to end ---------------- *)
 
 (* A fixed publish script against one daemon: each subscriber sees
@@ -935,6 +988,7 @@ let () =
           Alcotest.test_case "1MB inbound burst" `Quick test_large_inbound_burst;
           Alcotest.test_case "bare F and M lines dropped" `Quick test_bare_tag_lines;
           Alcotest.test_case "1100 connections past FD_SETSIZE" `Quick test_fd_limit;
+          Alcotest.test_case "2 MiB line closes the sender" `Quick test_oversize_line;
         ] );
       ( "linebuf",
         [

@@ -201,26 +201,84 @@ let test_corpus_through_linebuf () =
       check Alcotest.int "no residue in the buffer" 0 (Xroute_daemon.Linebuf.length buf))
     [ 3; 17; 23 ]
 
-(* Truncations of valid wire lines must decode to Ok or Error, never
-   raise — a peer dying mid-line is routine for the daemon. *)
+(* Valid P|, S| and A| lines mutated byte by byte over the codec's own
+   separators, digits and escape characters: replaced, inserted and
+   deleted bytes and truncations. Every mutant must get the reference's
+   verdict. *)
+let mutation_bases =
+  [
+    "1|P|417.0.49.1.417.1000000042||feed,sec3,item,body,para|,,,,";
+    "1|P|5.2.123.4|1.1,2.2|a,w%7Cx,b|k=v;x=1=2,,y%3Dz=%25";
+    "1|P|7.3.88.9.7.12|3.4|nitf,head,docdata,doc-id|,,,id-string=a%2Cb;regsrc=x";
+    "1|S|200.9|%2Ffeed%2Fsec3%2F*%2Fbody";
+    "1|S|1.2|/a/*//b[@k='v']";
+    "1|A|100.3|/feed/sec1/item(/body)+/para";
+  ]
+
+let mutation_alphabet = "|.,;=%0123456789x_-+aF"
+
+let mutate prng line =
+  let pick () = mutation_alphabet.[Xroute_support.Prng.int prng (String.length mutation_alphabet)] in
+  let b = Buffer.create (String.length line + 4) in
+  Buffer.add_string b line;
+  for _ = 0 to Xroute_support.Prng.int prng 3 do
+    let s = Buffer.contents b in
+    let n = String.length s in
+    let at = Xroute_support.Prng.int prng (n + 1) in
+    Buffer.clear b;
+    match Xroute_support.Prng.int prng 4 with
+    | 0 when at < n ->
+      Buffer.add_string b (String.sub s 0 at);
+      Buffer.add_char b (pick ());
+      Buffer.add_string b (String.sub s (at + 1) (n - at - 1))
+    | 1 ->
+      Buffer.add_string b (String.sub s 0 at);
+      Buffer.add_char b (pick ());
+      Buffer.add_string b (String.sub s at (n - at))
+    | 2 when at < n ->
+      Buffer.add_string b (String.sub s 0 at);
+      Buffer.add_string b (String.sub s (at + 1) (n - at - 1))
+    | _ -> Buffer.add_string b (String.sub s 0 at)
+  done;
+  Buffer.contents b
+
+let test_mutations_match_reference () =
+  let prng = Xroute_support.Prng.create 2023 in
+  let bases = Array.of_list mutation_bases in
+  let accepted = ref 0 in
+  let mutants = 200_000 in
+  for _ = 1 to mutants do
+    let line = mutate prng bases.(Xroute_support.Prng.int prng (Array.length bases)) in
+    match Codec_ref.disagreement line with
+    | None -> if Result.is_ok (Xroute_core.Codec.decode line) then incr accepted
+    | Some why -> Alcotest.failf "%S: %s" line why
+  done;
+  (* Both verdicts must be exercised, or the differential proves little. *)
+  check cb "some mutants decode" true (!accepted > mutants / 20);
+  check cb "some mutants are rejected" true (!accepted < mutants - (mutants / 20))
+
+(* Every cut of every churn-corpus line (a peer dying mid-line is
+   routine for the daemon) decodes as the reference codec decodes it,
+   without raising. The uncut line is one of the cuts. *)
 let test_truncated_lines () =
-  let msgs = churn_corpus ~seed:5 ~waves:2 ~per_wave:8 in
-  let prng = Xroute_support.Prng.create 55 in
   List.iter
-    (fun m ->
-      let line = Xroute_core.Codec.encode m in
-      for _ = 1 to 8 do
-        let cut = Xroute_support.Prng.int prng (String.length line) in
-        let t = String.sub line 0 cut in
-        match Xroute_core.Codec.decode t with
-        | Ok _ | Error _ -> ()
-        | exception e ->
-          Alcotest.failf "decode raised %s on truncation %S" (Printexc.to_string e) t
-      done)
-    msgs
+    (fun seed ->
+      List.iter
+        (fun m ->
+          let line = Xroute_core.Codec.encode m in
+          for cut = 0 to String.length line do
+            let t = String.sub line 0 cut in
+            match Codec_ref.disagreement t with
+            | None -> ()
+            | Some why -> Alcotest.failf "seed %d, %S: %s" seed t why
+            | exception e ->
+              Alcotest.failf "decode raised %s on truncation %S" (Printexc.to_string e) t
+          done)
+        (churn_corpus ~seed ~waves:4 ~per_wave:12))
+    [ 3; 5; 17; 23 ]
 
 (* Hostile input: random bytes, separator floods, broken escapes. The
-   decoder must return Error (or a valid Ok) without raising, and the
+   decoder must return the reference's verdict without raising, and the
    framing escape must stay reversible on arbitrary strings. *)
 let test_hostile_lines () =
   let prng = Xroute_support.Prng.create 77 in
@@ -235,10 +293,10 @@ let test_hostile_lines () =
           | 3 -> Char.chr (1 + Xroute_support.Prng.int prng 255)
           | _ -> Char.chr (32 + Xroute_support.Prng.int prng 95))
     in
-    (match Xroute_core.Codec.decode hostile with
-    | Ok _ | Error _ -> ()
-    | exception e ->
-      Alcotest.failf "decode raised %s on %S" (Printexc.to_string e) hostile);
+    (match Codec_ref.disagreement hostile with
+    | None -> ()
+    | Some why -> Alcotest.failf "%S: %s" hostile why
+    | exception e -> Alcotest.failf "decode raised %s on %S" (Printexc.to_string e) hostile);
     let esc = Xroute_daemon.Framing.escape hostile in
     check Alcotest.string "framing escape reversible" hostile
       (Xroute_daemon.Framing.unescape esc);
@@ -258,5 +316,6 @@ let () =
           Alcotest.test_case "churn corpus through linebuf" `Quick test_corpus_through_linebuf;
           Alcotest.test_case "truncated lines" `Quick test_truncated_lines;
           Alcotest.test_case "hostile lines" `Quick test_hostile_lines;
+          Alcotest.test_case "200k mutants = reference" `Quick test_mutations_match_reference;
         ] );
     ]

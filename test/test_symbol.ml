@@ -60,6 +60,49 @@ let test_intern_path () =
   Array.iteri (fun i s -> check cs "elementwise round trip" path.(i) (Symbol.name s)) syms;
   check cb "repeats share the symbol" true (Symbol.equal syms.(0) syms.(2))
 
+(* A slice interns as the string it spells, wherever it sits. *)
+let test_intern_sub () =
+  let line = "xx|sub-feed,sub-item,sub-feed|yy" in
+  let a = Symbol.intern_sub line 3 8 in
+  check cs "slice name" "sub-feed" (Symbol.name a);
+  check cb "same as intern" true (Symbol.equal a (Symbol.intern "sub-feed"));
+  check cb "same slice elsewhere, same symbol" true (Symbol.equal a (Symbol.intern_sub line 21 8));
+  check cb "sub-item not interned yet" true (Symbol.find "sub-item" = None);
+  let split = Symbol.intern_split line 3 26 ',' in
+  check (Alcotest.list cs) "split names" [ "sub-feed"; "sub-item"; "sub-feed" ]
+    (Array.to_list (Array.map Symbol.name split));
+  check cb "split = intern_path" true (split = Symbol.intern_path [| "sub-feed"; "sub-item"; "sub-feed" |]);
+  check cb "find after split" true (Symbol.find "sub-item" = Some split.(1));
+  check cs "empty slice" "" (Symbol.name (Symbol.intern_sub line 5 0));
+  List.iter
+    (fun (pos, len) ->
+      match Symbol.intern_sub line pos len with
+      | _ -> Alcotest.failf "slice %d+%d accepted" pos len
+      | exception Invalid_argument _ -> ())
+    [ (-1, 2); (30, 4); (0, -1); (33, 1) ]
+
+(* Minor words per call of [f], over [n] calls after one warm-up call. *)
+let words_per_call ?(n = 10_000) f =
+  ignore (Sys.opaque_identity (f ()));
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+(* A known name costs no allocation; a known path costs only the
+   [syms] array (a header word plus one word per step). *)
+let test_intern_known_allocates_nothing () =
+  let line = "1|P|1.0.49.1||feed,sec3,item,body,para|,,,," in
+  let pos = 13 and len = 26 in
+  ignore (Symbol.intern_split line pos len ',');
+  let w_name = words_per_call (fun () -> Symbol.intern_sub line pos 4) in
+  let w_path = words_per_call (fun () -> Symbol.intern_split line pos len ',') in
+  Printf.printf "intern_sub: %.2f words a name; intern_split: %.2f words a 5-step path\n" w_name
+    w_path;
+  if w_name > 0.01 then Alcotest.failf "intern_sub of a known name allocates %.2f words" w_name;
+  if w_path > 6.01 then Alcotest.failf "intern_split of a known path allocates %.2f words" w_path
+
 (* Seeded 10k-name stress: intern everything, then re-intern in a
    different order and confirm ids are stable, names round-trip, and
    distinct names stayed distinct. *)
@@ -149,6 +192,9 @@ let () =
           Alcotest.test_case "find" `Quick test_find;
           Alcotest.test_case "compare_name order" `Quick test_compare_name_is_creation_order_free;
           Alcotest.test_case "intern_path" `Quick test_intern_path;
+          Alcotest.test_case "intern_sub and intern_split" `Quick test_intern_sub;
+          Alcotest.test_case "known names allocate nothing" `Quick
+            test_intern_known_allocates_nothing;
         ] );
       ( "stress",
         [
