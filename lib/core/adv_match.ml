@@ -194,17 +194,20 @@ let expr_and_adv (xpe : Xpe.t) (adv : Adv.symbol array) =
    positions, so at most that many repetition instances are touched; any
    untouched instance can be deleted (each group keeps its mandatory
    one), leaving at most [length xpe + group_count] instances. *)
-(* Unrollings are memoized per (advertisement, budget): routers match
-   thousands of subscriptions against the same advertisement set. *)
-let expansion_cache : (string * int, Adv.symbol array list) Hashtbl.t = Hashtbl.create 256
+(* Unrollings are memoized per advertisement value, a few budgets each:
+   routers match thousands of subscriptions against the same
+   advertisement set. The table is process-global on purpose: the
+   brokers of one simulation advertise the same DTD, and sharing their
+   unrollings is what keeps the overlap test cheap. *)
+let expansion_cache : (int * Adv.symbol array list) list Adv.Tbl.t = Adv.Tbl.create 256
 
 let expansions_of adv budget =
-  let key = (Adv.to_string adv, budget) in
-  match Hashtbl.find_opt expansion_cache key with
+  let by_budget = Option.value ~default:[] (Adv.Tbl.find_opt expansion_cache adv) in
+  match List.assoc_opt budget by_budget with
   | Some e -> e
   | None ->
     let e = Adv.expand_budget ~budget adv in
-    Hashtbl.replace expansion_cache key e;
+    Adv.Tbl.replace expansion_cache adv ((budget, e) :: by_budget);
     e
 
 let expr_and_rec_adv (xpe : Xpe.t) (adv : Adv.t) =

@@ -158,13 +158,12 @@ type t = {
   prt : Rtable.Prt.t;
   (* where each subscription id was forwarded (undone on unsubscribe) *)
   mutable forwarded : Rtable.endpoint list Rtable.Prt.Id_map.t;
-  (* per-XPE index over [forwarded]: for each stored XPE (keyed by its
-     PRT node's [Sub_tree.node_key], the printed form that dedups equal
-     XPEs onto one node), the subscription ids stored there whose
-     forwarded-target set is non-empty. Lets [served_endpoints] consult
-     a coverer node without scanning its payload list, which is one
-     entry per subscriber on a popular XPE. *)
-  fwd_active : (string, Message.sub_id list) Hashtbl.t;
+  (* per-node index over [forwarded]: for each PRT node (keyed by its
+     [Sub_tree.node_id]; equal XPEs share one node), the subscription
+     ids stored there whose forwarded-target set is non-empty. Lets
+     [served_endpoints] consult a coverer node without scanning its
+     payload list, which is one entry per subscriber on a popular XPE. *)
+  fwd_active : (int, Message.sub_id list) Hashtbl.t;
   (* merge bookkeeping *)
   mutable mergers : merger_record list;
   mutable suppressed : Rtable.Prt.Id_map.key list; (* ids replaced by a merger *)
@@ -253,12 +252,14 @@ let is_neighbor_ep = function Rtable.Neighbor _ -> true | Rtable.Client _ -> fal
    ids never enter (they have no tree node; [served_endpoints] walks
    [t.mergers] directly). Buckets hold the few actual forwarders of a
    node — typically one — so the list operations here are O(1). *)
-let fwd_active_add t key id =
+let fwd_active_add t node id =
+  let key = Sub_tree.node_id node in
   let ids = Option.value ~default:[] (Hashtbl.find_opt t.fwd_active key) in
   if not (List.exists (fun i -> Message.compare_sub_id i id = 0) ids) then
     Hashtbl.replace t.fwd_active key (id :: ids)
 
-let fwd_active_remove t key id =
+let fwd_active_remove t node id =
+  let key = Sub_tree.node_id node in
   match Hashtbl.find_opt t.fwd_active key with
   | None -> ()
   | Some ids -> (
@@ -271,11 +272,10 @@ let fwd_active_remove t key id =
 let fwd_active_sync t sub_id =
   match Rtable.Prt.find t.prt sub_id with
   | None -> ()
-  | Some (node, _) ->
-    let key = Sub_tree.node_key node in
-    (match Rtable.Prt.Id_map.find_opt sub_id t.forwarded with
-    | Some (_ :: _) -> fwd_active_add t key sub_id
-    | Some [] | None -> fwd_active_remove t key sub_id)
+  | Some (node, _) -> (
+    match Rtable.Prt.Id_map.find_opt sub_id t.forwarded with
+    | Some (_ :: _) -> fwd_active_add t node sub_id
+    | Some [] | None -> fwd_active_remove t node sub_id)
 
 let record_forwarded t sub_id targets =
   let existing =
@@ -299,12 +299,10 @@ let is_suppressed t id =
 (* Targets a subscription should be forwarded to (before covering
    decisions): matching advertisement hops, or all neighbors when not
    advertisement-based. Never back to where it came from; never to
-   clients (the SRT lookup returns neighbor hops only). [key] is the
-   XPE's [Xpe.to_string], printed once by the caller for every table
-   lookup it makes. *)
-let sub_targets t ~from ~key xpe =
+   clients (the SRT lookup returns neighbor hops only). *)
+let sub_targets t ~from xpe =
   let raw =
-    if t.strategy.use_adv then Rtable.Srt.hops_for_sub ~key t.srt xpe
+    if t.strategy.use_adv then Rtable.Srt.hops_for_sub t.srt xpe
     else neighbor_endpoints t
   in
   List.filter (fun ep -> not (Rtable.endpoint_equal ep from)) raw
@@ -321,13 +319,13 @@ let sub_targets t ~from ~key xpe =
    lists: payloads with nothing forwarded contribute nothing to the
    union, so the served set is unchanged, and a hot node with thousands
    of equal subscribers costs one index lookup instead of a scan. *)
-let served_endpoints t ~self_id ~key xpe =
+let served_endpoints t ~self_id xpe =
   if not t.strategy.use_cover then []
   else begin
     let from_tree =
       List.concat_map
         (fun node ->
-          match Hashtbl.find_opt t.fwd_active (Sub_tree.node_key node) with
+          match Hashtbl.find_opt t.fwd_active (Sub_tree.node_id node) with
           | None -> []
           | Some ids ->
             List.concat_map
@@ -335,7 +333,7 @@ let served_endpoints t ~self_id ~key xpe =
                 if Message.compare_sub_id id self_id = 0 then []
                 else forwarded_targets t id)
               ids)
-        (Sub_tree.coverers ~key (Rtable.Prt.tree t.prt) xpe)
+        (Sub_tree.coverers (Rtable.Prt.tree t.prt) xpe)
     in
     let from_mergers =
       List.concat_map
@@ -346,14 +344,14 @@ let served_endpoints t ~self_id ~key xpe =
     from_tree @ from_mergers
   end
 
-let served_at t ~self_id ~key xpe ep =
-  List.exists (Rtable.endpoint_equal ep) (served_endpoints t ~self_id ~key xpe)
+let served_at t ~self_id xpe ep =
+  List.exists (Rtable.endpoint_equal ep) (served_endpoints t ~self_id xpe)
 
-let unserved_targets t ~self_id ~key xpe targets =
+let unserved_targets t ~self_id xpe targets =
   match targets with
   | [] -> []
   | targets ->
-    let served = served_endpoints t ~self_id ~key xpe in
+    let served = served_endpoints t ~self_id xpe in
     List.filter (fun ep -> not (List.exists (Rtable.endpoint_equal ep) served)) targets
 
 (* ------------------------------------------------------------------ *)
@@ -390,25 +388,21 @@ let handle_advertise t ~from id adv =
             List.iter
               (fun (p : Rtable.Prt.payload) ->
                 if not (is_suppressed t p.id) then
-                  candidates :=
-                    (p.id, Sub_tree.node_key node, Sub_tree.node_xpe node, p.hop) :: !candidates)
+                  candidates := (p.id, Sub_tree.node_xpe node, p.hop) :: !candidates)
               (Sub_tree.node_payloads node))
           (Rtable.Prt.tree t.prt);
         let candidates =
           List.rev !candidates
-          @ List.map
-              (fun m ->
-                (m.merger_id, Xpe.to_string m.merger_xpe, m.merger_xpe, Rtable.Neighbor t.id))
-              t.mergers
+          @ List.map (fun m -> (m.merger_id, m.merger_xpe, Rtable.Neighbor t.id)) t.mergers
         in
         List.filter_map
-          (fun (sub_id, key, xpe, hop) ->
+          (fun (sub_id, xpe, hop) ->
             if Rtable.endpoint_equal hop from then None
             else if List.exists (Rtable.endpoint_equal from) (forwarded_targets t sub_id) then
               None
             else if
               Adv_match.overlaps_paper xpe adv
-              && not (served_at t ~self_id:sub_id ~key xpe from)
+              && not (served_at t ~self_id:sub_id xpe from)
             then begin
               ignore (record_forwarded t sub_id [ from ]);
               Some (from, Message.Subscribe { id = sub_id; xpe })
@@ -440,18 +434,17 @@ let handle_subscribe t ~from id xpe =
        The equal node is dropped before its payloads are expanded — on
        a popular XPE it holds one payload per subscriber, and
        materializing them per arrival made subscribing quadratic. *)
-    let key = Xpe.to_string xpe in
     let displaced =
       if t.strategy.use_cover then
-        Sub_tree.covered_roots ~key (Rtable.Prt.tree t.prt) xpe
+        Sub_tree.covered_roots (Rtable.Prt.tree t.prt) xpe
         |> List.concat_map (fun node ->
                if Xpe.equal (Sub_tree.node_xpe node) xpe then []
                else List.map (fun p -> (node, p)) (Sub_tree.node_payloads node))
       else []
     in
-    let targets = sub_targets t ~from ~key xpe in
-    let needed = unserved_targets t ~self_id:id ~key xpe targets in
-    ignore (Rtable.Prt.insert ~key t.prt id xpe from);
+    let targets = sub_targets t ~from xpe in
+    let needed = unserved_targets t ~self_id:id xpe targets in
+    ignore (Rtable.Prt.insert t.prt id xpe from);
     let fresh = record_forwarded t id needed in
     let sub_msgs = List.map (fun ep -> (ep, Message.Subscribe { id; xpe })) fresh in
     (* Unsubscribe displaced subscriptions, but only at next hops now
@@ -468,7 +461,7 @@ let handle_subscribe t ~from id xpe =
               List.partition (fun ep -> List.exists (Rtable.endpoint_equal ep) mine) where
             in
             t.forwarded <- Rtable.Prt.Id_map.add p.id kept t.forwarded;
-            if kept = [] then fwd_active_remove t (Sub_tree.node_key node) p.id;
+            if kept = [] then fwd_active_remove t node p.id;
             List.map (fun ep -> (ep, Message.Unsubscribe { id = p.id })) redundant
           end)
         displaced
@@ -483,9 +476,12 @@ let handle_unsubscribe t ~from id =
   | None -> []
   | Some (_payload, node) ->
     let removed_xpe = Sub_tree.node_xpe node in
+    (* The node went with its last payload: no live subscription looks
+       this XPE up any more, so its SRT memo entry goes too. *)
+    if Sub_tree.node_payloads node = [] then Rtable.Srt.forget t.srt removed_xpe;
     let where = forwarded_targets t id in
     t.forwarded <- Rtable.Prt.Id_map.remove id t.forwarded;
-    fwd_active_remove t (Sub_tree.node_key node) id;
+    fwd_active_remove t node id;
     let upstream = List.map (fun ep -> (ep, Message.Unsubscribe { id })) where in
     (* Every subscription the departed one covered — its former children,
        equal subscriptions sharing its node, and covered subscriptions in
@@ -498,13 +494,13 @@ let handle_unsubscribe t ~from id =
       if (not t.strategy.use_cover) || where = [] then []
       else begin
         let reforward_node n =
-          let xpe = Sub_tree.node_xpe n and key = Sub_tree.node_key n in
+          let xpe = Sub_tree.node_xpe n in
           List.concat_map
             (fun (p : Rtable.Prt.payload) ->
               if is_suppressed t p.id then []
               else begin
-                let targets = sub_targets t ~from:p.hop ~key xpe in
-                let needed = unserved_targets t ~self_id:p.id ~key xpe targets in
+                let targets = sub_targets t ~from:p.hop xpe in
+                let needed = unserved_targets t ~self_id:p.id xpe targets in
                 let fresh = record_forwarded t p.id needed in
                 List.map (fun ep -> (ep, Message.Subscribe { id = p.id; xpe })) fresh
               end)
@@ -629,9 +625,8 @@ let merge_pass t =
           M.incr t.meters.m_mergers_applied;
           t.suppressed <- member_ids @ t.suppressed;
           (* Subscribe the merger along its own (unserved) targets. *)
-          let key = Xpe.to_string m.xpe in
-          let targets = sub_targets t ~from:(Rtable.Neighbor t.id) ~key m.xpe in
-          let targets = unserved_targets t ~self_id:merger_id ~key m.xpe targets in
+          let targets = sub_targets t ~from:(Rtable.Neighbor t.id) m.xpe in
+          let targets = unserved_targets t ~self_id:merger_id m.xpe targets in
           let fresh = record_forwarded t merger_id targets in
           let sub_msgs =
             List.map (fun ep -> (ep, Message.Subscribe { id = merger_id; xpe = m.xpe })) fresh
@@ -796,13 +791,13 @@ let resync_for t ~ep =
       let msgs = ref [] in
       (* Parents before children, as in [handle_advertise]: coverers are
          forwarded first and then suppress their subtrees per target. *)
-      let candidate sub_id ~key xpe hop =
+      let candidate sub_id xpe hop =
         if
           (not (is_suppressed t sub_id))
           && (not (Rtable.endpoint_equal hop ep))
           && (not (List.exists (Rtable.endpoint_equal ep) (forwarded_targets t sub_id)))
-          && List.exists (Rtable.endpoint_equal ep) (sub_targets t ~from:hop ~key xpe)
-          && not (served_at t ~self_id:sub_id ~key xpe ep)
+          && List.exists (Rtable.endpoint_equal ep) (sub_targets t ~from:hop xpe)
+          && not (served_at t ~self_id:sub_id xpe ep)
         then begin
           ignore (record_forwarded t sub_id [ ep ]);
           msgs := (ep, Message.Subscribe { id = sub_id; xpe }) :: !msgs
@@ -811,15 +806,10 @@ let resync_for t ~ep =
       Sub_tree.iter
         (fun node ->
           List.iter
-            (fun (p : Rtable.Prt.payload) ->
-              candidate p.id ~key:(Sub_tree.node_key node) (Sub_tree.node_xpe node) p.hop)
+            (fun (p : Rtable.Prt.payload) -> candidate p.id (Sub_tree.node_xpe node) p.hop)
             (Sub_tree.node_payloads node))
         (Rtable.Prt.tree t.prt);
-      List.iter
-        (fun m ->
-          candidate m.merger_id ~key:(Xpe.to_string m.merger_xpe) m.merger_xpe
-            (Rtable.Neighbor t.id))
-        t.mergers;
+      List.iter (fun m -> candidate m.merger_id m.merger_xpe (Rtable.Neighbor t.id)) t.mergers;
       List.rev !msgs
     end
   in

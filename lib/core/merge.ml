@@ -288,17 +288,17 @@ let merge_set ?(enable_rule3 = true) ~max_degree ~universe xpes =
         | c -> c)
       evaluated
   in
-  let consumed = Hashtbl.create 256 in
+  let consumed = Xpe.Tbl.create 256 in
   let applied =
     List.filter_map
       (fun m ->
-        let free = List.filter (fun s -> not (Hashtbl.mem consumed (Xpe.to_string s))) m.originals in
+        let free = List.filter (fun s -> not (Xpe.Tbl.mem consumed s)) m.originals in
         if List.length free >= 2 then begin
-          List.iter (fun s -> Hashtbl.replace consumed (Xpe.to_string s) ()) free;
+          List.iter (fun s -> Xpe.Tbl.replace consumed s ()) free;
           Some { m with originals = free }
         end
         else None)
       sorted
   in
-  let kept = List.filter (fun s -> not (Hashtbl.mem consumed (Xpe.to_string s))) xpes in
+  let kept = List.filter (fun s -> not (Xpe.Tbl.mem consumed s)) xpes in
   (applied, kept)

@@ -63,8 +63,10 @@ module Srt = struct
        same XPE up repeatedly against a table that only changes when an
        advertisement arrives or leaves. A hit charges [match_ops] with
        exactly the ops of the scan it replaces, so the simulated cost
-       model is unchanged by the cache. *)
-    hops_cache : (string, endpoint list * int) Hashtbl.t;
+       model is unchanged by the cache. Keyed by XPE value; the owner
+       drops an XPE with [forget] when its last subscription leaves, so
+       the memo is bounded by live state. *)
+    hops_cache : (endpoint list * int) Xpe.Tbl.t;
   }
 
   let create ?(use_cover = false) () =
@@ -77,7 +79,7 @@ module Srt = struct
       use_cover;
       match_ops = 0;
       overlap_tests = 0;
-      hops_cache = Hashtbl.create 64;
+      hops_cache = Xpe.Tbl.create 64;
     }
 
   let size t = t.count
@@ -148,7 +150,7 @@ module Srt = struct
         | None -> t.catch_all <- entry :: t.catch_all);
         Hashtbl.replace t.by_id id entry;
         t.count <- t.count + 1;
-        Hashtbl.reset t.hops_cache;
+        Xpe.Tbl.reset t.hops_cache;
         `Stored
     end
 
@@ -165,7 +167,7 @@ module Srt = struct
         | [] -> Hashtbl.remove t.buckets n
         | es -> Hashtbl.replace t.buckets n es)
       | None -> t.catch_all <- drop t.catch_all);
-      Hashtbl.reset t.hops_cache;
+      Xpe.Tbl.reset t.hops_cache;
       Some entry.hop
 
   (* Root element a subscription's matches are anchored at, if any: an
@@ -189,9 +191,8 @@ module Srt = struct
      runs only when its hop could still change it: client hops are never
      forwarded to, and a hop already in the result stays there. Every
      candidate is still charged to [match_ops]. *)
-  let hops_for_sub ?key t xpe =
-    let key = match key with Some k -> k | None -> Xpe.to_string xpe in
-    match Hashtbl.find_opt t.hops_cache key with
+  let hops_for_sub t xpe =
+    match Xpe.Tbl.find_opt t.hops_cache xpe with
     | Some (hops, ops) ->
       t.match_ops <- t.match_ops + ops;
       hops
@@ -211,8 +212,12 @@ module Srt = struct
       in
       let ops = List.length candidates in
       t.match_ops <- t.match_ops + ops;
-      Hashtbl.add t.hops_cache key (hops, ops);
+      Xpe.Tbl.add t.hops_cache xpe (hops, ops);
       hops
+
+  (* A memo entry is a cache, never a decision: dropping one costs the
+     next lookup of that XPE one scan, charged the same as a hit. *)
+  let forget t xpe = Xpe.Tbl.remove t.hops_cache xpe
 
   (* Advertisements (ids) from a given hop. *)
   let ids_from t hop =
@@ -344,9 +349,9 @@ module Prt = struct
     |> List.concat_map (fun node ->
            List.map (fun p -> (node, p)) (Sub_tree.node_payloads node))
 
-  let insert ?key t id xpe hop =
+  let insert t id xpe hop =
     let payload = { id; hop } in
-    let node = Sub_tree.insert ?key t.tree xpe payload in
+    let node = Sub_tree.insert t.tree xpe payload in
     Yfilter.insert t.nfa xpe (t.nfa_seq, payload);
     t.nfa_seq <- t.nfa_seq + 1;
     t.by_id <- Id_map.add id (node, payload) t.by_id;

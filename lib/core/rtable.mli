@@ -69,9 +69,16 @@ module Srt : sig
   (** Neighbor last hops of the advertisements overlapping a
       subscription — where the subscription must be forwarded. Client
       hops are left out; each hop appears once, in the order its newest
-      overlapping advertisement comes in the newest-first scan. [key] is
-      the subscription's [Xpe.to_string], when the caller has it. *)
-  val hops_for_sub : ?key:string -> t -> Xpe.t -> endpoint list
+      overlapping advertisement comes in the newest-first scan. Answers
+      are memoized by XPE value ({!Xpe.Tbl}) until the next
+      advertisement arrives or leaves; a memo hit charges {!match_ops}
+      with the scan it replaces. *)
+  val hops_for_sub : t -> Xpe.t -> endpoint list
+
+  (** Drop the XPE's memoized answer. The owner calls it when the XPE's
+      last subscription leaves, so the memo holds only live XPEs. Changes
+      no answer and no charge. *)
+  val forget : t -> Xpe.t -> unit
 
   (** Advertisement ids stored from a given hop. *)
   val ids_from : t -> endpoint -> Message.sub_id list
@@ -122,9 +129,9 @@ module Prt : sig
       payloads. *)
   val covered_maximal : t -> Xpe.t -> (payload Sub_tree.node * payload) list
 
-  (** [key] is the XPE's [Xpe.to_string], when the caller has it. *)
-  val insert :
-    ?key:string -> t -> Message.sub_id -> Xpe.t -> endpoint -> payload Sub_tree.node * payload
+  (** Store a subscription; an XPE equal ({!Xpe.equal}) to a stored one
+      joins its {!Sub_tree} node. *)
+  val insert : t -> Message.sub_id -> Xpe.t -> endpoint -> payload Sub_tree.node * payload
 
   (** Remove by id; returns the payload and the node that held it (gone
       from the tree when this was its last payload, its children then

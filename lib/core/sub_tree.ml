@@ -41,7 +41,6 @@ module Symbol = Xroute_support.Symbol
 type 'a node = {
   id : int;
   xpe : Xpe.t;
-  key : string; (* [Xpe.to_string xpe]: the node's [by_key] entry *)
   mutable payloads : 'a list;
   mutable parent : 'a node option; (* None for the virtual root *)
   mutable children : 'a node list;
@@ -52,7 +51,7 @@ type 'a t = {
   covers : Xpe.t -> Xpe.t -> bool;
   flat : bool; (* no covering organization: all nodes sit under the root *)
   root : 'a node; (* virtual: covers everything, holds no subscription *)
-  by_key : (string, 'a node) Hashtbl.t; (* canonical XPE -> its node *)
+  by_xpe : 'a node Xpe.Tbl.t; (* equal XPEs share one node *)
   (* First-step index over the root fringe (the paper's Sec. 4.1 search
      optimizations): a subscription whose first semantic step is a plain
      child name test can only stand in a covering relation with root
@@ -77,8 +76,8 @@ type 'a t = {
      with it virtual time — is unchanged by the cache. *)
   mutable version : int;
   mutable cache_version : int;
-  coverers_cache : (string, 'a node list * int) Hashtbl.t;
-  covered_roots_cache : (string, 'a node list * int) Hashtbl.t;
+  coverers_cache : ('a node list * int) Xpe.Tbl.t;
+  covered_roots_cache : ('a node list * int) Xpe.Tbl.t;
 }
 
 (* The index key of an XPE: [Some name] when its first semantic step is a
@@ -97,7 +96,6 @@ let create ?(flat = false) ?(covers = fun s1 s2 -> Cover.covers s1 s2) () =
       id = 0;
       (* placeholders; never consulted *)
       xpe;
-      key = "";
       payloads = [];
       parent = None;
       children = [];
@@ -108,7 +106,7 @@ let create ?(flat = false) ?(covers = fun s1 s2 -> Cover.covers s1 s2) () =
     covers = (if flat then fun _ _ -> false else covers);
     flat;
     root;
-    by_key = Hashtbl.create 64;
+    by_xpe = Xpe.Tbl.create 64;
     root_named = Hashtbl.create 64;
     root_general = [];
     next_id = 1;
@@ -118,8 +116,8 @@ let create ?(flat = false) ?(covers = fun s1 s2 -> Cover.covers s1 s2) () =
     match_checks = 0;
     version = 0;
     cache_version = 0;
-    coverers_cache = Hashtbl.create 64;
-    covered_roots_cache = Hashtbl.create 64;
+    coverers_cache = Xpe.Tbl.create 64;
+    covered_roots_cache = Xpe.Tbl.create 64;
   }
 
 let size t = t.count
@@ -128,8 +126,8 @@ let cover_checks t = t.cover_checks
 let cover_tests t = t.cover_tests
 let match_checks t = t.match_checks
 
+let node_id n = n.id
 let node_xpe n = n.xpe
-let node_key n = n.key
 let node_payloads n = n.payloads
 let node_children n = n.children
 
@@ -209,13 +207,9 @@ let depth t =
 (* Queries                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The canonical form [by_key] and the covering memos are keyed by;
-   callers that already printed it pass it as [key]. *)
-let key_of ?key xpe = match key with Some k -> k | None -> Xpe.to_string xpe
-
-(* Find the stored node whose XPE equals [xpe] (hash lookup on the
-   canonical form; equal XPEs always share one node). *)
-let find_equal t xpe = Hashtbl.find_opt t.by_key (Xpe.to_string xpe)
+(* Find the stored node whose XPE equals [xpe] (hash lookup by value;
+   equal XPEs always share one node). *)
+let find_equal t xpe = Xpe.Tbl.find_opt t.by_xpe xpe
 
 (* Is [xpe] covered by a stored subscription (strictly or equally)? By
    transitivity it suffices to look at depth-1 nodes. *)
@@ -228,18 +222,17 @@ let is_covered t xpe =
 
 let cache_refresh t =
   if t.cache_version <> t.version then begin
-    Hashtbl.reset t.coverers_cache;
-    Hashtbl.reset t.covered_roots_cache;
+    Xpe.Tbl.reset t.coverers_cache;
+    Xpe.Tbl.reset t.covered_roots_cache;
     t.cache_version <- t.version
   end
 
 (* Depth-1 nodes covered by [xpe]. *)
-let covered_roots ?key t xpe =
+let covered_roots t xpe =
   if t.flat then []
   else begin
     cache_refresh t;
-    let key = key_of ?key xpe in
-    match Hashtbl.find_opt t.covered_roots_cache key with
+    match Xpe.Tbl.find_opt t.covered_roots_cache xpe with
     | Some (nodes, checks) ->
       t.cover_checks <- t.cover_checks + checks;
       nodes
@@ -247,7 +240,7 @@ let covered_roots ?key t xpe =
       let c0 = t.cover_checks in
       let g = Cover.signature xpe in
       let nodes = List.filter (covers_node t xpe g) (root_covered_candidates t xpe) in
-      Hashtbl.add t.covered_roots_cache key (nodes, t.cover_checks - c0);
+      Xpe.Tbl.add t.covered_roots_cache xpe (nodes, t.cover_checks - c0);
       nodes
   end
 
@@ -289,9 +282,8 @@ let detach_from t parent n =
       parent that the new node covers are re-parented under it (case 2 of
       the paper, generalized to several nodes);
    3. a child covers the new subscription: descend into it. *)
-let insert ?key t xpe payload =
-  let key = key_of ?key xpe in
-  match Hashtbl.find_opt t.by_key key with
+let insert t xpe payload =
+  match find_equal t xpe with
   | Some node ->
     (* equal XPEs share a node; payloads accumulate *)
     node.payloads <- payload :: node.payloads;
@@ -303,7 +295,6 @@ let insert ?key t xpe payload =
         {
           id = t.next_id;
           xpe;
-          key;
           payloads = [ payload ];
           parent = None;
           children = [];
@@ -312,7 +303,7 @@ let insert ?key t xpe payload =
       in
       t.next_id <- t.next_id + 1;
       t.count <- t.count + 1;
-      Hashtbl.replace t.by_key key n;
+      Xpe.Tbl.replace t.by_xpe xpe n;
       n
     in
     if t.flat then begin
@@ -359,7 +350,7 @@ let remove_node t n =
   match n.parent with
   | None -> invalid_arg "Sub_tree.remove_node: virtual root"
   | Some p ->
-    Hashtbl.remove t.by_key n.key;
+    Xpe.Tbl.remove t.by_xpe n.xpe;
     detach_from t p n;
     List.iter (fun c -> attach t p c) n.children;
     n.children <- [];
@@ -439,12 +430,11 @@ let check_invariants t =
    by descending into every covering child: any coverer's ancestors also
    cover, so the covering-descent frontier reaches them all. The root
    fringe is pre-filtered through the first-step index. *)
-let coverers ?key t xpe =
+let coverers t xpe =
   if t.flat then []
   else begin
     cache_refresh t;
-    let key = key_of ?key xpe in
-    match Hashtbl.find_opt t.coverers_cache key with
+    match Xpe.Tbl.find_opt t.coverers_cache xpe with
     | Some (nodes, checks) ->
       t.cover_checks <- t.cover_checks + checks;
       nodes
@@ -463,7 +453,7 @@ let coverers ?key t xpe =
       in
       go (root_cover_candidates t xpe);
       let nodes = List.rev !acc in
-      Hashtbl.add t.coverers_cache key (nodes, t.cover_checks - c0);
+      Xpe.Tbl.add t.coverers_cache xpe (nodes, t.cover_checks - c0);
       nodes
   end
 

@@ -2,8 +2,9 @@
     subtree. Covering relations that cross subtrees (the paper's super
     pointers) are not stored; the queries that need them search the
     tree. Payloads of type ['a] (e.g. routing last-hops) accumulate on
-    nodes; equal XPEs share a node when found on the covering descent
-    path.
+    nodes; XPEs equal by {!Xpe.equal} share one node. Every table here
+    (the node index, the covering memos) is an {!Xpe.Tbl}, keyed by the
+    XPE's value, never by its printed form.
 
     Each node keeps its XPE's {!Cover.signature}, and every covering test
     first asks {!Cover.may_cover}: only pairs it admits reach the
@@ -43,12 +44,11 @@ val cover_tests : 'a t -> int
 (** Number of publication match tests performed so far (metrics). *)
 val match_checks : 'a t -> int
 
-val node_xpe : 'a node -> Xpe.t
+(** The node's identity within its tree: ids are never reused, so a
+    table keyed by it cannot confuse a deleted node with a later one. *)
+val node_id : 'a node -> int
 
-(** The node's XPE printed by [Xpe.to_string]: the key equal XPEs share
-    the node under. Every [?key] argument below takes this form of its
-    XPE, so a caller that already printed it does not print it again. *)
-val node_key : 'a node -> string
+val node_xpe : 'a node -> Xpe.t
 
 val node_payloads : 'a node -> 'a list
 val node_children : 'a node -> 'a node list
@@ -67,8 +67,8 @@ val maximal : 'a t -> 'a node list
 (** Height of the tree (0 when empty). *)
 val depth : 'a t -> int
 
-(** Stored node with an XPE equal to the argument (hash lookup: equal
-    XPEs always share one node). *)
+(** Stored node with an XPE equal to the argument by {!Xpe.equal} (one
+    {!Xpe.Tbl} lookup: equal XPEs always share one node). *)
 val find_equal : 'a t -> Xpe.t -> 'a node option
 
 (** Is the XPE covered by (or equal to) a stored subscription? Complete:
@@ -77,7 +77,7 @@ val is_covered : 'a t -> Xpe.t -> bool
 
 (** Depth-1 nodes covered by the XPE — the previously forwarded
     subscriptions to unsubscribe when this one takes over. *)
-val covered_roots : ?key:string -> 'a t -> Xpe.t -> 'a node list
+val covered_roots : 'a t -> Xpe.t -> 'a node list
 
 (** All stored nodes covered by the XPE: the subtrees of every covered
     node, wherever it sits. *)
@@ -85,7 +85,7 @@ val covered_nodes : 'a t -> Xpe.t -> 'a node list
 
 (** Insert a subscription; returns its node (an existing one when an
     equal XPE is already stored — the payload is appended). *)
-val insert : ?key:string -> 'a t -> Xpe.t -> 'a -> 'a node
+val insert : 'a t -> Xpe.t -> 'a -> 'a node
 
 (** Delete a node; its children are promoted to its parent.
     @raise Invalid_argument on the virtual root. *)
@@ -116,7 +116,7 @@ val match_path_linear : 'a t -> string array -> (string * string) list array -> 
 val check_invariants : 'a t -> string list
 
 (** All stored nodes whose XPE covers the argument (equality included). *)
-val coverers : ?key:string -> 'a t -> Xpe.t -> 'a node list
+val coverers : 'a t -> Xpe.t -> 'a node list
 
 (** Total payloads stored ({!size} counts distinct XPEs; equal XPEs share
     one node). *)

@@ -113,9 +113,36 @@ let rec compare_part a b =
 
 let compare a b = List.compare compare_part a.parts b.parts
 
-let equal a b = compare a b = 0
+(* Identity, as [Xpe.equal]: names by symbol id. Agrees with
+   [compare]. *)
+let rec equal_part a b =
+  match (a, b) with
+  | Lit x, Lit y ->
+    Array.length x = Array.length y && Array.for_all2 Xpe.equal_nodetest x y
+  | Group x, Group y -> List.equal equal_part x y
+  | Lit _, Group _ | Group _, Lit _ -> false
 
-let hash t = Hashtbl.hash (to_string t)
+let equal a b = a == b || List.equal equal_part a.parts b.parts
+
+(* Folds every symbol; a group is bracketed so "(/a)+/b" and "/a/b"
+   hash apart. *)
+let hash t =
+  let mix h x = (h * 31) + x in
+  let rec part h = function
+    | Lit a ->
+      Array.fold_left
+        (fun h s -> mix h (match s with Xpe.Star -> 0 | Xpe.Name n -> Xroute_support.Symbol.id n + 1))
+        h a
+    | Group inner -> mix (List.fold_left part (mix h (-1)) inner) (-2)
+  in
+  List.fold_left part 0 t.parts land max_int
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
 
 (* The literal steps of a non-recursive advertisement. *)
 let to_symbols t =

@@ -36,8 +36,16 @@ val length : t -> int
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 val compare : t -> t -> int
+
+(** An advertisement's identity, as {!Xpe.equal}: [equal a b] iff
+    [compare a b = 0]. *)
 val equal : t -> t -> bool
+
+(** Agrees with {!equal}; folds every symbol. *)
 val hash : t -> int
+
+(** Hash table keyed by advertisement value ({!equal}, {!hash}). *)
+module Tbl : Hashtbl.S with type key = t
 
 (** Literal steps of a non-recursive advertisement.
     @raise Invalid_argument on recursive advertisements. *)

@@ -63,7 +63,12 @@ let semantic_steps t =
 
 let test_to_string = function Star -> "*" | Name n -> Symbol.name n
 
-let pred_to_string { attr; value } = Printf.sprintf "[@%s='%s']" attr value
+(* A value holding ['] is printed inside ["..."], so the printed form
+   parses back to the same predicate (the parser takes either quote). A
+   value holding both quote kinds has no printed form that parses. *)
+let pred_to_string { attr; value } =
+  if String.contains value '\'' then Printf.sprintf "[@%s=\"%s\"]" attr value
+  else Printf.sprintf "[@%s='%s']" attr value
 
 let step_to_buf ~first ~relative buf s =
   (match (s.axis, first, relative) with
@@ -105,9 +110,45 @@ let compare a b =
   | 0 -> List.compare compare_step a.steps b.steps
   | c -> c
 
-let equal a b = compare a b = 0
+(* Identity, decided here once for every table keyed by an XPE: names
+   by symbol id, predicates by their strings. Agrees with [compare]
+   (interned names are equal exactly when their strings are). *)
+let equal_nodetest a b =
+  match (a, b) with
+  | Star, Star -> true
+  | Name x, Name y -> Symbol.equal x y
+  | Star, Name _ | Name _, Star -> false
 
-let hash t = Hashtbl.hash (to_string t)
+let equal_pred a b = String.equal a.attr b.attr && String.equal a.value b.value
+
+let equal_axis a b =
+  match (a, b) with Child, Child | Desc, Desc -> true | Child, Desc | Desc, Child -> false
+
+let equal_step a b =
+  equal_axis a.axis b.axis && equal_nodetest a.test b.test && List.equal equal_pred a.preds b.preds
+
+let equal a b = a == b || (Bool.equal a.relative b.relative && List.equal equal_step a.steps b.steps)
+
+let hash_mix h x = (h * 31) + x
+
+let hash_test = function Star -> 0 | Name n -> Symbol.id n + 1
+
+(* Folds every step, so XPEs that share a long prefix still spread. *)
+let hash t =
+  let step h s =
+    let h = hash_mix (hash_mix h (match s.axis with Child -> 1 | Desc -> 2)) (hash_test s.test) in
+    List.fold_left
+      (fun h p -> hash_mix (hash_mix h (Hashtbl.hash p.attr)) (Hashtbl.hash p.value))
+      h s.preds
+  in
+  List.fold_left step (if t.relative then 1 else 0) t.steps land max_int
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
 
 (* Element names mentioned by the XPE (wildcards excluded). *)
 let names t =

@@ -44,6 +44,9 @@ val has_predicates : t -> bool
     XPE the first step is reported with a [Desc] axis. *)
 val semantic_steps : t -> step list
 
+(** Parses back to an equal XPE ({!Xpe_parser.parse}) whenever no
+    predicate value holds both quote kinds: a value holding ['] is
+    printed inside ["..."]. *)
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 val test_to_string : nodetest -> string
@@ -51,9 +54,24 @@ val pred_to_string : predicate -> string
 
 val compare_nodetest : nodetest -> nodetest -> int
 val compare_step : step -> step -> int
+
+(** Orders names by their strings ({!Xroute_support.Symbol.compare_name}),
+    so sorts do not depend on interning order. *)
 val compare : t -> t -> int
+
+(** An XPE's identity: names compared by symbol id, predicates by their
+    strings. [equal a b] iff [compare a b = 0]. Every table keyed by an
+    XPE keys it by this, never by the printed form. *)
 val equal : t -> t -> bool
+
+(** Agrees with {!equal}; folds every step. *)
 val hash : t -> int
+
+(** Same name (by symbol id) or both wildcards. *)
+val equal_nodetest : nodetest -> nodetest -> bool
+
+(** Hash table keyed by XPE value ({!equal}, {!hash}). *)
+module Tbl : Hashtbl.S with type key = t
 
 (** Element names mentioned (wildcards excluded). *)
 val names : t -> string list

@@ -204,6 +204,103 @@ let test_unsubscribe_shared_xpe_survivor () =
   let pouts = Broker.handle b ~from:(neighbor 1) (Message.Publish { pub = pub "/a/b"; trail = []; ctx = None }) in
   check ci "delivered to survivor" 1 (count_kind `Pub pouts)
 
+(* Two different XPEs that read alike when every value is printed inside
+   ['...']: [tricky]'s one predicate value spells [plain]'s two
+   predicates. They must get two PRT nodes. *)
+let plain = "/a[@x='p'][@y='q']"
+let tricky = "/a[@x=\"p'][@y='q\"]"
+
+let tricky_pub () =
+  Xroute_xml.Xml_paths.make ~doc_id:1 ~path_id:0 ~steps:[| "a" |]
+    ~attrs:[| [ ("x", "p'][@y='q") ] |]
+    ~doc_size:1 ~path_count:1
+
+let audit_errors b =
+  List.filter_map
+    (fun (f : Xroute_check.Finding.t) ->
+      match f.severity with
+      | Xroute_check.Finding.Error -> Some (f.code ^ ": " ^ f.witness)
+      | _ -> None)
+    (Xroute_check.Check.audit_broker b)
+
+let test_unsubscribe_distinct_printed_alike () =
+  let b = make_broker ~id:0 ~neighbors:[ 1 ] () in
+  ignore (Broker.handle b ~from:(client 2) (Message.Subscribe { id = sid 2 1; xpe = xp plain }));
+  ignore (Broker.handle b ~from:(client 1) (Message.Subscribe { id = sid 1 1; xpe = xp tricky }));
+  check ci "two nodes" 2 (Broker.prt_size b);
+  ignore (Broker.handle b ~from:(client 1) (Message.Unsubscribe { id = sid 1 1 }));
+  let outs =
+    Broker.handle b ~from:(neighbor 1) (Message.Publish { pub = tricky_pub (); trail = []; ctx = None })
+  in
+  check ci "nothing for the departed client" 0 (List.length (msgs_to (client 1) outs));
+  check (Alcotest.list Alcotest.string) "audit clean" [] (audit_errors b)
+
+(* Deliver every message between the brokers of [bs] (indexed by id)
+   until none is left; returns what reached clients, oldest first, and
+   every broker-to-broker message as (from, to, message). *)
+let pump bs outs0 =
+  let q = Queue.create () in
+  let delivered = ref [] and links = ref [] in
+  List.iter (fun (src, outs) -> List.iter (fun o -> Queue.push (src, o) q) outs) outs0;
+  while not (Queue.is_empty q) do
+    match Queue.pop q with
+    | _, (Rtable.Client c, m) -> delivered := (c, m) :: !delivered
+    | src, (Rtable.Neighbor n, m) ->
+      links := (src, n, m) :: !links;
+      List.iter (fun o -> Queue.push (n, o) q) (Broker.handle bs.(n) ~from:(neighbor src) m)
+  done;
+  (List.rev !delivered, List.rev !links)
+
+(* Broker 1 holds the publisher, broker 0 the subscribers. A later
+   [/a[@x='p']] displaces only what it covers: [plain]'s forwarding, not
+   [tricky]'s, which keeps drawing its publications through broker 1. *)
+let test_cover_displaces_only_covered_twin () =
+  let bs = [| make_broker ~id:0 ~neighbors:[ 1 ] (); make_broker ~id:1 ~neighbors:[ 0 ] () |] in
+  let send at from m = ignore (pump bs [ (at, Broker.handle bs.(at) ~from m) ]) in
+  send 1 (client 9) (Message.Advertise { id = sid 9 1; adv = ad "/a" });
+  send 0 (client 2) (Message.Subscribe { id = sid 2 1; xpe = xp plain });
+  send 0 (client 1) (Message.Subscribe { id = sid 1 1; xpe = xp tricky });
+  let _, links =
+    pump bs
+      [ (0, Broker.handle bs.(0) ~from:(client 3) (Message.Subscribe { id = sid 3 1; xpe = xp "/a[@x='p']" })) ]
+  in
+  let unsubs =
+    List.filter_map
+      (fun (_, _, m) -> match m with Message.Unsubscribe { id } -> Some id | _ -> None)
+      links
+  in
+  check cb "covered twin unsubscribed upstream" true (List.mem (sid 2 1) unsubs);
+  check cb "no UNSUB for the uncovered twin" false (List.mem (sid 1 1) unsubs);
+  let delivered, _ =
+    pump bs
+      [ (1, Broker.handle bs.(1) ~from:(client 9) (Message.Publish { pub = tricky_pub (); trail = []; ctx = None })) ]
+  in
+  check cb "the uncovered twin still receives" true (List.exists (fun (c, _) -> c = 1) delivered);
+  Array.iter (fun b -> check (Alcotest.list Alcotest.string) "audit clean" [] (audit_errors b)) bs
+
+(* Routing state is bounded by live subscriptions: 101k subscribe /
+   unsubscribe pairs of distinct XPEs, each looked up in the SRT, leave
+   the broker as small as it was. *)
+let test_state_bounded_by_live_subscriptions () =
+  let b = make_broker ~id:0 ~neighbors:[ 1 ] () in
+  ignore (Broker.handle b ~from:(neighbor 1) (Message.Advertise { id = sid 9 1; adv = ad "/a/b" }));
+  let pairs n0 n1 =
+    for i = n0 to n1 - 1 do
+      let id = sid 5 i in
+      let xpe = xp (Printf.sprintf "/a/b[@x='%d']" i) in
+      ignore (Broker.handle b ~from:(client 5) (Message.Subscribe { id; xpe }));
+      ignore (Broker.handle b ~from:(client 5) (Message.Unsubscribe { id }))
+    done
+  in
+  let kb () = Obj.reachable_words (Obj.repr b) * (Sys.word_size / 8) / 1024 in
+  pairs 0 1_000;
+  let after_1k = kb () in
+  pairs 1_000 101_000;
+  let after_101k = kb () in
+  check ci "no live subscription" 0 (Broker.prt_size b);
+  if after_101k >= 64 then
+    Alcotest.failf "broker holds %d KB after 101k pairs (%d KB after 1k)" after_101k after_1k
+
 (* ---------------- Broker: publications ---------------- *)
 
 let test_pub_forwarding () =
@@ -374,6 +471,12 @@ let () =
           Alcotest.test_case "adv routing selective" `Quick test_sub_adv_routing_selective;
           Alcotest.test_case "unsubscribe promotes" `Quick test_unsubscribe_propagates_and_promotes;
           Alcotest.test_case "shared-xpe survivor" `Quick test_unsubscribe_shared_xpe_survivor;
+          Alcotest.test_case "distinct XPEs printed alike" `Quick
+            test_unsubscribe_distinct_printed_alike;
+          Alcotest.test_case "covering displaces only the covered twin" `Quick
+            test_cover_displaces_only_covered_twin;
+          Alcotest.test_case "state bounded by live subscriptions" `Quick
+            test_state_bounded_by_live_subscriptions;
         ] );
       ( "publications",
         [

@@ -25,6 +25,22 @@ let test_subscribe () =
   let msg = Message.Subscribe { id = sid 1 2; xpe = Xpe_parser.parse "/a/*//b[@k='v']" } in
   check cb "roundtrip" true (roundtrip msg)
 
+(* A predicate value holding ['] travels inside ["..."]: the next broker
+   decodes the same XPE, with one predicate, not a different one with
+   two. A value free of ['] keeps its ['...'] bytes. *)
+let test_subscribe_quoted_value () =
+  let xpe = Xpe_parser.parse "/a[@x=\"p'][@y='q\"]" in
+  let msg = Message.Subscribe { id = sid 1 0; xpe } in
+  check cs "wire form" "1|S|1.0|/a[@x%3D\"p'][@y%3D'q\"]" (Codec.encode msg);
+  (match Codec.decode (Codec.encode msg) with
+  | Ok (Message.Subscribe { xpe = xpe'; _ }) ->
+    check cb "same XPE" true (Xpe.equal xpe xpe');
+    check Alcotest.int "one predicate" 1
+      (List.length (List.concat_map (fun (s : Xpe.step) -> s.preds) xpe'.Xpe.steps))
+  | _ -> Alcotest.fail "quoted subscribe did not decode");
+  let plain = Message.Subscribe { id = sid 1 0; xpe = Xpe_parser.parse "/a[@x=\"p\"][@y='q']" } in
+  check cs "plain values keep single quotes" "1|S|1.0|/a[@x%3D'p'][@y%3D'q']" (Codec.encode plain)
+
 let test_unsubscribe_unadvertise () =
   check cb "unsub" true (roundtrip (Message.Unsubscribe { id = sid 9 1 }));
   check cb "unadv" true (roundtrip (Message.Unadvertise { id = sid 9 2 }))
@@ -273,6 +289,7 @@ let () =
         [
           Alcotest.test_case "advertise" `Quick test_advertise;
           Alcotest.test_case "subscribe" `Quick test_subscribe;
+          Alcotest.test_case "subscribe, quoted value" `Quick test_subscribe_quoted_value;
           Alcotest.test_case "unsub/unadv" `Quick test_unsubscribe_unadvertise;
           Alcotest.test_case "publish" `Quick test_publish;
           Alcotest.test_case "escaping" `Quick test_escaping;

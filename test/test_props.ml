@@ -37,6 +37,37 @@ let gen_xpe =
 
 let arb_xpe = QCheck.make ~print:Xpe.to_string gen_xpe
 
+(* XPEs whose predicate values are built from the characters that shape
+   the printed form and the wire line. A value holds one quote kind at
+   most: no printed form carries both. A generator of its own, so the
+   inputs of the properties above do not change. *)
+let gen_pred_value =
+  QCheck.Gen.(
+    let* quote = oneofl [ '\''; '"' ] in
+    let* chars = list_size (int_range 0 6) (oneofl [ quote; '['; ']'; '@'; '='; '/'; '%'; '|'; 'p' ]) in
+    return (String.of_seq (List.to_seq chars)))
+
+let gen_xpe_quoted =
+  QCheck.Gen.(
+    let* xpe = gen_xpe in
+    let* steps =
+      flatten_l
+        (List.map
+           (fun (s : Xpe.step) ->
+             let* n = int_range 0 2 in
+             let* preds =
+               list_repeat n
+                 (let* attr = oneofl [ "x"; "y" ] in
+                  let* value = gen_pred_value in
+                  return { Xpe.attr; value })
+             in
+             return { s with Xpe.preds })
+           xpe.Xpe.steps)
+    in
+    return (Xpe.make ~relative:(Xpe.is_relative xpe) steps))
+
+let arb_xpe_quoted = QCheck.make ~print:Xpe.to_string gen_xpe_quoted
+
 let gen_adv =
   QCheck.Gen.(
     let gen_lit =
@@ -67,6 +98,32 @@ let arb_xpe_pair = QCheck.pair arb_xpe arb_xpe
 let prop_xpe_roundtrip =
   QCheck.Test.make ~name:"xpe to_string/parse roundtrip" ~count:500 arb_xpe (fun xpe ->
       Xpe.equal xpe (Xpe_parser.parse (Xpe.to_string xpe)))
+
+let prop_xpe_roundtrip_quoted =
+  QCheck.Test.make ~name:"xpe to_string/parse roundtrip, quoted values" ~count:500
+    arb_xpe_quoted (fun xpe -> Xpe.equal xpe (Xpe_parser.parse (Xpe.to_string xpe)))
+
+(* Identity: [equal] agrees with [compare], and equal values hash alike.
+   Checked on generated pairs and on a value against its independently
+   rebuilt twin [parse (to_string x)]. *)
+let identity_agrees ~equal ~compare ~hash a b =
+  equal a b = (compare a b = 0) && ((not (equal a b)) || hash a = hash b)
+
+let xpe_identity_agrees = identity_agrees ~equal:Xpe.equal ~compare:Xpe.compare ~hash:Xpe.hash
+
+let prop_xpe_identity =
+  QCheck.Test.make ~name:"xpe equal = (compare = 0), equal => same hash" ~count:1000
+    (QCheck.pair arb_xpe_quoted arb_xpe_quoted) (fun (a, b) ->
+      xpe_identity_agrees a b
+      && xpe_identity_agrees a (Xpe_parser.parse (Xpe.to_string a))
+      && Xpe.equal a (Xpe_parser.parse (Xpe.to_string a)))
+
+let prop_adv_identity =
+  let agrees = identity_agrees ~equal:Adv.equal ~compare:Adv.compare ~hash:Adv.hash in
+  QCheck.Test.make ~name:"adv equal = (compare = 0), equal => same hash" ~count:1000
+    (QCheck.pair arb_adv arb_adv) (fun (a, b) ->
+      let twin = Adv.parse (Adv.to_string a) in
+      agrees a b && agrees a twin && Adv.equal a twin)
 
 (* Adv parser round-trip. *)
 let prop_adv_roundtrip =
@@ -371,7 +428,9 @@ let () =
   Alcotest.run "properties"
     [
       ("language", to_alcotest [ prop_xpe_roundtrip; prop_adv_roundtrip;
-                                 prop_eval_equals_language; prop_adv_match_equals_language ]);
+                                 prop_eval_equals_language; prop_adv_match_equals_language;
+                                 prop_xpe_roundtrip_quoted ]);
+      ("identity", to_alcotest [ prop_xpe_identity; prop_adv_identity ]);
       ("matching", to_alcotest [ prop_overlap_engines_agree; prop_overlap_witnessed ]);
       ("covering", to_alcotest [ prop_cover_sound; prop_cover_exact_complete;
                                  prop_cover_containment_on_paths ]);
