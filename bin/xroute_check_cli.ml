@@ -92,7 +92,9 @@ let workload_report dtd ~count ~clients ~seed =
 
 (* Build a binary-tree network, churn it with interleaved subscribes and
    unsubscribes, converge, run a merging pass where the strategy merges,
-   and audit every broker against the client ledgers. *)
+   and audit every broker against the client ledgers. After the pass the
+   client holding a merger member unsubscribes it, so the audit sees a
+   merger dissolve; returns the network and whether that happened. *)
 let churned_net dtd ~strategy ~seed ~ops =
   let graph = Xroute_dtd.Dtd_graph.build dtd in
   let advs = Xroute_dtd.Dtd_paths.advertisements graph in
@@ -133,16 +135,41 @@ let churned_net dtd ~strategy ~seed ~ops =
   Net.run net;
   Net.unsubscribe net twin departing;
   Net.run net;
-  (match strategy.Broker.merging with
-  | Broker.No_merging -> ()
-  | _ ->
-    Net.set_universe net
-      (Xroute_dtd.Dtd_paths.sample_paths ~count:2000 ~max_depth:10 (Prng.create 5) graph);
-    Net.merge_all net;
-    Net.run net);
-  net
+  let dissolved =
+    match strategy.Broker.merging with
+    | Broker.No_merging -> false
+    | _ -> (
+      let universe =
+        Xroute_dtd.Dtd_paths.sample_paths ~count:2000 ~max_depth:10 (Prng.create 5) graph
+      in
+      (* One subscription per child of the root: the churned Set-B XPEs
+         (depth 7) cannot cover them, and their wildcard merger matches
+         no universe path outside them, so even Perfect merging merges. *)
+      List.filter_map (fun p -> if Array.length p > 1 then Some p.(1) else None) universe
+      |> List.sort_uniq String.compare
+      |> List.iter (fun child ->
+             ignore (Net.subscribe net twin (parse (Printf.sprintf "/%s/%s" root child))));
+      Net.run net;
+      Net.set_universe net universe;
+      Net.merge_all net;
+      Net.run net;
+      let members =
+        Array.to_list (Net.brokers net)
+        |> List.concat_map (fun b ->
+               List.concat_map (fun (_, _, ms) -> ms) (Broker.audit_view b).Broker.av_mergers)
+      in
+      match List.find_opt (fun (id, _) -> List.mem id members) twin.Net.sub_ledger with
+      | None -> false
+      | Some (id, _) ->
+        Net.unsubscribe net twin id;
+        Net.run net;
+        true)
+  in
+  (net, dissolved)
 
-let audit_report dtd ~strategies ~seeds ~ops =
+(* [~require_merge]: every merging network must dissolve a merger, or
+   the merge bookkeeping went unaudited (exit 2). *)
+let audit_report dtd ~strategies ~seeds ~ops ~require_merge =
   let reports =
     List.concat_map
       (fun name ->
@@ -153,7 +180,13 @@ let audit_report dtd ~strategies ~seeds ~ops =
         in
         List.map
           (fun seed ->
-            let net = churned_net dtd ~strategy ~seed ~ops in
+            let net, dissolved = churned_net dtd ~strategy ~seed ~ops in
+            if require_merge && strategy.Broker.merging <> Broker.No_merging && not dissolved
+            then
+              or_die
+                (Error
+                   (Printf.sprintf "%s, seed %d: no merger formed, so none was dissolved" name
+                      seed));
             let findings = Check.audit_net net in
             Finding.report findings)
           seeds)
@@ -298,7 +331,7 @@ let run dtd_spec workload soundness audit scenario_audit obs_audit self_audit se
       let strategies =
         if strategy_name = "all" then Broker.strategy_names else [ strategy_name ]
       in
-      add (audit_report dtd ~strategies ~seeds ~ops)
+      add (audit_report dtd ~strategies ~seeds ~ops ~require_merge:self_audit)
     end);
   let report = Finding.concat (List.rev !reports) in
   if not quiet then print_string (Finding.to_text report);

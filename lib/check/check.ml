@@ -261,6 +261,19 @@ let audit_broker ?live_advs ?live_subs broker =
              (pp_id id))
           (Printf.sprintf "%d mergers live" (List.length v.Broker.av_mergers)))
     v.Broker.av_suppressed;
+  (* a merger lives only while all its members are stored: one that
+     lists a departed member draws publications for nobody *)
+  List.iter
+    (fun (mid, mx, members) ->
+      List.iter
+        (fun id ->
+          if not (is_stored id) then
+            add "merger-member-gone"
+              (Printf.sprintf "%s: merger %s lists %s, which is no longer stored" where
+                 (pp_id mid) (pp_id id))
+              (Xpe.to_string mx))
+        members)
+    v.Broker.av_mergers;
   List.rev !findings
 
 let audit_net net =

@@ -29,7 +29,9 @@ val analyze_workload :
     forwarded-target sanity, and covered-set consistency (every
     non-suppressed stored subscription reaches each required next hop
     directly or through a forwarded coverer/merger — a "covering hole"
-    means lost publications). When the live ledgers are supplied, SRT /
+    means lost publications), and merge bookkeeping (every suppressed id
+    belongs to a live merger; [merger-member-gone]: every member of a
+    live merger is still stored). When the live ledgers are supplied, SRT /
     PRT entries outside them are reported as dangling; [live_subs]
     should include merger ids when auditing a network (see
     {!audit_net}). *)

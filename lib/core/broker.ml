@@ -13,7 +13,9 @@
    - merging off / perfect / imperfect: a periodic merge pass replaces
      sets of forwarded subscriptions by mergers (Sec. 4.3); originals
      stay in the local PRT, so false positives die here and never reach
-     clients.
+     clients. A merger lives only while every member is stored: when
+     one leaves, the merger is withdrawn like an unsubscription and its
+     other members are forwarded again.
 
    [handle] is a pure-ish state machine: it consumes one message and
    returns the messages to emit, so the overlay simulator (and the
@@ -31,16 +33,9 @@ type strategy = {
   use_adv : bool;  (* advertisement-based subscription routing *)
   use_cover : bool;  (* covering-based forwarding suppression *)
   merging : merge_mode;
-  adv_cover : bool;  (* advertisement covering in the SRT (extension) *)
 }
 
-let default_strategy =
-  {
-    use_adv = true;
-    use_cover = true;
-    merging = No_merging;
-    adv_cover = false;
-  }
+let default_strategy = { use_adv = true; use_cover = true; merging = No_merging }
 
 (* The six rows of Tables 2 and 3. *)
 let strategy_of_name = function
@@ -143,12 +138,6 @@ let make_meters reg =
       M.histogram reg ~help:"Merge pass CPU time (ms)" "xroute_broker_merge_pass_ms";
   }
 
-type merger_record = {
-  merger_id : Message.sub_id;
-  merger_xpe : Xpe.t;
-  member_ids : Message.sub_id list;
-}
-
 type t = {
   id : int;
   strategy : strategy;
@@ -164,9 +153,12 @@ type t = {
      [served_endpoints] consult a coverer node without scanning its
      payload list, which is one entry per subscriber on a popular XPE. *)
   fwd_active : (int, Message.sub_id list) Hashtbl.t;
-  (* merge bookkeeping *)
-  mutable mergers : merger_record list;
-  mutable suppressed : Rtable.Prt.Id_map.key list; (* ids replaced by a merger *)
+  (* merge bookkeeping: each live merger's XPE by merger id, and each
+     member (a stored subscription the merger replaced upstream) to its
+     merger. Membership is stored only here; a merger dissolves when any
+     member leaves, so both maps are bounded by live subscriptions. *)
+  mutable mergers : Xpe.t Rtable.Prt.Id_map.t;
+  mutable member_of : Message.sub_id Rtable.Prt.Id_map.t;
   mutable merge_seq : int;
   (* path universe for the imperfect degree (publisher DTD knowledge) *)
   mutable universe : string array list;
@@ -183,12 +175,12 @@ let create ?(strategy = default_strategy) ~id ~neighbors () =
     strategy;
     covers;
     neighbors;
-    srt = Rtable.Srt.create ~use_cover:strategy.adv_cover ();
+    srt = Rtable.Srt.create ();
     prt = Rtable.Prt.create ~flat ~covers ();
     forwarded = Rtable.Prt.Id_map.empty;
     fwd_active = Hashtbl.create 64;
-    mergers = [];
-    suppressed = [];
+    mergers = Rtable.Prt.Id_map.empty;
+    member_of = Rtable.Prt.Id_map.empty;
     merge_seq = 0;
     universe = [];
     metrics;
@@ -233,8 +225,8 @@ let refresh_metrics t =
   M.set_int m.m_prt_payloads (Rtable.Prt.nfa_payloads t.prt);
   M.set_int m.m_nfa_states (Rtable.Prt.nfa_allocated_states t.prt);
   M.set_int m.m_forwarded (Rtable.Prt.Id_map.cardinal t.forwarded);
-  M.set_int m.m_mergers_active (List.length t.mergers);
-  M.set_int m.m_suppressed (List.length t.suppressed)
+  M.set_int m.m_mergers_active (Rtable.Prt.Id_map.cardinal t.mergers);
+  M.set_int m.m_suppressed (Rtable.Prt.Id_map.cardinal t.member_of)
 
 let corrupt_nfa_for_test t = Rtable.Prt.plant_nfa_orphan t.prt
 
@@ -249,8 +241,8 @@ let is_neighbor_ep = function Rtable.Neighbor _ -> true | Rtable.Client _ -> fal
 
 (* [fwd_active] maintenance. The invariant: a tree payload's id is in
    its node's bucket iff its forwarded-target set is non-empty. Merger
-   ids never enter (they have no tree node; [served_endpoints] walks
-   [t.mergers] directly). Buckets hold the few actual forwarders of a
+   ids never enter (they have no tree node; [served_endpoints] folds
+   over [t.mergers] directly). Buckets hold the few actual forwarders of a
    node — typically one — so the list operations here are O(1). *)
 let fwd_active_add t node id =
   let key = Sub_tree.node_id node in
@@ -293,8 +285,21 @@ let record_forwarded t sub_id targets =
 let forwarded_targets t sub_id =
   Option.value ~default:[] (Rtable.Prt.Id_map.find_opt sub_id t.forwarded)
 
-let is_suppressed t id =
-  List.exists (fun i -> Message.compare_sub_id i id = 0) t.suppressed
+let is_suppressed t id = Rtable.Prt.Id_map.mem id t.member_of
+
+(* Live mergers as (id, XPE), newest first: merger ids share one origin
+   and count up, so the map's ascending order is creation order. *)
+let mergers_newest_first t =
+  Rtable.Prt.Id_map.fold (fun id xpe acc -> (id, xpe) :: acc) t.mergers []
+
+(* Every stored subscription as (id, XPE, last hop), parents before
+   children: the tree's iteration order. *)
+let iter_stored t f =
+  Sub_tree.iter
+    (fun node ->
+      let xpe = Sub_tree.node_xpe node in
+      List.iter (fun (p : Rtable.Prt.payload) -> f p.id xpe p.hop) (Sub_tree.node_payloads node))
+    (Rtable.Prt.tree t.prt)
 
 (* Targets a subscription should be forwarded to (before covering
    decisions): matching advertisement hops, or all neighbors when not
@@ -336,16 +341,12 @@ let served_endpoints t ~self_id xpe =
         (Sub_tree.coverers (Rtable.Prt.tree t.prt) xpe)
     in
     let from_mergers =
-      List.concat_map
-        (fun m ->
-          if t.covers m.merger_xpe xpe then forwarded_targets t m.merger_id else [])
-        t.mergers
+      Rtable.Prt.Id_map.fold
+        (fun id mx acc -> if t.covers mx xpe then forwarded_targets t id @ acc else acc)
+        t.mergers []
     in
     from_tree @ from_mergers
   end
-
-let served_at t ~self_id xpe ep =
-  List.exists (Rtable.endpoint_equal ep) (served_endpoints t ~self_id xpe)
 
 let unserved_targets t ~self_id xpe targets =
   match targets with
@@ -358,11 +359,33 @@ let unserved_targets t ~self_id xpe targets =
 (* Advertisements                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* Forward stored subscriptions and live mergers toward [ep] where
+   [admit xpe last_hop] holds and [ep] is still unserved. Parents come
+   before children, then mergers newest first: a coverer is forwarded
+   first and then serves its covered subtree per target. Never back to a
+   subscription's own last hop, never twice to one target. *)
+let forward_stored t ~ep admit =
+  let msgs = ref [] in
+  let visit sub_id xpe hop =
+    if
+      (not (is_suppressed t sub_id))
+      && (not (Rtable.endpoint_equal hop ep))
+      && (not (List.exists (Rtable.endpoint_equal ep) (forwarded_targets t sub_id)))
+      && admit xpe hop
+      && not (List.exists (Rtable.endpoint_equal ep) (served_endpoints t ~self_id:sub_id xpe))
+    then begin
+      ignore (record_forwarded t sub_id [ ep ]);
+      msgs := (ep, Message.Subscribe { id = sub_id; xpe }) :: !msgs
+    end
+  in
+  iter_stored t visit;
+  List.iter (fun (id, xpe) -> visit id xpe (Rtable.Neighbor t.id)) (mergers_newest_first t);
+  List.rev !msgs
+
 let handle_advertise t ~from id adv =
   M.incr t.meters.m_advs_in;
   match Rtable.Srt.add t.srt id adv from with
   | `Duplicate -> []
-  | `Covered _ -> [] (* advertisement covering suppressed storage and forwarding *)
   | `Stored ->
     (* Flood on. *)
     let flood =
@@ -372,44 +395,10 @@ let handle_advertise t ~from id adv =
     in
     (* Forward stored subscriptions that overlap the new advertisement
        towards it (otherwise subscribers that registered first would
-       never reach this publisher). Only the forwarded set needs to go:
-       maximal subscriptions plus active mergers. *)
+       never reach this publisher). *)
     let sub_msgs =
-      if not t.strategy.use_adv then []
-      else if not (is_neighbor_ep from) then []
-      else begin
-        (* Every stored subscription may need to reach the new
-           advertiser; visiting parents before children lets coverers be
-           forwarded first and then suppress their covered subtrees via
-           the per-target rule. *)
-        let candidates = ref [] in
-        Sub_tree.iter
-          (fun node ->
-            List.iter
-              (fun (p : Rtable.Prt.payload) ->
-                if not (is_suppressed t p.id) then
-                  candidates := (p.id, Sub_tree.node_xpe node, p.hop) :: !candidates)
-              (Sub_tree.node_payloads node))
-          (Rtable.Prt.tree t.prt);
-        let candidates =
-          List.rev !candidates
-          @ List.map (fun m -> (m.merger_id, m.merger_xpe, Rtable.Neighbor t.id)) t.mergers
-        in
-        List.filter_map
-          (fun (sub_id, xpe, hop) ->
-            if Rtable.endpoint_equal hop from then None
-            else if List.exists (Rtable.endpoint_equal from) (forwarded_targets t sub_id) then
-              None
-            else if
-              Adv_match.overlaps_paper xpe adv
-              && not (served_at t ~self_id:sub_id xpe from)
-            then begin
-              ignore (record_forwarded t sub_id [ from ]);
-              Some (from, Message.Subscribe { id = sub_id; xpe })
-            end
-            else None)
-          candidates
-      end
+      if (not t.strategy.use_adv) || not (is_neighbor_ep from) then []
+      else forward_stored t ~ep:from (fun xpe _ -> Adv_match.overlaps_paper xpe adv)
     in
     flood @ sub_msgs
 
@@ -469,48 +458,85 @@ let handle_subscribe t ~from id xpe =
     sub_msgs @ unsub_msgs
   end
 
+(* Forward one stored subscription wherever it must go and is now
+   unserved. *)
+let reforward t sub_id xpe hop =
+  if is_suppressed t sub_id then []
+  else begin
+    let targets = sub_targets t ~from:hop xpe in
+    let needed = unserved_targets t ~self_id:sub_id xpe targets in
+    let fresh = record_forwarded t sub_id needed in
+    List.map (fun ep -> (ep, Message.Subscribe { id = sub_id; xpe })) fresh
+  end
+
+(* Withdraw a departed subscription or a dissolved merger [id] with XPE
+   [xpe]: unsubscribe it wherever it was forwarded, then re-forward what
+   may have relied on that forwarding, wherever it is no longer served.
+   That is [members] first — a dissolved merger's surviving members,
+   named by id because the syntactic covering test need not see them
+   under the merger — then every subscription [xpe] covered: its former
+   children, equal subscriptions sharing its node, and covered
+   subscriptions in other subtrees (the relations the paper's super
+   pointers record; [Sub_tree.covered_nodes] finds them by searching the
+   tree). The covered ones need a look only when [id] was forwarded at
+   all. *)
+let withdraw t id xpe ~members =
+  let where = forwarded_targets t id in
+  t.forwarded <- Rtable.Prt.Id_map.remove id t.forwarded;
+  let upstream = List.map (fun ep -> (ep, Message.Unsubscribe { id })) where in
+  let from_members =
+    List.concat_map
+      (fun m ->
+        match Rtable.Prt.find t.prt m with
+        | Some (node, p) -> reforward t m (Sub_tree.node_xpe node) p.hop
+        | None -> [])
+      members
+  in
+  let from_covered =
+    if (not t.strategy.use_cover) || where = [] then []
+    else
+      List.concat_map
+        (fun n ->
+          let nx = Sub_tree.node_xpe n in
+          List.concat_map
+            (fun (p : Rtable.Prt.payload) -> reforward t p.id nx p.hop)
+            (Sub_tree.node_payloads n))
+        (Sub_tree.covered_nodes (Rtable.Prt.tree t.prt) xpe)
+  in
+  upstream @ from_members @ from_covered
+
+(* [id] has left the PRT. If it was a merger's member, the merger
+   dissolves: its record and every membership go, and it is withdrawn
+   with its surviving members re-forwarded ([withdraw] skips [id], no
+   longer stored). Its SRT memo entry goes too, unless a stored
+   subscription still looks that XPE up. *)
+let dissolve_merger_of t id =
+  match Rtable.Prt.Id_map.find_opt id t.member_of with
+  | None -> []
+  | Some mid ->
+    let mxpe = Rtable.Prt.Id_map.find mid t.mergers in
+    t.mergers <- Rtable.Prt.Id_map.remove mid t.mergers;
+    let members, kept =
+      Rtable.Prt.Id_map.partition (fun _ m -> Message.compare_sub_id m mid = 0) t.member_of
+    in
+    t.member_of <- kept;
+    if Sub_tree.find_equal (Rtable.Prt.tree t.prt) mxpe = None then
+      Rtable.Srt.forget t.srt mxpe;
+    withdraw t mid mxpe ~members:(List.map fst (Rtable.Prt.Id_map.bindings members))
+
 let handle_unsubscribe t ~from id =
   M.incr t.meters.m_unsubs_in;
   ignore from;
   match Rtable.Prt.remove t.prt id with
   | None -> []
   | Some (_payload, node) ->
-    let removed_xpe = Sub_tree.node_xpe node in
+    let xpe = Sub_tree.node_xpe node in
     (* The node went with its last payload: no live subscription looks
        this XPE up any more, so its SRT memo entry goes too. *)
-    if Sub_tree.node_payloads node = [] then Rtable.Srt.forget t.srt removed_xpe;
-    let where = forwarded_targets t id in
-    t.forwarded <- Rtable.Prt.Id_map.remove id t.forwarded;
+    if Sub_tree.node_payloads node = [] then Rtable.Srt.forget t.srt xpe;
     fwd_active_remove t node id;
-    let upstream = List.map (fun ep -> (ep, Message.Unsubscribe { id })) where in
-    (* Every subscription the departed one covered — its former children,
-       equal subscriptions sharing its node, and covered subscriptions in
-       other subtrees (the relations the paper's super pointers record;
-       [Sub_tree.covered_nodes] finds them by searching the tree) — may
-       have relied on its forwarding; re-forward each wherever it is no
-       longer served. Only needed when the departed subscription was
-       forwarded at all. *)
-    let reforward_msgs =
-      if (not t.strategy.use_cover) || where = [] then []
-      else begin
-        let reforward_node n =
-          let xpe = Sub_tree.node_xpe n in
-          List.concat_map
-            (fun (p : Rtable.Prt.payload) ->
-              if is_suppressed t p.id then []
-              else begin
-                let targets = sub_targets t ~from:p.hop xpe in
-                let needed = unserved_targets t ~self_id:p.id xpe targets in
-                let fresh = record_forwarded t p.id needed in
-                List.map (fun ep -> (ep, Message.Subscribe { id = p.id; xpe })) fresh
-              end)
-            (Sub_tree.node_payloads n)
-        in
-        List.concat_map reforward_node
-          (Sub_tree.covered_nodes (Rtable.Prt.tree t.prt) removed_xpe)
-      end
-    in
-    upstream @ reforward_msgs
+    let own = withdraw t id xpe ~members:[] in
+    own @ dissolve_merger_of t id
 
 (* ------------------------------------------------------------------ *)
 (* Publications                                                        *)
@@ -620,10 +646,11 @@ let merge_pass t =
         else begin
           t.merge_seq <- t.merge_seq + 1;
           let merger_id = { Message.origin = (t.id * 1_000_000) + 999_000; seq = t.merge_seq } in
-          let record = { merger_id; merger_xpe = m.xpe; member_ids } in
-          t.mergers <- record :: t.mergers;
+          t.mergers <- Rtable.Prt.Id_map.add merger_id m.xpe t.mergers;
           M.incr t.meters.m_mergers_applied;
-          t.suppressed <- member_ids @ t.suppressed;
+          List.iter
+            (fun id -> t.member_of <- Rtable.Prt.Id_map.add id merger_id t.member_of)
+            member_ids;
           (* Subscribe the merger along its own (unserved) targets. *)
           let targets = sub_targets t ~from:(Rtable.Neighbor t.id) m.xpe in
           let targets = unserved_targets t ~self_id:merger_id m.xpe targets in
@@ -659,18 +686,13 @@ let srt_ids t = List.map (fun (e : Rtable.Srt.entry) -> e.id) (Rtable.Srt.entrie
 
 let prt_fold t f =
   let acc = ref [] in
-  Sub_tree.iter
-    (fun node ->
-      List.iter
-        (fun (p : Rtable.Prt.payload) -> match f p with Some x -> acc := x :: !acc | None -> ())
-        (Sub_tree.node_payloads node))
-    (Rtable.Prt.tree t.prt);
+  iter_stored t (fun id xpe hop -> match f id xpe hop with Some x -> acc := x :: !acc | None -> ());
   List.rev !acc
 
-let prt_ids t = prt_fold t (fun p -> Some p.id)
+let prt_ids t = prt_fold t (fun id _ _ -> Some id)
 
 let prt_ids_from t ep =
-  prt_fold t (fun p -> if Rtable.endpoint_equal p.hop ep then Some p.id else None)
+  prt_fold t (fun id _ hop -> if Rtable.endpoint_equal hop ep then Some id else None)
 
 (* ------------------------------------------------------------------ *)
 (* Audit view (static analysis)                                        *)
@@ -717,14 +739,6 @@ let audit_view t =
       [] raw
     |> List.rev
   in
-  let subs = ref [] in
-  Sub_tree.iter
-    (fun node ->
-      List.iter
-        (fun (p : Rtable.Prt.payload) ->
-          subs := (p.id, Sub_tree.node_xpe node, p.hop) :: !subs)
-        (Sub_tree.node_payloads node))
-    (Rtable.Prt.tree t.prt);
   {
     av_id = t.id;
     av_strategy = t.strategy;
@@ -733,10 +747,19 @@ let audit_view t =
     av_srt_invariants = Rtable.Srt.check_invariants t.srt;
     av_prt_invariants = Sub_tree.check_invariants (Rtable.Prt.tree t.prt);
     av_nfa_invariants = Rtable.Prt.nfa_invariants t.prt;
-    av_subs = List.rev !subs;
+    av_subs = prt_fold t (fun id xpe hop -> Some (id, xpe, hop));
     av_forwarded = Rtable.Prt.Id_map.bindings t.forwarded;
-    av_mergers = List.map (fun m -> (m.merger_id, m.merger_xpe, m.member_ids)) t.mergers;
-    av_suppressed = t.suppressed;
+    av_mergers =
+      List.map
+        (fun (mid, mx) ->
+          let members =
+            Rtable.Prt.Id_map.fold
+              (fun m owner acc -> if Message.compare_sub_id owner mid = 0 then m :: acc else acc)
+              t.member_of []
+          in
+          (mid, mx, List.rev members))
+        (mergers_newest_first t);
+    av_suppressed = List.map fst (Rtable.Prt.Id_map.bindings t.member_of);
     av_covers = t.covers;
     av_required_targets = required_targets;
   }
@@ -749,7 +772,7 @@ let audit_view t =
    the resync pass re-sends what the fresh peer needs; then SRT entries
    learned from [ep] leave through the normal unadvertise flood and PRT
    entries through the unsubscribe path, which re-forwards the covered
-   survivors they were shadowing. *)
+   survivors they were shadowing and dissolves their mergers. *)
 let neighbor_reset t ~ep =
   let emptied = ref [] in
   t.forwarded <-
@@ -787,30 +810,8 @@ let resync_for t ~ep =
   in
   let sub_msgs =
     if t.strategy.use_adv then []
-    else begin
-      let msgs = ref [] in
-      (* Parents before children, as in [handle_advertise]: coverers are
-         forwarded first and then suppress their subtrees per target. *)
-      let candidate sub_id xpe hop =
-        if
-          (not (is_suppressed t sub_id))
-          && (not (Rtable.endpoint_equal hop ep))
-          && (not (List.exists (Rtable.endpoint_equal ep) (forwarded_targets t sub_id)))
-          && List.exists (Rtable.endpoint_equal ep) (sub_targets t ~from:hop xpe)
-          && not (served_at t ~self_id:sub_id xpe ep)
-        then begin
-          ignore (record_forwarded t sub_id [ ep ]);
-          msgs := (ep, Message.Subscribe { id = sub_id; xpe }) :: !msgs
-        end
-      in
-      Sub_tree.iter
-        (fun node ->
-          List.iter
-            (fun (p : Rtable.Prt.payload) -> candidate p.id (Sub_tree.node_xpe node) p.hop)
-            (Sub_tree.node_payloads node))
-        (Rtable.Prt.tree t.prt);
-      List.iter (fun m -> candidate m.merger_id m.merger_xpe (Rtable.Neighbor t.id)) t.mergers;
-      List.rev !msgs
-    end
+    else
+      forward_stored t ~ep (fun xpe hop ->
+          List.exists (Rtable.endpoint_equal ep) (sub_targets t ~from:hop xpe))
   in
   adv_msgs @ sub_msgs

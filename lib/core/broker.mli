@@ -10,7 +10,6 @@ type strategy = {
   use_adv : bool;  (** advertisement-based subscription routing *)
   use_cover : bool;  (** covering-based forwarding suppression *)
   merging : merge_mode;
-  adv_cover : bool;  (** advertisement covering in the SRT (extension) *)
 }
 
 (** Advertisements + covering, no merging. *)
@@ -69,7 +68,10 @@ val handle : t -> from:Rtable.endpoint -> Message.t -> (Rtable.endpoint * Messag
 (** Periodic merging pass (Sec. 4.3): replaces forwarded subscriptions
     by mergers within the strategy's degree bound; originals stay in the
     PRT so false positives never reach clients. Returns the subscription
-    and unsubscription messages to send. *)
+    and unsubscription messages to send. A merger lives only while all
+    its members are stored: when one leaves (an [Unsubscribe], or a
+    {!neighbor_reset} purge), the merger is withdrawn like an
+    unsubscription and its surviving members are forwarded again. *)
 val merge_pass : t -> (Rtable.endpoint * Message.t) list
 
 (** Number of subscriptions this broker has forwarded upstream. *)
@@ -98,8 +100,10 @@ type audit_view = {
   av_forwarded : (Message.sub_id * Rtable.endpoint list) list;
       (** where each subscription / merger was forwarded *)
   av_mergers : (Message.sub_id * Xroute_xpath.Xpe.t * Message.sub_id list) list;
-      (** merger id, merger XPE, the member ids it suppressed *)
-  av_suppressed : Message.sub_id list;  (** replaced by a merger *)
+      (** live mergers, newest first: id, XPE, the member ids it
+          suppressed *)
+  av_suppressed : Message.sub_id list;
+      (** ids the membership map suppresses (replaced by a merger) *)
   av_covers : Xroute_xpath.Xpe.t -> Xroute_xpath.Xpe.t -> bool;
       (** the covering predicate the broker routes with *)
   av_required_targets : Xroute_xpath.Xpe.t -> Rtable.endpoint list;
@@ -131,9 +135,9 @@ val prt_ids_from : t -> Rtable.endpoint -> Message.sub_id list
 (** Forget everything learned from or forwarded to [ep]: SRT entries
     from [ep] leave via the normal unadvertise flood, PRT entries via
     the unsubscribe path (which re-forwards the covered survivors they
-    shadowed), and forwarded-target records pointing at [ep] are
-    dropped so the purge never messages [ep] itself. Returns the
-    messages to send. *)
+    shadowed and dissolves their mergers), and forwarded-target records
+    pointing at [ep] are dropped so the purge never messages [ep]
+    itself. Returns the messages to send. *)
 val neighbor_reset : t -> ep:Rtable.endpoint -> (Rtable.endpoint * Message.t) list
 
 (** Re-send the state a freshly restarted [ep] needs: every surviving

@@ -50,7 +50,6 @@ module Srt = struct
     by_id : (Message.sub_id, entry) Hashtbl.t;
     mutable count : int;
     mutable next_seq : int;
-    use_cover : bool; (* advertisement covering (extension) *)
     (* The paper's linear-scan cost model: every candidate entry of a
        lookup is charged, whether or not its overlap test runs. [Net]
        bills [Broker.work] as virtual time, so this count must not
@@ -69,14 +68,13 @@ module Srt = struct
     hops_cache : (endpoint list * int) Xpe.Tbl.t;
   }
 
-  let create ?(use_cover = false) () =
+  let create () =
     {
       buckets = Hashtbl.create 64;
       catch_all = [];
       by_id = Hashtbl.create 64;
       count = 0;
       next_seq = 0;
-      use_cover;
       match_ops = 0;
       overlap_tests = 0;
       hops_cache = Xpe.Tbl.create 64;
@@ -118,40 +116,20 @@ module Srt = struct
 
   let mem t id = Hashtbl.mem t.by_id id
 
-  (* Store an advertisement. With advertisement covering enabled, an
-     entry covered by an existing same-hop advertisement is redundant:
-     subscriptions overlapping it also overlap the coverer and are routed
-     to the same hop. A coverer admits every path of the covered
-     advertisement, so it shares the covered one's root bucket or sits in
-     the catch-all. Returns [`Stored]/[`Covered of coverer_id]. *)
+  (* Store an advertisement under its root element's bucket, or in the
+     catch-all. *)
   let add t id adv hop =
     if mem t id then `Duplicate
     else begin
-      let key = bucket_key adv in
-      let coverer =
-        if not t.use_cover then None
-        else
-          let among =
-            match key with
-            | Some n -> candidates_for_root t n
-            | None -> all_entries t
-          in
-          List.find_opt
-            (fun e -> endpoint_equal e.hop hop && Cover.adv_covers e.adv adv)
-            among
-      in
-      match coverer with
-      | Some e -> `Covered e.id
-      | None ->
-        let entry = { id; adv; hop; seq = t.next_seq } in
-        t.next_seq <- t.next_seq + 1;
-        (match key with
-        | Some n -> Hashtbl.replace t.buckets n (entry :: bucket t n)
-        | None -> t.catch_all <- entry :: t.catch_all);
-        Hashtbl.replace t.by_id id entry;
-        t.count <- t.count + 1;
-        Xpe.Tbl.reset t.hops_cache;
-        `Stored
+      let entry = { id; adv; hop; seq = t.next_seq } in
+      t.next_seq <- t.next_seq + 1;
+      (match bucket_key adv with
+      | Some n -> Hashtbl.replace t.buckets n (entry :: bucket t n)
+      | None -> t.catch_all <- entry :: t.catch_all);
+      Hashtbl.replace t.by_id id entry;
+      t.count <- t.count + 1;
+      Xpe.Tbl.reset t.hops_cache;
+      `Stored
     end
 
   let remove t id =
@@ -337,17 +315,6 @@ module Prt = struct
   let nfa_allocated_states t = Yfilter.allocated_states t.nfa
   let mem t id = Id_map.mem id t.by_id
   let find t id = Id_map.find_opt id t.by_id
-
-  (* Is a new subscription covered by a stored one? (Checked before
-     insertion; equality counts as covered.) *)
-  let is_covered t xpe = Sub_tree.is_covered t.tree xpe
-
-  (* Maximal stored subscriptions covered by [xpe] — the ones whose
-     forwarding becomes redundant when [xpe] is forwarded. *)
-  let covered_maximal t xpe =
-    Sub_tree.covered_roots t.tree xpe
-    |> List.concat_map (fun node ->
-           List.map (fun p -> (node, p)) (Sub_tree.node_payloads node))
 
   let insert t id xpe hop =
     let payload = { id; hop } in

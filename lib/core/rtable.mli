@@ -22,13 +22,11 @@ module Srt : sig
 
   type t
 
-  (** [create ~use_cover ()] — [use_cover] enables advertisement
-      covering (same-hop covered advertisements are suppressed). Entries
-      are bucketed by the advertisement's root element, so a rooted
-      subscription only scans its own bucket plus the wildcard/recursive
-      catch-all; the routing decisions are those of a full newest-first
-      scan with {!Adv_match.overlaps_paper}. *)
-  val create : ?use_cover:bool -> unit -> t
+  (** An empty table. Entries are bucketed by the advertisement's root
+      element, so a rooted subscription only scans its own bucket plus
+      the wildcard/recursive catch-all; the routing decisions are those
+      of a full newest-first scan with {!Adv_match.overlaps_paper}. *)
+  val create : unit -> t
 
   val size : t -> int
 
@@ -58,10 +56,9 @@ module Srt : sig
   (** Occupancy of the fullest root-element bucket. *)
   val max_bucket_size : t -> int
 
-  (** Store an advertisement; [`Covered id] means a same-hop coverer
-      makes it redundant, [`Duplicate] that the id is already stored. *)
-  val add :
-    t -> Message.sub_id -> Adv.t -> endpoint -> [ `Stored | `Covered of Message.sub_id | `Duplicate ]
+  (** Store an advertisement; [`Duplicate] means the id is already
+      stored. *)
+  val add : t -> Message.sub_id -> Adv.t -> endpoint -> [ `Stored | `Duplicate ]
 
   (** Remove by id, returning the stored hop. *)
   val remove : t -> Message.sub_id -> endpoint option
@@ -121,13 +118,6 @@ module Prt : sig
 
   val mem : t -> Message.sub_id -> bool
   val find : t -> Message.sub_id -> (payload Sub_tree.node * payload) option
-
-  (** Is the XPE covered by a stored subscription? *)
-  val is_covered : t -> Xpe.t -> bool
-
-  (** Maximal stored subscriptions covered by the XPE, with their
-      payloads. *)
-  val covered_maximal : t -> Xpe.t -> (payload Sub_tree.node * payload) list
 
   (** Store a subscription; an XPE equal ({!Xpe.equal}) to a stored one
       joins its {!Sub_tree} node. *)

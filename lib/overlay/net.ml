@@ -40,7 +40,7 @@ let default_config =
 type client = {
   cid : int;
   home : int; (* broker id *)
-  delivered : (int, float) Hashtbl.t; (* doc_id -> first delivery time *)
+  delivered : (int, float) Hashtbl.t; (* doc_id -> first delivery's delay, ms *)
   mutable path_messages : int; (* path publications received *)
   mutable connected : bool; (* false while a Client_drop fault is active *)
   (* The client-side session ledger: what the client believes it has
@@ -130,7 +130,6 @@ type t = {
   mutable next_cid : int;
   mutable next_seq : int;
   pub_emit : (int, float) Hashtbl.t; (* doc_id -> emit time *)
-  mutable delivery_delays : (int * int * float) list; (* client, doc, delay *)
   metrics : M.t; (* network-level registry; brokers own theirs *)
   nm : net_meters;
   fm : Xroute_obs.Fault_meters.t;
@@ -180,7 +179,6 @@ let create ?(config = default_config) ?spans ?recorder topo =
     next_cid = 0;
     next_seq = 0;
     pub_emit = Hashtbl.create 64;
-    delivery_delays = [];
     metrics;
     nm = make_net_meters metrics;
     fm = Xroute_obs.Fault_meters.create metrics;
@@ -315,14 +313,13 @@ let client_receive t c (msg : Message.t) =
     c.path_messages <- c.path_messages + 1;
     if not (Hashtbl.mem c.delivered pub.doc_id) then begin
       let now = Sim.now t.sim in
-      Hashtbl.replace c.delivered pub.doc_id now;
+      (* Every publication enters through [publish_doc] or
+         [publish_paths], which stamp its emit time. *)
+      let delay = now -. Hashtbl.find t.pub_emit pub.doc_id in
+      Hashtbl.replace c.delivered pub.doc_id delay;
       M.incr t.nm.nm_deliveries;
-      Log.debug (fun m -> m "client %d received doc %d at t=%.3fms" c.cid pub.doc_id now);
-      match Hashtbl.find_opt t.pub_emit pub.doc_id with
-      | Some emitted ->
-        t.delivery_delays <- (c.cid, pub.doc_id, now -. emitted) :: t.delivery_delays;
-        M.observe t.nm.nm_delivery_delay (now -. emitted)
-      | None -> ()
+      M.observe t.nm.nm_delivery_delay delay;
+      Log.debug (fun m -> m "client %d received doc %d at t=%.3fms" c.cid pub.doc_id now)
     end
   | Message.Advertise _ | Message.Unadvertise _ | Message.Subscribe _ | Message.Unsubscribe _ ->
     () (* control messages are broker-internal *)
@@ -837,14 +834,16 @@ let set_universe t universe =
 (* Metrics                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* (client, doc, delay-ms) notifications recorded so far. *)
-let delivery_delays t = t.delivery_delays
+(* (client, doc, delay-ms) per first delivery, read off the clients. *)
+let delivery_delays t =
+  List.concat_map
+    (fun c -> Hashtbl.fold (fun doc d acc -> (c.cid, doc, d) :: acc) c.delivered [])
+    t.clients
 
 let mean_delivery_delay t =
-  match t.delivery_delays with
-  | [] -> 0.0
-  | l ->
-    List.fold_left (fun acc (_, _, d) -> acc +. d) 0.0 l /. float_of_int (List.length l)
+  match M.observations t.nm.nm_delivery_delay with
+  | 0 -> 0.0
+  | n -> M.sum t.nm.nm_delivery_delay /. float_of_int n
 
 (* Total routing table entries across brokers. *)
 let total_prt_size t = Array.fold_left (fun acc b -> acc + Broker.prt_size b) 0 t.brokers

@@ -24,7 +24,7 @@ val default_config : config
 type client = {
   cid : int;
   home : int;  (** broker id *)
-  delivered : (int, float) Hashtbl.t;  (** doc_id -> first delivery time *)
+  delivered : (int, float) Hashtbl.t;  (** doc_id -> first delivery's delay, ms *)
   mutable path_messages : int;  (** path publications received *)
   mutable connected : bool;  (** false while a [Client_drop] fault is active *)
   mutable adv_ledger : (Message.sub_id * Xroute_xpath.Adv.t) list;

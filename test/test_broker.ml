@@ -54,19 +54,6 @@ let test_srt_duplicate () =
   | `Duplicate -> ()
   | _ -> Alcotest.fail "expected Duplicate")
 
-let test_srt_adv_covering () =
-  let srt = Rtable.Srt.create ~use_cover:true () in
-  ignore (Rtable.Srt.add srt (sid 1 1) (ad "/a/*") (neighbor 1));
-  (* covered, same hop: suppressed *)
-  (match Rtable.Srt.add srt (sid 1 2) (ad "/a/b") (neighbor 1) with
-  | `Covered id -> check ci "coverer id" 1 id.Message.seq
-  | _ -> Alcotest.fail "expected Covered");
-  (* covered but different hop: stored (needed for routing) *)
-  (match Rtable.Srt.add srt (sid 1 3) (ad "/a/b") (neighbor 2) with
-  | `Stored -> ()
-  | _ -> Alcotest.fail "expected Stored for different hop");
-  check ci "size" 2 (Rtable.Srt.size srt)
-
 let test_srt_remove () =
   let srt = Rtable.Srt.create () in
   ignore (Rtable.Srt.add srt (sid 1 1) (ad "/a") (neighbor 3));
@@ -383,6 +370,121 @@ let test_merge_pass_disabled () =
   ignore (Broker.handle b ~from:(client 5) (Message.Subscribe { id = sid 5 1; xpe = xp "/a/b/c" }));
   check ci "no merging" 0 (List.length (Broker.merge_pass b))
 
+(* Broker 0 floods to broker 1, and a Perfect merge pass has replaced
+   [(5,1)] /a/b/c and [(5,2)] /a/b/d upstream by one merger /a/b/*. *)
+let merged_broker () =
+  let strategy = { Broker.default_strategy with Broker.use_adv = false; merging = Broker.Perfect } in
+  let b = make_broker ~strategy ~id:0 ~neighbors:[ 1 ] () in
+  Broker.set_universe b [ [| "a"; "b"; "c" |]; [| "a"; "b"; "d" |] ];
+  ignore (Broker.handle b ~from:(client 5) (Message.Subscribe { id = sid 5 1; xpe = xp "/a/b/c" }));
+  ignore (Broker.handle b ~from:(client 5) (Message.Subscribe { id = sid 5 2; xpe = xp "/a/b/d" }));
+  let merger =
+    match
+      List.filter_map
+        (fun (_, m) -> match m with Message.Subscribe { id; _ } -> Some id | _ -> None)
+        (Broker.merge_pass b)
+    with
+    | [ id ] -> id
+    | ids -> Alcotest.failf "expected one merger subscribed, got %d" (List.length ids)
+  in
+  (b, merger)
+
+let subscribed_to ep id outs =
+  List.exists
+    (fun (e, m) ->
+      Rtable.endpoint_equal e ep
+      && match m with Message.Subscribe s -> s.id = id | _ -> false)
+    outs
+
+let unsubscribed_to ep id outs =
+  List.exists
+    (fun (e, m) ->
+      Rtable.endpoint_equal e ep
+      && match m with Message.Unsubscribe u -> u.id = id | _ -> false)
+    outs
+
+let test_member_leaving_dissolves_merger () =
+  let b, merger = merged_broker () in
+  let outs = Broker.handle b ~from:(client 5) (Message.Unsubscribe { id = sid 5 1 }) in
+  check cb "UNSUB[merger] to broker:1" true (unsubscribed_to (neighbor 1) merger outs);
+  check cb "SUB for the remaining member to broker:1" true
+    (subscribed_to (neighbor 1) (sid 5 2) outs);
+  check ci "nothing else" 2 (List.length outs);
+  let v = Broker.audit_view b in
+  check ci "no merger left" 0 (List.length v.av_mergers);
+  check ci "no suppressed id left" 0 (List.length v.av_suppressed);
+  check (Alcotest.list Alcotest.string) "audit clean" [] (audit_errors b);
+  let pouts =
+    Broker.handle b ~from:(neighbor 1) (Message.Publish { pub = pub "/a/b/d"; trail = []; ctx = None })
+  in
+  check ci "the remaining member still receives" 1 (List.length (msgs_to (client 5) pouts))
+
+let test_dissolving_merger_forwards_covered_newcomer () =
+  let b, merger = merged_broker () in
+  let held =
+    Broker.handle b ~from:(client 6) (Message.Subscribe { id = sid 6 1; xpe = xp "/a/b/c" })
+  in
+  check ci "newcomer held back by the merger" 0 (count_kind `Sub held);
+  let outs = Broker.handle b ~from:(client 5) (Message.Unsubscribe { id = sid 5 1 }) in
+  check cb "merger withdrawn" true (unsubscribed_to (neighbor 1) merger outs);
+  check cb "newcomer forwarded" true (subscribed_to (neighbor 1) (sid 6 1) outs);
+  let outs = Broker.handle b ~from:(client 5) (Message.Unsubscribe { id = sid 5 2 }) in
+  check cb "last member withdrawn" true (unsubscribed_to (neighbor 1) (sid 5 2) outs);
+  check ci "only the newcomer is forwarded" 1 (Broker.forwarded_count b);
+  check (Alcotest.list Alcotest.string) "audit clean" [] (audit_errors b)
+
+(* Members learned from a neighbor that restarts are purged, and the
+   purge dissolves their merger like an unsubscribe. *)
+let test_neighbor_reset_dissolves_merger () =
+  let strategy = { Broker.default_strategy with Broker.use_adv = false; merging = Broker.Perfect } in
+  let b = make_broker ~strategy ~id:0 ~neighbors:[ 1; 2 ] () in
+  Broker.set_universe b [ [| "a"; "b"; "c" |]; [| "a"; "b"; "d" |] ];
+  ignore (Broker.handle b ~from:(neighbor 2) (Message.Subscribe { id = sid 5 1; xpe = xp "/a/b/c" }));
+  ignore (Broker.handle b ~from:(neighbor 2) (Message.Subscribe { id = sid 5 2; xpe = xp "/a/b/d" }));
+  let merger =
+    match msgs_to (neighbor 1) (Broker.merge_pass b) with
+    | (_, Message.Subscribe { id; _ }) :: _ -> id
+    | _ -> Alcotest.fail "expected the merger subscribed at broker:1"
+  in
+  let outs = Broker.neighbor_reset b ~ep:(neighbor 2) in
+  check cb "UNSUB[merger] to broker:1" true (unsubscribed_to (neighbor 1) merger outs);
+  check ci "no merger left" 0 (List.length (Broker.audit_view b).av_mergers);
+  check ci "nothing forwarded" 0 (Broker.forwarded_count b);
+  check (Alcotest.list Alcotest.string) "audit clean" [] (audit_errors b)
+
+(* Merge state is bounded by live subscriptions: 10k rounds of two
+   subscriptions (distinct XPEs under one neighbor advertisement), a
+   merge pass that merges them, and both unsubscribes leave the broker
+   as small as it was. *)
+let test_merge_state_bounded () =
+  let strategy = { Broker.default_strategy with merging = Broker.Perfect } in
+  let b = make_broker ~strategy ~id:0 ~neighbors:[ 1 ] () in
+  ignore (Broker.handle b ~from:(neighbor 1) (Message.Advertise { id = sid 9 1; adv = ad "/a/*/*" }));
+  let mergers = ref 0 in
+  let rounds n0 n1 =
+    for i = n0 to n1 - 1 do
+      let e = Printf.sprintf "e%d" i in
+      Broker.set_universe b [ [| "a"; e; "c" |]; [| "a"; e; "d" |] ];
+      let c = sid 5 (2 * i) and d = sid 5 ((2 * i) + 1) in
+      ignore (Broker.handle b ~from:(client 5) (Message.Subscribe { id = c; xpe = xp ("/a/" ^ e ^ "/c") }));
+      ignore (Broker.handle b ~from:(client 5) (Message.Subscribe { id = d; xpe = xp ("/a/" ^ e ^ "/d") }));
+      if count_kind `Sub (Broker.merge_pass b) = 1 then incr mergers;
+      ignore (Broker.handle b ~from:(client 5) (Message.Unsubscribe { id = c }));
+      ignore (Broker.handle b ~from:(client 5) (Message.Unsubscribe { id = d }))
+    done
+  in
+  let kb () = Obj.reachable_words (Obj.repr b) * (Sys.word_size / 8) / 1024 in
+  rounds 0 100;
+  let after_100 = kb () in
+  rounds 100 10_000;
+  let after_10k = kb () in
+  check ci "every round merged" 10_000 !mergers;
+  check ci "no live subscription" 0 (Broker.prt_size b);
+  check ci "nothing forwarded" 0 (Broker.forwarded_count b);
+  if after_10k >= 64 then
+    Alcotest.failf "broker holds %d KB after 10k merge rounds (%d KB after 100)" after_10k
+      after_100
+
 let test_strategy_names_roundtrip () =
   List.iter
     (fun name ->
@@ -446,7 +548,6 @@ let () =
         [
           Alcotest.test_case "add and match" `Quick test_srt_add_and_match;
           Alcotest.test_case "duplicate" `Quick test_srt_duplicate;
-          Alcotest.test_case "adv covering" `Quick test_srt_adv_covering;
           Alcotest.test_case "remove" `Quick test_srt_remove;
           Alcotest.test_case "hops dedup" `Quick test_srt_hops_dedup;
         ] );
@@ -489,6 +590,13 @@ let () =
         [
           Alcotest.test_case "merge pass" `Quick test_merge_pass_emits;
           Alcotest.test_case "disabled" `Quick test_merge_pass_disabled;
+          Alcotest.test_case "member leaving dissolves the merger" `Quick
+            test_member_leaving_dissolves_merger;
+          Alcotest.test_case "dissolving forwards a covered newcomer" `Quick
+            test_dissolving_merger_forwards_covered_newcomer;
+          Alcotest.test_case "neighbor reset dissolves the merger" `Quick
+            test_neighbor_reset_dissolves_merger;
+          Alcotest.test_case "merge state bounded" `Quick test_merge_state_bounded;
         ] );
       ("strategies", [ Alcotest.test_case "names" `Quick test_strategy_names_roundtrip ]);
     ]

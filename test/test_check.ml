@@ -96,7 +96,9 @@ let test_workload_shadowed () =
 (* ---------------- routing-state audit ---------------- *)
 
 (* A churned binary-tree network: interleaved subscribes/unsubscribes,
-   converged, plus a merging pass where the strategy merges. *)
+   converged, plus a merging pass where the strategy merges. After the
+   pass a client unsubscribes one merger member, so the audit sees a
+   merger dissolve; under merging the network must have made one. *)
 let churned_net ~strategy ~seed =
   let dtd = Lazy.force Xroute_dtd.Dtd_samples.book in
   let graph = Xroute_dtd.Dtd_graph.build dtd in
@@ -126,11 +128,30 @@ let churned_net ~strategy ~seed =
   done;
   (match strategy.Broker.merging with
   | Broker.No_merging -> ()
-  | _ ->
-    Net.set_universe net
-      (Xroute_dtd.Dtd_paths.sample_paths ~count:2000 ~max_depth:10 (Prng.create 5) graph);
+  | _ -> (
+    let universe =
+      Xroute_dtd.Dtd_paths.sample_paths ~count:2000 ~max_depth:10 (Prng.create 5) graph
+    in
+    (* the root's children: uncovered by the longer churned XPEs, and
+       perfectly merged into the root's wildcard child *)
+    let root = Xroute_dtd.Dtd_ast.root dtd and twin = List.hd clients in
+    List.filter_map (fun p -> if Array.length p > 1 then Some p.(1) else None) universe
+    |> List.sort_uniq String.compare
+    |> List.iter (fun child -> ignore (Net.subscribe net twin (xp (Printf.sprintf "/%s/%s" root child))));
+    Net.run net;
+    Net.set_universe net universe;
     Net.merge_all net;
-    Net.run net);
+    Net.run net;
+    let members =
+      Array.to_list (Net.brokers net)
+      |> List.concat_map (fun b ->
+             List.concat_map (fun (_, _, ms) -> ms) (Broker.audit_view b).Broker.av_mergers)
+    in
+    match List.find_opt (fun (id, _) -> List.mem id members) twin.Net.sub_ledger with
+    | None -> Alcotest.failf "seed %d: the merge pass made no merger with a client member" seed
+    | Some (id, _) ->
+      Net.unsubscribe net twin id;
+      Net.run net));
   net
 
 (* The standing gate: zero invariant violations across all strategies

@@ -244,15 +244,16 @@ let test_prt_covering_queries () =
   let prt = Rtable.Prt.create () in
   ignore (Rtable.Prt.insert prt (sid 2 1) (xp "/a") (n 1));
   ignore (Rtable.Prt.insert prt (sid 2 2) (xp "/a/b") (n 2));
-  check cb "covered" true (Rtable.Prt.is_covered prt (xp "/a/b/c"));
-  check cb "not covered" false (Rtable.Prt.is_covered prt (xp "/z"));
-  check ci "covered maximal" 1 (List.length (Rtable.Prt.covered_maximal prt (xp "/*")))
+  let tree = Rtable.Prt.tree prt in
+  check cb "covered" true (Sub_tree.is_covered tree (xp "/a/b/c"));
+  check cb "not covered" false (Sub_tree.is_covered tree (xp "/z"));
+  check ci "covered maximal" 1 (List.length (Sub_tree.covered_roots tree (xp "/*")))
 
 let test_prt_flat_mode () =
   let prt = Rtable.Prt.create ~flat:true () in
   ignore (Rtable.Prt.insert prt (sid 2 1) (xp "/a") (n 1));
   ignore (Rtable.Prt.insert prt (sid 2 2) (xp "/a/b") (n 2));
-  check cb "flat: no covering" false (Rtable.Prt.is_covered prt (xp "/a/b"));
+  check cb "flat: no covering" false (Sub_tree.is_covered (Rtable.Prt.tree prt) (xp "/a/b"));
   check ci "flat: still matches" 2 (List.length (Rtable.Prt.match_pub prt (pub "/a/b")))
 
 let test_prt_attr_matching () =
