@@ -929,6 +929,8 @@ let smoke () =
       "xroute_broker_pubs_in_total";
       "xroute_broker_deliveries_total";
       "xroute_broker_forwarded_subs";
+      "xroute_broker_hop_ms";
+      "xroute_link_1_sends_total";
       "xroute_srt_size";
       "xroute_srt_buckets";
       "xroute_srt_bucket_max";

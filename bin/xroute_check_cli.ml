@@ -33,9 +33,6 @@ module Finding = Xroute_check.Finding
 module Soundness = Xroute_check.Soundness
 module Check = Xroute_check.Check
 module Broker = Xroute_core.Broker
-module Net = Xroute_overlay.Net
-module Topology = Xroute_overlay.Topology
-module Prng = Xroute_support.Prng
 
 let setup_logs verbose =
   Fmt_tty.setup_std_outputs ();
@@ -90,83 +87,6 @@ let workload_report dtd ~count ~clients ~seed =
 
 (* ---------------- routing-state audit (simulated) ---------------- *)
 
-(* Build a binary-tree network, churn it with interleaved subscribes and
-   unsubscribes, converge, run a merging pass where the strategy merges,
-   and audit every broker against the client ledgers. After the pass the
-   client holding a merger member unsubscribes it, so the audit sees a
-   merger dissolve; returns the network and whether that happened. *)
-let churned_net dtd ~strategy ~seed ~ops =
-  let graph = Xroute_dtd.Dtd_graph.build dtd in
-  let advs = Xroute_dtd.Dtd_paths.advertisements graph in
-  let levels = 3 in
-  let topo = Topology.binary_tree ~levels in
-  let net = Net.create ~config:{ Net.default_config with strategy; seed } topo in
-  let publisher = Net.add_client net ~broker:0 in
-  let leaves = Topology.binary_tree_leaves ~levels in
-  let clients = List.map (fun b -> Net.add_client net ~broker:b) leaves in
-  ignore (Net.advertise_dtd net publisher advs);
-  Net.run net;
-  let params = Xroute_workload.Workload.set_b_params dtd in
-  let prng = Prng.create ((seed * 7919) + 11) in
-  let live = ref [] in
-  for _ = 1 to ops do
-    (if !live <> [] && Prng.bernoulli prng 0.35 then begin
-       let c, id = List.nth !live (Prng.int prng (List.length !live)) in
-       Net.unsubscribe net c id;
-       live := List.filter (fun (_, i) -> i <> id) !live
-     end
-     else
-       let c = Prng.choose_list prng clients in
-       let x = Xroute_workload.Xpath_gen.generate_one params prng in
-       live := (c, Net.subscribe net c x) :: !live);
-    Net.run net
-  done;
-  Net.run net;
-  (* Two different XPEs on the root element that read alike when every
-     value is printed inside ['...']: the second's one predicate value
-     spells the first's two predicates. A table that confused them would
-     file both under one PRT node, and the unsubscribe below would leave
-     the departed XPE in the automaton, which the audit reports. *)
-  let root = Xroute_dtd.Dtd_ast.root dtd in
-  let twin = List.hd clients in
-  let parse = Xroute_xpath.Xpe_parser.parse in
-  ignore (Net.subscribe net twin (parse (Printf.sprintf "/%s[@x='p'][@y='q']" root)));
-  let departing = Net.subscribe net twin (parse (Printf.sprintf "/%s[@x=\"p'][@y='q\"]" root)) in
-  Net.run net;
-  Net.unsubscribe net twin departing;
-  Net.run net;
-  let dissolved =
-    match strategy.Broker.merging with
-    | Broker.No_merging -> false
-    | _ -> (
-      let universe =
-        Xroute_dtd.Dtd_paths.sample_paths ~count:2000 ~max_depth:10 (Prng.create 5) graph
-      in
-      (* One subscription per child of the root: the churned Set-B XPEs
-         (depth 7) cannot cover them, and their wildcard merger matches
-         no universe path outside them, so even Perfect merging merges. *)
-      List.filter_map (fun p -> if Array.length p > 1 then Some p.(1) else None) universe
-      |> List.sort_uniq String.compare
-      |> List.iter (fun child ->
-             ignore (Net.subscribe net twin (parse (Printf.sprintf "/%s/%s" root child))));
-      Net.run net;
-      Net.set_universe net universe;
-      Net.merge_all net;
-      Net.run net;
-      let members =
-        Array.to_list (Net.brokers net)
-        |> List.concat_map (fun b ->
-               List.concat_map (fun (_, _, ms) -> ms) (Broker.audit_view b).Broker.av_mergers)
-      in
-      match List.find_opt (fun (id, _) -> List.mem id members) twin.Net.sub_ledger with
-      | None -> false
-      | Some (id, _) ->
-        Net.unsubscribe net twin id;
-        Net.run net;
-        true)
-  in
-  (net, dissolved)
-
 (* [~require_merge]: every merging network must dissolve a merger, or
    the merge bookkeeping went unaudited (exit 2). *)
 let audit_report dtd ~strategies ~seeds ~ops ~require_merge =
@@ -180,7 +100,7 @@ let audit_report dtd ~strategies ~seeds ~ops ~require_merge =
         in
         List.map
           (fun seed ->
-            let net, dissolved = churned_net dtd ~strategy ~seed ~ops in
+            let net, dissolved = Check.churned_net dtd ~strategy ~seed ~ops in
             if require_merge && strategy.Broker.merging <> Broker.No_merging && not dissolved
             then
               or_die

@@ -148,7 +148,7 @@ let top_cmd =
   Cmd.v
     (Cmd.info "top"
        ~doc:"Single-shot overlay health dashboard: pull the federated per-broker \
-             summaries (hop-latency/queue/backlog quantiles, per-link rates) via \
+             summaries (hop-latency/backlog quantiles, per-link rates) via \
              FEDSTATS and render them.")
     Term.(const run $ connect_args $ ttl_arg $ json_arg)
 

@@ -49,6 +49,21 @@ val audit_net : Xroute_overlay.Net.t -> Finding.t list
 (** {!audit_net} packaged as a report with audit statistics. *)
 val audit_net_report : Xroute_overlay.Net.t -> Finding.report
 
+(** [churned_net dtd ~strategy ~seed ~ops] builds the 7-broker binary
+    tree the audit gates run on: the DTD's advertisements from a
+    publisher at the root, [ops] seeded subscribes and unsubscribes
+    from clients at the leaves, a pair of distinct XPEs that print
+    alike (one of which then leaves), and — where [strategy] merges —
+    a merge pass after which a client unsubscribes one merger member.
+    Converged on return; the flag tells whether a merger was dissolved
+    that way. *)
+val churned_net :
+  Xroute_dtd.Dtd_ast.t ->
+  strategy:Broker.strategy ->
+  seed:int ->
+  ops:int ->
+  Xroute_overlay.Net.t * bool
+
 (** {2 Scenario-integrity audit}
 
     The scale harness itself is audited: a replay of the same spec must

@@ -28,7 +28,7 @@ let err code subject witness =
 let quantile_points = [ 0.5; 0.9; 0.95; 0.99; 0.999 ]
 
 (* Seeded distributions spanning the shapes the sketches actually see:
-   flat (queue depths), heavy-tailed (hop latency under bursts), ranked
+   flat (egress backlog), heavy-tailed (hop latency under bursts), ranked
    (Zipf subscription popularity), and a bimodal latency mixture. All
    strictly positive, so relative error is well-defined. *)
 let distributions ~samples ~seed =

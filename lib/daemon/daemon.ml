@@ -198,7 +198,7 @@ let create ?(strategy = Broker.default_strategy) ?(max_write_chunk = max_int)
     recorder = Option.map (fun dir -> Recorder.create ~dir) flight_dir;
     read_buf = Bytes.create 65536;
     resolved = Hashtbl.create 4;
-    health = Xroute_obs.Health.create id;
+    health = Xroute_obs.Health.create ~metrics:(Broker.metrics broker) id;
     conn_refused =
       Xroute_obs.Metrics.counter (Broker.metrics broker)
         ~help:"Accepted connections closed because their descriptor would not fit select"
@@ -347,7 +347,6 @@ let fed_reply conn ~reqid view =
 let handle_fedstats t conn ~reqid ~ttl ~seen =
   let self = Broker.id t.broker in
   (* Freshen the summary the pull will carry. *)
-  Broker.refresh_metrics t.broker;
   Xroute_obs.Health.tick t.health ~now:(Mono.now t.clock);
   let seen = self :: seen in
   let view0 = Xroute_obs.Health.view_of [ t.health ] in
@@ -495,7 +494,6 @@ let handle_publish t ~batch_t ~t_parse ~from pub ctx =
   Span.finish hop ~at:t_ser;
   Option.iter (fun r -> Span.extend r ~at:t_ser) root;
   let h = t.health in
-  Xroute_obs.Health.record_pub h;
   Xroute_obs.Health.record_hop_latency h (t_ser -. batch_t);
   (* Attribute the hop's latency to each egress link it fed: the
      per-link quantiles then expose which links sit behind slow hops. *)
@@ -683,10 +681,8 @@ let maybe_snapshot t =
     t.last_snapshot <- at;
     Broker.refresh_metrics t.broker;
     Timeseries.snapshot t.timeseries ~at;
-    (* Health gauges sampled per snapshot: ingress queue depth (always
-       0 — every line is handled as it is read) and egress backlog
-       (bytes buffered across conns). *)
-    Xroute_obs.Health.record_queue_depth t.health 0.0;
+    (* Egress backlog sampled per snapshot: bytes buffered across
+       conns. *)
     let backlog =
       List.fold_left
         (fun acc c ->

@@ -49,9 +49,10 @@ val create :
 (** The hosted broker (for inspection). *)
 val broker : t -> Xroute_core.Broker.t
 
-(** This broker's live health summary ({!Xroute_obs.Health}): hop
-    latency / queue depth / egress backlog sketches, pub and drop
-    counts, per-link send rates. Link EWMA rates fold and the epoch
+(** This broker's live health summary ({!Xroute_obs.Health}), a view
+    of the broker's registry: hop-latency and egress-backlog
+    histograms, pub and drop counts, per-link sends, drops, latency and
+    EWMA send rates. Link EWMA rates fold and the epoch
     bumps on every registry snapshot (once a second) and on every
     [FEDSTATS] pull. Pulled overlay-wide by the [FEDSTATS|] command:
     [FEDSTATS|<reqid>|<ttl>|<seen>] answers

@@ -1,9 +1,14 @@
 (** Per-broker health summaries and their federation into an overlay
-    view (DESIGN.md Sec. 16).
+    view (DESIGN.md Sec. 15).
 
-    A summary holds {!Sketch} quantiles for hop latency, queue depth and
-    egress backlog, publication/drop counters, and a per-link table
-    (send/drop counts, latency sketch, sliding-window EWMA send rate).
+    A summary is a view of a {!Metrics} registry: the publication and
+    drop counts, the hop-latency and egress-backlog histograms and each
+    link's send/drop counts and latency histogram are series there
+    ([xroute_broker_pubs_in_total], [xroute_broker_sends_dropped_total],
+    [xroute_broker_hop_ms], [xroute_broker_egress_backlog],
+    [xroute_link_<peer>_sends_total], [xroute_link_<peer>_drops_total],
+    [xroute_link_<peer>_latency_ms]). The summary itself keeps only its
+    origin, its {!epoch} and each link's sliding-window EWMA send rate.
     Summaries travel the wire as one canonical line each
     ({!encode_summary}) and federate as {e views} — origin id to
     summary — merged by origin with the freshest {!epoch} winning, so
@@ -13,47 +18,45 @@
 
 type t
 
-type link = {
-  l_peer : int;
-  l_latency : Sketch.t;  (** per-hop latency over this link, ms *)
-  mutable l_sends : int;
-  mutable l_drops : int;
-  mutable l_rate : float;  (** EWMA sends/s, updated by {!tick} *)
-}
+(** One link of a summary: the series toward one peer. *)
+type link
 
-(** [create origin] — the link send rates are EWMAs over a 5000 ms
-    sliding window. *)
-val create : int -> t
+(** [create ?metrics origin] registers the summary's series in
+    [metrics] (default: a fresh registry) — a broker passes its own
+    registry, so the series it already counts (publications) are not
+    counted twice. The link send rates are EWMAs over a 5000 ms sliding
+    window. *)
+val create : ?metrics:Metrics.t -> int -> t
 
 val origin : t -> int
 
 (** Bumped by every {!tick}; the freshest epoch wins in {!merge_views}. *)
 val epoch : t -> int
 
-val hop_latency : t -> Sketch.t
-val queue_depth : t -> Sketch.t
-val backlog : t -> Sketch.t
 val pubs : t -> int
 val drops : t -> int
-
-(** The link record toward [peer], created on first use. *)
-val link : t -> int -> link
 
 (** All links, ascending by peer id. *)
 val links : t -> link list
 
+val link_peer : link -> int
+val link_sends : link -> int
+
 (** {2 Recording} *)
 
+(** Counts into [xroute_broker_pubs_in_total], which [Broker.handle]
+    already counts: only a summary over a registry no broker
+    feeds calls it. *)
 val record_pub : t -> unit
 val record_drop : t -> unit
 val record_hop_latency : t -> float -> unit
-val record_queue_depth : t -> float -> unit
 val record_backlog : t -> float -> unit
 val record_send : t -> peer:int -> unit
 val record_link_drop : t -> peer:int -> unit
 val record_link_latency : t -> peer:int -> float -> unit
 
-(** Fold the sends since the last tick into each link's EWMA rate
+(** Fold each link's sends since the last fold (the sends counter's
+    delta) into its EWMA rate
     ([rate' = decay·rate + (1-decay)·instantaneous],
     [decay = exp(-dt/window)]) and bump the epoch. [now] is in ms (any
     monotonic clock); the first tick only anchors the window. *)
@@ -65,8 +68,10 @@ val tick : t -> now:float -> unit
     {!Sketch} encoding verbatim). Equal summaries encode equally. *)
 val encode_summary : t -> string
 
-(** Inverse of {!encode_summary}; [None] on malformed input. Unknown
-    fields are skipped (forward compatibility). *)
+(** Inverse of {!encode_summary}: a summary over a private registry.
+    [None] on malformed input (a negative count, a sketch with another
+    alpha). Unknown fields, the retired [qd=] among them, are skipped
+    (forward compatibility). *)
 val decode_summary : string -> t option
 
 (** {2 Views} *)
@@ -93,9 +98,9 @@ val view_equal : view -> view -> bool
 
 (** {2 Rendering} *)
 
-(** Single-shot text dashboard: one block per origin (sketch quantiles,
-    per-link rates) plus an overlay-wide rollup with the hop-latency
-    sketches merged across origins. *)
+(** Single-shot text dashboard: one block per origin (histogram
+    quantiles, per-link rates) plus an overlay-wide rollup with the
+    hop-latency sketches merged across origins. *)
 val render_top : view -> string
 
 val view_to_json : view -> string

@@ -15,67 +15,55 @@
    of squares keeps the standard deviation exact. Exported as a
    Prometheus summary (p50/p95/p99 quantiles plus [_sum]/[_count]). *)
 
-type counter = { c_name : string; mutable c_value : int }
-type gauge = { g_name : string; mutable g_value : float }
+type counter = { mutable c_value : int }
+type gauge = { mutable g_value : float }
 
 type histogram = {
-  h_name : string;
   h_sketch : Sketch.t; (* every observation: count, sum, min, max, quantiles *)
   mutable h_sumsq : float;
 }
 
 type metric = Counter of counter | Gauge of gauge | Histogram of histogram
 
-type t = { mutable items : (string * string * metric) list (* name, help, metric *) }
+(* Indexed by name, which is stored only here: registration and lookup
+   are O(1), so a registry can hold series named after peers read off
+   the wire. Exposition sorts by name, so the table's order never
+   shows. *)
+type t = (string, string * metric) Hashtbl.t (* name -> help, metric *)
 
-let create () = { items = [] }
+let create () : t = Hashtbl.create 64
+let find (t : t) name = Option.map snd (Hashtbl.find_opt t name)
 
-let metric_name = function
-  | Counter c -> c.c_name
-  | Gauge g -> g.g_name
-  | Histogram h -> h.h_name
+let metrics (t : t) =
+  Hashtbl.fold (fun name (help, m) acc -> (name, help, m) :: acc) t []
+  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
 
-let find t name =
-  List.find_map
-    (fun (n, _, m) -> if String.equal n name then Some m else None)
-    t.items
-
-let metrics t =
-  List.sort (fun (a, _, _) (b, _, _) -> compare a b) t.items
-
-let register t name help metric =
-  t.items <- t.items @ [ (name, help, metric) ];
-  metric
-
-let counter t ?(help = "") name =
+let counter (t : t) ?(help = "") name =
   match find t name with
   | Some (Counter c) -> c
   | Some _ -> invalid_arg ("Metrics.counter: " ^ name ^ " registered with another type")
-  | None -> (
-    match register t name help (Counter { c_name = name; c_value = 0 }) with
-    | Counter c -> c
-    | _ -> assert false)
+  | None ->
+    let c = { c_value = 0 } in
+    Hashtbl.add t name (help, Counter c);
+    c
 
-let gauge t ?(help = "") name =
+let gauge (t : t) ?(help = "") name =
   match find t name with
   | Some (Gauge g) -> g
   | Some _ -> invalid_arg ("Metrics.gauge: " ^ name ^ " registered with another type")
-  | None -> (
-    match register t name help (Gauge { g_name = name; g_value = 0.0 }) with
-    | Gauge g -> g
-    | _ -> assert false)
+  | None ->
+    let g = { g_value = 0.0 } in
+    Hashtbl.add t name (help, Gauge g);
+    g
 
-let histogram t ?(help = "") name =
+let histogram (t : t) ?(help = "") name =
   match find t name with
   | Some (Histogram h) -> h
   | Some _ -> invalid_arg ("Metrics.histogram: " ^ name ^ " registered with another type")
-  | None -> (
-    match
-      register t name help
-        (Histogram { h_name = name; h_sketch = Sketch.create (); h_sumsq = 0.0 })
-    with
-    | Histogram h -> h
-    | _ -> assert false)
+  | None ->
+    let h = { h_sketch = Sketch.create (); h_sumsq = 0.0 } in
+    Hashtbl.add t name (help, Histogram h);
+    h
 
 (* ---------------- counters ---------------- *)
 
@@ -164,7 +152,7 @@ let aggregate ts =
             let h' = histogram out ~help name in
             h'.h_sumsq <- h'.h_sumsq +. h.h_sumsq;
             Sketch.merge_into ~dst:h'.h_sketch h.h_sketch)
-        t.items)
+        (metrics t))
     ts;
   out
 

@@ -60,7 +60,6 @@ val sum : histogram -> float
 (** Registered metrics as [(name, help, metric)], sorted by name. *)
 val metrics : t -> (string * string * metric) list
 
-val metric_name : metric -> string
 val find : t -> string -> metric option
 
 (** One scalar per metric: counter value, gauge value, or histogram

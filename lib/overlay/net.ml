@@ -143,7 +143,7 @@ type t = {
   mutable recovery_last : float;
   spans : Span.t option; (* causal span collection when enabled *)
   recorder : Recorder.t option; (* flight-recorder dumps on fault events *)
-  health : Xroute_obs.Health.t array; (* per-broker health summaries *)
+  health : Xroute_obs.Health.t array; (* per-broker views of the broker registries *)
 }
 
 (* Span context threaded from a hop to its outgoing transmissions, so
@@ -189,7 +189,7 @@ let create ?(config = default_config) ?spans ?recorder topo =
     recovery_last = 0.0;
     spans;
     recorder;
-    health = Array.init (Topology.broker_count topo) (fun b -> Xroute_obs.Health.create b);
+    health = Array.mapi (fun b br -> Xroute_obs.Health.create ~metrics:(Broker.metrics br) b) brokers;
   }
 
 let topology t = t.topo
@@ -341,9 +341,6 @@ let rec broker_receive t ~from b (msg : Message.t) =
   else begin
     touch_recovery t;
     count_traffic t msg;
-    let hb = t.health.(b) in
-    Xroute_obs.Health.record_queue_depth hb (float_of_int (Sim.pending t.sim));
-    (match msg with Message.Publish _ -> Xroute_obs.Health.record_pub hb | _ -> ());
     let broker = t.brokers.(b) in
     let w0 = Broker.work broker in
     let stage0 =
@@ -357,7 +354,7 @@ let rec broker_receive t ~from b (msg : Message.t) =
     let processing =
       t.config.per_msg_cost +. (float_of_int work *. t.config.per_match_cost)
     in
-    Xroute_obs.Health.record_hop_latency hb processing;
+    Xroute_obs.Health.record_hop_latency t.health.(b) processing;
     (* One "hop" span per traced publication visit, with stage leaves
        tiling its processing interval: each matching stage is billed its
        op-count delta times the configured per-op cost, and the fixed
@@ -719,8 +716,9 @@ let crash_broker t b =
   end
 
 (* A crashed broker restarts as a fresh process: empty routing tables,
-   zero counters. Recovery is anti-entropy from the survivors — each
-   live neighbor purges what it learned through the dead process
+   zero counters, a health summary over the new registry at epoch 0.
+   Recovery is anti-entropy from the survivors — each live neighbor
+   purges what it learned through the dead process
    ([Broker.neighbor_reset]) and re-sends what the fresh one needs
    ([Broker.resync_for]); local clients replay their ledgers. Nothing
    is resurrected from the dead broker's own state. *)
@@ -731,6 +729,7 @@ let restart_broker t b =
     t.brokers.(b) <-
       Broker.create ~strategy:t.config.strategy ~id:b ~neighbors:(Topology.neighbors t.topo b) ();
     if t.universe <> [] then Broker.set_universe t.brokers.(b) t.universe;
+    t.health.(b) <- Xroute_obs.Health.create ~metrics:(Broker.metrics t.brokers.(b)) b;
     M.incr t.fm.restarts;
     t.recovery_open <- Some (Sim.now t.sim);
     t.recovery_last <- Sim.now t.sim;

@@ -180,10 +180,11 @@ val refresh_metrics : t -> unit
 
 (** {2 Health federation}
 
-    Every broker maintains a {!Xroute_obs.Health} summary: hop-latency /
-    queue-depth / backlog sketches, pub and drop counts, and per-link
-    send rates and latency quantiles. Link EWMA rates fold and epochs
-    bump when {!run} reaches quiescence. *)
+    Every broker maintains a {!Xroute_obs.Health} summary over its own
+    registry ({!Broker.metrics}): hop-latency and backlog histograms,
+    pub and drop counts, and per-link sends, drops, latency and send
+    rates. Link EWMA rates fold and epochs bump when {!run} reaches
+    quiescence; a restarted broker starts a fresh summary at epoch 0. *)
 
 (** Broker [b]'s live health summary. *)
 val health : t -> int -> Xroute_obs.Health.t

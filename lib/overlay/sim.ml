@@ -16,7 +16,6 @@ type t = {
 
 let create () = { queue = Equeue.create ~capacity:1024 (); now = 0.0; executed = 0 }
 let now t = t.now
-let pending t = Equeue.length t.queue
 let executed t = t.executed
 
 (* Schedule [action] to run [delay] ms from the current virtual time. *)

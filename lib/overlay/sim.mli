@@ -9,7 +9,6 @@ val create : unit -> t
 (** Current virtual time (ms). *)
 val now : t -> float
 
-val pending : t -> int
 val executed : t -> int
 
 (** Schedule an action [delay] ms from now.

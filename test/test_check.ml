@@ -10,9 +10,6 @@ open Xroute_xpath
 module Finding = Xroute_check.Finding
 module Soundness = Xroute_check.Soundness
 module Check = Xroute_check.Check
-module Net = Xroute_overlay.Net
-module Topology = Xroute_overlay.Topology
-module Prng = Xroute_support.Prng
 
 let check = Alcotest.check
 let ci = Alcotest.int
@@ -95,63 +92,15 @@ let test_workload_shadowed () =
 
 (* ---------------- routing-state audit ---------------- *)
 
-(* A churned binary-tree network: interleaved subscribes/unsubscribes,
-   converged, plus a merging pass where the strategy merges. After the
-   pass a client unsubscribes one merger member, so the audit sees a
-   merger dissolve; under merging the network must have made one. *)
+(* The audit's churned binary-tree network ({!Check.churned_net}) over
+   the book DTD with 20 churn ops. Under merging a client must have
+   unsubscribed a merger member, or the merge bookkeeping went
+   unaudited. *)
 let churned_net ~strategy ~seed =
   let dtd = Lazy.force Xroute_dtd.Dtd_samples.book in
-  let graph = Xroute_dtd.Dtd_graph.build dtd in
-  let advs = Xroute_dtd.Dtd_paths.advertisements graph in
-  let levels = 3 in
-  let net = Net.create ~config:{ Net.default_config with strategy; seed } (Topology.binary_tree ~levels) in
-  let publisher = Net.add_client net ~broker:0 in
-  let clients =
-    List.map (fun b -> Net.add_client net ~broker:b) (Topology.binary_tree_leaves ~levels)
-  in
-  ignore (Net.advertise_dtd net publisher advs);
-  Net.run net;
-  let params = Xroute_workload.Workload.set_b_params dtd in
-  let prng = Prng.create ((seed * 7919) + 11) in
-  let live = ref [] in
-  for _ = 1 to 20 do
-    (if !live <> [] && Prng.bernoulli prng 0.35 then begin
-       let c, id = List.nth !live (Prng.int prng (List.length !live)) in
-       Net.unsubscribe net c id;
-       live := List.filter (fun (_, i) -> i <> id) !live
-     end
-     else
-       let c = Prng.choose_list prng clients in
-       let x = Xroute_workload.Xpath_gen.generate_one params prng in
-       live := (c, Net.subscribe net c x) :: !live);
-    Net.run net
-  done;
-  (match strategy.Broker.merging with
-  | Broker.No_merging -> ()
-  | _ -> (
-    let universe =
-      Xroute_dtd.Dtd_paths.sample_paths ~count:2000 ~max_depth:10 (Prng.create 5) graph
-    in
-    (* the root's children: uncovered by the longer churned XPEs, and
-       perfectly merged into the root's wildcard child *)
-    let root = Xroute_dtd.Dtd_ast.root dtd and twin = List.hd clients in
-    List.filter_map (fun p -> if Array.length p > 1 then Some p.(1) else None) universe
-    |> List.sort_uniq String.compare
-    |> List.iter (fun child -> ignore (Net.subscribe net twin (xp (Printf.sprintf "/%s/%s" root child))));
-    Net.run net;
-    Net.set_universe net universe;
-    Net.merge_all net;
-    Net.run net;
-    let members =
-      Array.to_list (Net.brokers net)
-      |> List.concat_map (fun b ->
-             List.concat_map (fun (_, _, ms) -> ms) (Broker.audit_view b).Broker.av_mergers)
-    in
-    match List.find_opt (fun (id, _) -> List.mem id members) twin.Net.sub_ledger with
-    | None -> Alcotest.failf "seed %d: the merge pass made no merger with a client member" seed
-    | Some (id, _) ->
-      Net.unsubscribe net twin id;
-      Net.run net));
+  let net, dissolved = Check.churned_net dtd ~strategy ~seed ~ops:20 in
+  if strategy.Broker.merging <> Broker.No_merging && not dissolved then
+    Alcotest.failf "seed %d: the merge pass made no merger with a client member" seed;
   net
 
 (* The standing gate: zero invariant violations across all strategies

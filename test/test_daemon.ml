@@ -839,6 +839,79 @@ let test_fedstats_over_wire () =
   Client.close subscriber;
   stop_all (daemons, threads)
 
+(* A summary is a view of its broker's registry: for every broker of
+   the line, the federated [p=] equals the [xroute_broker_pubs_in_total]
+   its STATS|json reports, and each link's sends equal that registry's
+   [xroute_link_<peer>_sends_total]. *)
+let test_fedstats_reads_the_registry () =
+  let daemons, threads = start_line 3 in
+  let d0 = List.nth daemons 0 and d2 = List.nth daemons 2 in
+  Thread.delay 0.3;
+  let publisher = Client.connect ~client_id:100 ~host:"127.0.0.1" ~port:(Daemon.port d0) in
+  let subscriber = Client.connect ~client_id:200 ~host:"127.0.0.1" ~port:(Daemon.port d2) in
+  ignore (Client.advertise publisher (Xroute_xpath.Adv.parse "/a/b"));
+  Thread.delay 0.3;
+  ignore (Client.subscribe subscriber (xp "/a/b"));
+  Thread.delay 0.3;
+  let doc = Xroute_xml.Xml_parser.parse "<a><b/></a>" in
+  for i = 1 to 4 do
+    ignore (Client.publish_doc publisher ~doc_id:i doc)
+  done;
+  check (Alcotest.list ci) "docs delivered" [ 1; 2; 3; 4 ]
+    (Client.drain_deliveries ~timeout:1.0 subscriber);
+  let view =
+    match Client.fedstats publisher with
+    | Some v -> v
+    | None -> Alcotest.fail "no FEDSTATS reply"
+  in
+  let module Json = Xroute_support.Json in
+  List.iteri
+    (fun b d ->
+      let c = Client.connect ~client_id:(300 + b) ~host:"127.0.0.1" ~port:(Daemon.port d) in
+      let series =
+        match Option.map Json.parse (Client.stats ~format:`Json c) with
+        | Some (Ok j) ->
+          Option.value ~default:[] (Option.bind (Json.member "metrics" j) Json.to_list)
+          |> List.filter_map (fun m ->
+                 match Option.bind (Json.member "name" m) Json.to_str with
+                 | Some name -> Some (name, m)
+                 | None -> None)
+        | Some (Error e) -> Alcotest.failf "broker %d: STATS|json does not parse: %s" b e
+        | None -> Alcotest.failf "broker %d: no STATS|json reply" b
+      in
+      let value name =
+        match Option.bind (List.assoc_opt name series) (Json.member "value") with
+        | Some v -> int_of_float (Option.get (Json.to_num v))
+        | None -> Alcotest.failf "broker %d: STATS|json lacks %s" b name
+      in
+      check cb (Printf.sprintf "broker %d lists xroute_broker_hop_ms" b) true
+        (List.mem_assoc "xroute_broker_hop_ms" series);
+      let s =
+        match List.assoc_opt b view with
+        | Some s -> s
+        | None -> Alcotest.failf "origin %d missing" b
+      in
+      check ci (Printf.sprintf "broker %d: p= is the registry's pubs" b)
+        (value "xroute_broker_pubs_in_total") (Health.pubs s);
+      check cb (Printf.sprintf "broker %d has links" b) true (Health.links s <> []);
+      List.iter
+        (fun l ->
+          let peer = Health.link_peer l in
+          check ci
+            (Printf.sprintf "broker %d: link to %d sends" b peer)
+            (value (Printf.sprintf "xroute_link_%d_sends_total" peer))
+            (Health.link_sends l))
+        (Health.links s);
+      Client.close c)
+    daemons;
+  (* every broker of the line handled each path publication once *)
+  let paths = 4 * List.length (Xroute_xml.Xml_paths.decompose ~doc_id:1 doc) in
+  check (Alcotest.list ci) "each publication counted once" [ paths; paths; paths ]
+    (List.map (fun (_, s) -> Health.pubs s) view);
+  Client.close publisher;
+  Client.close subscriber;
+  stop_all (daemons, threads)
+
 (* A broker death mid-session must surface as Client.Unavailable — a
    clean, named failure after the redial budget — never a raw
    Unix_error; and the same client must recover once a broker listens
@@ -1001,6 +1074,8 @@ let () =
         [
           Alcotest.test_case "federated view over the wire, 3 brokers" `Quick
             test_fedstats_over_wire;
+          Alcotest.test_case "summaries read the broker registry" `Quick
+            test_fedstats_reads_the_registry;
           Alcotest.test_case "broker death surfaces as Unavailable" `Quick
             test_stats_unavailable_after_death;
         ] );

@@ -206,7 +206,6 @@ let test_health_roundtrip () =
   let h = Health.create 7 in
   Health.record_pub h;
   Health.record_hop_latency h 1.5;
-  Health.record_queue_depth h 3.0;
   Health.record_backlog h 128.0;
   Health.record_send h ~peer:3;
   Health.record_send h ~peer:9;
@@ -223,6 +222,68 @@ let test_health_roundtrip () =
     check ci "epoch" 2 (Health.epoch d);
     check ci "pubs" 1 (Health.pubs d);
     check ci "links" 2 (List.length (Health.links d))
+
+(* A line from a daemon that still sent the retired queue-depth sketch
+   ([qd=]): it decodes with the same counts and links, and re-encodes
+   as the same line without that field. *)
+let test_health_pre_change_line () =
+  let line =
+    "hs1|o=4|e=2|p=3|d=1|hl=sk1;0x1.47ae147ae147bp-7;1;0;0x1.8p+0;0x1.8p+0;0x1.8p+0;21:1;"
+    ^ "|qd=sk1;0x1.47ae147ae147bp-7;1;1;0x0p+0;0x0p+0;0x0p+0;;"
+    ^ "|eb=sk1;0x1.47ae147ae147bp-7;1;0;0x1p+6;0x1p+6;0x1p+6;208:1;"
+    ^ "|l=3 2 0 0x1.733d4a7a67a9cp-2 sk1;0x1.47ae147ae147bp-7;1;0;0x1p-2;0x1p-2;0x1p-2;-69:1;"
+    ^ "|l=5 1 1 0x1.733d4a7a67a9cp-3 sk1;0x1.47ae147ae147bp-7;0;0;0x0p+0;infinity;-infinity;;"
+  in
+  match Health.decode_summary line with
+  | None -> Alcotest.fail "pre-change summary does not decode"
+  | Some d ->
+    check ci "origin" 4 (Health.origin d);
+    check ci "epoch" 2 (Health.epoch d);
+    check ci "pubs" 3 (Health.pubs d);
+    check ci "drops" 1 (Health.drops d);
+    check (Alcotest.list (Alcotest.pair ci ci)) "links" [ (3, 2); (5, 1) ]
+      (List.map (fun l -> (Health.link_peer l, Health.link_sends l)) (Health.links d));
+    let without_qd =
+      String.split_on_char '|' line
+      |> List.filter (fun f -> not (String.starts_with ~prefix:"qd=" f))
+      |> String.concat "|"
+    in
+    check cs "re-encodes without qd=" without_qd (Health.encode_summary d)
+
+(* A summary line comes off a neighbor's socket: a negative count or a
+   sketch of another alpha (which cannot merge into the summary's
+   histograms) makes it malformed, never an exception. *)
+let test_health_rejects_malformed () =
+  let good = Health.encode_summary (Health.create 3) in
+  check cb "well-formed decodes" true (Health.decode_summary good <> None);
+  let other_alpha = Xroute_obs.Sketch.encode (Xroute_obs.Sketch.create ~alpha:0.05 ()) in
+  List.iter
+    (fun line -> check cb line true (Health.decode_summary line = None))
+    [
+      "hs1|o=3|p=-1";
+      "hs1|o=3|l=2 -4 0 0x0p+0 " ^ Xroute_obs.Sketch.encode (Xroute_obs.Sketch.create ());
+      "hs1|o=3|hl=" ^ other_alpha;
+      "hs1|p=1|o=3";
+    ]
+
+(* Decoding registers three series per link in a private registry: a
+   summary with 20 000 links (a 1 MiB FEDSTATS line holds up to about
+   50 000) decodes and re-encodes byte-identically. *)
+let test_health_many_links () =
+  let n = 20_000 in
+  let buf = Buffer.create (n * 40) in
+  Buffer.add_string buf "hs1|o=1|e=1|p=0|d=0";
+  let empty = Xroute_obs.Sketch.encode (Xroute_obs.Sketch.create ()) in
+  Buffer.add_string buf (Printf.sprintf "|hl=%s|eb=%s" empty empty);
+  for peer = 0 to n - 1 do
+    Buffer.add_string buf (Printf.sprintf "|l=%d %d 0 0x0p+0 %s" peer (peer mod 7) empty)
+  done;
+  let line = Buffer.contents buf in
+  match Health.decode_summary line with
+  | None -> Alcotest.fail "20 000-link summary does not decode"
+  | Some d ->
+    check ci "links kept" n (List.length (Health.links d));
+    check cs "re-encodes byte-identically" line (Health.encode_summary d)
 
 let test_view_merge () =
   let stale = Health.create 1 in
@@ -279,6 +340,10 @@ let () =
       ( "health",
         [
           Alcotest.test_case "summary roundtrip" `Quick test_health_roundtrip;
+          Alcotest.test_case "pre-change line with qd=" `Quick test_health_pre_change_line;
+          Alcotest.test_case "20 000 links" `Quick test_health_many_links;
+          Alcotest.test_case "malformed summaries rejected" `Quick
+            test_health_rejects_malformed;
           Alcotest.test_case "view merge laws" `Quick test_view_merge;
         ] );
     ]
