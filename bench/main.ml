@@ -826,24 +826,41 @@ let ablation_yfilter () =
   section
     "Ablation - covering tree vs YFilter-style shared NFA (matching)\n\
      (the paper's table organization vs the classic NFA filter; Sec. 6\n\
-     discussion. Build cost, table size and per-publication match time)";
+     discussion. Build cost, table size and per-path match time, median\n\
+     (min-max) over 5 runs; the NFA over three orders of the same paths)";
   let count = scaled 10_000 in
   let xpes =
     Xroute_workload.Workload.xpes ~params:(Xroute_workload.Workload.set_a_params nitf) ~count
       ~seed:11 ()
   in
   let docs = Xroute_workload.Workload.documents ~dtd:nitf ~count:(scaled 60) ~seed:35 () in
-  let pubs = Xroute_workload.Workload.publications_of_documents docs in
-  let n_pubs = List.length pubs in
+  let pubs = Array.of_list (Xroute_workload.Workload.publications_of_documents docs) in
+  let n_pubs = Array.length pubs in
+  let runs = 5 in
+  (* ns per path of [runs] passes of [f] over [order]: (median, min, max) *)
+  let ns_per_path f order =
+    let samples =
+      Array.init runs (fun _ ->
+          let (), t = time_it (fun () -> Array.iter f order) in
+          t *. 1e9 /. float_of_int n_pubs)
+    in
+    Array.sort compare samples;
+    (samples.(runs / 2), samples.(0), samples.(runs - 1))
+  in
+  let show name (med, lo, hi) extra =
+    Printf.printf "%-26s match %8.0f ns/path (%.0f-%.0f)%s\n%!" name med lo hi extra
+  in
   (* covering tree *)
   let tree, t_tree_build = time_it (fun () -> tree_of_xpes xpes) in
-  let (), t_tree_match =
-    time_it (fun () ->
-        List.iter
-          (fun (p : Xroute_xml.Xml_paths.publication) ->
-            ignore (Sub_tree.match_path tree p.steps p.attrs))
-          pubs)
+  let tree_ns =
+    ns_per_path
+      (fun (p : Xroute_xml.Xml_paths.publication) ->
+        ignore (Sub_tree.match_path tree p.steps p.attrs))
+      pubs
   in
+  Printf.printf "covering tree: build %.1f ms, %d nodes\n" (t_tree_build *. 1000.)
+    (Sub_tree.size tree);
+  show "covering tree" tree_ns "";
   (* yfilter *)
   let yf, t_yf_build =
     time_it (fun () ->
@@ -851,21 +868,42 @@ let ablation_yfilter () =
         List.iteri (fun i x -> Yfilter.insert yf x i) xpes;
         yf)
   in
-  let (), t_yf_match =
-    time_it (fun () ->
-        List.iter
-          (fun (p : Xroute_xml.Xml_paths.publication) ->
-            ignore (Yfilter.match_path yf p.steps p.attrs))
-          pubs)
+  Printf.printf "yfilter: build %.1f ms, %d NFA states (%d paths, %d XPEs)\n%!"
+    (t_yf_build *. 1000.) (Yfilter.state_count yf) n_pubs count;
+  let match_one (p : Xroute_xml.Xml_paths.publication) =
+    ignore (Yfilter.match_syms yf p.syms p.attrs)
   in
-  Printf.printf "%-16s build %8.1f ms  match %8.4f ms/pub  (state: %d nodes)\n"
-    "covering tree" (t_tree_build *. 1000.)
-    (t_tree_match *. 1000. /. float_of_int n_pubs)
-    (Sub_tree.size tree);
-  Printf.printf "%-16s build %8.1f ms  match %8.4f ms/pub  (state: %d NFA states)\n%!"
-    "yfilter" (t_yf_build *. 1000.)
-    (t_yf_match *. 1000. /. float_of_int n_pubs)
-    (Yfilter.state_count yf)
+  (* A call over the empty path leaves a log no path can resume from:
+     the no-resume baseline, at the price of one near-empty call. *)
+  let match_from_root p =
+    ignore (Yfilter.match_syms yf [||] [||]);
+    match_one p
+  in
+  let shuffled = Xroute_support.Prng.shuffle (Xroute_support.Prng.create 36) pubs in
+  let measure name f order =
+    let ops0 = Yfilter.match_ops yf and res0 = Yfilter.resumed_ops yf in
+    let ns = ns_per_path f order in
+    let frac =
+      float_of_int (Yfilter.resumed_ops yf - res0)
+      /. float_of_int (max 1 (Yfilter.match_ops yf - ops0))
+    in
+    show name ns (Printf.sprintf "  resumed %4.1f%% of match_ops" (100. *. frac));
+    (ns, frac)
+  in
+  let (doc_ns, _, _), doc_frac = measure "yfilter, document order" match_one pubs in
+  let (shuf_ns, _, _), shuf_frac = measure "yfilter, shuffled" match_one shuffled in
+  let (root_ns, _, _), _ = measure "yfilter, from the root" match_from_root pubs in
+  let med (m, _, _) = m in
+  Report.record "ablation-yfilter"
+    [
+      ("paths", Report.I n_pubs);
+      ("tree_ns_per_path", Report.F (med tree_ns));
+      ("yfilter_doc_order_ns_per_path", Report.F doc_ns);
+      ("yfilter_shuffled_ns_per_path", Report.F shuf_ns);
+      ("yfilter_from_root_ns_per_path", Report.F root_ns);
+      ("yfilter_doc_order_resumed_frac", Report.F doc_frac);
+      ("yfilter_shuffled_resumed_frac", Report.F shuf_frac);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Instrumentation smoke check (wired into dune runtest)               *)
@@ -940,6 +978,7 @@ let smoke () =
       "xroute_prt_size";
       "xroute_prt_payloads";
       "xroute_prt_match_checks_total";
+      "xroute_prt_match_ops_resumed_total";
       "xroute_prt_cover_checks_total";
       "xroute_prt_cover_tests_total";
       "xroute_prt_pub_match_ops";

@@ -73,6 +73,7 @@ type meters = {
   m_srt_match_ops : M.counter; (* mirrors Srt.match_ops *)
   m_srt_overlap_tests : M.counter; (* mirrors Srt.overlap_tests *)
   m_prt_match_checks : M.counter; (* mirrors Prt.match_checks *)
+  m_prt_match_resumed : M.counter; (* mirrors Prt.match_checks_resumed *)
   m_prt_cover_checks : M.counter; (* mirrors Prt.cover_checks *)
   m_prt_cover_tests : M.counter; (* mirrors Prt.cover_tests *)
   m_srt_size : M.gauge;
@@ -110,6 +111,9 @@ let make_meters reg =
       M.counter reg ~help:"SRT advertisement overlap tests run" "xroute_srt_overlap_tests_total";
     m_prt_match_checks =
       M.counter reg ~help:"PRT publication match checks" "xroute_prt_match_checks_total";
+    m_prt_match_resumed =
+      M.counter reg ~help:"PRT match checks replayed from the NFA resume log, not re-run"
+        "xroute_prt_match_ops_resumed_total";
     m_prt_cover_checks =
       M.counter reg ~help:"PRT covering checks" "xroute_prt_cover_checks_total";
     m_prt_cover_tests =
@@ -215,6 +219,7 @@ let refresh_metrics t =
   M.counter_set m.m_srt_match_ops (Rtable.Srt.match_ops t.srt);
   M.counter_set m.m_srt_overlap_tests (Rtable.Srt.overlap_tests t.srt);
   M.counter_set m.m_prt_match_checks (Rtable.Prt.match_checks t.prt);
+  M.counter_set m.m_prt_match_resumed (Rtable.Prt.match_checks_resumed t.prt);
   M.counter_set m.m_prt_cover_checks (Rtable.Prt.cover_checks t.prt);
   M.counter_set m.m_prt_cover_tests (Rtable.Prt.cover_tests t.prt);
   M.set_int m.m_srt_size (Rtable.Srt.size t.srt);
@@ -228,7 +233,7 @@ let refresh_metrics t =
   M.set_int m.m_mergers_active (Rtable.Prt.Id_map.cardinal t.mergers);
   M.set_int m.m_suppressed (Rtable.Prt.Id_map.cardinal t.member_of)
 
-let corrupt_nfa_for_test t = Rtable.Prt.plant_nfa_orphan t.prt
+let corrupt_nfa_for_test t = Rtable.Prt.corrupt_nfa t.prt
 
 let neighbor_endpoints ?(except = []) t =
   List.filter_map

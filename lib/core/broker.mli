@@ -44,9 +44,10 @@ val refresh_metrics : t -> unit
 val srt_size : t -> int
 val prt_size : t -> int
 
-(** Test hook: plant a dead state in the PRT's NFA, which the
-    [nfa-integrity] audit must report. *)
-val corrupt_nfa_for_test : t -> unit
+(** Test hook: plant a dead state in the PRT's NFA, or stamp its resume
+    log with a stale version; the [nfa-integrity] audit must report
+    either. *)
+val corrupt_nfa_for_test : t -> [ `Orphan_state | `Stale_log ] -> unit
 
 (** Paths derivable from the publisher's DTD, needed by merging to
     compute imperfect degrees. *)

@@ -344,6 +344,7 @@ module Prt = struct
     |> List.map snd
 
   let match_checks t = Yfilter.match_ops t.nfa
+  let match_checks_resumed t = Yfilter.resumed_ops t.nfa
   let cover_checks t = Sub_tree.cover_checks t.tree
   let cover_tests t = Sub_tree.cover_tests t.tree
 
@@ -393,6 +394,9 @@ module Prt = struct
     List.rev !problems
 
   (* Test hook: corrupt the automaton with a state eager pruning could
-     never leave behind — the audit's must-fail mutation. *)
-  let plant_nfa_orphan t = Yfilter.plant_orphan t.nfa
+     never leave behind, or a resume log a mutation failed to drop —
+     the audit's must-fail mutations. *)
+  let corrupt_nfa t = function
+    | `Orphan_state -> Yfilter.plant_orphan t.nfa
+    | `Stale_log -> Yfilter.plant_stale_log t.nfa
 end

@@ -135,6 +135,10 @@ module Prt : sig
   (** Publication matching work so far: the NFA's {!Yfilter.match_ops}. *)
   val match_checks : t -> int
 
+  (** The part of {!match_checks} replayed from the NFA's resume log
+      rather than re-run: {!Yfilter.resumed_ops}. *)
+  val match_checks_resumed : t -> int
+
   (** Covering work charged so far: {!Sub_tree.cover_checks}. *)
   val cover_checks : t -> int
 
@@ -155,7 +159,8 @@ module Prt : sig
       uniqueness, and size agreement with the ledger. *)
   val nfa_invariants : t -> string list
 
-  (** Test hook: corrupt the automaton with a dead state, which
-      {!nfa_invariants} must report — the audit's must-fail mutation. *)
-  val plant_nfa_orphan : t -> unit
+  (** Test hook: corrupt the automaton with a dead state, or stamp its
+      resume log with a stale version; {!nfa_invariants} must report
+      either — the audit's must-fail mutations. *)
+  val corrupt_nfa : t -> [ `Orphan_state | `Stale_log ] -> unit
 end

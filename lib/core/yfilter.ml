@@ -41,6 +41,26 @@
    original XPE with a precomputed has-predicates flag, and payloads
    whose XPE carries predicates are re-checked with the exact evaluator.
 
+   Document-order resumption. A document reaches a broker as its
+   root-to-leaf paths, one after another (Sec. 3.1), and consecutive
+   paths share a prefix. The run state after d elements depends only
+   on the first d elements, unless a predicate entry was scanned by
+   then (the exact evaluator judges a predicate against the whole path
+   and its attributes). So a call keeps a per-depth log of its run:
+   the fresh frontier (slices of one flat buffer, which is also where
+   the run keeps its frontiers), the alive length, the found list
+   (immutable, so shared), the charge so far and the number of nodes
+   visited so far. The next call sharing L leading elements resumes at
+   depth min(L, p - 1), p being the first depth whose accepts included
+   a predicate entry, when that is at least 1 and the log carries the
+   automaton's [version] (bumped by insert and remove, which also drop
+   the log): it restamps the logged visits with its own call stamp,
+   truncates the buffers, reloads the found list, adds the logged
+   charge to [match_ops] (and to [resumed_ops]) and runs on from there.
+   Results, their order and the charge are those of a run from the
+   root. This is YFilter's runtime stack over SAX events (Diao et al.,
+   TODS 2003), fitted to path publications.
+
    Removal prunes eagerly: when the last payload under a trail of
    states goes, the now-dead suffix of the trail is unlinked, so the
    automaton shrinks back to what a fresh build would allocate
@@ -71,12 +91,26 @@ type 'a t = {
   mutable next_id : int;
   mutable size : int; (* stored payloads *)
   mutable states : int;
+  mutable version : int; (* bumped by every insert and remove *)
   mutable match_ops : int; (* cumulative matching work, for the bench *)
+  mutable resumed_ops : int; (* the part of [match_ops] charged from the log *)
   mutable gen : int; (* last stamp handed out *)
-  mutable fresh : 'a frontier;
-  mutable next : 'a frontier;
+  frontiers : 'a frontier; (* the fresh frontier of depth d is [log_fr.(d), log_fr.(d+1)) *)
+  visits : 'a frontier; (* nodes visited by the run, in visiting order *)
   alive : 'a frontier;
   mutable found : 'a list; (* payloads accepted so far, newest first *)
+  mutable depth : int; (* the depth the run is producing *)
+  (* The resume log of the last call: entries 0..[log_depth] describe
+     the run after that many elements; [log_depth] = -1 is empty. *)
+  mutable log_depth : int;
+  mutable log_version : int;
+  mutable pred_depth : int; (* first depth that scanned a predicate entry *)
+  mutable log_syms : int array; (* the elements consumed *)
+  mutable log_fr : int array;
+  mutable log_alive : int array;
+  mutable log_visits : int array;
+  mutable log_ops : int array; (* charged by the run up to the depth *)
+  mutable log_found : 'a list array;
 }
 
 let fresh_node id =
@@ -87,12 +121,25 @@ let frontier root = { nodes = Array.make 16 root; len = 0 }
 
 let create () =
   let root = fresh_node 0 in
-  { root; next_id = 1; size = 0; states = 1; match_ops = 0; gen = 0; fresh = frontier root;
-    next = frontier root; alive = frontier root; found = [] }
+  { root; next_id = 1; size = 0; states = 1; version = 0; match_ops = 0; resumed_ops = 0;
+    gen = 0; frontiers = frontier root; visits = frontier root; alive = frontier root;
+    found = []; depth = 0; log_depth = -1; log_version = 0; pred_depth = max_int;
+    log_syms = [||]; log_fr = [||]; log_alive = [||]; log_visits = [||]; log_ops = [||];
+    log_found = [||] }
 
 let size t = t.size
 let allocated_states t = t.states
 let match_ops t = t.match_ops
+let resumed_ops t = t.resumed_ops
+
+(* A mutation invalidates the log; dropping it also lets go of the
+   payloads its found lists hold. *)
+let mutated t =
+  t.version <- t.version + 1;
+  for d = 0 to t.log_depth do
+    t.log_found.(d) <- []
+  done;
+  t.log_depth <- -1
 
 (* Live states, counted by walking the trie. Removal prunes eagerly, so
    this must coincide with [allocated_states]; the walk is kept (rather
@@ -150,6 +197,7 @@ let add_edge t node key =
 (* ---------------- insertion and removal ---------------- *)
 
 let insert t xpe payload =
+  mutated t;
   let final = List.fold_left (fun node key -> add_edge t node key) t.root (index_steps xpe) in
   (match List.find_opt (fun e -> Xpe.equal e.xpe xpe) final.accepts with
   | Some e -> e.payloads <- payload :: e.payloads
@@ -163,6 +211,7 @@ let insert t xpe payload =
    and no outgoing edge is unlinked from its parent. The automaton ends
    exactly as a fresh build of the surviving XPEs would. *)
 let remove t xpe pred =
+  mutated t;
   let rec walk node = function
     | [] ->
       List.iter
@@ -204,8 +253,12 @@ let rec scan_accepts t syms attrs = function
   | [] -> ()
   | e :: rest ->
     t.match_ops <- t.match_ops + 1;
-    if (not e.has_preds) || Xpe_eval.matches_syms e.xpe syms attrs then
-      t.found <- List.rev_append e.payloads t.found;
+    if not e.has_preds then t.found <- List.rev_append e.payloads t.found
+    else begin
+      if t.pred_depth > t.depth then t.pred_depth <- t.depth;
+      if Xpe_eval.matches_syms e.xpe syms attrs then
+        t.found <- List.rev_append e.payloads t.found
+    end;
     scan_accepts t syms attrs rest
 
 (* A node reached in call [call]: the first time, scan its accepting
@@ -214,6 +267,7 @@ let rec scan_accepts t syms attrs = function
 let visit t call syms attrs node =
   if node.seen <> call then begin
     node.seen <- call;
+    push t.visits node;
     scan_accepts t syms attrs node.accepts;
     if node.desc_edges > 0 then push t.alive node
   end
@@ -226,7 +280,7 @@ let follow t call syms attrs node key =
     let child = node.kids.(i) in
     t.match_ops <- t.match_ops + 1;
     visit t call syms attrs child;
-    push t.next child
+    push t.frontiers child
   end
 
 (* Fire [node] on an element whose name has code [code]. Key lookups the
@@ -241,6 +295,41 @@ let fire t call syms attrs ~allow_child node code =
     follow t call syms attrs node 1
   end
 
+(* Room in the log for a path of [n] elements. *)
+let reserve_log t n =
+  if Array.length t.log_fr < n + 2 then begin
+    let cap = max (n + 2) (2 * Array.length t.log_fr) in
+    let grow a fill = Array.init cap (fun i -> if i < Array.length a then a.(i) else fill) in
+    t.log_syms <- grow t.log_syms 0;
+    t.log_fr <- grow t.log_fr 0;
+    t.log_alive <- grow t.log_alive 0;
+    t.log_visits <- grow t.log_visits 0;
+    t.log_ops <- grow t.log_ops 0;
+    t.log_found <- grow t.log_found []
+  end
+
+(* Log the run after [d] elements; the frontier of depth [d] ends where
+   the buffer does. *)
+let record t d ops =
+  t.log_fr.(d + 1) <- t.frontiers.len;
+  t.log_alive.(d) <- t.alive.len;
+  t.log_visits.(d) <- t.visits.len;
+  t.log_ops.(d) <- ops;
+  t.log_found.(d) <- t.found
+
+(* The depth a call over [syms] may resume at: its common prefix with
+   the logged path, cut before the first predicate scan; 0 restarts. *)
+let resume_depth t syms =
+  if t.log_depth < 1 || t.log_version <> t.version then 0
+  else begin
+    let limit = min (Array.length syms) (min t.log_depth (t.pred_depth - 1)) in
+    let l = ref 0 in
+    while !l < limit && t.log_syms.(!l) = Symbol.id syms.(!l) do
+      incr l
+    done;
+    !l
+  end
+
 (* Simulate the automaton over a path, collecting accepting payloads.
 
    Two frontiers: [fresh] nodes were reached exactly at the previous
@@ -248,28 +337,59 @@ let fire t call syms attrs ~allow_child node code =
    the next element; [alive] nodes have descendant out-edges and, once
    reached, persist for the rest of the call — but only their descendant
    edges keep firing (their child edges were only valid immediately
-   after they were reached). Frontiers are walked newest first. *)
+   after they were reached). Frontiers are walked newest first. The run
+   starts from the logged state of the depth {!resume_depth} allows,
+   or from the root. *)
 let match_syms t syms attrs =
+  let n = Array.length syms in
+  reserve_log t n;
   t.gen <- t.gen + 1;
   let call = t.gen in
-  t.found <- [];
-  t.alive.len <- 0;
-  t.fresh.len <- 0;
-  push t.fresh t.root;
-  visit t call syms attrs t.root;
-  let n = Array.length syms in
-  let i = ref 0 in
-  while !i < n && (t.fresh.len > 0 || t.alive.len > 0) do
+  let ops0 = t.match_ops in
+  let start = resume_depth t syms in
+  (* Until this run ends, only the entries it shares with the last one
+     hold: a run cut short by an exception leaves a consistent log. *)
+  t.log_depth <- start;
+  t.pred_depth <- max_int;
+  if start = 0 then begin
+    t.found <- [];
+    t.alive.len <- 0;
+    t.visits.len <- 0;
+    t.frontiers.len <- 0;
+    t.log_version <- t.version;
+    t.log_fr.(0) <- 0;
+    push t.frontiers t.root;
+    t.depth <- 0;
+    visit t call syms attrs t.root;
+    record t 0 (t.match_ops - ops0)
+  end
+  else begin
+    let visited = t.log_visits.(start) in
+    for j = 0 to visited - 1 do
+      t.visits.nodes.(j).seen <- call
+    done;
+    t.visits.len <- visited;
+    t.alive.len <- t.log_alive.(start);
+    t.frontiers.len <- t.log_fr.(start + 1);
+    t.found <- t.log_found.(start);
+    let skipped = t.log_ops.(start) in
+    t.match_ops <- t.match_ops + skipped;
+    t.resumed_ops <- t.resumed_ops + skipped
+  end;
+  let i = ref start in
+  while !i < n && (t.log_fr.(!i + 1) > t.log_fr.(!i) || t.alive.len > 0) do
+    let d = !i in
     t.gen <- t.gen + 1;
     let elem = t.gen in
-    let code = Symbol.id syms.(!i) + 1 in
+    let sym = Symbol.id syms.(d) in
+    let code = sym + 1 in
+    t.log_syms.(d) <- sym;
+    t.depth <- d + 1;
     (* Snapshot: nodes becoming alive while consuming this element must
        not fire on the same element. *)
     let alive_now = t.alive.len in
-    let fresh = t.fresh in
-    t.next.len <- 0;
-    for j = fresh.len - 1 downto 0 do
-      let node = fresh.nodes.(j) in
+    for j = t.log_fr.(d + 1) - 1 downto t.log_fr.(d) do
+      let node = t.frontiers.nodes.(j) in
       node.fresh_at <- elem;
       fire t call syms attrs ~allow_child:true node code
     done;
@@ -278,10 +398,10 @@ let match_syms t syms attrs =
       let node = t.alive.nodes.(j) in
       if node.fresh_at <> elem then fire t call syms attrs ~allow_child:false node code
     done;
-    t.fresh <- t.next;
-    t.next <- fresh;
+    record t (d + 1) (t.match_ops - ops0);
     incr i
   done;
+  t.log_depth <- !i;
   let found = t.found in
   t.found <- [];
   List.rev found
@@ -307,7 +427,9 @@ let to_list t =
    has an accepting entry or an out-edge — equivalently [state_count] =
    [allocated_states]), the size counter equals the stored payloads, no
    empty accepting entry survives, per-node Desc-edge counters are
-   exact, and edge keys are strictly increasing, one per target. *)
+   exact, and edge keys are strictly increasing, one per target. The
+   resume log is empty or stamped with the current version: a stale one
+   would replay a run of another automaton. *)
 let check_invariants t =
   let problems = ref [] in
   let add fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
@@ -342,6 +464,8 @@ let check_invariants t =
     add "NFA allocates %d states but only %d are reachable" t.states !walked;
   if !payloads_seen <> t.size then
     add "NFA stores %d payloads, size says %d" !payloads_seen t.size;
+  if t.log_depth >= 0 && t.log_version <> t.version then
+    add "NFA resume log is stamped version %d, the automaton is at %d" t.log_version t.version;
   List.rev !problems
 
 (* Test hook: allocate an unreachable-in-spirit dead state (an edge to a
@@ -349,3 +473,13 @@ let check_invariants t =
    leave behind — the must-fail mutation for the audit. *)
 let plant_orphan t =
   ignore (add_edge t t.root (edge_key Xpe.Child (Xpe.Name (Symbol.intern "__orphan__"))))
+
+(* Test hook: stamp the resume log with an earlier version, as a
+   mutation that forgot to drop it would leave it — the audit's
+   must-fail mutation for the log. *)
+let plant_stale_log t =
+  if t.log_depth < 0 then begin
+    reserve_log t 0;
+    t.log_depth <- 0
+  end;
+  t.log_version <- t.version - 1

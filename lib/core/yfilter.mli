@@ -13,7 +13,20 @@
     Matching keeps its frontiers in buffers owned by the automaton and
     marks nodes with per-node generation stamps instead of building
     per-call tables, so {!match_syms} mutates the automaton: one
-    automaton must not be matched from two threads at once. *)
+    automaton must not be matched from two threads at once.
+
+    A call resumes the previous call's run where their paths part, as
+    a document's root-to-leaf paths arrive one after another. Each call
+    logs its run per depth (fresh frontier, alive length, payloads found
+    and charge so far, nodes visited). The next call sharing L leading
+    elements restarts from the logged depth min(L, p - 1), p being the
+    first depth at which a predicate entry was scanned (a predicate is
+    judged against the whole path and its attributes, so a verdict
+    reached in the prefix may change with the suffix), provided that
+    depth is at least 1 and the log's version stamp is the automaton's:
+    {!insert} and {!remove} bump the version and drop the log. Results,
+    their order and the {!match_ops} charge equal a run from the root;
+    {!resumed_ops} counts the charge that was replayed, not re-run. *)
 
 open Xroute_xpath
 
@@ -40,6 +53,10 @@ val allocated_states : 'a t -> int
     [rtable.prt.entries_per_pub]. *)
 val match_ops : 'a t -> int
 
+(** The part of {!match_ops} charged from the resume log without being
+    re-run: cumulative, like {!match_ops}. *)
+val resumed_ops : 'a t -> int
+
 val insert : 'a t -> Xpe.t -> 'a -> unit
 
 (** [remove t xpe pred] drops the payloads of the exact [xpe] selected
@@ -61,9 +78,14 @@ val to_list : 'a t -> (Xpe.t * 'a) list
 
 (** Structural invariant violations (empty when healthy): no dead
     states, exact size and Desc-edge counters, no empty accepting
-    entries. *)
+    entries, and a resume log that is empty or carries the current
+    version stamp. *)
 val check_invariants : 'a t -> string list
 
 (** Test hook: plant a dead state, which {!check_invariants} must
     report — the audit's must-fail mutation. *)
 val plant_orphan : 'a t -> unit
+
+(** Test hook: stamp the resume log with an earlier version, which
+    {!check_invariants} must report — the log's must-fail mutation. *)
+val plant_stale_log : 'a t -> unit

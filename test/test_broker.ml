@@ -541,6 +541,45 @@ let test_nfa_gauges_after_churn () =
       (Rtable.Prt.nfa_states fresh) (gauge "xroute_nfa_states")
   done
 
+(* The PRT resumes a document's next path from the prefix it shares
+   with the previous one: xroute_prt_match_ops_resumed_total grows on a
+   document's second path and stays flat on the first path after an
+   insert (which drops the log), while xroute_prt_match_checks_total
+   stays what the never-resuming reference automaton charges. *)
+let test_prt_resumed_counter () =
+  let b = make_broker ~id:0 ~neighbors:[ 1 ] () in
+  let r : unit Yfilter_ref.t = Yfilter_ref.create () in
+  let counter name =
+    Broker.refresh_metrics b;
+    match Xroute_obs.Metrics.scalar (Broker.metrics b) name with
+    | Some v -> int_of_float v
+    | None -> Alcotest.failf "counter %s not registered" name
+  in
+  let resumed () = counter "xroute_prt_match_ops_resumed_total" in
+  let subscribe seq x =
+    ignore
+      (Broker.handle b ~from:(client 5) (Message.Subscribe { id = sid 5 seq; xpe = xp x }));
+    Yfilter_ref.insert r (xp x) ()
+  in
+  let publish s =
+    let p = pub ~doc_id:1 s in
+    ignore (Broker.handle b ~from:(neighbor 1) (Message.Publish { pub = p; trail = []; ctx = None }));
+    ignore (Yfilter_ref.match_syms r p.syms p.attrs)
+  in
+  List.iteri (fun i x -> subscribe i x) [ "/a/b/c"; "/a/*/d"; "//b"; "/a/b" ];
+  publish "/a/b/c";
+  let first = resumed () in
+  publish "/a/b/d";
+  let second = resumed () in
+  check cb "grows on the document's second path" true (second > first);
+  subscribe 9 "/a/b/e";
+  publish "/a/b/e";
+  check ci "flat on the path after an insert" second (resumed ());
+  publish "/a/b/f";
+  check cb "grows again on the next path" true (resumed () > second);
+  check ci "match checks = the reference's charge" (Yfilter_ref.match_ops r)
+    (counter "xroute_prt_match_checks_total")
+
 let () =
   Alcotest.run "broker"
     [
@@ -556,6 +595,7 @@ let () =
           Alcotest.test_case "insert/match" `Quick test_prt_insert_match;
           Alcotest.test_case "remove promotions" `Quick test_prt_remove_reports_promotions;
           Alcotest.test_case "nfa gauges after churn" `Quick test_nfa_gauges_after_churn;
+          Alcotest.test_case "resumed match counter" `Quick test_prt_resumed_counter;
         ] );
       ( "advertisements",
         [

@@ -151,7 +151,7 @@ let test_audit_catches_nfa_orphan () =
   check ci "clean before the mutation" 0
     (List.length
        (List.filter (fun f -> f.Finding.code = "nfa-integrity") (Check.audit_broker b)));
-  Broker.corrupt_nfa_for_test b;
+  Broker.corrupt_nfa_for_test b `Orphan_state;
   let fs = Check.audit_broker b in
   let nfa_errors =
     List.filter
@@ -159,6 +159,28 @@ let test_audit_catches_nfa_orphan () =
       fs
   in
   check cb "planted orphan state reported" true (nfa_errors <> [])
+
+(* The resume log's must-fail mutation: a log stamped with an earlier
+   automaton version (one a subscribe failed to drop) must surface as an
+   [nfa-integrity] error. *)
+let test_audit_catches_nfa_stale_log () =
+  let b = Broker.create ~id:0 ~neighbors:[ 1 ] () in
+  ignore
+    (Broker.handle b ~from:(Rtable.Client 7)
+       (Message.Subscribe { id = { origin = 7; seq = 1 }; xpe = xp "/a/b" }));
+  ignore
+    (Broker.handle b ~from:(Rtable.Neighbor 1)
+       (Message.Publish
+          { pub = Xroute_xml.Xml_paths.publication_of_string ~doc_id:1 "/a/b/c"; trail = [];
+            ctx = None }));
+  let nfa_errors () =
+    List.filter
+      (fun f -> f.Finding.code = "nfa-integrity" && f.Finding.severity = Finding.Error)
+      (Check.audit_broker b)
+  in
+  check ci "clean after a publication" 0 (List.length (nfa_errors ()));
+  Broker.corrupt_nfa_for_test b `Stale_log;
+  check cb "stale resume log reported" true (nfa_errors () <> [])
 
 (* A clean broker audits clean, including against explicit ledgers. *)
 let test_audit_clean_broker () =
@@ -230,6 +252,7 @@ let () =
           Alcotest.test_case "report stats" `Quick test_audit_report_stats;
           Alcotest.test_case "corruption caught" `Quick test_audit_catches_corruption;
           Alcotest.test_case "NFA orphan caught" `Quick test_audit_catches_nfa_orphan;
+          Alcotest.test_case "NFA stale resume log caught" `Quick test_audit_catches_nfa_stale_log;
           Alcotest.test_case "clean broker, dangling ledger" `Quick test_audit_clean_broker;
         ] );
       ( "report",

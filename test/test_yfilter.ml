@@ -278,6 +278,32 @@ let random_xpe prng alphabet =
   in
   Xpe.make ~relative steps
 
+(* One to four random inserts and removes, applied by [insert] and
+   [remove] to every automaton under test; [live] tracks the stored
+   (xpe, payload) pairs. *)
+let churn prng alphabet ~live ~next ~insert ~remove =
+  for _ = 1 to 1 + Prng.int prng 4 do
+    if !live <> [] && Prng.bernoulli prng 0.35 then begin
+      let x, p = Prng.choose prng (Array.of_list !live) in
+      live := List.filter (fun (_, q) -> q <> p) !live;
+      remove x p
+    end
+    else begin
+      let x =
+        if !live <> [] && Prng.bernoulli prng 0.2 then fst (Prng.choose prng (Array.of_list !live))
+        else random_xpe prng alphabet
+      in
+      incr next;
+      live := (x, !next) :: !live;
+      insert x !next
+    end
+  done
+
+let live_to_string live =
+  String.concat " " (List.map (fun (x, q) -> Printf.sprintf "%d:%s" q (Xpe.to_string x)) live)
+
+let ints l = String.concat ";" (List.map string_of_int l)
+
 let test_differential_reference () =
   let prng = Prng.create 1606 in
   let alphabet = [| "a"; "b"; "c"; sym0_name () |] in
@@ -299,24 +325,13 @@ let test_differential_reference () =
     for _step = 1 to 30 do
       (* inserts and removes between matches: a stamp left stale by an
          earlier call, or a frontier buffer not reset, would show *)
-      for _ = 1 to 1 + Prng.int prng 4 do
-        if !live <> [] && Prng.bernoulli prng 0.35 then begin
-          let x, p = Prng.choose prng (Array.of_list !live) in
-          live := List.filter (fun (_, q) -> q <> p) !live;
+      churn prng alphabet ~live ~next
+        ~insert:(fun x p ->
+          Yfilter.insert t x p;
+          Yfilter_ref.insert r x p)
+        ~remove:(fun x p ->
           Yfilter.remove t x (fun q -> q = p);
-          Yfilter_ref.remove r x (fun q -> q = p)
-        end
-        else begin
-          let x =
-            if !live <> [] && Prng.bernoulli prng 0.2 then fst (Prng.choose prng (Array.of_list !live))
-            else random_xpe prng alphabet
-          in
-          incr next;
-          live := (x, !next) :: !live;
-          Yfilter.insert t x !next;
-          Yfilter_ref.insert r x !next
-        end
-      done;
+          Yfilter_ref.remove r x (fun q -> q = p));
       check (Alcotest.list Alcotest.string) "invariants" [] (Yfilter.check_invariants t);
       for _ = 1 to 5 do
         let len = Prng.int prng 7 in
@@ -333,18 +348,153 @@ let test_differential_reference () =
         let ctx () =
           Printf.sprintf "round %d, /%s over {%s}" round
             (String.concat "/" (Array.to_list p))
-            (String.concat " " (List.map (fun (x, q) -> Printf.sprintf "%d:%s" q (Xpe.to_string x)) !live))
+            (live_to_string !live)
         in
         if got <> want then
-          Alcotest.failf "%s: result [%s], reference [%s]" (ctx ())
-            (String.concat ";" (List.map string_of_int got))
-            (String.concat ";" (List.map string_of_int want));
+          Alcotest.failf "%s: result [%s], reference [%s]" (ctx ()) (ints got) (ints want);
         let dt = Yfilter.match_ops t - ops_t and dr = Yfilter_ref.match_ops r - ops_r in
         if dt <> dr then Alcotest.failf "%s: charged %d, reference %d" (ctx ()) dt dr
       done
     done
   done;
   check ci "calls compared" (20 * 30 * 5) !calls
+
+(* The root-to-leaf paths of a random tree over [alphabet], in
+   document (depth-first) order, each element carrying a [k] attribute
+   now and then: the sequence a broker receives for one document, in
+   which consecutive paths share a prefix. *)
+let random_doc_paths prng alphabet =
+  let paths = ref [] in
+  let rec node depth prefix =
+    let elem =
+      ( Prng.choose prng alphabet,
+        if Prng.bernoulli prng 0.3 then [ ("k", Prng.choose prng [| "v"; "w" |]) ] else [] )
+    in
+    let prefix = elem :: prefix in
+    match if depth >= 6 then 0 else Prng.int prng 4 with
+    | 0 -> paths := Array.of_list (List.rev prefix) :: !paths
+    | kids ->
+      for _ = 1 to kids do
+        node (depth + 1) prefix
+      done
+  in
+  node 1 [];
+  List.rev !paths
+
+(* Call for call, over documents fed path by path in document order
+   with inserts and removes between paths of one document: the resuming
+   matcher against the reference automaton (results and charge) and
+   against a twin that never resumes (results in the same order). The
+   twin matches the empty path before each call, which leaves it a log
+   no path resumes from. *)
+let test_document_order_differential () =
+  let prng = Prng.create 2803 in
+  let alphabet = [| "a"; "b"; "c"; sym0_name () |] in
+  let calls = ref 0 in
+  let resumed = ref 0 in
+  for round = 1 to 15 do
+    let t : int Yfilter.t = Yfilter.create () in
+    let twin : int Yfilter.t = Yfilter.create () in
+    let r : int Yfilter_ref.t = Yfilter_ref.create () in
+    let live = ref [] in
+    let next = ref 0 in
+    let mutate () =
+      churn prng alphabet ~live ~next
+        ~insert:(fun x p ->
+          Yfilter.insert t x p;
+          Yfilter.insert twin x p;
+          Yfilter_ref.insert r x p)
+        ~remove:(fun x p ->
+          Yfilter.remove t x (fun q -> q = p);
+          Yfilter.remove twin x (fun q -> q = p);
+          Yfilter_ref.remove r x (fun q -> q = p));
+      check (Alcotest.list Alcotest.string) "invariants" [] (Yfilter.check_invariants t)
+    in
+    for _ = 1 to 6 do
+      mutate ()
+    done;
+    for doc = 1 to 12 do
+      List.iter
+        (fun elems ->
+          if Prng.bernoulli prng 0.15 then mutate ();
+          let p = Array.map fst elems and attrs = Array.map snd elems in
+          let syms = Symbol.intern_path p in
+          let ops_t = Yfilter.match_ops t and ops_r = Yfilter_ref.match_ops r in
+          let ops_twin = Yfilter.match_ops twin in
+          let got = Yfilter.match_syms t syms attrs in
+          ignore (Yfilter.match_syms twin [||] [||]);
+          let twin_ops_empty = Yfilter.match_ops twin - ops_twin in
+          let from_root = Yfilter.match_syms twin syms attrs in
+          let want = List.sort compare (Yfilter_ref.match_syms r syms attrs) in
+          incr calls;
+          let ctx () =
+            Printf.sprintf "round %d, doc %d, /%s over {%s}" round doc
+              (String.concat "/"
+                 (Array.to_list
+                    (Array.map
+                       (fun (n, a) ->
+                         match a with [ (_, v) ] -> Printf.sprintf "%s[k=%s]" n v | _ -> n)
+                       elems)))
+              (live_to_string !live)
+          in
+          if got <> from_root then
+            Alcotest.failf "%s: result [%s], from the root [%s]" (ctx ()) (ints got)
+              (ints from_root);
+          if List.sort compare got <> want then
+            Alcotest.failf "%s: result [%s], reference [%s]" (ctx ()) (ints got) (ints want);
+          let dt = Yfilter.match_ops t - ops_t and dr = Yfilter_ref.match_ops r - ops_r in
+          let dtwin = Yfilter.match_ops twin - ops_twin - twin_ops_empty in
+          if dt <> dr || dtwin <> dr then
+            Alcotest.failf "%s: charged %d, from the root %d, reference %d" (ctx ()) dt dtwin dr)
+        (random_doc_paths prng alphabet)
+    done;
+    check ci "the twin never resumes" 0 (Yfilter.resumed_ops twin);
+    check (Alcotest.list Alcotest.string) "invariants after the round" []
+      (Yfilter.check_invariants t);
+    resumed := !resumed + Yfilter.resumed_ops t
+  done;
+  if !calls < 1000 then Alcotest.failf "only %d calls compared" !calls;
+  if !resumed = 0 then Alcotest.fail "no call resumed"
+
+(* A predicate is judged against the whole path, so a run resumes no
+   deeper than the element before the first predicate scan. Both cases
+   share the prefix a/b[k=w] with the previous path, whose //b node
+   scanned the predicate entry at depth 2. *)
+let test_predicate_resume_cut () =
+  let x = "//b[@k='v']" in
+  let a = [] and bw = [ ("k", "w") ] and bv = [ ("k", "v") ] in
+  let case name (p0, attrs0) (p1, attrs1) want =
+    let t = index_of [ x ] in
+    ignore (Yfilter.match_path t (path p0) attrs0);
+    let got, ops = charged t p1 attrs1 in
+    let fresh_got, fresh_ops = charged (index_of [ x ]) p1 attrs1 in
+    check (Alcotest.list ci) (name ^ ": as a fresh automaton") fresh_got got;
+    check ci (name ^ ": charge as a fresh automaton") fresh_ops ops;
+    check (Alcotest.list ci) (name ^ ": result") want got
+  in
+  (* the prefix's b fails the predicate, a b in the new suffix holds it *)
+  case "satisfied in the new suffix" ("a/b/c", [| a; bw; a |]) ("a/b/b", [| a; bw; bv |]) [ 0 ];
+  (* the old path held it only through its suffix, the new one not *)
+  case "satisfied only in the old suffix" ("a/b/b", [| a; bw; bv |]) ("a/b/c", [| a; bw; a |]) []
+
+(* The log's must-fail mutation: a resume log stamped with another
+   version is reported, and never replayed. *)
+let test_stale_log_reported () =
+  let t = index_of [ "/a/b"; "//c" ] in
+  check (Alcotest.list ci) "first path" [ 0; 1 ] (matches t "a/b/c");
+  check (Alcotest.list Alcotest.string) "clean after a match" [] (Yfilter.check_invariants t);
+  Yfilter.plant_stale_log t;
+  check Alcotest.bool "stale log reported" true (Yfilter.check_invariants t <> []);
+  let resumed = Yfilter.resumed_ops t in
+  check (Alcotest.list ci) "answered from the root" [ 0; 1 ] (matches t "a/b/c");
+  check ci "nothing replayed" resumed (Yfilter.resumed_ops t);
+  check (Alcotest.list Alcotest.string) "the run re-stamps the log" []
+    (Yfilter.check_invariants t);
+  ignore (matches t "a/b/d");
+  check Alcotest.bool "the next path resumes" true (Yfilter.resumed_ops t > resumed);
+  Yfilter.insert t (xp "/a/b/d") 2;
+  check (Alcotest.list Alcotest.string) "an insert drops the log" []
+    (Yfilter.check_invariants t)
 
 (* Key collisions: the id-0 name and the wildcard live side by side
    under one node, on both axes, and each edge answers only for itself. *)
@@ -384,5 +534,12 @@ let () =
           Alcotest.test_case "random vs linear" `Quick test_equivalence_random;
           Alcotest.test_case "differential vs reference automaton" `Quick
             test_differential_reference;
+          Alcotest.test_case "document order vs reference automaton" `Quick
+            test_document_order_differential;
+        ] );
+      ( "resume",
+        [
+          Alcotest.test_case "predicate cut" `Quick test_predicate_resume_cut;
+          Alcotest.test_case "stale log reported" `Quick test_stale_log_reported;
         ] );
     ]
