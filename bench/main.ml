@@ -905,6 +905,62 @@ let ablation_yfilter () =
       ("yfilter_shuffled_resumed_frac", Report.F shuf_frac);
     ]
 
+(* The SRT's overlap test: the paper's Abs/Rel/Des tests with bounded
+   unrolling of recursive groups, against the compiled position
+   automaton, on the NITF advertisements split by recursion. *)
+let ablation_srt () =
+  section
+    "Ablation - SRT overlap: paper tests vs compiled advertisements\n\
+     (the paper unrolls (...)+ groups per test, Sec. 3.3; the compiled\n\
+     form is one bit-parallel pass over the XPE's steps. ns per overlap\n\
+     test, median (min-max) over 5 runs, NITF Set-A XPEs)";
+  let xpes =
+    Xroute_workload.Workload.xpes ~params:(Xroute_workload.Workload.set_a_params nitf)
+      ~count:(scaled 200) ~seed:17 ()
+  in
+  let recursive, flat = List.partition Xroute_xpath.Adv.is_recursive nitf_advs in
+  let runs = 5 in
+  let measure advs test =
+    let tests = List.length xpes * List.length advs in
+    let samples =
+      Array.init runs (fun _ ->
+          let (), t = time_it (fun () -> List.iter (fun x -> test x advs) xpes) in
+          t *. 1e9 /. float_of_int (max 1 tests))
+    in
+    Array.sort compare samples;
+    (samples.(runs / 2), samples.(0), samples.(runs - 1))
+  in
+  let paper xpe advs = List.iter (fun a -> ignore (Adv_match.overlaps_paper xpe a)) advs in
+  let compiled_of advs = List.map Adv_match.compile advs in
+  let compiled xpe cs =
+    let q = Adv_match.query xpe in
+    List.iter (fun c -> ignore (Adv_match.overlaps_compiled q c)) cs
+  in
+  let row name advs =
+    let ((p, _, _) as paper_ns) = measure advs paper in
+    let ((c, _, _) as compiled_ns) = measure (compiled_of advs) compiled in
+    let show label (med, lo, hi) =
+      Printf.printf "%-15s %-9s %8.1f ns/test (%.1f-%.1f)\n%!" name label med lo hi
+    in
+    show "paper" paper_ns;
+    show "compiled" compiled_ns;
+    (p, c)
+  in
+  Printf.printf "%d XPEs x %d recursive + %d non-recursive advertisements\n%!"
+    (List.length xpes) (List.length recursive) (List.length flat);
+  let rec_paper, rec_compiled = row "recursive" recursive in
+  let flat_paper, flat_compiled = row "non-recursive" flat in
+  Report.record "ablation-srt"
+    [
+      ("xpes", Report.I (List.length xpes));
+      ("recursive_advs", Report.I (List.length recursive));
+      ("non_recursive_advs", Report.I (List.length flat));
+      ("paper_recursive_ns_per_test", Report.F rec_paper);
+      ("compiled_recursive_ns_per_test", Report.F rec_compiled);
+      ("paper_non_recursive_ns_per_test", Report.F flat_paper);
+      ("compiled_non_recursive_ns_per_test", Report.F flat_compiled);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Instrumentation smoke check (wired into dune runtest)               *)
 (* ------------------------------------------------------------------ *)
@@ -1206,6 +1262,7 @@ let experiments =
     ("fault-recovery", fault_recovery);
     ("ablation-exact-cover", ablation_exact_cover);
     ("ablation-yfilter", ablation_yfilter);
+    ("ablation-srt", ablation_srt);
   ]
 
 let () =

@@ -191,38 +191,273 @@ let expr_and_adv (xpe : Xpe.t) (adv : Adv.symbol array) =
    AbsExprAndSimRecAdv / AbsExprAndSerRecAdv / AbsExprAndEmbRecAdv.
 
    Completeness of the bound: a match constrains at most [length xpe]
-   positions, so at most that many repetition instances are touched; any
-   untouched instance can be deleted (each group keeps its mandatory
-   one), leaving at most [length xpe + group_count] instances. *)
-(* Unrollings are memoized per advertisement value, a few budgets each:
-   routers match thousands of subscriptions against the same
-   advertisement set. The table is process-global on purpose: the
-   brokers of one simulation advertise the same DTD, and sharing their
-   unrollings is what keeps the overlap test cheap. *)
-let expansion_cache : (int * Adv.symbol array list) list Adv.Tbl.t = Adv.Tbl.create 256
+   positions. Delete every instance that holds none of them, keeping one
+   instance of each group inside every instance kept (deletion keeps
+   child steps adjacent and descendant steps ordered). With one
+   constrained position this leaves one instance per group,
+   [group_count] in all. Each further position adds at most a copy of
+   one group's subtree: the group and, once each, every group nested in
+   it, [w] instances at most, [w] being the largest number of groups one
+   top-level group holds, itself included. So [group_count + (length xpe
+   - 1) * w] instances suffice; the budget below adds one, which makes
+   it the [length xpe + group_count] of advertisements without nesting
+   ([w] = 1). With nesting an outer instance drags in an inner one:
+   [/c//c//c] needs six instances of [(/*(/a)+/b)+], not five.
+   [memo] holds the unrollings computed so far, by budget. *)
+let rec groups_within = function
+  | Adv.Lit _ -> 0
+  | Adv.Group inner -> List.fold_left (fun acc p -> acc + groups_within p) 1 inner
 
-let expansions_of adv budget =
-  let by_budget = Option.value ~default:[] (Adv.Tbl.find_opt expansion_cache adv) in
-  match List.assoc_opt budget by_budget with
-  | Some e -> e
-  | None ->
-    let e = Adv.expand_budget ~budget adv in
-    Adv.Tbl.replace expansion_cache adv ((budget, e) :: by_budget);
-    e
+(* Every unrolling is spelled with the advertisement's own symbols: an
+   XPE naming an element the advertisement never mentions (and no
+   wildcard stands for) overlaps none of them. *)
+let names_available (xpe : Xpe.t) (adv : Adv.t) =
+  let rec mentions test = function
+    | Adv.Lit a -> Array.exists (fun s -> s = Xpe.Star || Xpe.equal_nodetest s test) a
+    | Adv.Group inner -> List.exists (mentions test) inner
+  in
+  List.for_all
+    (fun (s : Xpe.step) -> s.test = Xpe.Star || List.exists (mentions s.test) (Adv.parts adv))
+    xpe.Xpe.steps
+
+type unrollings = (int * Adv.symbol array list) list ref
+
+let rec_overlaps (memo : unrollings) (xpe : Xpe.t) (adv : Adv.t) =
+  names_available xpe adv
+  &&
+  let w = List.fold_left (fun acc p -> max acc (groups_within p)) 1 (Adv.parts adv) in
+  let budget = Adv.group_count adv + ((Xpe.length xpe - 1) * w) + 1 in
+  let expansions =
+    match List.assoc_opt budget !memo with
+    | Some e -> e
+    | None ->
+      let e = Adv.expand_budget ~budget adv in
+      memo := (budget, e) :: !memo;
+      e
+  in
+  List.exists (fun symbols -> expr_and_adv xpe symbols) expansions
+
+(* Unrollings are memoized per advertisement value. The table is
+   process-global and never evicted: it serves the reference test below
+   (the tests, Fig. 8 and the CLI), not the SRT, which matches through
+   the compiled form. *)
+let expansion_cache : unrollings Adv.Tbl.t = Adv.Tbl.create 256
 
 let expr_and_rec_adv (xpe : Xpe.t) (adv : Adv.t) =
-  let budget = Xpe.length xpe + Adv.group_count adv in
-  let expansions = expansions_of adv budget in
-  List.exists (fun symbols -> expr_and_adv xpe symbols) expansions
+  let memo =
+    match Adv.Tbl.find_opt expansion_cache adv with
+    | Some m -> m
+    | None ->
+      let m = ref [] in
+      Adv.Tbl.replace expansion_cache adv m;
+      m
+  in
+  rec_overlaps memo xpe adv
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The paper's pipeline: the SRT's overlap test. *)
+(* The paper's pipeline: the reference the compiled test below is
+   checked against. *)
 let overlaps_paper (xpe : Xpe.t) (adv : Adv.t) =
   if Adv.is_recursive adv then expr_and_rec_adv xpe adv
   else Xpe.length xpe <= Adv.length adv && expr_and_adv xpe (Adv.to_symbols adv)
 
 (* Exact automata overlap: the oracle of the tests and the CLI. *)
 let overlaps_exact (xpe : Xpe.t) (adv : Adv.t) = Xroute_automata.Lang.xpe_overlaps_adv xpe adv
+
+(* ------------------------------------------------------------------ *)
+(* Compiled advertisements: the SRT's overlap test                     *)
+(* ------------------------------------------------------------------ *)
+
+(* An advertisement is a regular expression over its symbol occurrences
+   (positions): literals concatenate, [(...)+] groups repeat. Its
+   Glushkov position automaton has one state per position; [first] holds
+   the positions a path may start with, [follow.(i)] the positions that
+   may come right after position [i], and [reach.(i)] those that may
+   come one or more steps later (the transitive closure of [follow]).
+   [Adv.make] drops empty parts, so no part matches the empty path and
+   every position lies on an accepting path: any walk through the
+   automaton extends to a whole advertised path.
+
+   An XPE overlaps the advertisement iff its semantic steps embed into
+   such a walk: step 0 at a first position (at any position after [//]),
+   each later step at a follow (child axis) or a reach (descendant
+   axis) position of the previous one, every step at a position whose
+   symbol overlaps its node test (Fig. 2(b)). The XPE matches prefix
+   paths, so the walk may stop anywhere. One pass over the steps carries
+   the set of feasible positions as an int bitset; this decides exactly
+   what the bounded unrolling of [overlaps_paper] enumerates, without
+   enumerating anything. Advertisements longer than [max_positions] fall
+   back to the paper's algorithms. *)
+
+let max_positions = 62
+
+(* A symbol or node test as an int: 0 for [*], [Symbol.id + 1] for a
+   name (the automaton's edge codes, {!Yfilter}). *)
+let code_of = function Xpe.Star -> 0 | Xpe.Name n -> Xroute_support.Symbol.id n + 1
+
+type bits = {
+  sym : int array; (* code of each position's symbol *)
+  stars : int; (* wildcard positions *)
+  all : int;
+  first : int;
+  follow : int array;
+  reach : int array;
+}
+
+type form =
+  | Bits of bits
+  (* Too many positions for an int: the paper's tests, with the
+     unrollings memoized on the form, so they go with it. *)
+  | Wide of unrollings
+
+type compiled = { adv : Adv.t; form : form }
+
+let rec count_positions parts =
+  List.fold_left
+    (fun acc -> function
+      | Adv.Lit a -> acc + Array.length a
+      | Adv.Group inner -> acc + count_positions inner)
+    0 parts
+
+let bits_of_parts parts width =
+  let sym = Array.make width 0 and follow = Array.make width 0 in
+  let link from_set to_set =
+    for i = 0 to width - 1 do
+      if from_set land (1 lsl i) <> 0 then follow.(i) <- follow.(i) lor to_set
+    done
+  in
+  let next = ref 0 in
+  (* (first, last) of a part sequence, linking each part's last
+     positions to the next part's first ones; 0 stands for "no part
+     yet" (a part's first and last sets are never empty). *)
+  let rec sequence parts =
+    List.fold_left
+      (fun (first, last) part ->
+        let f, l = one part in
+        if first = 0 then (f, l)
+        else begin
+          link last f;
+          (first, l)
+        end)
+      (0, 0) parts
+  and one = function
+    | Adv.Lit a ->
+      let p0 = !next in
+      Array.iteri
+        (fun k s ->
+          sym.(p0 + k) <- code_of s;
+          if k > 0 then follow.(p0 + k - 1) <- follow.(p0 + k - 1) lor (1 lsl (p0 + k)))
+        a;
+      next := p0 + Array.length a;
+      (1 lsl p0, 1 lsl (!next - 1))
+    | Adv.Group inner ->
+      let f, l = sequence inner in
+      link l f;
+      (f, l)
+  in
+  let first, _ = sequence parts in
+  (* Warshall's closure over bitset rows. *)
+  let reach = Array.copy follow in
+  for k = 0 to width - 1 do
+    for i = 0 to width - 1 do
+      if reach.(i) land (1 lsl k) <> 0 then reach.(i) <- reach.(i) lor reach.(k)
+    done
+  done;
+  let stars = ref 0 in
+  Array.iteri (fun i c -> if c = 0 then stars := !stars lor (1 lsl i)) sym;
+  { sym; stars = !stars; all = (1 lsl width) - 1; first; follow; reach }
+
+let form_of adv =
+  let parts = Adv.parts adv in
+  let width = count_positions parts in
+  if width <= max_positions then Bits (bits_of_parts parts width) else Wide (ref [])
+
+(* Compiled forms are shared by value across the brokers of a process
+   and held weakly: a form lives as long as some SRT entry (or other
+   caller) keeps it, so the table is bounded by live advertisements.
+   Brokers may run on threads of one process (the daemon tests), so the
+   table is used under a lock; an entry takes it once, on its first
+   test. *)
+module Pool = Weak.Make (struct
+  type t = compiled
+
+  let equal a b = Adv.equal a.adv b.adv
+  let hash c = Adv.hash c.adv
+end)
+
+let pool = Pool.create 256
+let pool_lock = Mutex.create ()
+
+(* The form a lookup key carries; never tested against. *)
+let probe_form = Wide (ref [])
+
+let compile adv =
+  Mutex.protect pool_lock (fun () ->
+      match Pool.find_opt pool { adv; form = probe_form } with
+      | Some c -> c
+      | None ->
+        let c = { adv; form = form_of adv } in
+        Pool.add pool c;
+        c)
+
+let live_compiled () = Mutex.protect pool_lock (fun () -> Pool.count pool)
+
+(* An XPE as its semantic steps' keys, [code * 2 + 1] on the descendant
+   axis and [code * 2] on the child axis. *)
+type query = { xpe : Xpe.t; keys : int array }
+
+let query xpe =
+  let keys =
+    Array.of_list
+      (List.map
+         (fun (s : Xpe.step) ->
+           (code_of s.Xpe.test lsl 1) lor match s.Xpe.axis with Xpe.Child -> 0 | Xpe.Desc -> 1)
+         (Xpe.semantic_steps xpe))
+  in
+  { xpe; keys }
+
+(* Positions whose symbol overlaps the node test of code [code]. *)
+let positions_for b code =
+  if code = 0 then b.all
+  else begin
+    let m = ref b.stars in
+    let sym = b.sym in
+    for i = 0 to Array.length sym - 1 do
+      if sym.(i) = code then m := !m lor (1 lsl i)
+    done;
+    !m
+  end
+
+(* Union of [table.(i)] over the positions [i] in [set]. *)
+let step_set table set =
+  let acc = ref 0 and s = ref set and i = ref 0 in
+  while !s <> 0 do
+    if !s land 1 <> 0 then acc := !acc lor table.(!i);
+    s := !s lsr 1;
+    incr i
+  done;
+  !acc
+
+let overlaps_compiled q c =
+  match c.form with
+  | Bits b ->
+    let keys = q.keys in
+    let k0 = keys.(0) in
+    let set = ref ((if k0 land 1 = 1 then b.all else b.first) land positions_for b (k0 lsr 1)) in
+    let j = ref 1 in
+    while !set <> 0 && !j < Array.length keys do
+      let k = keys.(!j) in
+      let next = step_set (if k land 1 = 1 then b.reach else b.follow) !set in
+      set := next land positions_for b (k lsr 1);
+      incr j
+    done;
+    !set <> 0
+  | Wide memo ->
+    let adv = c.adv in
+    if Adv.is_recursive adv then rec_overlaps memo q.xpe adv
+    else Xpe.length q.xpe <= Adv.length adv && expr_and_adv q.xpe (Adv.to_symbols adv)
+
+let overlaps xpe adv = overlaps_compiled (query xpe) (compile adv)

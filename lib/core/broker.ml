@@ -403,7 +403,11 @@ let handle_advertise t ~from id adv =
        never reach this publisher). *)
     let sub_msgs =
       if (not t.strategy.use_adv) || not (is_neighbor_ep from) then []
-      else forward_stored t ~ep:from (fun xpe _ -> Adv_match.overlaps_paper xpe adv)
+      else begin
+        let c = lazy (Adv_match.compile adv) in
+        forward_stored t ~ep:from (fun xpe _ ->
+            Adv_match.overlaps_compiled (Adv_match.query xpe) (Lazy.force c))
+      end
     in
     flood @ sub_msgs
 
@@ -729,11 +733,12 @@ type audit_view = {
 let audit_view t =
   let required_targets xpe =
     let raw =
-      if t.strategy.use_adv then
+      if t.strategy.use_adv then begin
+        let q = Adv_match.query xpe in
         List.filter_map
-          (fun (e : Rtable.Srt.entry) ->
-            if Adv_match.overlaps_paper xpe e.adv then Some e.hop else None)
+          (fun (e : Rtable.Srt.entry) -> if Rtable.Srt.overlaps q e then Some e.hop else None)
           (Rtable.Srt.entries t.srt)
+      end
       else neighbor_endpoints t
     in
     List.fold_left

@@ -44,10 +44,11 @@ val refresh_metrics : t -> unit
 val srt_size : t -> int
 val prt_size : t -> int
 
-(** Test hook: plant a dead state in the PRT's NFA, or stamp its resume
-    log with a stale version; the [nfa-integrity] audit must report
-    either. *)
-val corrupt_nfa_for_test : t -> [ `Orphan_state | `Stale_log ] -> unit
+(** Test hook: corrupt the PRT's NFA as {!Rtable.Prt.corrupt_nfa} does
+    (a dead state, a stale resume log, a duplicate or a node-less
+    entry); the [nfa-integrity] audit must report each. *)
+val corrupt_nfa_for_test :
+  t -> [ `Orphan_state | `Stale_log | `Duplicate_entry | `Nodeless_entry ] -> unit
 
 (** Paths derivable from the publisher's DTD, needed by merging to
     compute imperfect degrees. *)

@@ -49,13 +49,14 @@ let pp ppf = function
 let to_string m = Format.asprintf "%a" pp m
 
 (* Approximate wire size in bytes, used by the traffic accounting: a
-   fixed header plus the payload's printed size. Publication messages
-   carry their path plus a share of the document body (the paper routes
-   path-publications; subscribers transparently receive documents). *)
+   fixed header plus the payload's printed size (counted, not printed).
+   Publication messages carry their path plus a share of the document
+   body (the paper routes path-publications; subscribers transparently
+   receive documents). *)
 let wire_size = function
-  | Advertise { adv; _ } -> 16 + String.length (Adv.to_string adv)
+  | Advertise { adv; _ } -> 16 + Adv.printed_length adv
   | Unadvertise _ -> 16
-  | Subscribe { xpe; _ } -> 16 + String.length (Xpe.to_string xpe)
+  | Subscribe { xpe; _ } -> 16 + Xpe.printed_length xpe
   | Unsubscribe _ -> 16
   | Publish { pub; trail; _ } ->
     (* Each path message carries its share of the document body: the

@@ -31,7 +31,13 @@ let pp_endpoint ppf = function
 (* ------------------------------------------------------------------ *)
 
 module Srt = struct
-  type entry = { id : Message.sub_id; adv : Adv.t; hop : endpoint; seq : int }
+  type entry = {
+    id : Message.sub_id;
+    adv : Adv.t;
+    hop : endpoint;
+    seq : int;
+    mutable compiled : Adv_match.compiled option;
+  }
 
   (* Advertisements are absolute patterns, so the first symbol of an
      advertisement is a sound discriminator: a subscription anchored at
@@ -121,7 +127,7 @@ module Srt = struct
   let add t id adv hop =
     if mem t id then `Duplicate
     else begin
-      let entry = { id; adv; hop; seq = t.next_seq } in
+      let entry = { id; adv; hop; seq = t.next_seq; compiled = None } in
       t.next_seq <- t.next_seq + 1;
       (match bucket_key adv with
       | Some n -> Hashtbl.replace t.buckets n (entry :: bucket t n)
@@ -163,6 +169,19 @@ module Srt = struct
     | Some n -> candidates_for_root t n
     | None -> all_entries t
 
+  (* The entry's advertisement in compiled form, built (or found in the
+     process-wide sharing table) on the entry's first overlap test: the
+     advertisement flood at set-up compiles nothing. *)
+  let compiled e =
+    match e.compiled with
+    | Some c -> c
+    | None ->
+      let c = Adv_match.compile e.adv in
+      e.compiled <- Some c;
+      c
+
+  let overlaps q e = Adv_match.overlaps_compiled q (compiled e)
+
   (* Neighbor last hops of the advertisements overlapping the
      subscription, first occurrence in newest-first scan order. The
      answer is a handful of distinct hops, so an entry's overlap test
@@ -176,6 +195,7 @@ module Srt = struct
       hops
     | None ->
       let candidates = scan_candidates t xpe in
+      let q = Adv_match.query xpe in
       let hops =
         List.fold_left
           (fun acc e ->
@@ -184,7 +204,7 @@ module Srt = struct
             | Neighbor _ when List.exists (endpoint_equal e.hop) acc -> acc
             | Neighbor _ ->
               t.overlap_tests <- t.overlap_tests + 1;
-              if Adv_match.overlaps_paper xpe e.adv then e.hop :: acc else acc)
+              if overlaps q e then e.hop :: acc else acc)
           [] candidates
         |> List.rev
       in
@@ -277,7 +297,7 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Prt = struct
-  type payload = { id : Message.sub_id; hop : endpoint }
+  type payload = { id : Message.sub_id; hop : endpoint; seq : int }
 
   module Id_map = Map.Make (struct
     type t = Message.sub_id
@@ -286,18 +306,21 @@ module Prt = struct
   end)
 
   type t = {
-    (* The covering tree: answers covering queries. *)
+    (* The covering tree: answers covering queries, and holds the
+       payloads. Equal XPEs share one node (Sec. 4.1). *)
     tree : payload Sub_tree.t;
-    (* The YFilter automaton over the same subscription set: it answers
+    (* The YFilter automaton over the same XPE set: it answers
        publication matching, at a per-publication cost that grows with
-       its branching into the publication, not with the table size.
-       Entries carry an insertion sequence number so match results come
-       in a deterministic (insertion) order, independent of hash-table
-       iteration. Both structures hold the same physical payload
-       records, so removal can select by physical equality and the
-       audit can cross-check them. *)
-    nfa : (int * payload) Yfilter.t;
-    mutable nfa_seq : int;
+       its branching into the publication, not with the table size. It
+       holds one entry per tree node, the node itself, so only a new XPE
+       or the last payload of one leaving touches it: churn among the
+       subscribers of a stored XPE neither rewrites the automaton nor
+       drops its resume log. *)
+    nfa : payload Sub_tree.node Yfilter.t;
+    (* Insertion sequence of payloads: match results come in this order,
+       independent of hash-table iteration and of node sharing. *)
+    mutable next_seq : int;
+    mutable payloads : int; (* stored payloads: the gauge reads it in O(1) *)
     mutable by_id : (payload Sub_tree.node * payload) Id_map.t;
   }
 
@@ -305,7 +328,8 @@ module Prt = struct
     {
       tree = Sub_tree.create ?flat ?covers ();
       nfa = Yfilter.create ();
-      nfa_seq = 0;
+      next_seq = 0;
+      payloads = 0;
       by_id = Id_map.empty;
     }
 
@@ -317,10 +341,12 @@ module Prt = struct
   let find t id = Id_map.find_opt id t.by_id
 
   let insert t id xpe hop =
-    let payload = { id; hop } in
+    let payload = { id; hop; seq = t.next_seq } in
+    t.next_seq <- t.next_seq + 1;
+    let nodes = Sub_tree.size t.tree in
     let node = Sub_tree.insert t.tree xpe payload in
-    Yfilter.insert t.nfa xpe (t.nfa_seq, payload);
-    t.nfa_seq <- t.nfa_seq + 1;
+    if Sub_tree.size t.tree > nodes then Yfilter.insert t.nfa xpe node;
+    t.payloads <- t.payloads + 1;
     t.by_id <- Id_map.add id (node, payload) t.by_id;
     (node, payload)
 
@@ -328,20 +354,23 @@ module Prt = struct
     match Id_map.find_opt id t.by_id with
     | None -> None
     | Some (node, payload) ->
-      (* The node knows the exact XPE, so the automaton trail to unwind
-         is known; the payload is selected by physical equality (the
-         same record was stored at insertion). *)
-      Yfilter.remove t.nfa (Sub_tree.node_xpe node) (fun (_, p) -> p == payload);
       Sub_tree.remove_payload t.tree node payload;
+      (* The node's last payload took it out of the tree; its automaton
+         entry goes too, selected by physical equality. *)
+      if Sub_tree.node_payloads node = [] then
+        Yfilter.remove t.nfa (Sub_tree.node_xpe node) (fun n -> n == node);
+      t.payloads <- t.payloads - 1;
       t.by_id <- Id_map.remove id t.by_id;
       Some (payload, node)
 
   (* Publication matching: payloads of the matching subscriptions, in
      insertion order. *)
   let match_pub t (pub : Xroute_xml.Xml_paths.publication) =
-    Yfilter.match_syms t.nfa pub.syms pub.attrs
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    |> List.map snd
+    match Yfilter.match_syms t.nfa pub.syms pub.attrs with
+    | [] -> []
+    | nodes ->
+      List.fold_left (fun acc node -> List.rev_append (Sub_tree.node_payloads node) acc) [] nodes
+      |> List.sort (fun (a : payload) b -> Int.compare a.seq b.seq)
 
   let match_checks t = Yfilter.match_ops t.nfa
   let match_checks_resumed t = Yfilter.resumed_ops t.nfa
@@ -350,53 +379,74 @@ module Prt = struct
 
   (* Total stored payloads ([size] counts distinct XPEs). *)
   let payload_count t = Sub_tree.payload_count t.tree
-  let nfa_payloads t = Yfilter.size t.nfa
+  let nfa_payloads t = t.payloads
 
   (* ------------------------------------------------------------------ *)
   (* NFA integrity audit                                                 *)
   (* ------------------------------------------------------------------ *)
 
-  (* The automaton and the id ledger must describe the same subscription
-     set: every accepting entry holds the physically-same payload record
-     the ledger holds, under the XPE the ledger's node stores, with a
-     unique sequence number; and the automaton's structural invariants
-     (no dead states after churn, exact counters) hold. *)
+  (* The automaton, the tree and the id ledger must describe the same
+     subscription set: the automaton holds exactly one entry per live
+     tree node, the node the tree files under that XPE; every ledger
+     record sits on its node with a unique in-range seq; the payload
+     counter agrees with the tree; and the automaton's structural
+     invariants (no dead states after churn, exact counters) hold. *)
   let nfa_invariants t =
     let problems = ref [] in
     let add fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
     List.iter (fun msg -> problems := msg :: !problems) (Yfilter.check_invariants t.nfa);
     let entries = Yfilter.to_list t.nfa in
-    let ledger = payload_count t in
-    let stored = Yfilter.size t.nfa in
-    if stored <> ledger then add "NFA stores %d payloads, PRT ledger holds %d" stored ledger;
-    let seqs = Hashtbl.create 16 in
+    let nodes = Sub_tree.size t.tree in
+    if List.length entries <> nodes then
+      add "NFA holds %d entries, the PRT tree %d nodes" (List.length entries) nodes;
+    let seen = Hashtbl.create 16 in
     List.iter
-      (fun (xpe, (seq, (payload : payload))) ->
-        if seq < 0 || seq >= t.nfa_seq then
-          add "NFA entry (%d,%d) carries out-of-range seq %d" payload.id.origin
-            payload.id.seq seq;
-        if Hashtbl.mem seqs seq then
-          add "NFA entries share seq %d" seq
-        else Hashtbl.add seqs seq ();
-        match Id_map.find_opt payload.id t.by_id with
-        | None ->
-          add "NFA holds subscription (%d,%d) absent from the PRT ledger" payload.id.origin
-            payload.id.seq
-        | Some (node, ledger_payload) ->
-          if not (ledger_payload == payload) then
-            add "NFA payload for (%d,%d) is not the ledger's record" payload.id.origin
-              payload.id.seq;
-          if not (Xpe.equal (Sub_tree.node_xpe node) xpe) then
-            add "NFA files (%d,%d) under %s, ledger under %s" payload.id.origin
-              payload.id.seq (Xpe.to_string xpe)
-              (Xpe.to_string (Sub_tree.node_xpe node)))
+      (fun (xpe, node) ->
+        let nid = Sub_tree.node_id node in
+        if Hashtbl.mem seen nid then add "NFA holds tree node %d twice" nid
+        else Hashtbl.add seen nid ();
+        match Sub_tree.find_equal t.tree xpe with
+        | Some n when n == node -> ()
+        | Some n ->
+          add "NFA files node %d under %s, the tree's node for it is %d" nid
+            (Xpe.to_string xpe) (Sub_tree.node_id n)
+        | None -> add "NFA entry %s has no node in the PRT tree" (Xpe.to_string xpe))
       entries;
+    let ledger = payload_count t in
+    if t.payloads <> ledger then
+      add "PRT counts %d payloads, its tree holds %d" t.payloads ledger;
+    if Id_map.cardinal t.by_id <> ledger then
+      add "PRT ledger holds %d ids, its tree %d payloads" (Id_map.cardinal t.by_id) ledger;
+    let seqs = Hashtbl.create 16 in
+    Id_map.iter
+      (fun id (node, (payload : payload)) ->
+        if payload.seq < 0 || payload.seq >= t.next_seq then
+          add "PRT payload (%d,%d) carries out-of-range seq %d" id.origin id.seq payload.seq;
+        if Hashtbl.mem seqs payload.seq then add "PRT payloads share seq %d" payload.seq
+        else Hashtbl.add seqs payload.seq ();
+        if not (List.memq payload (Sub_tree.node_payloads node)) then
+          add "PRT payload (%d,%d) is not on its ledger node" id.origin id.seq;
+        match Sub_tree.find_equal t.tree (Sub_tree.node_xpe node) with
+        | Some n when n == node -> ()
+        | _ -> add "PRT ledger files (%d,%d) under a node gone from the tree" id.origin id.seq)
+      t.by_id;
     List.rev !problems
 
   (* Test hook: corrupt the automaton with a state eager pruning could
-     never leave behind, or a resume log a mutation failed to drop —
-     the audit's must-fail mutations. *)
+     never leave behind, a resume log a mutation failed to drop, a
+     second entry for a stored node, or an entry for a node the tree
+     does not hold — the audit's must-fail mutations. *)
   let corrupt_nfa t = function
     | `Orphan_state -> Yfilter.plant_orphan t.nfa
     | `Stale_log -> Yfilter.plant_stale_log t.nfa
+    | `Duplicate_entry -> (
+      match Sub_tree.to_list t.tree with
+      | node :: _ -> Yfilter.insert t.nfa (Sub_tree.node_xpe node) node
+      | [] -> invalid_arg "Prt.corrupt_nfa: no stored node to duplicate")
+    | `Nodeless_entry ->
+      let xpe = Xpe.absolute_of_names [ "__nodeless__" ] in
+      let stray = Sub_tree.create () in
+      let hop = Client (-1) in
+      let node = Sub_tree.insert stray xpe { id = { origin = -1; seq = -1 }; hop; seq = -1 } in
+      Yfilter.insert t.nfa xpe node
 end

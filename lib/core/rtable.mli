@@ -18,6 +18,8 @@ module Srt : sig
     adv : Adv.t;
     hop : endpoint;
     seq : int;  (** insertion sequence; scans run newest (highest) first *)
+    mutable compiled : Adv_match.compiled option;
+        (** [adv] compiled, set by the entry's first overlap test *)
   }
 
   type t
@@ -25,7 +27,10 @@ module Srt : sig
   (** An empty table. Entries are bucketed by the advertisement's root
       element, so a rooted subscription only scans its own bucket plus
       the wildcard/recursive catch-all; the routing decisions are those
-      of a full newest-first scan with {!Adv_match.overlaps_paper}. *)
+      of a full newest-first scan with {!Adv_match.overlaps_paper}.
+      Overlap tests run {!Adv_match.overlaps_compiled} on the entry's
+      compiled advertisement, which {!Adv_match.compile} shares by value
+      with every other table in the process. *)
   val create : unit -> t
 
   val size : t -> int
@@ -72,6 +77,10 @@ module Srt : sig
       with the scan it replaces. *)
   val hops_for_sub : t -> Xpe.t -> endpoint list
 
+  (** Does the entry's advertisement overlap the compiled XPE? Compiles
+      the advertisement on the entry's first test. Charges nothing. *)
+  val overlaps : Adv_match.query -> entry -> bool
+
   (** Drop the XPE's memoized answer. The owner calls it when the XPE's
       last subscription leaves, so the memo holds only live XPEs. Changes
       no answer and no charge. *)
@@ -93,7 +102,9 @@ module Srt : sig
 end
 
 module Prt : sig
-  type payload = { id : Message.sub_id; hop : endpoint }
+  (** A stored subscription; [seq] is its insertion sequence, the order
+      {!match_pub} answers in. *)
+  type payload = { id : Message.sub_id; hop : endpoint; seq : int }
 
   module Id_map : Map.S with type key = Message.sub_id
 
@@ -150,17 +161,24 @@ module Prt : sig
       the covering tree. *)
   val payload_count : t -> int
 
-  (** Payloads stored in the automaton ({!Yfilter.size}): O(1), equal to
-      {!payload_count} on a healthy table ({!nfa_invariants} checks it). *)
+  (** Stored payloads, from a counter kept by {!insert} and {!remove}:
+      O(1), equal to {!payload_count} on a healthy table ({!nfa_invariants}
+      checks it). The automaton holds one entry per {!Sub_tree} node, so
+      its {!Yfilter.size} is {!size}, the distinct XPEs. *)
   val nfa_payloads : t -> int
 
-  (** Violations of the automaton/ledger agreement (empty when healthy):
-      structural NFA invariants, payload identity, XPE agreement, seq
-      uniqueness, and size agreement with the ledger. *)
+  (** Violations of the automaton/tree/ledger agreement (empty when
+      healthy): structural NFA invariants, exactly one automaton entry per
+      live tree node (the tree's node for the entry's XPE), entry count =
+      {!size}, every ledger record on its node with a unique seq, and the
+      payload counter. *)
   val nfa_invariants : t -> string list
 
-  (** Test hook: corrupt the automaton with a dead state, or stamp its
-      resume log with a stale version; {!nfa_invariants} must report
-      either — the audit's must-fail mutations. *)
-  val corrupt_nfa : t -> [ `Orphan_state | `Stale_log ] -> unit
+  (** Test hook: corrupt the automaton with a dead state, stamp its
+      resume log with a stale version, add a second entry for a stored
+      node (the table must hold one), or add an entry for a node the tree
+      does not hold; {!nfa_invariants} must report each — the audit's
+      must-fail mutations. *)
+  val corrupt_nfa :
+    t -> [ `Orphan_state | `Stale_log | `Duplicate_entry | `Nodeless_entry ] -> unit
 end

@@ -463,24 +463,23 @@ let handle_publish t ~batch_t ~t_parse ~from pub ctx =
   in
   let hop = Span.start_span t.spans ?parent ~trace ~name:"hop" ~broker:b ~at:batch_t () in
   let leaf name start stop =
-    if stop -. start > 0.0 then
-      ignore (Span.record t.spans ~parent:hop.Span.id ~trace ~name ~broker:b ~start ~stop ())
+    Span.record t.spans ~parent:hop.Span.id ~trace ~name ~broker:b ~start ~stop ()
   in
-  leaf "queue" batch_t t_parse;
-  leaf "parse" t_parse t_dec;
+  (* The parse and match stages always run, so their leaves are recorded
+     at any length: the clock ticks in microseconds, and a quick decode
+     reads 0. The queue and serialize leaves are kept when they took
+     time. *)
+  let timed_leaf name start stop = if stop -. start > 0.0 then ignore (leaf name start stop) in
+  timed_leaf "queue" batch_t t_parse;
+  ignore (leaf "parse" t_parse t_dec);
   let s0, m0, c0 = Broker.stage_ops t.broker in
   let outs = Broker.handle t.broker ~from (Message.Publish { pub; trail = []; ctx }) in
   let t_match = Mono.now t.clock in
   let s1, m1, c1 = Broker.stage_ops t.broker in
-  if t_match -. t_dec > 0.0 then begin
-    let m =
-      Span.record t.spans ~parent:hop.Span.id ~trace ~name:"match" ~broker:b ~start:t_dec
-        ~stop:t_match ()
-    in
-    Span.add_int_meta m "srt_ops" (s1 - s0);
-    Span.add_int_meta m "prt_ops" (m1 - m0);
-    Span.add_int_meta m "cover_ops" (c1 - c0)
-  end;
+  let m = leaf "match" t_dec t_match in
+  Span.add_int_meta m "srt_ops" (s1 - s0);
+  Span.add_int_meta m "prt_ops" (m1 - m0);
+  Span.add_int_meta m "cover_ops" (c1 - c0);
   let ctx' = Some { Message.trace; parent_span = hop.Span.id } in
   dispatch t
     (List.map
@@ -490,7 +489,7 @@ let handle_publish t ~batch_t ~t_parse ~from pub ctx =
          | m -> (ep, m))
        outs);
   let t_ser = Mono.now t.clock in
-  leaf "serialize" t_match t_ser;
+  timed_leaf "serialize" t_match t_ser;
   Span.finish hop ~at:t_ser;
   Option.iter (fun r -> Span.extend r ~at:t_ser) root;
   let h = t.health in

@@ -95,6 +95,16 @@ let to_string t =
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
+(* [String.length (to_string t)], printing nothing: a symbol prints as
+   "/" and its name, a group adds "(" and ")+". *)
+let printed_length t =
+  let rec part acc = function
+    | Lit a ->
+      Array.fold_left (fun acc s -> acc + 1 + String.length (symbol_to_string s)) acc a
+    | Group inner -> List.fold_left part (acc + 3) inner
+  in
+  List.fold_left part 0 t.parts
+
 let rec compare_part a b =
   match (a, b) with
   | Lit x, Lit y ->

@@ -35,6 +35,9 @@ val length : t -> int
 
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
+
+(** [String.length (to_string t)], computed without printing. *)
+val printed_length : t -> int
 val compare : t -> t -> int
 
 (** An advertisement's identity, as {!Xpe.equal}: [equal a b] iff

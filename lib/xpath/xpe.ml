@@ -85,6 +85,21 @@ let to_string t =
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
+(* [String.length (to_string t)], printing nothing. A predicate prints
+   as [[@attr='value']], or with double quotes: six characters around
+   its two strings. *)
+let printed_length t =
+  let test_len = function Star -> 1 | Name n -> String.length (Symbol.name n) in
+  let pred_len { attr; value } = String.length attr + String.length value + 6 in
+  let len = ref 0 in
+  List.iteri
+    (fun i s ->
+      let axis = match s.axis with Child when i = 0 && t.relative -> 0 | Child -> 1 | Desc -> 2 in
+      let preds = List.fold_left (fun acc p -> acc + pred_len p) 0 s.preds in
+      len := !len + axis + test_len s.test + preds)
+    t.steps;
+  !len
+
 let compare_nodetest a b =
   match (a, b) with
   | Star, Star -> 0

@@ -49,6 +49,9 @@ val semantic_steps : t -> step list
     printed inside ["..."]. *)
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
+
+(** [String.length (to_string t)], computed without printing. *)
+val printed_length : t -> int
 val test_to_string : nodetest -> string
 val pred_to_string : predicate -> string
 

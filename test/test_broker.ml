@@ -580,6 +580,52 @@ let test_prt_resumed_counter () =
   check ci "match checks = the reference's charge" (Yfilter_ref.match_ops r)
     (counter "xroute_prt_match_checks_total")
 
+(* Churn on a stored XPE adds or removes a payload, not an automaton
+   entry: a subscribe and unsubscribe of an equal XPE between two paths
+   of one document leave the resume log in place. *)
+let test_prt_resume_survives_equal_churn () =
+  let b = make_broker ~id:0 ~neighbors:[ 1 ] () in
+  let resumed () =
+    Broker.refresh_metrics b;
+    match Xroute_obs.Metrics.scalar (Broker.metrics b) "xroute_prt_match_ops_resumed_total" with
+    | Some v -> int_of_float v
+    | None -> Alcotest.fail "resumed counter not registered"
+  in
+  let publish s =
+    Broker.handle b ~from:(neighbor 1)
+      (Message.Publish { pub = pub ~doc_id:1 s; trail = []; ctx = None })
+  in
+  ignore (Broker.handle b ~from:(client 5) (Message.Subscribe { id = sid 5 1; xpe = xp "/a/b" }));
+  ignore (Broker.handle b ~from:(client 5) (Message.Subscribe { id = sid 5 2; xpe = xp "//c" }));
+  ignore (publish "/a/b/c");
+  let before = resumed () in
+  ignore (Broker.handle b ~from:(client 6) (Message.Subscribe { id = sid 6 1; xpe = xp "/a/b" }));
+  ignore (Broker.handle b ~from:(client 6) (Message.Unsubscribe { id = sid 6 1 }));
+  let outs = publish "/a/b/d" in
+  check cb "grows across the equal XPE's churn" true (resumed () > before);
+  check ci "delivered to the stored subscriber only" 1 (List.length (msgs_to (client 5) outs));
+  check ci "nothing to the departed one" 0 (List.length (msgs_to (client 6) outs))
+
+(* Compiled advertisements are shared through a weak table: once their
+   SRT entries are gone, a full major collection empties it, however
+   many distinct advertisements came and went. *)
+let test_compiled_advs_bounded () =
+  let b = make_broker ~id:0 ~neighbors:[ 1 ] () in
+  let compiled_mid = ref 0 in
+  for i = 1 to 10_000 do
+    let adv = ad (Printf.sprintf "/a/fresh%d(/x)+" i) in
+    ignore (Broker.handle b ~from:(neighbor 1) (Message.Advertise { id = sid 9 i; adv }));
+    (* the lookup compiles the newest entry, the one just advertised *)
+    ignore (Broker.handle b ~from:(client 5) (Message.Subscribe { id = sid 5 i; xpe = xp "/a" }));
+    if i = 5_000 then compiled_mid := Adv_match.live_compiled ();
+    ignore (Broker.handle b ~from:(client 5) (Message.Unsubscribe { id = sid 5 i }));
+    ignore (Broker.handle b ~from:(neighbor 1) (Message.Unadvertise { id = sid 9 i }))
+  done;
+  check cb "lookups compiled advertisements" true (!compiled_mid > 0);
+  check ci "no advertisement left" 0 (Broker.srt_size b);
+  Gc.full_major ();
+  check ci "sharing table empty" 0 (Adv_match.live_compiled ())
+
 let () =
   Alcotest.run "broker"
     [
@@ -596,6 +642,8 @@ let () =
           Alcotest.test_case "remove promotions" `Quick test_prt_remove_reports_promotions;
           Alcotest.test_case "nfa gauges after churn" `Quick test_nfa_gauges_after_churn;
           Alcotest.test_case "resumed match counter" `Quick test_prt_resumed_counter;
+          Alcotest.test_case "resume survives churn on a stored XPE" `Quick
+            test_prt_resume_survives_equal_churn;
         ] );
       ( "advertisements",
         [
@@ -618,6 +666,8 @@ let () =
             test_cover_displaces_only_covered_twin;
           Alcotest.test_case "state bounded by live subscriptions" `Quick
             test_state_bounded_by_live_subscriptions;
+          Alcotest.test_case "compiled advertisements bounded by live entries" `Quick
+            test_compiled_advs_bounded;
         ] );
       ( "publications",
         [

@@ -182,6 +182,29 @@ let test_audit_catches_nfa_stale_log () =
   Broker.corrupt_nfa_for_test b `Stale_log;
   check cb "stale resume log reported" true (nfa_errors () <> [])
 
+(* The automaton holds one entry per PRT node: a second entry for a
+   stored node, or an entry for a node the tree does not hold, must
+   surface as an [nfa-integrity] error. *)
+let test_audit_catches_nfa_entry_mutations () =
+  List.iter
+    (fun (label, mutation) ->
+      let b = Broker.create ~id:0 ~neighbors:[ 1 ] () in
+      List.iter
+        (fun seq ->
+          ignore
+            (Broker.handle b ~from:(Rtable.Client 7)
+               (Message.Subscribe { id = { origin = 7; seq }; xpe = xp "/a/b" })))
+        [ 1; 2 ];
+      let nfa_errors () =
+        List.filter
+          (fun f -> f.Finding.code = "nfa-integrity" && f.Finding.severity = Finding.Error)
+          (Check.audit_broker b)
+      in
+      check ci (label ^ ": clean before the mutation") 0 (List.length (nfa_errors ()));
+      Broker.corrupt_nfa_for_test b mutation;
+      check cb (label ^ ": reported") true (nfa_errors () <> []))
+    [ ("duplicate entry", `Duplicate_entry); ("node-less entry", `Nodeless_entry) ]
+
 (* A clean broker audits clean, including against explicit ledgers. *)
 let test_audit_clean_broker () =
   let b = Broker.create ~id:0 ~neighbors:[ 1 ] () in
@@ -253,6 +276,8 @@ let () =
           Alcotest.test_case "corruption caught" `Quick test_audit_catches_corruption;
           Alcotest.test_case "NFA orphan caught" `Quick test_audit_catches_nfa_orphan;
           Alcotest.test_case "NFA stale resume log caught" `Quick test_audit_catches_nfa_stale_log;
+          Alcotest.test_case "NFA duplicate or node-less entry caught" `Quick
+            test_audit_catches_nfa_entry_mutations;
           Alcotest.test_case "clean broker, dangling ledger" `Quick test_audit_clean_broker;
         ] );
       ( "report",

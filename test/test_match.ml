@@ -151,13 +151,18 @@ let test_paper_engine_equals_oracle () =
              if Xroute_support.Prng.bernoulli prng 0.2 then Xpe.Star
              else Xpe.Name (Xroute_support.Symbol.intern (Xroute_support.Prng.choose prng alphabet))))
     in
+    (* A group holds a literal, and one time in three also a nested
+       group and a trailing literal: embedded recursion. *)
+    let group () =
+      if Xroute_support.Prng.bernoulli prng 0.33 then
+        Adv.Group [ seg (); Adv.Group [ seg () ]; seg () ]
+      else Adv.Group [ seg () ]
+    in
     let parts =
       List.concat
         (List.init
            (1 + Xroute_support.Prng.int prng 2)
-           (fun _ ->
-             if Xroute_support.Prng.bernoulli prng 0.4 then [ Adv.Group [ seg () ] ]
-             else [ seg () ]))
+           (fun _ -> if Xroute_support.Prng.bernoulli prng 0.4 then [ group () ] else [ seg () ]))
     in
     Adv.make parts
   in
@@ -165,10 +170,96 @@ let test_paper_engine_equals_oracle () =
     let xpe = random_xpe () and adv = random_adv () in
     let paper = Adv_match.overlaps_paper xpe adv in
     let exact = Adv_match.overlaps_exact xpe adv in
-    if paper <> exact then
-      Alcotest.failf "engine mismatch: xpe=%s adv=%s paper=%b exact=%b" (Xpe.to_string xpe)
-        (Adv.to_string adv) paper exact
+    let compiled = Adv_match.overlaps xpe adv in
+    if paper <> exact || compiled <> exact then
+      Alcotest.failf "engine mismatch: xpe=%s adv=%s paper=%b exact=%b compiled=%b"
+        (Xpe.to_string xpe) (Adv.to_string adv) paper exact compiled
   done
+
+(* ---------------- Compiled overlap ---------------- *)
+
+(* The SRT's compiled test against the paper's engine and the oracle,
+   on every advertisement of two sample DTDs (NITF: 964, half of them
+   recursive; book: recursive sections) and 500 Set-A plus 500 Set-B
+   XPEs of each DTD. *)
+let test_compiled_on_dtds () =
+  let tests = ref 0 in
+  List.iter
+    (fun dtd ->
+      let dtd = Lazy.force dtd in
+      let advs =
+        Xroute_dtd.Dtd_paths.advertisements (Xroute_dtd.Dtd_graph.build dtd)
+        |> List.map (fun adv -> (adv, Adv_match.compile adv))
+      in
+      let xpes params seed = Xroute_workload.Workload.xpes ~params ~count:500 ~seed () in
+      let queries =
+        xpes (Xroute_workload.Workload.set_a_params dtd) 41
+        @ xpes (Xroute_workload.Workload.set_b_params dtd) 42
+      in
+      List.iter
+        (fun xpe ->
+          let q = Adv_match.query xpe in
+          List.iter
+            (fun (adv, c) ->
+              let compiled = Adv_match.overlaps_compiled q c in
+              let paper = Adv_match.overlaps_paper xpe adv in
+              incr tests;
+              if compiled <> paper then
+                Alcotest.failf "compiled %b, paper %b: xpe=%s adv=%s" compiled paper
+                  (Xpe.to_string xpe) (Adv.to_string adv))
+            advs)
+        queries)
+    [ Xroute_dtd.Dtd_samples.nitf; Xroute_dtd.Dtd_samples.book ];
+  check cb "ran the NITF and book grids" true (!tests > 964 * 1000)
+
+(* The exact oracle on the same grid would take minutes; it is checked
+   on a seeded sample of it, recursive advertisements first. *)
+let test_compiled_equals_exact_sample () =
+  let prng = Xroute_support.Prng.create 43 in
+  List.iter
+    (fun dtd ->
+      let dtd = Lazy.force dtd in
+      let advs =
+        Array.of_list (Xroute_dtd.Dtd_paths.advertisements (Xroute_dtd.Dtd_graph.build dtd))
+      in
+      let xpes =
+        Array.of_list
+          (Xroute_workload.Workload.xpes ~params:(Xroute_workload.Workload.set_b_params dtd)
+             ~count:500 ~seed:42 ())
+      in
+      for _ = 1 to 2000 do
+        let xpe = Xroute_support.Prng.choose prng xpes
+        and adv = Xroute_support.Prng.choose prng advs in
+        let compiled = Adv_match.overlaps xpe adv and exact = Adv_match.overlaps_exact xpe adv in
+        if compiled <> exact then
+          Alcotest.failf "compiled %b, exact %b: xpe=%s adv=%s" compiled exact
+            (Xpe.to_string xpe) (Adv.to_string adv)
+      done)
+    [ Xroute_dtd.Dtd_samples.nitf; Xroute_dtd.Dtd_samples.book ]
+
+(* More than [max_positions] symbol occurrences: the compiled form falls
+   back to the paper's tests, with the same answers. *)
+let test_compiled_wide_fallback () =
+  let names n =
+    List.init n (fun i -> if i mod 7 = 3 then "*" else Printf.sprintf "n%d" (i mod 5))
+  in
+  let lit n = Adv.Lit (Array.of_list (List.map Xpe.test_of_string (names n))) in
+  let flat = Adv.make [ lit (Adv_match.max_positions + 8) ] in
+  let recursive = Adv.make [ lit 40; Adv.Group [ lit 15; Adv.Group [ lit 2 ] ]; lit 10 ] in
+  List.iter
+    (fun adv ->
+      List.iter
+        (fun s ->
+          let xpe = xp s in
+          let compiled = Adv_match.overlaps xpe adv
+          and paper = Adv_match.overlaps_paper xpe adv
+          and exact = Adv_match.overlaps_exact xpe adv in
+          if compiled <> paper || compiled <> exact then
+            Alcotest.failf "fallback: xpe=%s adv=%s compiled=%b paper=%b exact=%b" s
+              (Adv.to_string adv) compiled paper exact)
+        [ "/n0/n1/n2/*"; "/n1"; "//n4/n0"; "n2//n3/*/n0"; "//q"; "/n0//n2//n2//n1";
+          "n3/n4/n0/n1/n2"; "/n0/n1/n2/*/n4" ])
+    [ flat; recursive ]
 
 let test_length_precondition () =
   (* Publications have exactly the advertisement's length, so a longer
@@ -191,6 +282,12 @@ let () =
           Alcotest.test_case "too long" `Quick test_rel_too_long;
           Alcotest.test_case "wildcard borders" `Quick test_rel_wildcard_nontransitive;
           Alcotest.test_case "fast = naive (random)" `Quick test_rel_fast_equals_naive_random;
+        ] );
+      ( "compiled",
+        [
+          Alcotest.test_case "NITF and book grids = paper" `Quick test_compiled_on_dtds;
+          Alcotest.test_case "= exact (sampled grid)" `Quick test_compiled_equals_exact_sample;
+          Alcotest.test_case "wide fallback" `Quick test_compiled_wide_fallback;
         ] );
       ( "des",
         [

@@ -143,7 +143,8 @@ let test_bench5_latency_breakdown () =
    exactly as seeded and keep the sink's top-level scale. *)
 let kept_experiments =
   [ "fig6"; "fig7"; "fig8"; "table1"; "table2"; "table3"; "fig9"; "fig10"; "fig11";
-    "latency-breakdown"; "fault-recovery"; "ablation-exact-cover"; "ablation-yfilter" ]
+    "latency-breakdown"; "fault-recovery"; "ablation-exact-cover"; "ablation-yfilter";
+    "ablation-srt" ]
 
 let test_bench_run_merges () =
   let bench_file f =

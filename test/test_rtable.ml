@@ -291,6 +291,48 @@ let test_prt_cover_prefilter () =
   check cb "covering predicate called" true (tests > 0);
   check cb "prefilter rejected candidates" true (tests < checks)
 
+(* One automaton entry per tree node: churn among the subscribers of a
+   stored XPE leaves the automaton alone, answers keep insertion order
+   across shared nodes, and the audit holds throughout. *)
+let test_prt_one_entry_per_node () =
+  let prt = Rtable.Prt.create () in
+  let audit label =
+    check (Alcotest.list Alcotest.string) label [] (Rtable.Prt.nfa_invariants prt)
+  in
+  let ids l = List.map (fun (p : Rtable.Prt.payload) -> p.id.Message.seq) l in
+  ignore (Rtable.Prt.insert prt (sid 2 1) (xp "/a/b") (n 1));
+  ignore (Rtable.Prt.insert prt (sid 2 2) (xp "/a") (n 2));
+  ignore (Rtable.Prt.insert prt (sid 2 3) (xp "/a/b") (n 3));
+  ignore (Rtable.Prt.insert prt (sid 2 4) (xp "//b") (c 4));
+  audit "after inserts";
+  check ci "nodes" 3 (Rtable.Prt.size prt);
+  check ci "payload counter" 4 (Rtable.Prt.nfa_payloads prt);
+  check (Alcotest.list ci) "insertion order across shared nodes" [ 1; 2; 3; 4 ]
+    (ids (Rtable.Prt.match_pub prt (pub "/a/b")));
+  let states = Rtable.Prt.nfa_states prt in
+  ignore (Rtable.Prt.remove prt (sid 2 1));
+  audit "after removing a shared payload";
+  check ci "states untouched" states (Rtable.Prt.nfa_states prt);
+  check (Alcotest.list ci) "survivors" [ 2; 3; 4 ] (ids (Rtable.Prt.match_pub prt (pub "/a/b")));
+  ignore (Rtable.Prt.remove prt (sid 2 3));
+  audit "after the node's last payload";
+  check ci "node gone" 2 (Rtable.Prt.size prt);
+  check ci "payload counter after removals" 2 (Rtable.Prt.nfa_payloads prt);
+  check (Alcotest.list ci) "remaining" [ 2; 4 ] (ids (Rtable.Prt.match_pub prt (pub "/a/b")))
+
+(* The audit's must-fail mutations of the one-entry-per-node rule. *)
+let test_prt_entry_mutations_caught () =
+  List.iter
+    (fun (label, mutation) ->
+      let prt = Rtable.Prt.create () in
+      ignore (Rtable.Prt.insert prt (sid 2 1) (xp "/a/b") (n 1));
+      ignore (Rtable.Prt.insert prt (sid 2 2) (xp "/a/b") (n 2));
+      check (Alcotest.list Alcotest.string) (label ^ ": clean before") []
+        (Rtable.Prt.nfa_invariants prt);
+      Rtable.Prt.corrupt_nfa prt mutation;
+      check cb (label ^ ": reported") true (Rtable.Prt.nfa_invariants prt <> []))
+    [ ("duplicate entry", `Duplicate_entry); ("node-less entry", `Nodeless_entry) ]
+
 let () =
   Alcotest.run "rtable"
     [
@@ -318,5 +360,7 @@ let () =
           Alcotest.test_case "attribute matching" `Quick test_prt_attr_matching;
           Alcotest.test_case "counters" `Quick test_prt_counters_move;
           Alcotest.test_case "cover prefilter" `Quick test_prt_cover_prefilter;
+          Alcotest.test_case "one automaton entry per node" `Quick test_prt_one_entry_per_node;
+          Alcotest.test_case "entry mutations caught" `Quick test_prt_entry_mutations_caught;
         ] );
     ]
