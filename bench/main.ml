@@ -10,6 +10,7 @@
 
 open Xroute_core
 open Xroute_overlay
+open Xroute_ref
 module Metrics = Xroute_obs.Metrics
 
 (* Rejected with exit 2 before anything runs unless it parses as a
@@ -387,7 +388,7 @@ let fig8 () =
       time_it (fun () ->
           List.iter
             (fun xpe ->
-              List.iter (fun adv -> ignore (Adv_match.overlaps_paper xpe adv)) advs)
+              List.iter (fun adv -> ignore (Paper_match.overlaps_paper xpe adv)) advs)
             xpes)
     in
     (* with covering *)
@@ -399,7 +400,7 @@ let fig8 () =
             (fun i xpe ->
               if Sub_tree.is_covered tree xpe then incr covered
               else
-                List.iter (fun adv -> ignore (Adv_match.overlaps_paper xpe adv)) advs;
+                List.iter (fun adv -> ignore (Paper_match.overlaps_paper xpe adv)) advs;
               ignore (Sub_tree.insert tree xpe i))
             xpes)
     in
@@ -438,7 +439,7 @@ let table1 () =
       time_it (fun () ->
           List.iter
             (fun (p : Xroute_xml.Xml_paths.publication) ->
-              ignore (Sub_tree.match_path tree p.steps p.attrs))
+              ignore (Tree_match.match_path tree p.steps p.attrs))
             pubs)
     in
     t *. 1000.0 /. float_of_int n_pubs
@@ -820,7 +821,7 @@ let ablation_exact_cover () =
       (t *. 1000.0)
   in
   run "paper rules" (fun a b -> Cover.covers a b);
-  run "exact" Cover.covers_exact
+  run "exact" Exact_cover.covers_exact
 
 let ablation_yfilter () =
   section
@@ -855,7 +856,7 @@ let ablation_yfilter () =
   let tree_ns =
     ns_per_path
       (fun (p : Xroute_xml.Xml_paths.publication) ->
-        ignore (Sub_tree.match_path tree p.steps p.attrs))
+        ignore (Tree_match.match_path tree p.steps p.attrs))
       pubs
   in
   Printf.printf "covering tree: build %.1f ms, %d nodes\n" (t_tree_build *. 1000.)
@@ -930,7 +931,7 @@ let ablation_srt () =
     Array.sort compare samples;
     (samples.(runs / 2), samples.(0), samples.(runs - 1))
   in
-  let paper xpe advs = List.iter (fun a -> ignore (Adv_match.overlaps_paper xpe a)) advs in
+  let paper xpe advs = List.iter (fun a -> ignore (Paper_match.overlaps_paper xpe a)) advs in
   let compiled_of advs = List.map Adv_match.compile advs in
   let compiled xpe cs =
     let q = Adv_match.query xpe in
@@ -976,7 +977,7 @@ let prt_decision (prt : Rtable.Prt.t) (pub : Xroute_xml.Xml_paths.publication) =
   ids_decision (List.map (fun (p : Rtable.Prt.payload) -> p.id) (Rtable.Prt.match_pub prt pub))
 
 let tree_decision (tree : Message.sub_id Sub_tree.t) (pub : Xroute_xml.Xml_paths.publication) =
-  ids_decision (Sub_tree.match_syms tree pub.syms pub.attrs)
+  ids_decision (Tree_match.match_syms tree pub.syms pub.attrs)
 
 (* [Rtable.Prt.match_checks] of the smoke gate's PRT corpus below: the
    742 PSD Set-A XPEs of seed 13 against the 483 publications of 8 PSD

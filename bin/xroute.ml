@@ -132,8 +132,8 @@ let match_cmd =
   let run xpe_s adv_s =
     match (Xroute_xpath.Xpe_parser.parse_opt xpe_s, Xroute_xpath.Adv.parse_opt adv_s) with
     | Some xpe, Some adv ->
-      let paper = Xroute_core.Adv_match.overlaps_paper xpe adv in
-      let exact = Xroute_core.Adv_match.overlaps_exact xpe adv in
+      let paper = Xroute_ref.Paper_match.overlaps_paper xpe adv in
+      let exact = Xroute_ref.Paper_match.overlaps_exact xpe adv in
       Printf.printf "paper engine: %b\nexact engine: %b\n" paper exact;
       if paper <> exact then exit 2
     | None, _ ->
@@ -155,7 +155,7 @@ let cover_cmd =
     match (Xroute_xpath.Xpe_parser.parse_opt s1, Xroute_xpath.Xpe_parser.parse_opt s2) with
     | Some x1, Some x2 ->
       Printf.printf "paper rules: %b\nexact:       %b\n" (Xroute_core.Cover.covers x1 x2)
-        (Xroute_core.Cover.covers_exact x1 x2)
+        (Xroute_ref.Exact_cover.covers_exact x1 x2)
     | _ ->
       prerr_endline "xroute: cannot parse the XPath expressions";
       exit 1

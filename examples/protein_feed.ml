@@ -35,8 +35,8 @@ let () =
   List.iter
     (fun s ->
       let xpe = xp s in
-      let hits = List.filter (Adv_match.overlaps_paper xpe) advs in
-      let exact_hits = List.filter (Adv_match.overlaps_exact xpe) advs in
+      let hits = List.filter (Xroute_ref.Paper_match.overlaps_paper xpe) advs in
+      let exact_hits = List.filter (Xroute_ref.Paper_match.overlaps_exact xpe) advs in
       assert (List.length hits = List.length exact_hits);
       Printf.printf "  %-46s %d advs\n" s (List.length hits))
     subscriptions;
@@ -84,7 +84,7 @@ let () =
   List.iter
     (fun (m : Merge.merger) ->
       List.iter
-        (fun o -> assert (Xroute_automata.Lang.xpe_contains m.xpe o))
+        (fun o -> assert (Xroute_ref.Lang.xpe_contains m.xpe o))
         m.originals)
     (perfect @ imperfect);
   print_endline "\nprotein_feed OK"

@@ -54,16 +54,6 @@ let contradiction xpe =
       Option.map (fun (p, q) -> (step, p, q)) (contradictory_step step))
     xpe.Xpe.steps
 
-(* Name-language disjointness from one advertisement, via the product
-   construction on the Thompson automata. *)
-let overlaps_adv =
-  let module Nfa = Xroute_automata.Nfa in
-  let module Regex = Xroute_automata.Regex in
-  fun xpe adv ->
-    Nfa.intersect_nonempty
-      (Nfa.of_regex (Regex.of_xpe xpe))
-      (Nfa.of_regex (Regex.of_adv adv))
-
 let analyze_workload ?(advs = []) ~subs () =
   let findings = ref [] in
   let add code subject witness =
@@ -85,7 +75,7 @@ let analyze_workload ?(advs = []) ~subs () =
              p.Xpe.attr p.Xpe.value q.Xpe.attr q.Xpe.value)
       | None -> ());
       (* dead: name language disjoint from every advertised language *)
-      if advs <> [] && not (List.exists (overlaps_adv xpe) advs) then
+      if advs <> [] && not (List.exists (Xroute_ref.Paper_match.overlaps_exact xpe) advs) then
         add "dead-subscription"
           (Printf.sprintf "client %d subscription #%d %s overlaps no advertisement" client
              i (Xpe.to_string xpe))
@@ -96,8 +86,8 @@ let analyze_workload ?(advs = []) ~subs () =
         List.find_opt
           (fun (c, prior) ->
             c = client
-            && Cover.covers_exact prior xpe
-            && not (Cover.covers_exact xpe prior))
+            && Xroute_ref.Exact_cover.covers_exact prior xpe
+            && not (Xroute_ref.Exact_cover.covers_exact xpe prior))
           earlier
       with
       | Some (_, prior) ->

@@ -13,7 +13,7 @@ open Xroute_core
     XPE, in registration order) against the advertised languages:
 
     - [dead-subscription] — name language disjoint from every
-      advertisement ([Nfa.intersect_nonempty] on the product);
+      advertisement (the exact oracle, [Xroute_ref.Paper_match.overlaps_exact]);
     - [contradictory-predicates] — one step requires the same attribute
       equal to two different values, so the XPE matches nothing;
     - [shadowed-subscription] — strictly covered (exact engine) by an

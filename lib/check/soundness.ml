@@ -22,7 +22,7 @@
 open Xroute_xpath
 open Xroute_core
 module Prng = Xroute_support.Prng
-module Lang = Xroute_automata.Lang
+module Lang = Xroute_ref.Lang
 
 (* ---------------- corpus generators (predicate-free) ---------------- *)
 
@@ -102,7 +102,7 @@ let add_witnessed ctx ~severity ~code ~subject ~witness =
    covering rule, small enough to keep the runtest gate quick. *)
 let default_pairs = 250
 
-let run ?(covers = Cover.covers) ?(adv_covers = Cover.adv_covers)
+let run ?(covers = Cover.covers) ?(adv_covers = Xroute_ref.Exact_cover.adv_covers)
     ?(seeds = [ 1; 2; 3; 4 ]) ?(pairs_per_seed = default_pairs)
     ?(witness_incomplete = false) () =
   let ctx = { findings = []; witnesses_left = [] } in

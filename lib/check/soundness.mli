@@ -11,7 +11,8 @@
 open Xroute_xpath
 
 (** [run ()] sweeps the corpora and returns the report. [covers] and
-    [adv_covers] default to the paper rules ({!Xroute_core.Cover}); pass
+    [adv_covers] default to the paper rules ({!Xroute_core.Cover.covers}
+    and {!Xroute_ref.Exact_cover.adv_covers}); pass
     a different predicate to audit another engine, or a broken one (see
     {!planted_unsound_covers}) for the mutation check. Statistics
     reported: per family, pairs checked / claimed / contained / unsound

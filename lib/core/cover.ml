@@ -26,8 +26,7 @@
    s2 does not and is no longer than s2. [signature] packs both facts
    into a name bitmask plus a step count, and [may_cover] compares two
    signatures with one [land]: the subscription tree runs the rules
-   only on the pairs it admits (the argument, for [covers_exact] too,
-   is at [signature]). *)
+   only on the pairs it admits (the argument is at [signature]). *)
 
 open Xroute_xpath
 
@@ -186,7 +185,7 @@ let des_cov (s1 : Xpe.t) (s2 : Xpe.t) =
 (* ------------------------------------------------------------------ *)
 
 (* The paper's covering pipeline: the covering predicate of every
-   broker. *)
+   broker and the merger check. *)
 let covers (s1 : Xpe.t) (s2 : Xpe.t) =
   if Xpe.equal s1 s2 then true
   else if Xpe.is_simple s1 && Xpe.is_simple s2 then begin
@@ -195,14 +194,6 @@ let covers (s1 : Xpe.t) (s2 : Xpe.t) =
     else abs_sim_cov s1 s2
   end
   else des_cov s1 s2
-
-(* Exact covering, the oracle of the tests, the analyzer and the
-   merger check: automata containment at the name level. Exact when
-   [s1] carries no predicates; otherwise it falls back to the paper
-   rules. *)
-let covers_exact (s1 : Xpe.t) (s2 : Xpe.t) =
-  if not (Xpe.has_predicates s1) then Xroute_automata.Lang.xpe_contains s1 s2
-  else covers s1 s2
 
 (* ------------------------------------------------------------------ *)
 (* Name signature: a necessary condition for covering                  *)
@@ -214,12 +205,8 @@ let covers_exact (s1 : Xpe.t) (s2 : Xpe.t) =
    free wildcards). A named step covers only the same name
    ([test_covers]), and [abs_sim_cov] and [des_cov] test the length
    first while [rel_sim_cov] fits s1 inside s2. So [covers s1 s2]
-   implies names(s1) ⊆ names(s2) and |s1| <= |s2|. [covers_exact] implies
-   the same: with predicates on s1 it is [covers]; without, s2's
-   shortest witness path (wildcards read as the automata's "other"
-   letter, every // gap empty) has |s2| elements named only from s2,
-   and s1 matches no path shorter than |s1| or lacking one of its
-   names.
+   implies names(s1) ⊆ names(s2) and |s1| <= |s2|. Exact containment
+   implies the same (argued with the reference, [Exact_cover] in lib/ref).
 
    The signature packs both: the names as a bitmask (bit [Symbol.id
    mod Sys.int_size]; two names sharing a bit only let more pairs
@@ -239,20 +226,3 @@ let signature (x : Xpe.t) =
   { names; length = Xpe.length x }
 
 let may_cover g1 g2 = g1.names land lnot g2.names = 0 && g1.length <= g2.length
-
-(* Covering between non-recursive advertisements reuses the subscription
-   algorithm (Sec. 4.2 note): a non-recursive advertisement has the form
-   of an absolute simple XPE, modulo full-length (not prefix) semantics,
-   which makes equal length a requirement. Recursive advertisements use
-   exact automata containment. *)
-let adv_covers (a1 : Adv.t) (a2 : Adv.t) =
-  if Adv.is_recursive a1 || Adv.is_recursive a2 then Xroute_automata.Lang.adv_contains a1 a2
-  else begin
-    let s1 = Adv.to_symbols a1 and s2 = Adv.to_symbols a2 in
-    Array.length s1 = Array.length s2
-    &&
-    let rec go i =
-      i >= Array.length s1 || (test_covers s1.(i) s2.(i) && go (i + 1))
-    in
-    go 0
-  end

@@ -1,8 +1,8 @@
 (** Covering detection between XPEs (Sec. 4.2): [covers s1 s2] soundly
     decides [P(s1) ⊇ P(s2)]. The paper's algorithms are deliberately
     incomplete in places (safe for routing: missed covering costs
-    compactness, never correctness); {!covers_exact} decides true
-    containment via the automata library. *)
+    compactness, never correctness). Exact containment, the oracle they
+    are checked against, is the reference [Exact_cover] in lib/ref. *)
 
 open Xroute_xpath
 
@@ -24,13 +24,9 @@ val rel_sim_cov : Xpe.t -> Xpe.t -> bool
     of [s1]'s segments with the wildcard-overhang special case. *)
 val des_cov : Xpe.t -> Xpe.t -> bool
 
-(** The paper's dispatching pipeline: the brokers' covering predicate. *)
+(** The paper's dispatching pipeline: the brokers' covering predicate,
+    and the check that a merger covers its originals ({!Merge}). *)
 val covers : Xpe.t -> Xpe.t -> bool
-
-(** Automata-based containment (exact when [s1] is predicate-free;
-    falls back to {!covers} otherwise): the oracle of the tests, the
-    analyzer and the merger check. *)
-val covers_exact : Xpe.t -> Xpe.t -> bool
 
 (** An XPE's name signature: the set of element names it mentions, as
     a bitmask over {!Xroute_support.Symbol.id} (modulo
@@ -40,12 +36,7 @@ type signature
 val signature : Xpe.t -> signature
 
 (** [may_cover (signature s1) (signature s2)] is a necessary condition
-    of both [covers s1 s2] and [covers_exact s1 s2]: every name of [s1]
+    of both [covers s1 s2] and exact containment: every name of [s1]
     is a name of [s2] (up to bitmask collisions) and [s1] has no more
     steps than [s2]. A [false] answer proves that neither covers. *)
 val may_cover : signature -> signature -> bool
-
-(** Covering between advertisements: positional rules for non-recursive
-    ones (same-length requirement — advertisements match full paths),
-    exact containment for recursive ones. *)
-val adv_covers : Adv.t -> Adv.t -> bool

@@ -16,7 +16,7 @@ type merger = {
 val imperfect_degree : universe:string array list -> Xpe.t -> Xpe.t list -> float
 
 (** Verified merge candidates among the given XPEs (rules 1-3; each
-    candidate provably covers its originals). *)
+    candidate covers its originals by {!Cover.covers}). *)
 val candidates : ?enable_rule3:bool -> Xpe.t list -> (Xpe.t * Xpe.t list) list
 
 (** [merge_set ~max_degree ~universe xpes] greedily applies candidates

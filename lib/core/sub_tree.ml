@@ -14,11 +14,11 @@
      covers the new XPE then some maximal (depth-1) node does;
    - [covered_roots]: the depth-1 nodes a new subscription covers (these
      are the previously forwarded subscriptions that must be
-     unsubscribed when the new one takes over);
-   - [match_names]: all payloads whose XPE matches a publication, with
-     subtree pruning — if a node fails to match, nothing it covers can
-     match, so its subtree is skipped. This pruning is where
-     covering-based routing gains its publication routing time.
+     unsubscribed when the new one takes over).
+
+   Brokers match publications through the PRT's automaton
+   ({!Yfilter}); the paper's pruned matching over this tree is the
+   reference [Tree_match] in lib/ref.
 
    The covering predicate is injected at creation: brokers use the
    paper's rules ({!Cover.covers}), the ablations and tests may plug in
@@ -66,7 +66,6 @@ type 'a t = {
   mutable count : int; (* stored subscriptions (root excluded) *)
   mutable cover_checks : int; (* covering tests charged, for metrics *)
   mutable cover_tests : int; (* of which the prefilter passed to [covers] *)
-  mutable match_checks : int; (* publication match tests performed *)
   (* Memoized covering queries. Workloads where many subscribers share
      an XPE repeat the same root-fringe scan per arrival, which was the
      hot loop of large simulations; results stay valid until the tree's
@@ -113,7 +112,6 @@ let create ?(flat = false) ?(covers = fun s1 s2 -> Cover.covers s1 s2) () =
     count = 0;
     cover_checks = 0;
     cover_tests = 0;
-    match_checks = 0;
     version = 0;
     cache_version = 0;
     coverers_cache = Xpe.Tbl.create 64;
@@ -124,7 +122,6 @@ let size t = t.count
 let root t = t.root
 let cover_checks t = t.cover_checks
 let cover_tests t = t.cover_tests
-let match_checks t = t.match_checks
 
 let node_id n = n.id
 let node_xpe n = n.xpe
@@ -365,41 +362,6 @@ let remove_payload t n payload =
   in
   n.payloads <- drop_one n.payloads;
   match n.payloads with [] -> remove_node t n | _ :: _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Publication matching                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* All payloads of nodes matching the publication, pruning subtrees at
-   the first non-matching node. *)
-let match_syms t syms attrs =
-  let acc = ref [] in
-  let rec go n =
-    t.match_checks <- t.match_checks + 1;
-    if Xpe_eval.matches_syms n.xpe syms attrs then begin
-      acc := List.rev_append n.payloads !acc;
-      List.iter go n.children
-    end
-  in
-  List.iter go t.root.children;
-  List.rev !acc
-
-let match_path t steps attrs = match_syms t (Symbol.intern_path steps) attrs
-
-let match_names t steps = match_path t steps (Array.make (Array.length steps) [])
-
-(* Exhaustive matching without pruning, for the no-covering baseline and
-   for cross-checking the pruned version in tests. *)
-let match_syms_linear t syms attrs =
-  let acc = ref [] in
-  iter
-    (fun n ->
-      t.match_checks <- t.match_checks + 1;
-      if Xpe_eval.matches_syms n.xpe syms attrs then acc := List.rev_append n.payloads !acc)
-    t;
-  List.rev !acc
-
-let match_path_linear t steps attrs = match_syms_linear t (Symbol.intern_path steps) attrs
 
 (* ------------------------------------------------------------------ *)
 (* Invariants (for tests)                                              *)

@@ -19,8 +19,8 @@ type 'a t
 (** [create ~covers ()] builds an empty tree using the given covering
     predicate (defaults to the paper's rules, {!Cover.covers}). The
     predicate must imply {!Cover.may_cover} on the two XPEs' signatures,
-    as {!Cover.covers} and {!Cover.covers_exact} do: pairs the signature
-    test rejects are never passed to it. With
+    as {!Cover.covers} and exact containment (lib/ref) do: pairs the
+    signature test rejects are never passed to it. With
     [~flat:true] the tree degenerates to the no-covering baseline: O(1)
     insertion under the root, no covering relations reported. *)
 val create : ?flat:bool -> ?covers:(Xpe.t -> Xpe.t -> bool) -> unit -> 'a t
@@ -40,9 +40,6 @@ val cover_checks : 'a t -> int
 (** Covering predicate calls made so far: the candidates the signature
     prefilter passed. At most {!cover_checks}. *)
 val cover_tests : 'a t -> int
-
-(** Number of publication match tests performed so far (metrics). *)
-val match_checks : 'a t -> int
 
 (** The node's identity within its tree: ids are never reused, so a
     table keyed by it cannot confuse a deleted node with a later one. *)
@@ -94,23 +91,6 @@ val remove_node : 'a t -> 'a node -> unit
 (** Remove one payload occurrence (physical equality); deletes the node
     when its last payload goes. *)
 val remove_payload : 'a t -> 'a node -> 'a -> unit
-
-(** Payloads of all nodes matching the publication path (interned),
-    pruning a subtree as soon as its root fails to match. *)
-val match_syms :
-  'a t -> Xroute_support.Symbol.t array -> (string * string) list array -> 'a list
-
-(** {!match_syms} after interning the element names. *)
-val match_path : 'a t -> string array -> (string * string) list array -> 'a list
-
-(** {!match_path} on a bare name path. *)
-val match_names : 'a t -> string array -> 'a list
-
-(** Exhaustive (unpruned) matching, for baselines and cross-checks. *)
-val match_syms_linear :
-  'a t -> Xroute_support.Symbol.t array -> (string * string) list array -> 'a list
-
-val match_path_linear : 'a t -> string array -> (string * string) list array -> 'a list
 
 (** Structural invariant violations (empty when healthy). *)
 val check_invariants : 'a t -> string list

@@ -3,8 +3,9 @@
 
    [overlap] (intersection non-emptiness) and [contains] (language
    inclusion) are the semantic ground truth against which the paper's
-   matching and covering algorithms are property-tested; [contains] also
-   powers exact covering ([Cover.covers_exact]), ablated in the benchmarks.
+   matching and covering algorithms and the SRT's compiled overlap test
+   are checked; [contains] also powers exact covering
+   ([Exact_cover.covers_exact]), ablated in the benchmarks.
 
    Inclusion is decided by determinizing over the finite alphabet of
    names mentioned by either side plus one representative "fresh" letter
@@ -61,8 +62,10 @@ let alphabet_of regexes =
 
 (* ---------------- Cached compilation ---------------- *)
 
-(* XPE/advertisement automata are requested repeatedly by the routing
-   layer; memoize by printed form. *)
+(* The tests, the analyzer's workload pass and the CLI ask for the
+   automata of the same XPEs and advertisements repeatedly; memoize by
+   printed form. The tables are never evicted, which suits fixed
+   corpora: no broker consults them. *)
 let xpe_cache : (string, Nfa.t) Hashtbl.t = Hashtbl.create 256
 let adv_cache : (string, Nfa.t) Hashtbl.t = Hashtbl.create 256
 

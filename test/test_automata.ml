@@ -2,7 +2,7 @@
    acceptance, overlap and containment — including the paper's worked
    examples. *)
 
-open Xroute_automata
+open Xroute_ref
 open Xroute_xpath
 
 let check = Alcotest.check

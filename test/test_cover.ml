@@ -5,6 +5,7 @@
    in the places the paper calls out. *)
 
 open Xroute_core
+open Xroute_ref
 open Xroute_xpath
 
 let check = Alcotest.check
@@ -78,7 +79,7 @@ let test_predicate_covering () =
 (* ---------------- Exact engine ---------------- *)
 
 let test_exact_engine () =
-  let ce a b = Cover.covers_exact (xp a) (xp b) in
+  let ce a b = Exact_cover.covers_exact (xp a) (xp b) in
   (* Exact engine finds relations the paper rules miss. *)
   check cb "absolute star covers relative" true (ce "/*" "d/a");
   check cb "paper misses it" false (covers "/*" "d/a");
@@ -89,12 +90,12 @@ let test_exact_engine () =
 let ad = Adv.parse
 
 let test_adv_covering () =
-  check cb "same" true (Cover.adv_covers (ad "/a/b") (ad "/a/b"));
-  check cb "wildcard" true (Cover.adv_covers (ad "/a/*") (ad "/a/b"));
-  check cb "length differs" false (Cover.adv_covers (ad "/a") (ad "/a/b"));
-  check cb "prefix semantics do not apply" false (Cover.adv_covers (ad "/a/b") (ad "/a/b/c"));
-  check cb "recursive covers unrolled" true (Cover.adv_covers (ad "/a(/b)+") (ad "/a/b/b"));
-  check cb "unrolled not covers recursive" false (Cover.adv_covers (ad "/a/b") (ad "/a(/b)+"))
+  check cb "same" true (Exact_cover.adv_covers (ad "/a/b") (ad "/a/b"));
+  check cb "wildcard" true (Exact_cover.adv_covers (ad "/a/*") (ad "/a/b"));
+  check cb "length differs" false (Exact_cover.adv_covers (ad "/a") (ad "/a/b"));
+  check cb "prefix semantics do not apply" false (Exact_cover.adv_covers (ad "/a/b") (ad "/a/b/c"));
+  check cb "recursive covers unrolled" true (Exact_cover.adv_covers (ad "/a(/b)+") (ad "/a/b/b"));
+  check cb "unrolled not covers recursive" false (Exact_cover.adv_covers (ad "/a/b") (ad "/a(/b)+"))
 
 (* ---------------- Random soundness vs oracle ---------------- *)
 
@@ -125,7 +126,7 @@ let test_paper_covering_sound_random () =
     let s1 = random_xpe prng and s2 = random_xpe prng in
     if Cover.covers s1 s2 then begin
       incr hits;
-      if not (Xroute_automata.Lang.xpe_contains s1 s2) then
+      if not (Lang.xpe_contains s1 s2) then
         false_positives := (Xpe.to_string s1, Xpe.to_string s2) :: !false_positives
     end
   done;
@@ -141,8 +142,8 @@ let test_exact_covering_complete_random () =
   let prng = Xroute_support.Prng.create 1833 in
   for _ = 1 to 1500 do
     let s1 = random_xpe prng and s2 = random_xpe prng in
-    let exact = Cover.covers_exact s1 s2 in
-    let oracle = Xroute_automata.Lang.xpe_contains s1 s2 in
+    let exact = Exact_cover.covers_exact s1 s2 in
+    let oracle = Lang.xpe_contains s1 s2 in
     if exact <> oracle then
       Alcotest.failf "exact engine differs from oracle: %s vs %s (%b/%b)" (Xpe.to_string s1)
         (Xpe.to_string s2) exact oracle
@@ -154,9 +155,9 @@ let test_covering_transitive_random () =
   for _ = 1 to 2000 do
     let a = random_xpe prng and b = random_xpe prng and c = random_xpe prng in
     if
-      Cover.covers_exact a b
-      && Cover.covers_exact b c
-      && not (Cover.covers_exact a c)
+      Exact_cover.covers_exact a b
+      && Exact_cover.covers_exact b c
+      && not (Exact_cover.covers_exact a c)
     then
       Alcotest.failf "containment not transitive: %s %s %s" (Xpe.to_string a) (Xpe.to_string b)
         (Xpe.to_string c)
@@ -191,11 +192,11 @@ let test_paper_exact_disagreements () =
       let a = xp s1 and b = xp s2 in
       check cb
         (Printf.sprintf "exact: %s covers %s" s1 s2)
-        true (Cover.covers_exact a b);
+        true (Exact_cover.covers_exact a b);
       check cb
         (Printf.sprintf "oracle: L(%s) contains L(%s)" s1 s2)
         true
-        (Xroute_automata.Lang.xpe_contains a b);
+        (Lang.xpe_contains a b);
       check cb
         (Printf.sprintf "paper stays incomplete on %s vs %s" s1 s2)
         false (Cover.covers a b))
@@ -212,7 +213,7 @@ let may_cover s1 s2 = Cover.may_cover (Cover.signature s1) (Cover.signature s2)
 let assert_prefilter_necessary pairs =
   List.fold_left
     (fun (covered, rejected) (s1, s2) ->
-      let paper = Cover.covers s1 s2 and exact = Cover.covers_exact s1 s2 in
+      let paper = Cover.covers s1 s2 and exact = Exact_cover.covers_exact s1 s2 in
       let admitted = may_cover s1 s2 in
       if (paper || exact) && not admitted then
         Alcotest.failf "signature rejects %s vs %s, yet %s holds" (Xpe.to_string s1)

@@ -40,7 +40,7 @@ let prt_matches prt (pub : Xroute_xml.Xml_paths.publication) = seqs (Rtable.Prt.
 
 (* The PRT's covering tree, matched directly (pruned DFS). *)
 let tree_matches prt (pub : Xroute_xml.Xml_paths.publication) =
-  seqs (Sub_tree.match_syms (Rtable.Prt.tree prt) pub.syms pub.attrs)
+  seqs (Xroute_ref.Tree_match.match_syms (Rtable.Prt.tree prt) pub.syms pub.attrs)
 
 let yf_matches yf (pub : Xroute_xml.Xml_paths.publication) =
   Yfilter.match_path yf pub.steps pub.attrs |> sort_uniq

@@ -1,7 +1,9 @@
-(* Tests for Adv_match: the paper's subscription/advertisement matching
-   algorithms, cross-checked against the exact automata oracle. *)
+(* Tests for subscription/advertisement matching: the paper's algorithms
+   (Xroute_ref.Paper_match) and the SRT's compiled test (Adv_match),
+   cross-checked against the exact automata oracle. *)
 
 open Xroute_core
+open Xroute_ref
 open Xroute_xpath
 
 let check = Alcotest.check
@@ -17,7 +19,7 @@ let syms l = Array.of_list (List.map sym l)
 
 let abs_match xpe advsyms =
   let x = xp xpe in
-  Xpe.length x <= Array.length advsyms && Adv_match.abs_expr_and_adv x.Xpe.steps advsyms
+  Xpe.length x <= Array.length advsyms && Paper_match.abs_expr_and_adv x.Xpe.steps advsyms
 
 let test_abs_basic () =
   check cb "exact" true (abs_match "/a/b" (syms [ "a"; "b" ]));
@@ -39,7 +41,7 @@ let test_abs_paper_example () =
 
 (* ---------------- RelExprAndAdv ---------------- *)
 
-let rel_fast xpe advsyms = Adv_match.rel_expr_and_adv (xp xpe).Xpe.steps advsyms
+let rel_fast xpe advsyms = Paper_match.rel_expr_and_adv (xp xpe).Xpe.steps advsyms
 
 let test_rel_basic () =
   check cb "at start" true (rel_fast "a/b" (syms [ "a"; "b"; "c" ]));
@@ -72,8 +74,8 @@ let test_rel_fast_equals_naive_random () =
     let pattern = random_tests k in
     let advsyms = syms (random_tests n) in
     let steps = List.map (fun t -> Xpe.step Xpe.Child (sym t)) pattern in
-    let naive = Adv_match.rel_expr_and_adv_naive steps advsyms in
-    let fast = Adv_match.rel_expr_and_adv steps advsyms in
+    let naive = Paper_match.rel_expr_and_adv_naive steps advsyms in
+    let fast = Paper_match.rel_expr_and_adv steps advsyms in
     if naive <> fast then
       Alcotest.failf "rel mismatch: pattern=%s adv=%s naive=%b fast=%b"
         (String.concat "/" pattern)
@@ -83,7 +85,7 @@ let test_rel_fast_equals_naive_random () =
 
 (* ---------------- DesExprAndAdv ---------------- *)
 
-let des xpe advsyms = Adv_match.des_expr_and_adv (xp xpe) advsyms
+let des xpe advsyms = Paper_match.des_expr_and_adv (xp xpe) advsyms
 
 let test_des_paper_example () =
   (* Sec. 3.2: a = /a/*/e/*/d/*/c/b and s = * /a//d/*/c//b. *)
@@ -106,19 +108,19 @@ let test_des_multi_segment () =
 let test_rec_paper_example () =
   (* Sec. 3.3 worked example. *)
   check cb "simple recursive" true
-    (Adv_match.overlaps_paper (xp "/*/a/c/*/d/e/d/*") (ad "/a/*/c(/e/d)+/*/c/e"))
+    (Paper_match.overlaps_paper (xp "/*/a/c/*/d/e/d/*") (ad "/a/*/c(/e/d)+/*/c/e"))
 
 let test_rec_basic () =
-  check cb "one rep" true (Adv_match.overlaps_paper (xp "/a/b/c") (ad "/a(/b)+/c"));
-  check cb "needs reps" true (Adv_match.overlaps_paper (xp "/a/b/b/b/b/c") (ad "/a(/b)+/c"));
-  check cb "wrong tail" false (Adv_match.overlaps_paper (xp "/a/b/d/x") (ad "/a(/b)+/c"));
-  check cb "series" true (Adv_match.overlaps_paper (xp "/a/b/b/c/c/d") (ad "/a(/b)+(/c)+/d"));
-  check cb "embedded" true (Adv_match.overlaps_paper (xp "/r/a/b/b/a/b") (ad "/r(/a(/b)+)+"))
+  check cb "one rep" true (Paper_match.overlaps_paper (xp "/a/b/c") (ad "/a(/b)+/c"));
+  check cb "needs reps" true (Paper_match.overlaps_paper (xp "/a/b/b/b/b/c") (ad "/a(/b)+/c"));
+  check cb "wrong tail" false (Paper_match.overlaps_paper (xp "/a/b/d/x") (ad "/a(/b)+/c"));
+  check cb "series" true (Paper_match.overlaps_paper (xp "/a/b/b/c/c/d") (ad "/a(/b)+(/c)+/d"));
+  check cb "embedded" true (Paper_match.overlaps_paper (xp "/r/a/b/b/a/b") (ad "/r(/a(/b)+)+"))
 
 let test_rec_relative_and_desc () =
-  check cb "relative vs recursive" true (Adv_match.overlaps_paper (xp "b/c") (ad "/a(/b)+/c"));
-  check cb "descendant vs recursive" true (Adv_match.overlaps_paper (xp "/a//c") (ad "/a(/b)+/c"));
-  check cb "descendant no fit" false (Adv_match.overlaps_paper (xp "/a//q") (ad "/a(/b)+/c"))
+  check cb "relative vs recursive" true (Paper_match.overlaps_paper (xp "b/c") (ad "/a(/b)+/c"));
+  check cb "descendant vs recursive" true (Paper_match.overlaps_paper (xp "/a//c") (ad "/a(/b)+/c"));
+  check cb "descendant no fit" false (Paper_match.overlaps_paper (xp "/a//q") (ad "/a(/b)+/c"))
 
 (* ---------------- Paper engine vs exact oracle ---------------- *)
 
@@ -168,8 +170,8 @@ let test_paper_engine_equals_oracle () =
   in
   for _ = 1 to 1500 do
     let xpe = random_xpe () and adv = random_adv () in
-    let paper = Adv_match.overlaps_paper xpe adv in
-    let exact = Adv_match.overlaps_exact xpe adv in
+    let paper = Paper_match.overlaps_paper xpe adv in
+    let exact = Paper_match.overlaps_exact xpe adv in
     let compiled = Adv_match.overlaps xpe adv in
     if paper <> exact || compiled <> exact then
       Alcotest.failf "engine mismatch: xpe=%s adv=%s paper=%b exact=%b compiled=%b"
@@ -202,7 +204,7 @@ let test_compiled_on_dtds () =
           List.iter
             (fun (adv, c) ->
               let compiled = Adv_match.overlaps_compiled q c in
-              let paper = Adv_match.overlaps_paper xpe adv in
+              let paper = Paper_match.overlaps_paper xpe adv in
               incr tests;
               if compiled <> paper then
                 Alcotest.failf "compiled %b, paper %b: xpe=%s adv=%s" compiled paper
@@ -230,42 +232,97 @@ let test_compiled_equals_exact_sample () =
       for _ = 1 to 2000 do
         let xpe = Xroute_support.Prng.choose prng xpes
         and adv = Xroute_support.Prng.choose prng advs in
-        let compiled = Adv_match.overlaps xpe adv and exact = Adv_match.overlaps_exact xpe adv in
+        let compiled = Adv_match.overlaps xpe adv and exact = Paper_match.overlaps_exact xpe adv in
         if compiled <> exact then
           Alcotest.failf "compiled %b, exact %b: xpe=%s adv=%s" compiled exact
             (Xpe.to_string xpe) (Adv.to_string adv)
       done)
     [ Xroute_dtd.Dtd_samples.nitf; Xroute_dtd.Dtd_samples.book ]
 
-(* More than [max_positions] symbol occurrences: the compiled form falls
-   back to the paper's tests, with the same answers. *)
+(* Past [max_positions] positions the compiled form takes multi-word
+   position sets. Widths on both sides of one and two words (63, 64,
+   124, 125), each flat, with nested groups, and with a [(...)+] group
+   straddling a word boundary; the answers equal the paper's tests and
+   the oracle. *)
 let test_compiled_wide_fallback () =
   let names n =
     List.init n (fun i -> if i mod 7 = 3 then "*" else Printf.sprintf "n%d" (i mod 5))
   in
   let lit n = Adv.Lit (Array.of_list (List.map Xpe.test_of_string (names n))) in
-  let flat = Adv.make [ lit (Adv_match.max_positions + 8) ] in
-  let recursive = Adv.make [ lit 40; Adv.Group [ lit 15; Adv.Group [ lit 2 ] ]; lit 10 ] in
+  let word = Adv_match.max_positions in
+  let shapes width =
+    let flat = Adv.make [ lit width ] in
+    let nested = Adv.make [ lit (width - 27); Adv.Group [ lit 15; Adv.Group [ lit 2 ] ]; lit 10 ] in
+    (* A group over the positions around each word boundary inside the
+       advertisement. *)
+    let straddling =
+      List.filter_map
+        (fun b ->
+          if b >= width then None
+          else begin
+            let inner = min 4 (width - b + 2) in
+            Some (Adv.make [ lit (b - 2); Adv.Group [ lit inner ]; lit (width - b + 2 - inner) ])
+          end)
+        [ word; 2 * word ]
+    in
+    (flat, nested :: straddling)
+  in
+  let xpes =
+    [ "/n0/n1/n2/*"; "/n1"; "//n4/n0"; "n2//n3/*/n0"; "//q"; "/n0//n2//n2//n1";
+      "n3/n4/n0/n1/n2"; "/n0/n1/n2/*/n4"; "//n1/n2/n3//n0/n0"; "n4//n1/n1" ]
+  in
+  (* Anchored XPEs whose last step lands on each side of a boundary;
+     only on flat advertisements, where the paper's test does not
+     unroll. *)
+  let anchored width =
+    List.concat_map
+      (fun last ->
+        if last >= width + 1 then []
+        else
+          [ "/" ^ String.concat "/" (List.init last (fun _ -> "*"));
+            "/" ^ String.concat "/" (List.init (last - 1) (fun _ -> "*")) ^ "/n0" ])
+      [ word - 1; word; word + 1; 2 * word; 2 * word + 1; width + 1 ]
+  in
+  let checked = ref 0 in
+  let check_pair adv s =
+    let xpe = xp s in
+    let compiled = Adv_match.overlaps xpe adv
+    and paper = Paper_match.overlaps_paper xpe adv
+    and exact = Paper_match.overlaps_exact xpe adv in
+    incr checked;
+    if compiled <> paper || compiled <> exact then
+      Alcotest.failf "wide: xpe=%s adv=%s compiled=%b paper=%b exact=%b" s (Adv.to_string adv)
+        compiled paper exact
+  in
   List.iter
-    (fun adv ->
-      List.iter
-        (fun s ->
-          let xpe = xp s in
-          let compiled = Adv_match.overlaps xpe adv
-          and paper = Adv_match.overlaps_paper xpe adv
-          and exact = Adv_match.overlaps_exact xpe adv in
-          if compiled <> paper || compiled <> exact then
-            Alcotest.failf "fallback: xpe=%s adv=%s compiled=%b paper=%b exact=%b" s
-              (Adv.to_string adv) compiled paper exact)
-        [ "/n0/n1/n2/*"; "/n1"; "//n4/n0"; "n2//n3/*/n0"; "//q"; "/n0//n2//n2//n1";
-          "n3/n4/n0/n1/n2"; "/n0/n1/n2/*/n4" ])
-    [ flat; recursive ]
+    (fun width ->
+      let flat, recursive = shapes width in
+      List.iter (check_pair flat) (xpes @ anchored width);
+      List.iter (fun adv -> List.iter (check_pair adv) xpes) recursive)
+    [ word + 1; word + 2; 2 * word; (2 * word) + 1 ];
+  check cb "ran every shape" true (!checked > 150)
+
+(* An advertisement a peer can send on one line: 65 positions in 8
+   groups. The paper's unrolling grows exponentially with the groups
+   (the third XPE takes it minutes and hundreds of MB); the compiled
+   test answers at once, as the oracle does. *)
+let test_compiled_wide_grouped () =
+  let adv = ad ("/root" ^ String.concat "" (List.init 8 (fun _ -> "(/n0/n1/n2/n3/n4/n0/n1/n2)+"))) in
+  check Alcotest.int "printed length" 221 (String.length (Adv.to_string adv));
+  List.iter
+    (fun s ->
+      let xpe = xp s in
+      check cb s (Paper_match.overlaps_exact xpe adv) (Adv_match.overlaps xpe adv))
+    [ "//n0//n1//n2//n0/n0"; "//n0//n1//n2//n3//n4//n0//n0/n0";
+      "//n0//n1//n2//n3//n4//n0//n1//n2//n3//n4//n0/n0"; "/root/n0/n1/n2/n3/n4/n0/n1/n2/n0";
+      "/root/n0/n1/n2/n3/n4/n0/n1/n2/n3"; "//n3//n3//n3//n3//n3//n3//n3//n3//n3/n4";
+      "/root//n2/n0/n1//n4/n0" ]
 
 let test_length_precondition () =
   (* Publications have exactly the advertisement's length, so a longer
      XPE can never match (Sec. 3.2 observation). *)
-  check cb "longer xpe" false (Adv_match.overlaps_paper (xp "/a/b/c") (ad "/a/b"));
-  check cb "equal ok" true (Adv_match.overlaps_paper (xp "/a/b") (ad "/a/b"))
+  check cb "longer xpe" false (Paper_match.overlaps_paper (xp "/a/b/c") (ad "/a/b"));
+  check cb "equal ok" true (Paper_match.overlaps_paper (xp "/a/b") (ad "/a/b"))
 
 let () =
   Alcotest.run "adv_match"
@@ -288,6 +345,7 @@ let () =
           Alcotest.test_case "NITF and book grids = paper" `Quick test_compiled_on_dtds;
           Alcotest.test_case "= exact (sampled grid)" `Quick test_compiled_equals_exact_sample;
           Alcotest.test_case "wide fallback" `Quick test_compiled_wide_fallback;
+          Alcotest.test_case "wide, 8 groups" `Quick test_compiled_wide_grouped;
         ] );
       ( "des",
         [

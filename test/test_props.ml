@@ -157,8 +157,8 @@ let prop_eval_equals_language =
   QCheck.Test.make ~name:"eval = language membership" ~count:1000
     (QCheck.pair arb_xpe arb_path) (fun (xpe, path) ->
       Xpe_eval.matches_names xpe path
-      = Xroute_automata.Nfa.accepts
-          (Xroute_automata.Nfa.of_regex (Xroute_automata.Regex.of_xpe xpe))
+      = Xroute_ref.Nfa.accepts
+          (Xroute_ref.Nfa.of_regex (Xroute_ref.Regex.of_xpe xpe))
           path)
 
 (* Adv matching agrees with the automata view. *)
@@ -166,27 +166,30 @@ let prop_adv_match_equals_language =
   QCheck.Test.make ~name:"adv match = language membership" ~count:1000
     (QCheck.pair arb_adv arb_path) (fun (adv, path) ->
       Adv.matches_names adv path
-      = Xroute_automata.Nfa.accepts
-          (Xroute_automata.Nfa.of_regex (Xroute_automata.Regex.of_adv adv))
+      = Xroute_ref.Nfa.accepts
+          (Xroute_ref.Nfa.of_regex (Xroute_ref.Regex.of_adv adv))
           path)
 
 (* The paper matching engine equals the exact engine. *)
 let prop_overlap_engines_agree =
   QCheck.Test.make ~name:"paper overlap = exact overlap" ~count:1000
     (QCheck.pair arb_xpe arb_adv) (fun (xpe, adv) ->
-      Xroute_core.Adv_match.overlaps_paper xpe adv
-      = Xroute_core.Adv_match.overlaps_exact xpe adv)
+      Xroute_ref.Paper_match.overlaps_paper xpe adv
+      = Xroute_ref.Paper_match.overlaps_exact xpe adv)
 
 (* Advertisements with nested groups, for the properties below: a group
    may hold a literal, a group and another literal (embedded recursion).
-   A generator of its own, so [gen_adv]'s inputs do not change. *)
+   Half of them start with a literal of 56-68 symbols, so widths fall on
+   both sides of the compiled test's one-word limit (62 positions) and
+   groups straddle it. A generator of its own, so [gen_adv]'s inputs do
+   not change. *)
 let gen_adv_nested =
   QCheck.Gen.(
-    let gen_lit =
-      let* len = int_range 1 3 in
+    let gen_lit_of len =
       let* syms = list_repeat len gen_test in
       return (Adv.Lit (Array.of_list syms))
     in
+    let gen_lit = int_range 1 3 >>= gen_lit_of in
     let rec gen_part depth =
       if depth = 0 then gen_lit
       else
@@ -201,9 +204,11 @@ let gen_adv_nested =
               return (Adv.Group (a :: inner :: Option.to_list b)) );
           ]
     in
+    let* wide = bool in
+    let* prefix = if wide then int_range 56 68 >>= gen_lit_of else return (Adv.Lit [||]) in
     let* n_parts = int_range 1 3 in
     let* parts = list_repeat n_parts (gen_part 2) in
-    return (Adv.make parts))
+    return (Adv.make (prefix :: parts)))
 
 let arb_adv_nested = QCheck.make ~print:Adv.to_string gen_adv_nested
 
@@ -213,15 +218,15 @@ let prop_compiled_overlap_agrees =
   QCheck.Test.make ~name:"compiled overlap = paper = exact, nested groups" ~count:1000
     (QCheck.pair arb_xpe arb_adv_nested) (fun (xpe, adv) ->
       let compiled = Xroute_core.Adv_match.overlaps xpe adv in
-      compiled = Xroute_core.Adv_match.overlaps_paper xpe adv
-      && compiled = Xroute_core.Adv_match.overlaps_exact xpe adv)
+      compiled = Xroute_ref.Paper_match.overlaps_paper xpe adv
+      && compiled = Xroute_ref.Paper_match.overlaps_exact xpe adv)
 
 (* Overlap is witnessed: if the engines claim overlap, some concrete path
    matches both (search the adv's bounded expansions). *)
 let prop_overlap_witnessed =
   QCheck.Test.make ~name:"claimed overlap has a witness" ~count:500
     (QCheck.pair arb_xpe arb_adv) (fun (xpe, adv) ->
-      QCheck.assume (Xroute_core.Adv_match.overlaps_paper xpe adv);
+      QCheck.assume (Xroute_ref.Paper_match.overlaps_paper xpe adv);
       List.exists
         (fun symbols ->
           (* replace wildcards by a fresh name to build one concrete path *)
@@ -237,13 +242,13 @@ let prop_overlap_witnessed =
 (* Paper covering is sound w.r.t. the oracle. *)
 let prop_cover_sound =
   QCheck.Test.make ~name:"paper covering sound" ~count:2000 arb_xpe_pair (fun (s1, s2) ->
-      (not (Xroute_core.Cover.covers s1 s2)) || Xroute_automata.Lang.xpe_contains s1 s2)
+      (not (Xroute_core.Cover.covers s1 s2)) || Xroute_ref.Lang.xpe_contains s1 s2)
 
 (* Exact covering agrees with the oracle both ways. *)
 let prop_cover_exact_complete =
   QCheck.Test.make ~name:"exact covering = oracle" ~count:1000 arb_xpe_pair (fun (s1, s2) ->
-      Xroute_core.Cover.covers_exact s1 s2
-      = Xroute_automata.Lang.xpe_contains s1 s2)
+      Xroute_ref.Exact_cover.covers_exact s1 s2
+      = Xroute_ref.Lang.xpe_contains s1 s2)
 
 (* Covering is semantically a containment: a covered XPE's matches are a
    subset on random paths. *)
@@ -262,8 +267,8 @@ let prop_subtree_match_equals_linear =
       let tree : int Xroute_core.Sub_tree.t = Xroute_core.Sub_tree.create () in
       List.iteri (fun i x -> ignore (Xroute_core.Sub_tree.insert tree x i)) xpes;
       let attrs = Array.make (Array.length path) [] in
-      List.sort compare (Xroute_core.Sub_tree.match_path tree path attrs)
-      = List.sort compare (Xroute_core.Sub_tree.match_path_linear tree path attrs))
+      List.sort compare (Xroute_ref.Tree_match.match_path tree path attrs)
+      = List.sort compare (Xroute_ref.Tree_match.match_path_linear tree path attrs))
 
 (* Sub_tree invariants hold under random insertion. *)
 let prop_subtree_invariants =
@@ -289,7 +294,7 @@ let prop_merge_sound =
     (QCheck.list_of_size (QCheck.Gen.int_range 2 25) arb_xpe) (fun xpes ->
       List.for_all
         (fun (m, originals) ->
-          List.for_all (fun o -> Xroute_automata.Lang.xpe_contains m o) originals)
+          List.for_all (fun o -> Xroute_ref.Lang.xpe_contains m o) originals)
         (Xroute_core.Merge.candidates xpes))
 
 (* Imperfect degree is within [0, 1] and zero for self-merge. *)

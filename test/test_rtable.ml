@@ -2,6 +2,7 @@
    protocol-level broker tests. *)
 
 open Xroute_core
+open Xroute_ref
 open Xroute_xpath
 
 let check = Alcotest.check
@@ -104,7 +105,7 @@ let oracle_hops srt xpe =
       match e.hop with
       | Rtable.Neighbor _
         when (not (List.exists (Rtable.endpoint_equal e.hop) acc))
-             && Adv_match.overlaps_paper xpe e.adv ->
+             && Paper_match.overlaps_paper xpe e.adv ->
         e.hop :: acc
       | Rtable.Neighbor _ | Rtable.Client _ -> acc)
     [] (Rtable.Srt.entries srt)

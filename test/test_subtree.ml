@@ -2,6 +2,7 @@
    publication matching with pruning and invariants. *)
 
 open Xroute_core
+open Xroute_ref
 open Xroute_xpath
 
 let check = Alcotest.check
@@ -29,7 +30,7 @@ let test_empty () =
   check ci "size" 0 (Sub_tree.size t);
   check ci "depth" 0 (Sub_tree.depth t);
   check cb "not covered" false (Sub_tree.is_covered t (xp "/a"));
-  check (Alcotest.list ci) "no match" [] (Sub_tree.match_names t (path "a"))
+  check (Alcotest.list ci) "no match" [] (Tree_match.match_names t (path "a"))
 
 let test_insert_sibling () =
   let t = tree_of [ "/a/b"; "/a/c" ] in
@@ -117,14 +118,14 @@ let test_remove_payload_keeps_shared_node () =
 
 let test_match_basic () =
   let t = tree_of [ "/a/b"; "/a/c"; "//d" ] in
-  check (Alcotest.list ci) "matches ab" [ 0 ] (Sub_tree.match_names t (path "a/b"));
-  check (Alcotest.list ci) "matches d" [ 2 ] (Sub_tree.match_names t (path "x/d"));
-  check (Alcotest.list ci) "no match" [] (Sub_tree.match_names t (path "q"))
+  check (Alcotest.list ci) "matches ab" [ 0 ] (Tree_match.match_names t (path "a/b"));
+  check (Alcotest.list ci) "matches d" [ 2 ] (Tree_match.match_names t (path "x/d"));
+  check (Alcotest.list ci) "no match" [] (Tree_match.match_names t (path "q"))
 
 let test_match_collects_nested () =
   let t = tree_of [ "/a"; "/a/b"; "/a/b/c" ] in
-  check (Alcotest.list ci) "all on path" [ 0; 1; 2 ] (List.sort compare (Sub_tree.match_names t (path "a/b/c")));
-  check (Alcotest.list ci) "prefix only" [ 0 ] (Sub_tree.match_names t (path "a/x"))
+  check (Alcotest.list ci) "all on path" [ 0; 1; 2 ] (List.sort compare (Tree_match.match_names t (path "a/b/c")));
+  check (Alcotest.list ci) "prefix only" [ 0 ] (Tree_match.match_names t (path "a/x"))
 
 let test_match_pruning_agrees_with_linear () =
   let prng = Xroute_support.Prng.create 8080 in
@@ -153,8 +154,8 @@ let test_match_pruning_agrees_with_linear () =
     let len = 1 + Xroute_support.Prng.int prng 4 in
     let p = Array.init len (fun _ -> Xroute_support.Prng.choose prng alphabet) in
     let attrs = Array.make len [] in
-    let pruned = List.sort compare (Sub_tree.match_path t p attrs) in
-    let linear = List.sort compare (Sub_tree.match_path_linear t p attrs) in
+    let pruned = List.sort compare (Tree_match.match_path t p attrs) in
+    let linear = List.sort compare (Tree_match.match_path_linear t p attrs) in
     if pruned <> linear then
       Alcotest.failf "pruned matching differs on %s" (String.concat "/" (Array.to_list p))
   done
@@ -163,10 +164,9 @@ let test_match_checks_reduced_by_pruning () =
   (* Covering-organized trees do less match work than a flat scan. *)
   let xpes = [ "/a"; "/a/b"; "/a/b/c"; "/a/b/d"; "/x"; "/x/y"; "/x/y/z" ] in
   let t = tree_of xpes in
-  let before = Sub_tree.match_checks t in
-  ignore (Sub_tree.match_names t (path "q/r"));
-  let pruned_work = Sub_tree.match_checks t - before in
-  check cb "only maximal nodes tested" true (pruned_work <= 2)
+  let checks = ref 0 in
+  ignore (Tree_match.match_names ~checks t (path "q/r"));
+  check cb "only maximal nodes tested" true (!checks <= 2)
 
 let test_insert_random_invariants () =
   let prng = Xroute_support.Prng.create 2024 in

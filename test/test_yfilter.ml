@@ -186,7 +186,7 @@ let test_equivalence_random () =
       let p = Array.init len (fun _ -> Xroute_support.Prng.choose prng alphabet) in
       let attrs = Array.make len [] in
       let via_yf = List.sort compare (Yfilter.match_path yf p attrs) in
-      let via_tree = List.sort compare (Sub_tree.match_path_linear tree p attrs) in
+      let via_tree = List.sort compare (Xroute_ref.Tree_match.match_path_linear tree p attrs) in
       if via_yf <> via_tree then
         Alcotest.failf "yfilter differs on %s: yf=[%s] tree=[%s] (xpes: %s)"
           (String.concat "/" (Array.to_list p))
