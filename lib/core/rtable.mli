@@ -27,7 +27,7 @@ module Srt : sig
   (** An empty table. Entries are bucketed by the advertisement's root
       element, so a rooted subscription only scans its own bucket plus
       the wildcard/recursive catch-all; the routing decisions are those
-      of a full newest-first scan with {!Adv_match.overlaps_paper}.
+      of a full newest-first scan with the paper's overlap test.
       Overlap tests run {!Adv_match.overlaps_compiled} on the entry's
       compiled advertisement, which {!Adv_match.compile} shares by value
       with every other table in the process. *)
