@@ -142,6 +142,16 @@ let make_meters reg =
       M.histogram reg ~help:"Merge pass CPU time (ms)" "xroute_broker_merge_pass_ms";
   }
 
+(* A live merger (Sec. 4.3): a broker-made subscription that replaced
+   its members upstream. Each member is a stored subscription whose
+   payload names this merger in its [merger] field; the merger dissolves
+   when any member leaves. *)
+type merger = {
+  xpe : Xpe.t;
+  mutable targets : Rtable.endpoint list; (* where the merger was forwarded *)
+  members : Message.sub_id list; (* ascending *)
+}
+
 type t = {
   id : int;
   strategy : strategy;
@@ -149,20 +159,16 @@ type t = {
   neighbors : int list;
   srt : Rtable.Srt.t;
   prt : Rtable.Prt.t;
-  (* where each subscription id was forwarded (undone on unsubscribe) *)
-  mutable forwarded : Rtable.endpoint list Rtable.Prt.Id_map.t;
-  (* per-node index over [forwarded]: for each PRT node (keyed by its
-     [Sub_tree.node_id]; equal XPEs share one node), the subscription
-     ids stored there whose forwarded-target set is non-empty. Lets
+  (* Where a stored subscription was forwarded lives on its PRT payload
+     ([targets], [merger]). This indexes the forwarded ones: for each
+     PRT node (keyed by its [Sub_tree.node_id]; equal XPEs share one
+     node), the payloads stored there whose [targets] are non-empty. Lets
      [served_endpoints] consult a coverer node without scanning its
      payload list, which is one entry per subscriber on a popular XPE. *)
-  fwd_active : (int, Message.sub_id list) Hashtbl.t;
-  (* merge bookkeeping: each live merger's XPE by merger id, and each
-     member (a stored subscription the merger replaced upstream) to its
-     merger. Membership is stored only here; a merger dissolves when any
-     member leaves, so both maps are bounded by live subscriptions. *)
-  mutable mergers : Xpe.t Rtable.Prt.Id_map.t;
-  mutable member_of : Message.sub_id Rtable.Prt.Id_map.t;
+  fwd_active : (int, Rtable.Prt.payload list) Hashtbl.t;
+  (* live mergers by id; merger ids share one origin and count up, so
+     the map's ascending order is creation order *)
+  mutable mergers : merger Rtable.Prt.Id_map.t;
   mutable merge_seq : int;
   (* path universe for the imperfect degree (publisher DTD knowledge) *)
   mutable universe : string array list;
@@ -181,10 +187,8 @@ let create ?(strategy = default_strategy) ~id ~neighbors () =
     neighbors;
     srt = Rtable.Srt.create ();
     prt = Rtable.Prt.create ~flat ~covers ();
-    forwarded = Rtable.Prt.Id_map.empty;
     fwd_active = Hashtbl.create 64;
     mergers = Rtable.Prt.Id_map.empty;
-    member_of = Rtable.Prt.Id_map.empty;
     merge_seq = 0;
     universe = [];
     metrics;
@@ -209,6 +213,14 @@ let work t =
 let stage_ops t =
   (Rtable.Srt.match_ops t.srt, Rtable.Prt.match_checks t.prt, Rtable.Prt.cover_checks t.prt)
 
+(* Forwarded routing table size: the subscriptions and mergers this
+   broker has forwarded to at least one neighbor, which its upstream
+   neighbors store because of it — the paper's compaction metric counts
+   the local table instead, which [prt_size] reports. *)
+let forwarded_count t =
+  Hashtbl.fold (fun _ ps n -> n + List.length ps) t.fwd_active 0
+  + Rtable.Prt.Id_map.fold (fun _ m n -> if m.targets = [] then n else n + 1) t.mergers 0
+
 (* Push the derived quantities — index sizes as gauges, the tables'
    cumulative match counters — into the registry. Call before export;
    the event counters and histograms are maintained inline. The NFA
@@ -229,9 +241,10 @@ let refresh_metrics t =
   M.set_int m.m_prt_size (Rtable.Prt.size t.prt);
   M.set_int m.m_prt_payloads (Rtable.Prt.nfa_payloads t.prt);
   M.set_int m.m_nfa_states (Rtable.Prt.nfa_allocated_states t.prt);
-  M.set_int m.m_forwarded (Rtable.Prt.Id_map.cardinal t.forwarded);
+  M.set_int m.m_forwarded (forwarded_count t);
   M.set_int m.m_mergers_active (Rtable.Prt.Id_map.cardinal t.mergers);
-  M.set_int m.m_suppressed (Rtable.Prt.Id_map.cardinal t.member_of)
+  M.set_int m.m_suppressed
+    (Rtable.Prt.Id_map.fold (fun _ mg n -> n + List.length mg.members) t.mergers 0)
 
 let corrupt_nfa_for_test t = Rtable.Prt.corrupt_nfa t.prt
 
@@ -244,66 +257,42 @@ let neighbor_endpoints ?(except = []) t =
 
 let is_neighbor_ep = function Rtable.Neighbor _ -> true | Rtable.Client _ -> false
 
-(* [fwd_active] maintenance. The invariant: a tree payload's id is in
-   its node's bucket iff its forwarded-target set is non-empty. Merger
-   ids never enter (they have no tree node; [served_endpoints] folds
-   over [t.mergers] directly). Buckets hold the few actual forwarders of a
-   node — typically one — so the list operations here are O(1). *)
-let fwd_active_add t node id =
+(* The one writer of a payload's [targets]: keeps [fwd_active] holding
+   exactly the payloads with a non-empty target list. A node's bucket
+   holds its few actual forwarders, typically one, so the list
+   operations here are O(1). *)
+let set_targets t node (p : Rtable.Prt.payload) targets =
   let key = Sub_tree.node_id node in
-  let ids = Option.value ~default:[] (Hashtbl.find_opt t.fwd_active key) in
-  if not (List.exists (fun i -> Message.compare_sub_id i id = 0) ids) then
-    Hashtbl.replace t.fwd_active key (id :: ids)
-
-let fwd_active_remove t node id =
-  let key = Sub_tree.node_id node in
-  match Hashtbl.find_opt t.fwd_active key with
-  | None -> ()
-  | Some ids -> (
-    match List.filter (fun i -> Message.compare_sub_id i id <> 0) ids with
+  let bucket () = Option.value ~default:[] (Hashtbl.find_opt t.fwd_active key) in
+  (match (p.targets, targets) with
+  | [], _ :: _ -> Hashtbl.replace t.fwd_active key (p :: bucket ())
+  | _ :: _, [] -> (
+    match List.filter (fun q -> q != p) (bucket ()) with
     | [] -> Hashtbl.remove t.fwd_active key
     | kept -> Hashtbl.replace t.fwd_active key kept)
+  | [], [] | _ :: _, _ :: _ -> ());
+  p.targets <- targets
 
-(* Re-sync one id's index entry from the forwarded map; for ids with no
-   tree node (mergers, already-removed subscriptions) this is a no-op. *)
-let fwd_active_sync t sub_id =
-  match Rtable.Prt.find t.prt sub_id with
-  | None -> ()
-  | Some (node, _) -> (
-    match Rtable.Prt.Id_map.find_opt sub_id t.forwarded with
-    | Some (_ :: _) -> fwd_active_add t node sub_id
-    | Some [] | None -> fwd_active_remove t node sub_id)
-
-let record_forwarded t sub_id targets =
-  let existing =
-    Option.value ~default:[] (Rtable.Prt.Id_map.find_opt sub_id t.forwarded)
-  in
+(* Add [targets] to where a stored subscription was forwarded; returns
+   the ones it had not been forwarded to yet. *)
+let record_forwarded t node (p : Rtable.Prt.payload) targets =
   let added =
-    List.filter
-      (fun ep -> not (List.exists (Rtable.endpoint_equal ep) existing))
-      targets
+    List.filter (fun ep -> not (List.exists (Rtable.endpoint_equal ep) p.targets)) targets
   in
-  t.forwarded <- Rtable.Prt.Id_map.add sub_id (added @ existing) t.forwarded;
-  if added <> [] || existing <> [] then fwd_active_sync t sub_id;
+  if added <> [] then set_targets t node p (added @ p.targets);
   added
 
-let forwarded_targets t sub_id =
-  Option.value ~default:[] (Rtable.Prt.Id_map.find_opt sub_id t.forwarded)
+(* Replaced upstream by a live merger. *)
+let is_suppressed (p : Rtable.Prt.payload) = Option.is_some p.merger
 
-let is_suppressed t id = Rtable.Prt.Id_map.mem id t.member_of
-
-(* Live mergers as (id, XPE), newest first: merger ids share one origin
-   and count up, so the map's ascending order is creation order. *)
 let mergers_newest_first t =
-  Rtable.Prt.Id_map.fold (fun id xpe acc -> (id, xpe) :: acc) t.mergers []
+  Rtable.Prt.Id_map.fold (fun id m acc -> (id, m) :: acc) t.mergers []
 
-(* Every stored subscription as (id, XPE, last hop), parents before
+(* Every stored subscription as (node, payload), parents before
    children: the tree's iteration order. *)
 let iter_stored t f =
   Sub_tree.iter
-    (fun node ->
-      let xpe = Sub_tree.node_xpe node in
-      List.iter (fun (p : Rtable.Prt.payload) -> f p.id xpe p.hop) (Sub_tree.node_payloads node))
+    (fun node -> List.iter (f node) (Sub_tree.node_payloads node))
     (Rtable.Prt.tree t.prt)
 
 (* Targets a subscription should be forwarded to (before covering
@@ -337,17 +326,16 @@ let served_endpoints t ~self_id xpe =
         (fun node ->
           match Hashtbl.find_opt t.fwd_active (Sub_tree.node_id node) with
           | None -> []
-          | Some ids ->
+          | Some ps ->
             List.concat_map
-              (fun id ->
-                if Message.compare_sub_id id self_id = 0 then []
-                else forwarded_targets t id)
-              ids)
+              (fun (p : Rtable.Prt.payload) ->
+                if Message.compare_sub_id p.id self_id = 0 then [] else p.targets)
+              ps)
         (Sub_tree.coverers (Rtable.Prt.tree t.prt) xpe)
     in
     let from_mergers =
       Rtable.Prt.Id_map.fold
-        (fun id mx acc -> if t.covers mx xpe then forwarded_targets t id @ acc else acc)
+        (fun _ m acc -> if t.covers m.xpe xpe then m.targets @ acc else acc)
         t.mergers []
     in
     from_tree @ from_mergers
@@ -371,20 +359,28 @@ let unserved_targets t ~self_id xpe targets =
    subscription's own last hop, never twice to one target. *)
 let forward_stored t ~ep admit =
   let msgs = ref [] in
-  let visit sub_id xpe hop =
-    if
-      (not (is_suppressed t sub_id))
-      && (not (Rtable.endpoint_equal hop ep))
-      && (not (List.exists (Rtable.endpoint_equal ep) (forwarded_targets t sub_id)))
-      && admit xpe hop
-      && not (List.exists (Rtable.endpoint_equal ep) (served_endpoints t ~self_id:sub_id xpe))
-    then begin
-      ignore (record_forwarded t sub_id [ ep ]);
-      msgs := (ep, Message.Subscribe { id = sub_id; xpe }) :: !msgs
-    end
+  (* The tests run in this order, since [served_endpoints] charges
+     covering checks. *)
+  let wanted id xpe hop targets =
+    (not (Rtable.endpoint_equal hop ep))
+    && (not (List.exists (Rtable.endpoint_equal ep) targets))
+    && admit xpe hop
+    && not (List.exists (Rtable.endpoint_equal ep) (served_endpoints t ~self_id:id xpe))
   in
-  iter_stored t visit;
-  List.iter (fun (id, xpe) -> visit id xpe (Rtable.Neighbor t.id)) (mergers_newest_first t);
+  let send id xpe = msgs := (ep, Message.Subscribe { id; xpe }) :: !msgs in
+  iter_stored t (fun node (p : Rtable.Prt.payload) ->
+      let xpe = Sub_tree.node_xpe node in
+      if (not (is_suppressed p)) && wanted p.id xpe p.hop p.targets then begin
+        set_targets t node p (ep :: p.targets);
+        send p.id xpe
+      end);
+  List.iter
+    (fun (id, m) ->
+      if wanted id m.xpe (Rtable.Neighbor t.id) m.targets then begin
+        m.targets <- ep :: m.targets;
+        send id m.xpe
+      end)
+    (mergers_newest_first t);
   List.rev !msgs
 
 let handle_advertise t ~from id adv =
@@ -442,25 +438,23 @@ let handle_subscribe t ~from id xpe =
     in
     let targets = sub_targets t ~from xpe in
     let needed = unserved_targets t ~self_id:id xpe targets in
-    ignore (Rtable.Prt.insert t.prt id xpe from);
-    let fresh = record_forwarded t id needed in
+    let node, p = Rtable.Prt.insert t.prt id xpe from in
+    let fresh = record_forwarded t node p needed in
     let sub_msgs = List.map (fun ep -> (ep, Message.Subscribe { id; xpe })) fresh in
     (* Unsubscribe displaced subscriptions, but only at next hops now
        served by this subscription (elsewhere they must keep drawing
        publications for their own subscribers). *)
-    let mine = forwarded_targets t id in
+    let mine = p.targets in
     let unsub_msgs =
       List.concat_map
-        (fun (node, (p : Rtable.Prt.payload)) ->
-          if is_suppressed t p.id then []
+        (fun (node, (q : Rtable.Prt.payload)) ->
+          if is_suppressed q then []
           else begin
-            let where = forwarded_targets t p.id in
             let redundant, kept =
-              List.partition (fun ep -> List.exists (Rtable.endpoint_equal ep) mine) where
+              List.partition (fun ep -> List.exists (Rtable.endpoint_equal ep) mine) q.targets
             in
-            t.forwarded <- Rtable.Prt.Id_map.add p.id kept t.forwarded;
-            if kept = [] then fwd_active_remove t node p.id;
-            List.map (fun ep -> (ep, Message.Unsubscribe { id = p.id })) redundant
+            set_targets t node q kept;
+            List.map (fun ep -> (ep, Message.Unsubscribe { id = q.id })) redundant
           end)
         displaced
     in
@@ -469,83 +463,70 @@ let handle_subscribe t ~from id xpe =
 
 (* Forward one stored subscription wherever it must go and is now
    unserved. *)
-let reforward t sub_id xpe hop =
-  if is_suppressed t sub_id then []
+let reforward t node (p : Rtable.Prt.payload) =
+  if is_suppressed p then []
   else begin
-    let targets = sub_targets t ~from:hop xpe in
-    let needed = unserved_targets t ~self_id:sub_id xpe targets in
-    let fresh = record_forwarded t sub_id needed in
-    List.map (fun ep -> (ep, Message.Subscribe { id = sub_id; xpe })) fresh
+    let xpe = Sub_tree.node_xpe node in
+    let targets = sub_targets t ~from:p.hop xpe in
+    let needed = unserved_targets t ~self_id:p.id xpe targets in
+    let fresh = record_forwarded t node p needed in
+    List.map (fun ep -> (ep, Message.Subscribe { id = p.id; xpe })) fresh
   end
 
 (* Withdraw a departed subscription or a dissolved merger [id] with XPE
-   [xpe]: unsubscribe it wherever it was forwarded, then re-forward what
-   may have relied on that forwarding, wherever it is no longer served.
-   That is [members] first — a dissolved merger's surviving members,
-   named by id because the syntactic covering test need not see them
-   under the merger — then every subscription [xpe] covered: its former
-   children, equal subscriptions sharing its node, and covered
-   subscriptions in other subtrees (the relations the paper's super
-   pointers record; [Sub_tree.covered_nodes] finds them by searching the
-   tree). The covered ones need a look only when [id] was forwarded at
-   all. *)
-let withdraw t id xpe ~members =
-  let where = forwarded_targets t id in
-  t.forwarded <- Rtable.Prt.Id_map.remove id t.forwarded;
+   [xpe], which was forwarded to [where]: unsubscribe it there, then
+   re-forward what may have relied on that forwarding, wherever it is no
+   longer served. That is [members] first — a dissolved merger's
+   surviving members, in ascending id order, named because the syntactic
+   covering test need not see them under the merger — then every
+   subscription [xpe] covered: its former children, equal subscriptions
+   sharing its node, and covered subscriptions in other subtrees (the
+   relations the paper's super pointers record; [Sub_tree.covered_nodes]
+   finds them by searching the tree). The covered ones need a look only
+   when [id] was forwarded at all. *)
+let withdraw t id xpe ~where ~members =
   let upstream = List.map (fun ep -> (ep, Message.Unsubscribe { id })) where in
-  let from_members =
-    List.concat_map
-      (fun m ->
-        match Rtable.Prt.find t.prt m with
-        | Some (node, p) -> reforward t m (Sub_tree.node_xpe node) p.hop
-        | None -> [])
-      members
-  in
+  let from_members = List.concat_map (fun (node, p) -> reforward t node p) members in
   let from_covered =
     if (not t.strategy.use_cover) || where = [] then []
     else
       List.concat_map
-        (fun n ->
-          let nx = Sub_tree.node_xpe n in
-          List.concat_map
-            (fun (p : Rtable.Prt.payload) -> reforward t p.id nx p.hop)
-            (Sub_tree.node_payloads n))
+        (fun n -> List.concat_map (reforward t n) (Sub_tree.node_payloads n))
         (Sub_tree.covered_nodes (Rtable.Prt.tree t.prt) xpe)
   in
   upstream @ from_members @ from_covered
 
-(* [id] has left the PRT. If it was a merger's member, the merger
-   dissolves: its record and every membership go, and it is withdrawn
-   with its surviving members re-forwarded ([withdraw] skips [id], no
-   longer stored). Its SRT memo entry goes too, unless a stored
+(* [p] has left the PRT. If it was a merger's member, the merger
+   dissolves: its record goes, its surviving members are released, and
+   it is withdrawn with them re-forwarded ([p], no longer stored, is not
+   among them). Its SRT memo entry goes too, unless a stored
    subscription still looks that XPE up. *)
-let dissolve_merger_of t id =
-  match Rtable.Prt.Id_map.find_opt id t.member_of with
+let dissolve_merger_of t (p : Rtable.Prt.payload) =
+  match p.merger with
   | None -> []
   | Some mid ->
-    let mxpe = Rtable.Prt.Id_map.find mid t.mergers in
+    let m = Rtable.Prt.Id_map.find mid t.mergers in
     t.mergers <- Rtable.Prt.Id_map.remove mid t.mergers;
-    let members, kept =
-      Rtable.Prt.Id_map.partition (fun _ m -> Message.compare_sub_id m mid = 0) t.member_of
-    in
-    t.member_of <- kept;
-    if Sub_tree.find_equal (Rtable.Prt.tree t.prt) mxpe = None then
-      Rtable.Srt.forget t.srt mxpe;
-    withdraw t mid mxpe ~members:(List.map fst (Rtable.Prt.Id_map.bindings members))
+    let members = List.filter_map (Rtable.Prt.find t.prt) m.members in
+    List.iter (fun (_, (q : Rtable.Prt.payload)) -> q.merger <- None) members;
+    if Sub_tree.find_equal (Rtable.Prt.tree t.prt) m.xpe = None then
+      Rtable.Srt.forget t.srt m.xpe;
+    withdraw t mid m.xpe ~where:m.targets ~members
 
 let handle_unsubscribe t ~from id =
   M.incr t.meters.m_unsubs_in;
   ignore from;
   match Rtable.Prt.remove t.prt id with
   | None -> []
-  | Some (_payload, node) ->
+  | Some (p, node) ->
     let xpe = Sub_tree.node_xpe node in
     (* The node went with its last payload: no live subscription looks
        this XPE up any more, so its SRT memo entry goes too. *)
     if Sub_tree.node_payloads node = [] then Rtable.Srt.forget t.srt xpe;
-    fwd_active_remove t node id;
-    let own = withdraw t id xpe ~members:[] in
-    own @ dissolve_merger_of t id
+    let where = p.targets in
+    set_targets t node p [];
+    let own = withdraw t id xpe ~where ~members:[] in
+    own @ dissolve_merger_of t p
 
 (* ------------------------------------------------------------------ *)
 (* Publications                                                        *)
@@ -636,55 +617,47 @@ let merge_pass t =
       |> List.concat_map (fun node ->
              List.filter_map
                (fun (p : Rtable.Prt.payload) ->
-                 if is_suppressed t p.id then None
-                 else if forwarded_targets t p.id = [] then None
-                 else Some (Sub_tree.node_xpe node, p.id))
+                 if is_suppressed p || p.targets = [] then None else Some (node, p))
                (Sub_tree.node_payloads node))
     in
-    let xpes = List.sort_uniq Xpe.compare (List.map fst population) in
+    let xpes =
+      List.sort_uniq Xpe.compare (List.map (fun (node, _) -> Sub_tree.node_xpe node) population)
+    in
     let applied, _kept = Merge.merge_set ~max_degree ~universe:t.universe xpes in
     List.concat_map
-      (fun (m : Merge.merger) ->
-        let member_ids =
-          List.filter_map
-            (fun (xpe, sub_id) ->
-              if List.exists (Xpe.equal xpe) m.originals then Some sub_id else None)
+      (fun (mg : Merge.merger) ->
+        let members =
+          List.filter
+            (fun (node, _) -> List.exists (Xpe.equal (Sub_tree.node_xpe node)) mg.originals)
             population
         in
-        if List.length member_ids < 2 then []
+        if List.length members < 2 then []
         else begin
           t.merge_seq <- t.merge_seq + 1;
           let merger_id = { Message.origin = (t.id * 1_000_000) + 999_000; seq = t.merge_seq } in
-          t.mergers <- Rtable.Prt.Id_map.add merger_id m.xpe t.mergers;
+          let ids = List.map (fun (_, (p : Rtable.Prt.payload)) -> p.id) members in
+          let m = { xpe = mg.xpe; targets = []; members = List.sort Message.compare_sub_id ids } in
+          t.mergers <- Rtable.Prt.Id_map.add merger_id m t.mergers;
           M.incr t.meters.m_mergers_applied;
-          List.iter
-            (fun id -> t.member_of <- Rtable.Prt.Id_map.add id merger_id t.member_of)
-            member_ids;
+          List.iter (fun (_, (p : Rtable.Prt.payload)) -> p.merger <- Some merger_id) members;
           (* Subscribe the merger along its own (unserved) targets. *)
           let targets = sub_targets t ~from:(Rtable.Neighbor t.id) m.xpe in
-          let targets = unserved_targets t ~self_id:merger_id m.xpe targets in
-          let fresh = record_forwarded t merger_id targets in
+          m.targets <- unserved_targets t ~self_id:merger_id m.xpe targets;
           let sub_msgs =
-            List.map (fun ep -> (ep, Message.Subscribe { id = merger_id; xpe = m.xpe })) fresh
+            List.map (fun ep -> (ep, Message.Subscribe { id = merger_id; xpe = m.xpe })) m.targets
           in
           (* Unsubscribe the originals wherever they had been forwarded. *)
           let unsub_msgs =
             List.concat_map
-              (fun sub_id ->
-                let where = forwarded_targets t sub_id in
-                t.forwarded <- Rtable.Prt.Id_map.remove sub_id t.forwarded;
-                fwd_active_sync t sub_id;
-                List.map (fun ep -> (ep, Message.Unsubscribe { id = sub_id })) where)
-              member_ids
+              (fun (node, (p : Rtable.Prt.payload)) ->
+                let where = p.targets in
+                set_targets t node p [];
+                List.map (fun ep -> (ep, Message.Unsubscribe { id = p.id })) where)
+              members
           in
           sub_msgs @ unsub_msgs
         end)
       applied
-
-(* Forwarded routing table size: what this broker's upstream neighbors
-   store because of it — the paper's compaction metric counts the local
-   table instead, which [prt_size] reports. *)
-let forwarded_count t = Rtable.Prt.Id_map.cardinal t.forwarded
 
 (* ------------------------------------------------------------------ *)
 (* Crash recovery (fault injection)                                    *)
@@ -695,13 +668,14 @@ let srt_ids t = List.map (fun (e : Rtable.Srt.entry) -> e.id) (Rtable.Srt.entrie
 
 let prt_fold t f =
   let acc = ref [] in
-  iter_stored t (fun id xpe hop -> match f id xpe hop with Some x -> acc := x :: !acc | None -> ());
+  iter_stored t (fun node p -> match f node p with Some x -> acc := x :: !acc | None -> ());
   List.rev !acc
 
-let prt_ids t = prt_fold t (fun id _ _ -> Some id)
+let prt_ids t = prt_fold t (fun _ (p : Rtable.Prt.payload) -> Some p.id)
 
 let prt_ids_from t ep =
-  prt_fold t (fun id _ hop -> if Rtable.endpoint_equal hop ep then Some id else None)
+  prt_fold t (fun _ (p : Rtable.Prt.payload) ->
+      if Rtable.endpoint_equal p.hop ep then Some p.id else None)
 
 (* ------------------------------------------------------------------ *)
 (* Audit view (static analysis)                                        *)
@@ -757,19 +731,20 @@ let audit_view t =
     av_srt_invariants = Rtable.Srt.check_invariants t.srt;
     av_prt_invariants = Sub_tree.check_invariants (Rtable.Prt.tree t.prt);
     av_nfa_invariants = Rtable.Prt.nfa_invariants t.prt;
-    av_subs = prt_fold t (fun id xpe hop -> Some (id, xpe, hop));
-    av_forwarded = Rtable.Prt.Id_map.bindings t.forwarded;
-    av_mergers =
-      List.map
-        (fun (mid, mx) ->
-          let members =
-            Rtable.Prt.Id_map.fold
-              (fun m owner acc -> if Message.compare_sub_id owner mid = 0 then m :: acc else acc)
-              t.member_of []
-          in
-          (mid, mx, List.rev members))
-        (mergers_newest_first t);
-    av_suppressed = List.map fst (Rtable.Prt.Id_map.bindings t.member_of);
+    av_subs =
+      prt_fold t (fun node (p : Rtable.Prt.payload) ->
+          Some (p.id, Sub_tree.node_xpe node, p.hop));
+    av_forwarded =
+      prt_fold t (fun _ (p : Rtable.Prt.payload) ->
+          if p.targets = [] then None else Some (p.id, p.targets))
+      @ List.filter_map
+          (fun (id, m) -> if m.targets = [] then None else Some (id, m.targets))
+          (mergers_newest_first t)
+      |> List.sort (fun (a, _) (b, _) -> Message.compare_sub_id a b);
+    av_mergers = List.map (fun (id, m) -> (id, m.xpe, m.members)) (mergers_newest_first t);
+    av_suppressed =
+      prt_fold t (fun _ (p : Rtable.Prt.payload) -> if is_suppressed p then Some p.id else None)
+      |> List.sort Message.compare_sub_id;
     av_covers = t.covers;
     av_required_targets = required_targets;
   }
@@ -784,17 +759,9 @@ let audit_view t =
    entries through the unsubscribe path, which re-forwards the covered
    survivors they were shadowing and dissolves their mergers. *)
 let neighbor_reset t ~ep =
-  let emptied = ref [] in
-  t.forwarded <-
-    Rtable.Prt.Id_map.filter_map
-      (fun id targets ->
-        match List.filter (fun e -> not (Rtable.endpoint_equal e ep)) targets with
-        | [] ->
-          emptied := id :: !emptied;
-          None
-        | kept -> Some kept)
-      t.forwarded;
-  List.iter (fun id -> fwd_active_sync t id) !emptied;
+  let drop = List.filter (fun e -> not (Rtable.endpoint_equal e ep)) in
+  iter_stored t (fun node p -> set_targets t node p (drop p.targets));
+  Rtable.Prt.Id_map.iter (fun _ m -> m.targets <- drop m.targets) t.mergers;
   let stale_advs = srt_ids_from t ep in
   let stale_subs = prt_ids_from t ep in
   Log.info (fun m ->

@@ -76,7 +76,10 @@ val handle : t -> from:Rtable.endpoint -> Message.t -> (Rtable.endpoint * Messag
     unsubscription and its surviving members are forwarded again. *)
 val merge_pass : t -> (Rtable.endpoint * Message.t) list
 
-(** Number of subscriptions this broker has forwarded upstream. *)
+(** Number of stored subscriptions and live mergers this broker has
+    forwarded to at least one neighbor (the gauge
+    [xroute_broker_forwarded_subs]). A covered subscription held back
+    here, or a merger member unsubscribed upstream, does not count. *)
 val forwarded_count : t -> int
 
 (** {2 Audit view}
@@ -98,14 +101,18 @@ type audit_view = {
   av_prt_invariants : string list;  (** [Sub_tree.check_invariants] *)
   av_nfa_invariants : string list;  (** [Rtable.Prt.nfa_invariants] *)
   av_subs : (Message.sub_id * Xroute_xpath.Xpe.t * Rtable.endpoint) list;
-      (** every stored PRT payload: id, XPE, last hop *)
+      (** every stored PRT payload: id, XPE, last hop, parents before
+          children *)
   av_forwarded : (Message.sub_id * Rtable.endpoint list) list;
-      (** where each subscription / merger was forwarded *)
+      (** every stored subscription and live merger forwarded somewhere,
+          ascending by id, with its targets (a payload's [targets], a
+          merger's own) *)
   av_mergers : (Message.sub_id * Xroute_xpath.Xpe.t * Message.sub_id list) list;
       (** live mergers, newest first: id, XPE, the member ids it
-          suppressed *)
+          suppressed, ascending *)
   av_suppressed : Message.sub_id list;
-      (** ids the membership map suppresses (replaced by a merger) *)
+      (** stored subscriptions whose payload names a merger in its
+          [merger] field, ascending by id *)
   av_covers : Xroute_xpath.Xpe.t -> Xroute_xpath.Xpe.t -> bool;
       (** the covering predicate the broker routes with *)
   av_required_targets : Xroute_xpath.Xpe.t -> Rtable.endpoint list;

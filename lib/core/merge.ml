@@ -233,8 +233,8 @@ let rule3_candidates xpes =
     table []
 
 (* All verified candidates: mergers that provably cover each original. *)
-let candidates ?(enable_rule3 = true) xpes =
-  let raw = blanking_candidates xpes @ (if enable_rule3 then rule3_candidates xpes else []) in
+let candidates xpes =
+  let raw = blanking_candidates xpes @ rule3_candidates xpes in
   (* Dedup by merger, fuse original sets. *)
   let table : (string, Xpe.t * Xpe_set.t) Hashtbl.t = Hashtbl.create 256 in
   List.iter
@@ -262,8 +262,8 @@ let candidates ?(enable_rule3 = true) xpes =
 (* Greedily apply candidates whose imperfect degree is within
    [max_degree]; each original is consumed by at most one merger.
    Returns the applied mergers and the surviving unmerged XPEs. *)
-let merge_set ?(enable_rule3 = true) ~max_degree ~universe xpes =
-  let cands = candidates ~enable_rule3 xpes in
+let merge_set ~max_degree ~universe xpes =
+  let cands = candidates xpes in
   let evaluated =
     List.filter_map
       (fun (merged, originals) ->

@@ -17,14 +17,13 @@ val imperfect_degree : universe:string array list -> Xpe.t -> Xpe.t list -> floa
 
 (** Verified merge candidates among the given XPEs (rules 1-3; each
     candidate covers its originals by {!Cover.covers}). *)
-val candidates : ?enable_rule3:bool -> Xpe.t list -> (Xpe.t * Xpe.t list) list
+val candidates : Xpe.t list -> (Xpe.t * Xpe.t list) list
 
 (** [merge_set ~max_degree ~universe xpes] greedily applies candidates
     whose degree stays within [max_degree] ([0.] = perfect merging only);
     each original joins at most one merger. Returns the applied mergers
     and the surviving unmerged XPEs. *)
 val merge_set :
-  ?enable_rule3:bool ->
   max_degree:float ->
   universe:string array list ->
   Xpe.t list ->

@@ -154,18 +154,10 @@ module Srt = struct
       Xpe.Tbl.reset t.hops_cache;
       Some entry.hop
 
-  (* Root element a subscription's matches are anchored at, if any: an
-     absolute XPE whose first step is [/name]. Anything else (relative,
-     leading [//], leading wildcard) can match under any root. *)
-  let sub_root xpe =
-    match Xpe.semantic_steps xpe with
-    | { Xpe.axis = Xpe.Child; test = Xpe.Name n; _ } :: _ -> Some n
-    | _ -> None
-
   (* Entries a lookup walks, each charged to [match_ops] — which is how
      the bench shows the scans the index avoids. *)
   let scan_candidates t xpe =
-    match sub_root xpe with
+    match Xpe.root_name xpe with
     | Some n -> candidates_for_root t n
     | None -> all_entries t
 
@@ -297,7 +289,13 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Prt = struct
-  type payload = { id : Message.sub_id; hop : endpoint; seq : int }
+  type payload = {
+    id : Message.sub_id;
+    hop : endpoint;
+    seq : int;
+    mutable targets : endpoint list;
+    mutable merger : Message.sub_id option;
+  }
 
   module Id_map = Map.Make (struct
     type t = Message.sub_id
@@ -341,7 +339,7 @@ module Prt = struct
   let find t id = Id_map.find_opt id t.by_id
 
   let insert t id xpe hop =
-    let payload = { id; hop; seq = t.next_seq } in
+    let payload = { id; hop; seq = t.next_seq; targets = []; merger = None } in
     t.next_seq <- t.next_seq + 1;
     let nodes = Sub_tree.size t.tree in
     let node = Sub_tree.insert t.tree xpe payload in
@@ -447,6 +445,7 @@ module Prt = struct
       let xpe = Xpe.absolute_of_names [ "__nodeless__" ] in
       let stray = Sub_tree.create () in
       let hop = Client (-1) in
-      let node = Sub_tree.insert stray xpe { id = { origin = -1; seq = -1 }; hop; seq = -1 } in
+      let id = { Message.origin = -1; seq = -1 } in
+      let node = Sub_tree.insert stray xpe { id; hop; seq = -1; targets = []; merger = None } in
       Yfilter.insert t.nfa xpe node
 end

@@ -89,12 +89,6 @@ module Srt : sig
   (** Advertisement ids stored from a given hop. *)
   val ids_from : t -> endpoint -> Message.sub_id list
 
-  (** Root element a subscription's matches are anchored at ([/name]
-      first step), or [None] when it can match under any root (relative,
-      leading [//], leading wildcard). This is the discriminator behind
-      the bucket index. *)
-  val sub_root : Xpe.t -> Xroute_support.Symbol.t option
-
   (** Structural invariant violations of the bucket index — partition /
       by-id / counter agreement, per-bucket newest-first (strictly
       seq-descending) order, seq bounds. Empty when healthy. *)
@@ -102,9 +96,20 @@ module Srt : sig
 end
 
 module Prt : sig
-  (** A stored subscription; [seq] is its insertion sequence, the order
-      {!match_pub} answers in. *)
-  type payload = { id : Message.sub_id; hop : endpoint; seq : int }
+  (** A stored subscription: the paper's <subscription, last hop> tuple
+      plus where the owner's covering and merging sent it. [seq] is its
+      insertion sequence, the order {!match_pub} answers in. The table
+      never reads the two mutable fields: {!insert} starts them empty and
+      the broker keeps them. *)
+  type payload = {
+    id : Message.sub_id;
+    hop : endpoint;
+    seq : int;
+    mutable targets : endpoint list;
+        (** the neighbors this subscription is forwarded to, newest first *)
+    mutable merger : Message.sub_id option;
+        (** the live merger that replaced it upstream, if any *)
+  }
 
   module Id_map : Map.S with type key = Message.sub_id
 

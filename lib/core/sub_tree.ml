@@ -79,13 +79,6 @@ type 'a t = {
   covered_roots_cache : ('a node list * int) Xpe.Tbl.t;
 }
 
-(* The index key of an XPE: [Some name] when its first semantic step is a
-   child-axis name test, [None] for the general bucket. *)
-let first_step_key xpe =
-  match Xpe.semantic_steps xpe with
-  | { Xpe.axis = Xpe.Child; test = Xpe.Name n; _ } :: _ -> Some n
-  | _ -> None
-
 (* [flat] builds the no-covering baseline: insertion appends under the
    root in O(1) and no covering relation is ever reported. *)
 let create ?(flat = false) ?(covers = fun s1 s2 -> Cover.covers s1 s2) () =
@@ -150,14 +143,14 @@ let covers_node t xpe g n = covers_checked t xpe g n.xpe n.signature
 (* ---------------- root fringe index ---------------- *)
 
 let root_index_add t n =
-  match first_step_key n.xpe with
+  match Xpe.root_name n.xpe with
   | Some name ->
     let existing = Option.value ~default:[] (Hashtbl.find_opt t.root_named name) in
     Hashtbl.replace t.root_named name (n :: existing)
   | None -> t.root_general <- n :: t.root_general
 
 let root_index_remove t n =
-  match first_step_key n.xpe with
+  match Xpe.root_name n.xpe with
   | Some name ->
     let existing = Option.value ~default:[] (Hashtbl.find_opt t.root_named name) in
     Hashtbl.replace t.root_named name (List.filter (fun x -> x.id <> n.id) existing)
@@ -166,7 +159,7 @@ let root_index_remove t n =
 (* Root nodes that can possibly cover [xpe] (complete: a coverer of a
    name-first XPE must share the name or be in the general bucket). *)
 let root_cover_candidates t xpe =
-  match first_step_key xpe with
+  match Xpe.root_name xpe with
   | Some name ->
     Option.value ~default:[] (Hashtbl.find_opt t.root_named name) @ t.root_general
   | None -> t.root.children
@@ -174,7 +167,7 @@ let root_cover_candidates t xpe =
 (* Root nodes that [xpe] can possibly cover: a name-first XPE only covers
    nodes sharing its first name; anything else may cover anything. *)
 let root_covered_candidates t xpe =
-  match first_step_key xpe with
+  match Xpe.root_name xpe with
   | Some name -> Option.value ~default:[] (Hashtbl.find_opt t.root_named name)
   | None -> t.root.children
 

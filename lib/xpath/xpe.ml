@@ -61,6 +61,11 @@ let semantic_steps t =
   | true, first :: rest -> { first with axis = Desc } :: rest
   | _, steps -> steps
 
+let root_name t =
+  match semantic_steps t with
+  | { axis = Child; test = Name n; _ } :: _ -> Some n
+  | _ -> None
+
 let test_to_string = function Star -> "*" | Name n -> Symbol.name n
 
 (* A value holding ['] is printed inside ["..."], so the printed form

@@ -44,6 +44,12 @@ val has_predicates : t -> bool
     XPE the first step is reported with a [Desc] axis. *)
 val semantic_steps : t -> step list
 
+(** The root element an XPE's matches are anchored at: [Some n] when its
+    first semantic step is [/n], [None] when it can match under any root
+    (relative, leading [//], leading wildcard). The SRT's root-element
+    buckets and the covering tree's root fringe are both keyed by it. *)
+val root_name : t -> Xroute_support.Symbol.t option
+
 (** Parses back to an equal XPE ({!Xpe_parser.parse}) whenever no
     predicate value holds both quote kinds: a value holding ['] is
     printed inside ["..."]. *)

@@ -140,6 +140,20 @@ let test_sub_covering_suppression () =
   check ci "covered sub not forwarded" 0 (count_kind `Sub outs);
   check ci "but stored" 2 (Broker.prt_size b)
 
+(* A covered subscription held back at this broker was sent nowhere, so
+   neither the forwarded count nor its gauge counts it. *)
+let test_held_back_not_forwarded () =
+  let b = make_broker ~id:0 ~neighbors:[ 1 ] () in
+  ignore (Broker.handle b ~from:(neighbor 1) (Message.Advertise { id = sid 9 1; adv = ad "/a/b" }));
+  let outs = Broker.handle b ~from:(client 1) (Message.Subscribe { id = sid 1 1; xpe = xp "/a" }) in
+  check ci "/a forwarded" 1 (count_kind `Sub outs);
+  let outs = Broker.handle b ~from:(client 2) (Message.Subscribe { id = sid 2 1; xpe = xp "/a/b" }) in
+  check ci "/a/b covered, nothing sent" 0 (List.length outs);
+  check ci "forwarded count" 1 (Broker.forwarded_count b);
+  Broker.refresh_metrics b;
+  check (Alcotest.option (Alcotest.float 0.0)) "forwarded gauge" (Some 1.0)
+    (Xroute_obs.Metrics.scalar (Broker.metrics b) "xroute_broker_forwarded_subs")
+
 let test_sub_covering_displaces () =
   let strategy = { Broker.default_strategy with Broker.use_adv = false } in
   let b = make_broker ~strategy ~id:0 ~neighbors:[ 1 ] () in
@@ -655,6 +669,7 @@ let () =
         [
           Alcotest.test_case "flooding" `Quick test_sub_flooding_without_adv;
           Alcotest.test_case "covering suppression" `Quick test_sub_covering_suppression;
+          Alcotest.test_case "held back is not forwarded" `Quick test_held_back_not_forwarded;
           Alcotest.test_case "covering displaces" `Quick test_sub_covering_displaces;
           Alcotest.test_case "no covering" `Quick test_sub_no_covering_everything_forwarded;
           Alcotest.test_case "adv routing selective" `Quick test_sub_adv_routing_selective;

@@ -61,10 +61,6 @@ let test_rule3_infix_replacement () =
   check cb "prefix//suffix offered" true
     (match find_candidate cands "/a//d" with Some _ -> true | None -> false)
 
-let test_rule3_disabled () =
-  let cands = Merge.candidates ~enable_rule3:false (List.map xp [ "/a/x/y/d"; "/a/q/d" ]) in
-  check cb "disabled" true (find_candidate cands "/a//d" = None)
-
 (* ---------------- Coverage verification ---------------- *)
 
 let test_all_candidates_cover_originals () =
@@ -198,11 +194,7 @@ let () =
           Alcotest.test_case "relativity" `Quick test_rule1_respects_relativity;
         ] );
       ("rule2", [ Alcotest.test_case "operator+element" `Quick test_rule2_operator_and_element ]);
-      ( "rule3",
-        [
-          Alcotest.test_case "infix" `Quick test_rule3_infix_replacement;
-          Alcotest.test_case "disabled" `Quick test_rule3_disabled;
-        ] );
+      ("rule3", [ Alcotest.test_case "infix" `Quick test_rule3_infix_replacement ]);
       ( "soundness",
         [
           Alcotest.test_case "mergers cover originals" `Quick test_all_candidates_cover_originals;

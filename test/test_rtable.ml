@@ -122,7 +122,7 @@ let oracle_candidates srt xpe =
     | _ -> true
   in
   let all = Rtable.Srt.entries srt in
-  match Rtable.Srt.sub_root xpe with
+  match Xpe.root_name xpe with
   | Some n -> List.length (List.filter (rooted_at n) all)
   | None -> List.length all
 
